@@ -5,7 +5,7 @@
 // DistanceService with ~1M-query workloads: uniform, and the hot-vertex
 // Zipf skew real query traffic shows (a few landmark vertices absorb most
 // lookups). The cache cap is set to a quarter of the persisted payload, so
-// the uniform sweep churns the LRU while the Zipf sweep mostly hits — the
+// the uniform sweep churns the cache while the Zipf sweep mostly hits — the
 // two regimes bound a production mix.
 //
 // In-binary correctness gates (exit non-zero on violation):
@@ -17,8 +17,9 @@
 //
 // Machine-readable results go to BENCH_serve.json (override via
 // APSPARK_BENCH_JSON), one JSON object per line so check_regression.sh can
-// grep the tracked record: the "serve" section's Zipf-workload "qps"
-// (higher is better).
+// grep the tracked records: the "serve" section's "qps" of both workloads
+// (higher is better) and the uniform workload's "p999_us" (lower is
+// better).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -62,6 +63,7 @@ struct WorkloadResult {
   double qps = 0;
   double p50_us = 0;
   double p99_us = 0;
+  double p999_us = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t evictions = 0;
@@ -252,16 +254,18 @@ int main() {
     r.qps = static_cast<double>(kQueriesPerWorkload) / elapsed;
     r.p50_us = latencies_us[latencies_us.size() / 2];
     r.p99_us = latencies_us[latencies_us.size() * 99 / 100];
+    r.p999_us = latencies_us[latencies_us.size() * 999 / 1000];
     r.cache_hits = after.hits - before.hits;
     r.cache_misses = after.misses - before.misses;
     r.evictions = after.evictions - before.evictions;
     results.push_back(r);
 
     std::printf(
-        "%-8s %lld queries in %s: %.0f qps, p50 %.2f us, p99 %.2f us "
-        "(%llu hits, %llu misses, %llu evictions)\n",
+        "%-8s %lld queries in %s: %.0f qps, p50 %.2f us, p99 %.2f us, "
+        "p99.9 %.2f us (%llu hits, %llu misses, %llu evictions)\n",
         r.name.c_str(), static_cast<long long>(kQueriesPerWorkload),
         FormatDuration(elapsed).c_str(), r.qps, r.p50_us, r.p99_us,
+        r.p999_us,
         static_cast<unsigned long long>(r.cache_hits),
         static_cast<unsigned long long>(r.cache_misses),
         static_cast<unsigned long long>(r.evictions));
@@ -304,12 +308,13 @@ int main() {
       std::fprintf(f,
                    "    {\"section\": \"serve\", \"workload\": \"%s\", "
                    "\"queries\": %lld, \"qps\": %.1f, \"p50_us\": %.3f, "
-                   "\"p99_us\": %.3f, \"cache_hits\": %llu, "
+                   "\"p99_us\": %.3f, \"p999_us\": %.3f, "
+                   "\"cache_hits\": %llu, "
                    "\"cache_misses\": %llu, \"evictions\": %llu, "
                    "\"bitwise_equal_to_reference\": %s}%s\n",
                    r.name.c_str(),
                    static_cast<long long>(kQueriesPerWorkload), r.qps,
-                   r.p50_us, r.p99_us,
+                   r.p50_us, r.p99_us, r.p999_us,
                    static_cast<unsigned long long>(r.cache_hits),
                    static_cast<unsigned long long>(r.cache_misses),
                    static_cast<unsigned long long>(r.evictions),

@@ -49,13 +49,17 @@
 #                tiled solve on the shuffle data plane (peak)
 #   B = multitenant  tracked record: two-tenant fair-share replay from
 #                bench_multitenant / BENCH_multitenant.json (makespan)
-#   B = serve    tracked record: Zipf hot-vertex query workload from
-#                bench_serve / BENCH_serve.json (qps)
-#   M = qps      serving throughput of the Zipf workload — queries per
-#                second through the disk-backed DistanceService; HIGHER is
-#                better. Machine-dependent, so CI runs it with a generous
-#                tolerance; the gate mainly guards against the cache/pin
-#                path growing lock contention or losing its hit fast path.
+#   B = serve    tracked records: the Zipf hot-vertex and the uniform query
+#                workloads from bench_serve / BENCH_serve.json (qps), plus
+#                the uniform workload's p99.9 latency (p999_us)
+#   M = qps      serving throughput of both workloads — queries per second
+#                through the disk-backed DistanceService; HIGHER is better.
+#                Machine-dependent, so CI runs it with a generous tolerance:
+#                the Zipf record guards the lock-free hit path, the uniform
+#                records guard the miss path (window admission: checksum,
+#                page faults, eviction). The uniform p99.9 is LOWER-is-better
+#                and fails past baseline / (1 - tolerance), the same slowdown
+#                factor the qps floor baseline * (1 - tolerance) allows.
 #
 # Env: APSPARK_BENCH_TOLERANCE  allowed fractional regression (default 0.10)
 set -euo pipefail
@@ -144,16 +148,19 @@ tolerance="${APSPARK_BENCH_TOLERANCE:-0.10}"
 # greppable without a JSON parser. The '|| true' keeps a missing record from
 # tripping set -e inside the command substitution, so the explicit FAIL
 # diagnostic below can fire.
+extract_serve() {  # <file> <workload> <field>
+  { grep '"section": "serve"' "$1" \
+      | grep "\"workload\": \"$2\"" \
+      | grep -oE "\"$3\": [0-9.eE+-]+" \
+      | head -1 | awk '{print $2}'; } || true
+}
 extract() {
   if [[ "$bench" == "obs" ]]; then
     { grep '"section": "obs"' "$1" \
         | grep -oE "\"$field\": [0-9.eE+-]+" \
         | head -1 | awk '{print $2}'; } || true
   elif [[ "$bench" == "serve" ]]; then
-    { grep '"section": "serve"' "$1" \
-        | grep '"workload": "zipf"' \
-        | grep -oE "\"$field\": [0-9.eE+-]+" \
-        | head -1 | awk '{print $2}'; } || true
+    extract_serve "$1" zipf "$field"
   elif [[ "$bench" == "multitenant" ]]; then
     { grep '"section": "multitenant"' "$1" \
         | grep -v '"section": "multitenant_tight"' \
@@ -306,4 +313,34 @@ if [[ "$bench" == "fig2" && "$metric" == "speedup" ]]; then
       exit 1
     fi
   fi
+fi
+
+# The serving gate also covers the uniform workload, where a quarter-payload
+# cache cap makes about a quarter of the lookups admit a window: its
+# throughput and its p99.9 tail.
+if [[ "$bench" == "serve" ]]; then
+  for uniform_field in qps p999_us; do
+    uniform_measured="$(extract_serve "$measured" uniform "$uniform_field")"
+    uniform_baseline="$(extract_serve "$baseline" uniform "$uniform_field")"
+    if [[ -z "$uniform_measured" || -z "$uniform_baseline" ]]; then
+      echo "FAIL: serving-layer uniform $uniform_field record missing" \
+           "(measured='$uniform_measured' baseline='$uniform_baseline')" >&2
+      exit 1
+    fi
+    echo "serving-layer uniform workload $uniform_field: measured" \
+         "$uniform_measured, baseline $uniform_baseline, tolerance $tolerance"
+    if [[ "$uniform_field" == "qps" ]]; then
+      rule='BEGIN { exit !(m >= b * (1 - t)) }'
+    else
+      rule='BEGIN { exit !(m * (1 - t) <= b) }'
+    fi
+    if awk -v m="$uniform_measured" -v b="$uniform_baseline" \
+         -v t="$tolerance" "$rule"; then
+      echo "OK: within tolerance"
+    else
+      echo "FAIL: serving-layer uniform $uniform_field regressed more than" \
+           "${tolerance} vs committed baseline" >&2
+      exit 1
+    fi
+  done
 fi

@@ -153,28 +153,20 @@ DenseBlock DenseBlock::BitPacked() const {
   return out;
 }
 
-namespace {
-// Serialized layout: rows (8) + cols (8) + flags (1) + payload. Flags byte:
-// bit 0 = phantom, bit 1 = bit-packed.
-constexpr std::uint64_t kHeaderBytes = 8 + 8 + 1;
-constexpr std::uint8_t kFlagPhantom = 1;
-constexpr std::uint8_t kFlagPacked = 2;
-}  // namespace
-
 std::uint64_t DenseBlock::SerializedBytes() const noexcept {
   const std::uint64_t payload =
       packed_ ? static_cast<std::uint64_t>(rows_ * words_per_row_) *
                     sizeof(std::uint64_t)
               : static_cast<std::uint64_t>(rows_ * cols_) * sizeof(double);
-  return kHeaderBytes + payload;
+  return kSerializedHeaderBytes + payload;
 }
 
 void DenseBlock::Serialize(BinaryWriter& writer) const {
   writer.Write(rows_);
   writer.Write(cols_);
   std::uint8_t flags = 0;
-  if (phantom_) flags |= kFlagPhantom;
-  if (packed_) flags |= kFlagPacked;
+  if (phantom_) flags |= kSerializedPhantomFlag;
+  if (packed_) flags |= kSerializedPackedFlag;
   writer.Write(flags);
   if (phantom_) return;
   if (packed_) {
@@ -194,8 +186,8 @@ Result<DenseBlock> DenseBlock::Deserialize(BinaryReader& reader) {
   if (*rows < 0 || *cols < 0) {
     return InvalidArgumentError("DenseBlock: negative shape");
   }
-  const bool phantom = (*flags & kFlagPhantom) != 0;
-  const bool packed = (*flags & kFlagPacked) != 0;
+  const bool phantom = (*flags & kSerializedPhantomFlag) != 0;
+  const bool packed = (*flags & kSerializedPackedFlag) != 0;
   if (phantom) {
     return packed ? PackedPhantom(*rows, *cols) : Phantom(*rows, *cols);
   }

@@ -182,6 +182,9 @@ class DenseBlock {
   /// bit 1 = packed) + payload (doubles, or packed words). Phantom blocks
   /// encode the header only but report full SerializedBytes() for
   /// accounting.
+  static constexpr std::uint64_t kSerializedHeaderBytes = 8 + 8 + 1;
+  static constexpr std::uint8_t kSerializedPhantomFlag = 1;
+  static constexpr std::uint8_t kSerializedPackedFlag = 2;
   void Serialize(BinaryWriter& writer) const;
   static Result<DenseBlock> Deserialize(BinaryReader& reader);
 

@@ -1,51 +1,81 @@
 // Disk-backed, ref-counted block store: the persistence layer under the
 // distance-serving subsystem.
 //
-// A solve currently ends at a collected matrix that must fit in RAM. The
-// store turns that result into something a service can answer queries
-// against: each block of the solved layout is written to its own
-// checksummed file under a store directory, a MANIFEST records the layout
-// geometry and the block index, and readers materialize blocks lazily into
-// an in-memory cache with LRU eviction of cold blocks under a configurable
-// byte cap. (The shape follows aomdd's FunctionTableBlock pattern — lazily
-// materialized, reference-counted, file-backed table blocks — adapted to
-// this repository's DenseBlock serialization.)
+// A solve ends at a collected matrix that must fit in RAM. The store turns
+// that result into something a service can answer queries against: every
+// block of the solved layout is appended to one sealed data file, a
+// MANIFEST records the layout geometry and an offset index, and readers map
+// the data file and serve lookups straight out of the mapping. (The shape
+// follows aomdd's FunctionTableBlock pattern — fixed [start, end) windows
+// of one table, reference-counted leases on them — adapted to this
+// repository's DenseBlock serialization.)
 //
-// On-disk layout:
-//   <dir>/MANIFEST.bin        header + block index + trailing checksum
-//   <dir>/d_<I>_<J>.blk       distance-plane block (I, J)
-//   <dir>/p_<I>_<J>.blk       successor-plane ("paths") block (I, J)
-// Each block file: magic, plane, I, J, payload byte count, the payload
-// (DenseBlock::Serialize — the same packed-boolean-aware encoding the
-// sparklet data plane sizes through sparklet/serde.h, so a bit-packed
-// boolean solve persists its 64-per-word footprint), then an FNV-1a
-// checksum of the payload.
+// On-disk layout (two files):
+//   <dir>/BLOCKS.bin     every block's window, back to back
+//   <dir>/MANIFEST.bin   header + offset index + trailing checksum
+// A window is exactly the DenseBlock::Serialize bytes of one block — rows,
+// cols, flags, then the doubles or the bit-packed words, so a bit-packed
+// boolean solve persists its 64-per-word footprint — at a 64-byte aligned
+// offset; the gap up to the next window is zero padding. MANIFEST.bin v2 is
+//   magic u64, version u32 (= 2), n i64, b i64, directed u8, semiring u8,
+//   has_paths u8, count u64,
+//   count x {plane u8, I i64, J i64, offset u64, payload_bytes u64,
+//            checksum u64},
+//   Checksum64(body, seed 0) u64
+// all little-endian. Layouts are limited to 4096 blocks per side (a b = 64
+// store of n = 262144) so the per-plane q x q slot index stays bounded.
+//
+// Checksum64(data, size, seed): eight FNV-1a lanes over the little-endian
+// 64-bit words (word k feeds lane k mod 8; lane l starts at the FNV offset
+// basis xor seed, plus l), then one FNV-1a pass folding the eight lanes, the
+// size mod 8 tail bytes and the size. A window's seed is its key,
+// (plane << 62) ^ (I << 31) ^ J, so a window that lands at another key's
+// offset fails verification. Any change confined to one 64-bit word, so any
+// single-byte change, is always detected: every step is a bijection of the
+// lane it touches.
+//
+// Integrity contract: every served byte was checksum-verified since its
+// window was last admitted. A window is admitted on its first touch after
+// Open or after its eviction: admission verifies its checksum in place and
+// checks its header shape against the layout geometry for (I, J). Open
+// rejects a manifest whose index could point outside the data file, at
+// overlapping or misaligned windows, at duplicate or out-of-layout keys.
+// The sealed files must not change while a reader has them mapped.
 //
 // Caching and ref counting:
-//   Fetch() returns a Pin — a lease on the materialized block. While any
-//   Pin is live the block cannot be evicted; when the last Pin drops the
-//   block becomes LRU-evictable. Eviction keeps resident payload bytes
-//   under Options::cache_capacity_bytes (pinned bytes may transiently
-//   exceed the cap; the store trims back under it as pins release).
-//   Resident bytes charge/release the driver ledger of an optional
+//   Fetch() returns a Pin — a lease on an admitted window and a BlockView
+//   into the mapping; nothing is copied. While any Pin is live the window
+//   cannot be evicted. Admitted bytes are kept under
+//   Options::cache_capacity_bytes by a CLOCK sweep over unpinned windows
+//   (pinned bytes may transiently exceed the cap; the store trims back under
+//   it as pins release). An evicted window's whole pages are dropped from
+//   the mapping (madvise MADV_DONTNEED) and it is re-verified on its next
+//   touch. Admitted bytes charge/release the driver ledger of an optional
 //   MemoryAccountant, so a serving process's high water is measured the
 //   same way the solvers' is.
 //
 // Error model: every failure routes through Status — kNotFound for a
-// missing directory/manifest/block, kStoreCorrupt for anything that fails
-// validation (bad magic, size mismatch, checksum mismatch, truncated or
-// malformed payload). The store never throws for I/O-shaped failures.
+// missing directory/manifest/data file or a key the index lacks,
+// kStoreCorrupt for anything that fails validation (bad magic, unsupported
+// version, checksum mismatch, hostile index, truncated data file, a window
+// whose shape disagrees with the layout). The store never throws for
+// I/O-shaped failures.
 //
-// Thread safety: all reader methods are safe to call concurrently; a miss
-// loads the file outside the store mutex and concurrent requests for the
-// same block wait instead of loading twice. The writer protocol
+// Thread safety: all reader methods are safe to call concurrently. Each
+// window has one atomic word packing its state (cold, admitting, admitted)
+// and pin count; a hit pins it with a compare-and-swap and takes no lock,
+// and Contains() reads the immutable index. A miss moves the word from cold
+// to admitting, so concurrent misses on one window verify it once, and the
+// verification runs without a lock. Admitting a verified window and the
+// CLOCK sweep are serialized by one mutex the hit path never takes; the
+// evicted pages are dropped after it is released. The writer protocol
 // (Create/Put/Seal) is single-threaded.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <list>
-#include <map>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,26 +105,75 @@ struct StoreManifest {
   bool has_paths = false;  // successor plane present
 
   std::int64_t q() const noexcept {
-    return block_size > 0 ? (n + block_size - 1) / block_size : 0;
+    return block_size > 0 ? n / block_size + (n % block_size != 0 ? 1 : 0)
+                          : 0;
   }
 
   struct Entry {
     Plane plane = Plane::kDistance;
     std::int64_t I = 0;
     std::int64_t J = 0;
+    std::uint64_t offset = 0;  // window start in BLOCKS.bin
     std::uint64_t payload_bytes = 0;
     std::uint64_t checksum = 0;
   };
   std::vector<Entry> entries;
 };
 
+/// Non-owning view of one serialized DenseBlock (dense or bit-packed): the
+/// serve path's block type. Reads go through memcpy, so the payload needs no
+/// alignment, and At() is bitwise equal to DenseBlock::At on the same block.
+class BlockView {
+ public:
+  BlockView() = default;
+  /// `bytes` points at a DenseBlock::Serialize encoding whose header the
+  /// caller has validated.
+  explicit BlockView(const std::uint8_t* bytes) noexcept : bytes_(bytes) {
+    std::memcpy(&rows_, bytes, sizeof rows_);
+    std::memcpy(&cols_, bytes + sizeof rows_, sizeof cols_);
+    packed_ = (bytes[2 * sizeof(std::int64_t)] &
+               linalg::DenseBlock::kSerializedPackedFlag) != 0;
+    words_per_row_ = (cols_ + 63) / 64;
+  }
+
+  std::int64_t rows() const noexcept { return rows_; }
+  std::int64_t cols() const noexcept { return cols_; }
+  bool is_packed() const noexcept { return packed_; }
+
+  double At(std::int64_t r, std::int64_t c) const noexcept {
+    if (packed_) {
+      std::uint64_t word;
+      std::memcpy(&word, Element(r * words_per_row_ + (c >> 6)), sizeof word);
+      return (word >> (c & 63)) & 1u ? 1.0 : 0.0;
+    }
+    double value;
+    std::memcpy(&value, Element(r * cols_ + c), sizeof value);
+    return value;
+  }
+
+  /// Materialized copy (tests and tools; the serve path never copies).
+  linalg::DenseBlock ToDenseBlock() const;
+
+ private:
+  /// The i-th 8-byte payload element (a double, or a packed word).
+  const std::uint8_t* Element(std::int64_t i) const noexcept {
+    return bytes_ + linalg::DenseBlock::kSerializedHeaderBytes + 8 * i;
+  }
+
+  const std::uint8_t* bytes_ = nullptr;  // the serialized header
+  std::int64_t rows_ = 0;
+  std::int64_t cols_ = 0;
+  std::int64_t words_per_row_ = 0;
+  bool packed_ = false;
+};
+
 class BlockStore {
  public:
   struct Options {
-    /// Resident-payload cap the LRU eviction maintains. Pinned blocks may
+    /// Admitted-bytes cap the CLOCK eviction maintains. Pinned windows may
     /// transiently push residency above it.
     std::uint64_t cache_capacity_bytes = 256ULL << 20;
-    /// Optional byte mirror: resident blocks charge the driver ledger.
+    /// Optional byte mirror: admitted windows charge the driver ledger.
     sparklet::MemoryAccountant* accountant = nullptr;
   };
 
@@ -125,12 +204,13 @@ class BlockStore {
     return Create(dir, manifest, Options{});
   }
 
-  /// Writes one block file and records it in the manifest index. Phantom
+  /// Appends one block's window to the data file and indexes it. Phantom
   /// blocks are rejected (kFailedPrecondition): a store persists payloads.
   Status Put(Plane plane, std::int64_t I, std::int64_t J,
              const linalg::DenseBlock& block);
 
-  /// Writes the MANIFEST; the store is complete and ready to Open.
+  /// Closes the data file and writes the MANIFEST; the store is complete
+  /// and ready to Open.
   Status Seal();
 
   // -- reader protocol ----------------------------------------------------
@@ -141,8 +221,9 @@ class BlockStore {
     return Open(dir, Options{});
   }
 
-  /// Lease on a materialized block: while live, the block is pinned
-  /// resident. Move-only; dropping it makes the block evictable again.
+  /// Lease on an admitted window: while live, the window stays admitted
+  /// and block() stays readable. Move-only; dropping it makes the window
+  /// evictable again.
   class Pin {
    public:
     Pin() = default;
@@ -152,70 +233,62 @@ class BlockStore {
     Pin& operator=(const Pin&) = delete;
     ~Pin() { Release(); }
 
-    bool valid() const noexcept { return entry_ != nullptr; }
-    const linalg::DenseBlock& block() const noexcept { return *block_; }
-    /// The underlying shared payload (outlives the Pin if copied out, but
-    /// then no longer counts toward the store's pinned set).
-    const linalg::BlockPtr& payload() const noexcept { return block_; }
+    bool valid() const noexcept { return store_ != nullptr; }
+    const BlockView& block() const noexcept { return view_; }
 
     void Release();
 
    private:
     friend class BlockStore;
-    Pin(BlockStore* store, void* entry, linalg::BlockPtr block) noexcept
-        : store_(store), entry_(entry), block_(std::move(block)) {}
+    Pin(BlockStore* store, std::size_t window, BlockView view) noexcept
+        : store_(store), window_(window), view_(view) {}
 
     BlockStore* store_ = nullptr;
-    void* entry_ = nullptr;
-    linalg::BlockPtr block_;
+    std::size_t window_ = 0;
+    BlockView view_;
   };
 
-  /// Materializes (or finds resident) block (I, J) of `plane` and pins it.
-  /// kNotFound if the manifest has no such block; kStoreCorrupt if the
-  /// file fails validation.
+  /// Pins block (I, J) of `plane`, admitting its window first if it is not
+  /// admitted. kNotFound if the manifest has no such block; kStoreCorrupt
+  /// if the window fails verification.
   Result<Pin> Fetch(Plane plane, std::int64_t I, std::int64_t J);
 
   /// True if the manifest indexes block (I, J) of `plane`.
-  bool Contains(Plane plane, std::int64_t I, std::int64_t J) const;
+  bool Contains(Plane plane, std::int64_t I, std::int64_t J) const noexcept {
+    return Find(plane, I, J) >= 0;
+  }
 
   const StoreManifest& manifest() const noexcept { return manifest_; }
   const std::string& directory() const noexcept { return dir_; }
-  Stats stats() const;
-  std::uint64_t resident_bytes() const;
+  Stats stats() const noexcept;
+  std::uint64_t resident_bytes() const noexcept {
+    return resident_bytes_.load();
+  }
   /// Total persisted payload bytes across all planes (from the manifest).
   std::uint64_t total_payload_bytes() const noexcept;
 
  private:
-  struct CacheKey {
-    Plane plane;
-    std::int64_t I;
-    std::int64_t J;
-    friend auto operator<=>(const CacheKey&, const CacheKey&) = default;
-  };
-
-  enum class EntryState { kCold, kLoading, kResident };
-
-  struct CacheEntry {
-    StoreManifest::Entry meta;
-    EntryState state = EntryState::kCold;
-    linalg::BlockPtr block;
-    int pins = 0;
-    /// Position in lru_ when resident and unpinned; lru_.end() otherwise.
-    std::list<CacheKey>::iterator lru_pos;
-    /// Set when a concurrent load failed so waiters re-drive the load.
-    Status load_error;
-  };
-
   BlockStore(std::string dir, StoreManifest manifest, Options options,
              bool writable);
 
-  std::string BlockPath(const StoreManifest::Entry& meta) const;
-  /// Reads + validates one block file (no lock held).
-  Result<linalg::DenseBlock> LoadBlockFile(
-      const StoreManifest::Entry& meta) const;
-  /// Evicts cold LRU entries until residency fits the cap (lock held).
-  void EvictToFit();
-  void Unpin(void* entry_handle);
+  /// Position of an in-layout key in index_ (Slot(kNext, q, 0) = its size).
+  std::size_t Slot(Plane plane, std::int64_t I,
+                   std::int64_t J) const noexcept;
+  /// Index of the window holding (plane, I, J), or -1.
+  std::int64_t Find(Plane plane, std::int64_t I,
+                    std::int64_t J) const noexcept;
+  /// Indexes manifest_.entries[window]; false on a duplicate key.
+  bool IndexEntry(std::size_t window);
+  /// Pins `window` if it is admitted; the hit path's only synchronization.
+  bool TryPin(std::size_t window) noexcept;
+  /// Verifies an admitting window in place.
+  Status Verify(std::size_t window) const;
+  /// Evicts unpinned windows, CLOCK order, until residency fits (mu_ held).
+  /// Returns the victims for DropPages.
+  std::vector<std::size_t> EvictToFit();
+  /// Drops the victims' whole pages from the mapping (mu_ not held).
+  void DropPages(const std::vector<std::size_t>& victims) const;
+  void Unpin(std::size_t window);
 
   const std::string dir_;
   StoreManifest manifest_;
@@ -223,15 +296,35 @@ class BlockStore {
   bool writable_ = false;
   bool sealed_ = false;
 
-  mutable std::mutex mu_;
-  std::condition_variable load_cv_;
-  std::map<CacheKey, CacheEntry> cache_;
-  /// Evictable (resident, unpinned) keys, least recently used first.
-  std::list<CacheKey> lru_;
-  Stats stats_;
+  /// Dense per-plane q x q slot array: window index + 1, 0 = absent.
+  std::vector<std::uint32_t> index_;
+
+  // Writer state.
+  std::ofstream data_out_;
+  std::uint64_t data_bytes_ = 0;
+
+  // Reader state. The mapping and the entries are immutable after Open.
+  const std::uint8_t* mapping_ = nullptr;
+  std::size_t mapping_bytes_ = 0;
+  /// Per window: admitted/admitting bits | referenced bit | pin count.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> words_;
+
+  /// Serializes admission and eviction; the hit path never takes it.
+  std::mutex mu_;
+  std::size_t clock_hand_ = 0;  // guarded by mu_
+
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> evictions_{0};
+  std::atomic<std::uint64_t> bytes_loaded_{0};
+  /// Written under mu_; Unpin reads it to decide whether to trim.
+  std::atomic<std::uint64_t> resident_bytes_{0};
+  std::atomic<std::uint64_t> peak_resident_bytes_{0};
 };
 
-/// FNV-1a over a byte range — the block-file payload checksum.
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size) noexcept;
+/// The store's checksum (see the file comment): 8-lane FNV-1a over
+/// little-endian 64-bit words plus a byte tail, keyed by `seed`.
+std::uint64_t Checksum64(const std::uint8_t* data, std::size_t size,
+                         std::uint64_t seed) noexcept;
 
 }  // namespace apspark::store

@@ -29,7 +29,7 @@ Result<std::unique_ptr<DistanceService>> DistanceService::Open(
       new DistanceService(std::move(*store), options.num_threads));
 }
 
-Result<const linalg::DenseBlock*> DistanceService::FetchVia(
+Result<const BlockView*> DistanceService::FetchVia(
     PinMemo& memo, Plane plane, std::int64_t I, std::int64_t J) {
   if (memo.pin.valid() && memo.plane == plane && memo.I == I && memo.J == J) {
     return &memo.pin.block();

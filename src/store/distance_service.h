@@ -5,7 +5,8 @@
 // block-resident planes, fetching (and pinning) only the blocks a query
 // touches. Batched lookups fan out across a work-stealing thread pool; each
 // chunk keeps a one-entry pin memo, so a skewed (hot-vertex) workload
-// resolves most queries without touching the store mutex at all.
+// resolves most queries without touching the store at all, and a lookup is
+// a read through the store's mapping.
 //
 // Geometry: a distance query (s, t) maps to block (s/b, t/b) and local
 // offsets (s%b, t%b). Undirected stores hold only the canonical upper
@@ -115,8 +116,8 @@ class DistanceService {
   };
 
   /// Pins (or reuses from `memo`) the block covering (I, J) of `plane`.
-  Result<const linalg::DenseBlock*> FetchVia(PinMemo& memo, Plane plane,
-                                             std::int64_t I, std::int64_t J);
+  Result<const BlockView*> FetchVia(PinMemo& memo, Plane plane,
+                                    std::int64_t I, std::int64_t J);
   Result<double> DistanceVia(PinMemo& memo, graph::VertexId s,
                              graph::VertexId t);
 

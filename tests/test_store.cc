@@ -8,16 +8,21 @@
 // path of that exact length.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
+#include <utility>
 
 #include "apsp/api.h"
 #include "apsp/persist.h"
+#include "common/serial.h"
 #include "graph/path_reconstruction.h"
 #include "linalg/kernels.h"
 #include "sparklet/memory_accountant.h"
@@ -65,6 +70,84 @@ store::StoreManifest TinyManifest(std::int64_t n = 8, std::int64_t b = 4) {
   return manifest;
 }
 
+/// Every element of the mapped view reads bitwise-equal to the block's At().
+void ExpectViewMatches(const store::BlockView& view,
+                       const linalg::DenseBlock& block) {
+  ASSERT_EQ(view.rows(), block.rows());
+  ASSERT_EQ(view.cols(), block.cols());
+  ASSERT_EQ(view.is_packed(), block.is_packed());
+  for (std::int64_t r = 0; r < block.rows(); ++r) {
+    for (std::int64_t c = 0; c < block.cols(); ++c) {
+      const double got = view.At(r, c);
+      const double want = block.At(r, c);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "view element (" << r << "," << c << ")";
+    }
+  }
+}
+
+std::vector<char> ReadAll(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void WriteAll(const fs::path& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// XORs one byte of a file in place.
+void FlipByte(const fs::path& path, std::uint64_t offset,
+              char mask = 0x5a) {
+  std::vector<char> bytes = ReadAll(path);
+  ASSERT_LT(offset, bytes.size());
+  bytes[offset] = static_cast<char>(bytes[offset] ^ mask);
+  WriteAll(path, bytes);
+}
+
+/// A sealed n=8, b=4 store holding `blocks` in the distance plane.
+void WriteTinyStore(
+    const std::string& dir,
+    const std::vector<std::pair<std::pair<std::int64_t, std::int64_t>,
+                                linalg::DenseBlock>>& blocks) {
+  auto writer = store::BlockStore::Create(dir, TinyManifest());
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const auto& [key, block] : blocks) {
+    ASSERT_TRUE(
+        (*writer)->Put(store::Plane::kDistance, key.first, key.second, block)
+            .ok());
+  }
+  ASSERT_TRUE((*writer)->Seal().ok());
+}
+
+/// Rewrites MANIFEST.bin from `m` in the v2 layout with a valid trailing
+/// checksum, so Open must reject the content itself, not its bytes.
+void WriteManifest(const std::string& dir, const store::StoreManifest& m,
+                   std::uint64_t declared_count, std::uint8_t semiring,
+                   std::uint32_t version = 2) {
+  BinaryWriter body;
+  body.Write(std::uint64_t{0x415053504d414e31ULL});
+  body.Write(version);
+  body.Write(m.n);
+  body.Write(m.block_size);
+  body.Write(static_cast<std::uint8_t>(m.directed));
+  body.Write(semiring);
+  body.Write(static_cast<std::uint8_t>(m.has_paths));
+  body.Write(declared_count);
+  for (const auto& e : m.entries) {
+    body.Write(static_cast<std::uint8_t>(e.plane));
+    body.Write(e.I);
+    body.Write(e.J);
+    body.Write(e.offset);
+    body.Write(e.payload_bytes);
+    body.Write(e.checksum);
+  }
+  body.Write(store::Checksum64(body.buffer().data(), body.size(), 0));
+  const auto& bytes = body.buffer();
+  WriteAll(fs::path(dir) / "MANIFEST.bin",
+           std::vector<char>(bytes.begin(), bytes.end()));
+}
+
 TEST(BlockStore, RoundTripsDenseAndPackedBlocks) {
   const std::uint64_t seed = 0xb10cULL;
   APSPARK_SEEDED_CASE(seed);
@@ -94,13 +177,17 @@ TEST(BlockStore, RoundTripsDenseAndPackedBlocks) {
 
   auto got_dense = (*reader)->Fetch(store::Plane::kDistance, 0, 0);
   ASSERT_TRUE(got_dense.ok()) << got_dense.status().ToString();
-  test::ExpectBitwiseEqual(got_dense->block(), dense, "dense round-trip");
+  test::ExpectBitwiseEqual(got_dense->block().ToDenseBlock(), dense,
+                           "dense round-trip");
+  ExpectViewMatches(got_dense->block(), dense);
 
   auto got_packed = (*reader)->Fetch(store::Plane::kDistance, 0, 1);
   ASSERT_TRUE(got_packed.ok()) << got_packed.status().ToString();
   EXPECT_TRUE(got_packed->block().is_packed())
       << "bit-packed plane must persist packed, not densified";
-  test::ExpectBitwiseEqual(got_packed->block(), packed, "packed round-trip");
+  test::ExpectBitwiseEqual(got_packed->block().ToDenseBlock(), packed,
+                           "packed round-trip");
+  ExpectViewMatches(got_packed->block(), packed);
 }
 
 TEST(BlockStore, WriterProtocolRejectsMisuse) {
@@ -171,42 +258,28 @@ TEST(BlockStore, CorruptAndTruncatedFilesAreRejected) {
                     .ok());
     ASSERT_TRUE((*writer)->Seal().ok());
   }
-  const auto block_path = fs::path(dir.path()) / "d_0_0.blk";
+  const auto data_path = fs::path(dir.path()) / "BLOCKS.bin";
 
-  // Flip one payload byte: checksum must catch it.
-  {
-    std::fstream f(block_path,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.is_open());
-    f.seekp(40);  // inside the payload, past the header
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(40);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
+  // Flip one payload byte of window (0, 0): its checksum must catch it.
+  FlipByte(data_path, 40, 0x40);
   {
     auto reader = store::BlockStore::Open(dir.path());
     ASSERT_TRUE(reader.ok());
     EXPECT_EQ(
         (*reader)->Fetch(store::Plane::kDistance, 0, 0).status().code(),
         StatusCode::kStoreCorrupt);
-    // A failed load leaves the entry retryable and the healthy block fine.
+    // A failed admission leaves the window retryable and the healthy block
+    // fine.
     EXPECT_EQ(
         (*reader)->Fetch(store::Plane::kDistance, 0, 0).status().code(),
         StatusCode::kStoreCorrupt);
     EXPECT_TRUE((*reader)->Fetch(store::Plane::kDistance, 1, 1).ok());
   }
 
-  // Truncate the file: size validation must reject the short read.
-  fs::resize_file(block_path, 16);
-  {
-    auto reader = store::BlockStore::Open(dir.path());
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(
-        (*reader)->Fetch(store::Plane::kDistance, 0, 0).status().code(),
-        StatusCode::kStoreCorrupt);
-  }
+  // Truncate the data file: the index points past its end.
+  fs::resize_file(data_path, 16);
+  EXPECT_EQ(store::BlockStore::Open(dir.path()).status().code(),
+            StatusCode::kStoreCorrupt);
 
   // Corrupt the manifest itself: Open must fail, not limp along.
   {
@@ -261,7 +334,7 @@ TEST(BlockStore, EvictionKeepsResidencyUnderCapAndBalancesAccountant) {
         for (std::int64_t J = I; J < kQ; ++J) {
           auto pin = bs.Fetch(store::Plane::kDistance, I, J);
           ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-          EXPECT_FALSE(pin->block().is_phantom());
+          EXPECT_EQ(pin->block().rows(), kB);
         }
         EXPECT_LE(bs.resident_bytes(), options.cache_capacity_bytes);
       }
@@ -315,7 +388,8 @@ TEST(BlockStore, PinnedBlocksSurviveEvictionPressure) {
     auto pin = bs.Fetch(store::Plane::kDistance, 0, J);
     ASSERT_TRUE(pin.ok());
   }
-  test::ExpectBitwiseEqual(pinned->block(), first, "pinned block intact");
+  test::ExpectBitwiseEqual(pinned->block().ToDenseBlock(), first,
+                           "pinned block intact");
   const auto hit_again = bs.Fetch(store::Plane::kDistance, 0, 0);
   ASSERT_TRUE(hit_again.ok());
   const auto stats = bs.stats();
@@ -363,34 +437,59 @@ TEST(BlockStore, ConcurrentReadersAgreeAndNeverDoubleLoad) {
 
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 400;
+  constexpr int kHoldIters = 50;  // a held pin spans this many fetches
+  const std::uint64_t kWindows = kQ * (kQ + 1) / 2;
+  auto key_of = [&](std::uint64_t pick) {
+    std::uint64_t index = 0;
+    for (std::int64_t a = 0; a < kQ; ++a) {
+      for (std::int64_t b = a; b < kQ; ++b) {
+        if (index++ == pick) return std::make_pair(a, b);
+      }
+    }
+    return std::make_pair(std::int64_t{-1}, std::int64_t{-1});
+  };
   std::vector<std::thread> threads;
   std::atomic<int> mismatches{0};
+  std::atomic<std::uint64_t> fetches{0};
   for (int tid = 0; tid < kThreads; ++tid) {
     threads.emplace_back([&, tid] {
       Xoshiro256 trng(seed + static_cast<std::uint64_t>(tid) + 1);
-      for (int iter = 0; iter < kItersPerThread; ++iter) {
-        std::size_t index = 0;
-        std::int64_t I = 0, J = 0;
-        const auto pick = trng.NextBounded(kQ * (kQ + 1) / 2);
-        for (std::int64_t a = 0; a < kQ && index <= pick; ++a) {
-          for (std::int64_t b = a; b < kQ && index <= pick; ++b) {
-            I = a;
-            J = b;
-            ++index;
-          }
+      auto check = [&](const store::BlockStore::Pin& pin,
+                       std::uint64_t pick) {
+        const auto& expected = originals[pick];
+        for (int probe = 0; probe < 4; ++probe) {
+          const auto r = static_cast<std::int64_t>(trng.NextBounded(kB));
+          const auto c = static_cast<std::int64_t>(trng.NextBounded(kB));
+          if (pin.block().At(r, c) != expected.At(r, c)) ++mismatches;
         }
+      };
+      // Each thread holds one pin across the churn its own and the other
+      // threads' fetches cause, so evictions race live pins.
+      store::BlockStore::Pin held;
+      std::uint64_t held_pick = 0;
+      for (int iter = 0; iter < kItersPerThread; ++iter) {
+        if (iter % kHoldIters == 0) {
+          held_pick = trng.NextBounded(kWindows);
+          const auto [I, J] = key_of(held_pick);
+          auto pin = bs.Fetch(store::Plane::kDistance, I, J);
+          ++fetches;
+          if (!pin.ok()) {
+            ++mismatches;
+            held.Release();
+            continue;
+          }
+          held = std::move(*pin);
+        }
+        const auto pick = trng.NextBounded(kWindows);
+        const auto [I, J] = key_of(pick);
         auto pin = bs.Fetch(store::Plane::kDistance, I, J);
+        ++fetches;
         if (!pin.ok()) {
           ++mismatches;
           continue;
         }
-        const auto& expected = originals[pick];
-        // Spot-check a few elements while holding the pin.
-        for (int probe = 0; probe < 4; ++probe) {
-          const auto r = static_cast<std::int64_t>(trng.NextBounded(kB));
-          const auto c = static_cast<std::int64_t>(trng.NextBounded(kB));
-          if (pin->block().At(r, c) != expected.At(r, c)) ++mismatches;
-        }
+        check(*pin, pick);
+        if (held.valid()) check(held, held_pick);
       }
     });
   }
@@ -398,9 +497,280 @@ TEST(BlockStore, ConcurrentReadersAgreeAndNeverDoubleLoad) {
   EXPECT_EQ(mismatches.load(), 0);
 
   const auto stats = bs.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::uint64_t>(kThreads) * kItersPerThread);
+  EXPECT_EQ(stats.hits + stats.misses, fetches.load())
+      << "every fetch is exactly one hit or one admission";
+  EXPECT_GT(stats.evictions, 0u) << "the cap was meant to force churn";
   EXPECT_LE(bs.resident_bytes(), options.cache_capacity_bytes);
+}
+
+// -- hostile manifests: checksum-valid, content-invalid ----------------------
+
+/// A sealed two-window store whose manifest each case rewrites (with a valid
+/// checksum) before expecting Open to fail with kStoreCorrupt.
+class HostileManifest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Xoshiro256 rng(0x40571e);
+    WriteTinyStore(dir_.path(), {{{0, 0}, RandomDense(rng, 4, 4)},
+                                 {{0, 1}, RandomDense(rng, 4, 4)}});
+    auto reader = store::BlockStore::Open(dir_.path());
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    manifest_ = (*reader)->manifest();
+    ASSERT_EQ(manifest_.entries.size(), 2u);
+  }
+
+  void ExpectRejected(const store::StoreManifest& m,
+                      std::uint64_t declared_count, std::uint8_t semiring,
+                      std::uint32_t version = 2) {
+    WriteManifest(dir_.path(), m, declared_count, semiring, version);
+    const auto opened = store::BlockStore::Open(dir_.path());
+    EXPECT_EQ(opened.status().code(), StatusCode::kStoreCorrupt)
+        << opened.status().ToString();
+  }
+  void ExpectRejected(const store::StoreManifest& m) {
+    ExpectRejected(m, m.entries.size(), 0);
+  }
+
+  TempStoreDir dir_{"hostile"};
+  store::StoreManifest manifest_;
+};
+
+TEST_F(HostileManifest, RewrittenValidManifestStillOpens) {
+  // The rewriting helper itself produces an acceptable manifest.
+  WriteManifest(dir_.path(), manifest_, manifest_.entries.size(), 0);
+  EXPECT_TRUE(store::BlockStore::Open(dir_.path()).ok());
+}
+
+TEST_F(HostileManifest, HugeEntryCountIsCorruptNotBadAlloc) {
+  ExpectRejected(manifest_, std::uint64_t{1} << 60, 0);
+}
+
+TEST_F(HostileManifest, UnknownSemiringIsCorrupt) {
+  ExpectRejected(manifest_, manifest_.entries.size(), 9);
+}
+
+TEST_F(HostileManifest, OutOfLayoutKeyIsCorrupt) {
+  auto m = manifest_;
+  m.entries[1].I = 2;  // q = 2
+  ExpectRejected(m);
+  m.entries[1].I = 0;
+  m.entries[1].J = -1;
+  ExpectRejected(m);
+}
+
+TEST_F(HostileManifest, DuplicateKeyIsCorrupt) {
+  auto m = manifest_;
+  m.entries[1].J = m.entries[0].J;
+  ExpectRejected(m);
+}
+
+TEST_F(HostileManifest, MisalignedWindowIsCorrupt) {
+  auto m = manifest_;
+  m.entries[1].offset += 8;
+  ExpectRejected(m);
+}
+
+TEST_F(HostileManifest, OverlappingWindowsAreCorrupt) {
+  auto m = manifest_;
+  m.entries[1].offset = 64;  // aligned, inside window 0's [0, 145)
+  ExpectRejected(m);
+}
+
+TEST_F(HostileManifest, WindowPastDataFileEndIsCorrupt) {
+  auto m = manifest_;
+  m.entries[1].offset =
+      fs::file_size(fs::path(dir_.path()) / "BLOCKS.bin");
+  ExpectRejected(m);
+}
+
+TEST_F(HostileManifest, VersionOneManifestIsUnsupported) {
+  WriteManifest(dir_.path(), manifest_, manifest_.entries.size(), 0, 1);
+  const auto opened = store::BlockStore::Open(dir_.path());
+  EXPECT_EQ(opened.status().code(), StatusCode::kStoreCorrupt);
+  EXPECT_NE(opened.status().ToString().find("unsupported manifest version"),
+            std::string::npos);
+}
+
+// -- data-file integrity ------------------------------------------------------
+
+/// Dense (0,0), packed (0,1) and dense (1,1) 4x4 blocks: both encodings and
+/// two same-shape windows.
+std::vector<std::pair<std::pair<std::int64_t, std::int64_t>,
+                      linalg::DenseBlock>>
+MixedTinyBlocks(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  auto packed = linalg::DenseBlock::PackedBoolean(4, 4, 0.0);
+  packed.Set(0, 1, 1.0);
+  packed.Set(2, 3, 1.0);
+  packed.Set(3, 0, 1.0);
+  return {{{0, 0}, RandomDense(rng, 4, 4)},
+          {{0, 1}, packed},
+          {{1, 1}, RandomDense(rng, 4, 4)}};
+}
+
+TEST(BlockStore, EveryFlippedDataByteFailsExactlyItsWindow) {
+  const std::uint64_t seed = 0xf11b;
+  APSPARK_SEEDED_CASE(seed);
+  const auto blocks = MixedTinyBlocks(seed);
+  TempStoreDir pristine("flip_pristine");
+  WriteTinyStore(pristine.path(), blocks);
+  std::vector<store::StoreManifest::Entry> entries;
+  {
+    auto reader = store::BlockStore::Open(pristine.path());
+    ASSERT_TRUE(reader.ok());
+    entries = (*reader)->manifest().entries;
+  }
+  const auto data_size =
+      fs::file_size(fs::path(pristine.path()) / "BLOCKS.bin");
+
+  TempStoreDir scratch("flip_copy");
+  for (std::uint64_t at = 0; at < data_size; ++at) {
+    SCOPED_TRACE("flipped byte " + std::to_string(at));
+    fs::remove_all(scratch.path());
+    fs::copy(pristine.path(), scratch.path());
+    FlipByte(fs::path(scratch.path()) / "BLOCKS.bin", at);
+    auto reader = store::BlockStore::Open(scratch.path());
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      const auto& e = entries[k];
+      auto pin = (*reader)->Fetch(e.plane, e.I, e.J);
+      if (at >= e.offset && at < e.offset + e.payload_bytes) {
+        EXPECT_EQ(pin.status().code(), StatusCode::kStoreCorrupt);
+      } else {
+        ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+        test::ExpectBitwiseEqual(pin->block().ToDenseBlock(),
+                                 blocks[k].second, "untouched window");
+        ExpectViewMatches(pin->block(), blocks[k].second);
+      }
+    }
+  }
+}
+
+TEST(BlockStore, SwappedSameShapeWindowsFailTheirKeySeed) {
+  const std::uint64_t seed = 0x5a9;
+  APSPARK_SEEDED_CASE(seed);
+  TempStoreDir dir("swap");
+  WriteTinyStore(dir.path(), MixedTinyBlocks(seed));
+  std::vector<store::StoreManifest::Entry> entries;
+  {
+    auto reader = store::BlockStore::Open(dir.path());
+    ASSERT_TRUE(reader.ok());
+    entries = (*reader)->manifest().entries;
+  }
+  const auto& a = entries[0];  // dense (0, 0)
+  const auto& b = entries[2];  // dense (1, 1), same shape and size
+  ASSERT_EQ(a.payload_bytes, b.payload_bytes);
+  const auto data_path = fs::path(dir.path()) / "BLOCKS.bin";
+  std::vector<char> bytes = ReadAll(data_path);
+  std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(a.offset),
+                   bytes.begin() +
+                       static_cast<std::ptrdiff_t>(a.offset + a.payload_bytes),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(b.offset));
+  WriteAll(data_path, bytes);
+
+  auto expect_both_corrupt = [&] {
+    auto reader = store::BlockStore::Open(dir.path());
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ((*reader)->Fetch(a.plane, a.I, a.J).status().code(),
+              StatusCode::kStoreCorrupt);
+    EXPECT_EQ((*reader)->Fetch(b.plane, b.I, b.J).status().code(),
+              StatusCode::kStoreCorrupt);
+    EXPECT_TRUE(
+        (*reader)->Fetch(entries[1].plane, entries[1].I, entries[1].J).ok());
+  };
+  expect_both_corrupt();
+
+  // Swap the bytes back and swap the index instead: each key now points at
+  // the other window together with that window's own checksum, so only the
+  // key seed tells them apart.
+  std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(a.offset),
+                   bytes.begin() +
+                       static_cast<std::ptrdiff_t>(a.offset + a.payload_bytes),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(b.offset));
+  WriteAll(data_path, bytes);
+  store::StoreManifest swapped = TinyManifest();
+  swapped.entries = entries;
+  std::swap(swapped.entries[0].offset, swapped.entries[2].offset);
+  std::swap(swapped.entries[0].checksum, swapped.entries[2].checksum);
+  WriteManifest(dir.path(), swapped, swapped.entries.size(), 0);
+  expect_both_corrupt();
+}
+
+TEST(BlockStore, DataFileTruncatedBelowAWindowEndFailsOpen) {
+  TempStoreDir dir("truncate");
+  WriteTinyStore(dir.path(), MixedTinyBlocks(0x7c));
+  std::uint64_t last_end = 0;
+  {
+    auto reader = store::BlockStore::Open(dir.path());
+    ASSERT_TRUE(reader.ok());
+    for (const auto& e : (*reader)->manifest().entries) {
+      last_end = std::max(last_end, e.offset + e.payload_bytes);
+    }
+  }
+  const auto data_path = fs::path(dir.path()) / "BLOCKS.bin";
+  // Only the padding after the last window may go.
+  fs::resize_file(data_path, last_end);
+  EXPECT_TRUE(store::BlockStore::Open(dir.path()).ok());
+  fs::resize_file(data_path, last_end - 1);
+  EXPECT_EQ(store::BlockStore::Open(dir.path()).status().code(),
+            StatusCode::kStoreCorrupt);
+}
+
+TEST(BlockStore, EvictedWindowIsReverifiedOnItsNextTouch) {
+  const std::uint64_t seed = 0x2e7;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  TempStoreDir dir("reverify");
+  WriteTinyStore(dir.path(), {{{0, 0}, RandomDense(rng, 4, 4)},
+                              {{0, 1}, RandomDense(rng, 4, 4)}});
+  const std::uint64_t window_bytes =
+      linalg::DenseBlock(4, 4).SerializedBytes();
+
+  store::BlockStore::Options options;
+  options.cache_capacity_bytes = window_bytes;  // one window
+  auto reader = store::BlockStore::Open(dir.path(), options);
+  ASSERT_TRUE(reader.ok());
+  store::BlockStore& bs = **reader;
+  const auto victim = bs.manifest().entries[0];
+  ASSERT_TRUE(bs.Fetch(store::Plane::kDistance, 0, 0).ok());
+  ASSERT_TRUE(bs.Fetch(store::Plane::kDistance, 0, 1).ok());
+  ASSERT_EQ(bs.stats().evictions, 1u) << "(0,0) must be evicted";
+
+  // Corrupt the evicted window behind the open store's back.
+  const auto data_path = fs::path(dir.path()) / "BLOCKS.bin";
+  const int fd = ::open(data_path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  const auto at = static_cast<off_t>(victim.offset + 20);
+  char original = 0;
+  ASSERT_EQ(::pread(fd, &original, 1, at), 1);
+  const char flipped = static_cast<char>(original ^ 0x01);
+  ASSERT_EQ(::pwrite(fd, &flipped, 1, at), 1);
+  EXPECT_EQ(bs.Fetch(store::Plane::kDistance, 0, 0).status().code(),
+            StatusCode::kStoreCorrupt);
+
+  // Restored bytes verify again: a failed admission leaves it retryable.
+  ASSERT_EQ(::pwrite(fd, &original, 1, at), 1);
+  ::close(fd);
+  EXPECT_TRUE(bs.Fetch(store::Plane::kDistance, 0, 0).ok());
+}
+
+TEST(Checksum64, EverySingleByteChangeAndEverySeedChangeIsDetected) {
+  std::vector<std::uint8_t> bytes(203);  // 25 words + a 3-byte tail
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  const std::uint64_t base =
+      store::Checksum64(bytes.data(), bytes.size(), 7);
+  EXPECT_NE(store::Checksum64(bytes.data(), bytes.size(), 8), base);
+  EXPECT_NE(store::Checksum64(bytes.data(), bytes.size() - 1, 7), base);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+      bytes[i] ^= mask;
+      EXPECT_NE(store::Checksum64(bytes.data(), bytes.size(), 7), base)
+          << "byte " << i << " mask " << int{mask};
+      bytes[i] ^= mask;
+    }
+  }
 }
 
 TEST(DistanceService, EndToEndSolvePersistQueryMatchesOracle) {
