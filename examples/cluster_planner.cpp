@@ -7,68 +7,47 @@
 // Usage: cluster_planner [n] [cores]   (defaults: n = 131072, cores = 1024)
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-#include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/tuner.h"
 #include "common/time_utils.h"
 
 int main(int argc, char** argv) {
   using namespace apspark;
-  const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 131072;
+  apsp::TuneRequest request;
+  request.n = argc > 1 ? std::atoll(argv[1]) : 131072;
   const int cores = argc > 2 ? std::atoi(argv[2]) : 1024;
-  auto cluster = sparklet::ClusterConfig::PaperWithCores(cores);
-  std::printf("planning APSP of n = %lld on: %s\n", static_cast<long long>(n),
-              cluster.Summary().c_str());
-  std::printf("%-14s %-6s %-4s %12s %14s %12s\n", "solver", "b", "part",
-              "per-round", "projected", "spill/node");
+  request.cluster = sparklet::ClusterConfig::PaperWithCores(cores);
+  request.block_sizes = {512, 1024, 1536, 2048, 3072};
+  std::printf("planning APSP of n = %lld on: %s\n",
+              static_cast<long long>(request.n),
+              request.cluster.Summary().c_str());
+  std::printf("%-14s %-6s %-4s %14s %12s\n", "solver", "b", "part",
+              "projected", "spill/node");
 
-  struct Best {
-    double seconds = std::numeric_limits<double>::infinity();
-    std::string description;
-  } best;
-
-  for (auto kind : {apsp::SolverKind::kBlockedInMemory,
-                    apsp::SolverKind::kBlockedCollectBroadcast}) {
-    auto solver = apsp::MakeSolver(kind);
-    for (std::int64_t b : {512LL, 1024LL, 1536LL, 2048LL, 3072LL}) {
-      if (b >= n) continue;
-      for (auto part : {apsp::PartitionerKind::kMultiDiagonal,
-                        apsp::PartitionerKind::kPortableHash}) {
-        apsp::ApspOptions options;
-        options.block_size = b;
-        options.partitioner = part;
-        options.max_rounds = 1;  // one simulated round, then project
-        auto result = solver->SolveModel(n, options, cluster);
-        std::string projected;
-        if (!result.status.ok() || result.projected_storage_exceeded) {
-          projected = "infeasible";
-        } else {
-          projected = FormatDuration(result.projected_seconds);
-          if (result.projected_seconds < best.seconds) {
-            best.seconds = result.projected_seconds;
-            best.description = solver->name() + ", b = " + std::to_string(b) +
-                               ", " + apsp::PartitionerKindName(part) +
-                               " partitioner" +
-                               (solver->pure() ? " (fault-tolerant)"
-                                               : " (NOT fault-tolerant)");
-          }
-        }
-        std::printf("%-14s %-6lld %-4s %12s %14s %12s\n",
-                    solver->name().c_str(), static_cast<long long>(b),
-                    apsp::PartitionerKindName(part),
-                    FormatDuration(result.SecondsPerRound()).c_str(),
-                    projected.c_str(),
-                    FormatBytes(static_cast<std::uint64_t>(
-                                    result.projected_spill_bytes))
-                        .c_str());
-      }
-    }
+  // One simulated round per configuration, projected; best-first.
+  const auto entries = apsp::SweepConfigurations(request);
+  for (const apsp::TuneEntry& entry : entries) {
+    std::printf("%-14s %-6lld %-4s %14s %12s\n",
+                apsp::SolverKindName(entry.solver),
+                static_cast<long long>(entry.block_size),
+                apsp::PartitionerKindName(entry.partitioner),
+                entry.feasible
+                    ? FormatDuration(entry.projected_seconds).c_str()
+                    : "infeasible",
+                FormatBytes(static_cast<std::uint64_t>(
+                                entry.projected_spill_bytes))
+                    .c_str());
   }
-  if (best.seconds < std::numeric_limits<double>::infinity()) {
-    std::printf("\nrecommendation: %s — estimated %s\n",
-                best.description.c_str(),
-                FormatDuration(best.seconds).c_str());
+  if (!entries.empty() && entries.front().feasible) {
+    const apsp::TuneEntry& best = entries.front();
+    std::printf("\nrecommendation: %s, b = %lld, %s partitioner%s — "
+                "estimated %s\n",
+                apsp::SolverKindName(best.solver),
+                static_cast<long long>(best.block_size),
+                apsp::PartitionerKindName(best.partitioner),
+                apsp::SolverIsPure(best.solver) ? " (fault-tolerant)"
+                                                : " (NOT fault-tolerant)",
+                FormatDuration(best.projected_seconds).c_str());
   } else {
     std::printf("\nno feasible configuration found — add nodes or storage\n");
   }

@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 
 int main() {
@@ -22,12 +22,10 @@ int main() {
   const graph::Graph knn = graph::KnnGraph(points, /*k=*/10);
   std::printf("kNN graph: %s\n", knn.Summary().c_str());
 
-  apsp::ApspOptions options;
-  options.block_size = 100;
-  auto cluster = sparklet::ClusterConfig::TinyTest();
-  cluster.local_storage_bytes = 16ULL * kGiB;
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedInMemory);
-  auto result = solver->SolveGraph(knn, options, cluster);
+  apsp::SolveRequest request{.solver = apsp::SolverKind::kBlockedInMemory};
+  request.options.block_size = 100;
+  request.cluster.local_storage_bytes = 16ULL * kGiB;
+  const apsp::ApspRunResult result = apsp::Solve(knn, request).run;
   if (!result.status.ok()) {
     std::printf("solve failed: %s\n", result.status.ToString().c_str());
     return 1;

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 
 int main() {
@@ -31,9 +31,9 @@ int main() {
 
   apsp::ApspOptions options;
   options.block_size = 50;
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kFloydWarshall2d);
-  auto result = solver->Solve(ctx, layout,
-                              layout.Decompose(g.ToDenseAdjacency()), options);
+  auto result = apsp::SolveBlocks(ctx, layout,
+                                  layout.Decompose(g.ToDenseAdjacency()),
+                                  apsp::SolverKind::kFloydWarshall2d, options);
   if (!result.status.ok()) {
     std::printf("solve failed: %s\n", result.status.ToString().c_str());
     return 1;

@@ -122,10 +122,30 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
   return info;
 }
 
-Result<std::int64_t> RestartFromCheckpoint(
+void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan) {
+  for (const auto& node : plan.fail_nodes) {
+    ctx.fault_injector().FailNode(node.node, node.at_stage);
+  }
+  for (const auto& rack : plan.fail_racks) {
+    ctx.fault_injector().FailRack(rack.rack, rack.at_stage);
+  }
+  for (const std::int64_t at_stage : plan.add_nodes) {
+    ctx.fault_injector().AddNode(at_stage);
+  }
+  ctx.cluster().NoteDurableMark();
+}
+
+Result<std::int64_t> RestartOnDataLoss(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const RunPlan& plan, const Status& abort, int& restarts,
     std::int64_t fallback_round,
-    const std::function<void(const CheckpointInfo*)>& rebuild) {
+    const std::function<void(const CheckpointInfo*, const std::string& tag)>&
+        rebuild) {
+  if (abort.code() != StatusCode::kDataLoss || restarts >= plan.max_restarts) {
+    return abort;
+  }
+  ++restarts;
+  const std::string tag = "#restart" + std::to_string(restarts);
   // Progress since the last durable point is destroyed; account it, then
   // resume from the latest checkpoint epoch (or, with none, from the
   // stable inputs — a restart from scratch). The reload itself (checkpoint
@@ -138,9 +158,9 @@ Result<std::int64_t> RestartFromCheckpoint(
     auto info = LoadCheckpoint(ctx, layout);
     if (!info.ok()) return info.status();
     next_round = info->next_round;
-    rebuild(&*info);
+    rebuild(&*info, tag);
   } else {
-    rebuild(nullptr);
+    rebuild(nullptr, tag);
   }
   auto& metrics = ctx.cluster().mutable_metrics();
   metrics.recovery_seconds += ctx.now_seconds() - reload_clock;

@@ -6,19 +6,21 @@
 // as an extension — is coarse-grained checkpointing: every k rounds the
 // current matrix A (and, for the k-source workload, the frontier panels F)
 // is staged to the same shared storage, and after an executor loss the
-// restart path in ApspSolver::Solve / KsourceBlockedSolver::Solve resumes
-// from the latest checkpoint epoch instead of from scratch. The staging cost
-// is charged to the virtual cluster like any other shared-FS traffic, so its
-// overhead is measurable; SaveCheckpoint also marks the durable-progress
-// point the recovery accounting (SimMetrics::recovery_seconds) measures
-// wasted work against.
+// restart policy below (RestartOnDataLoss, shared by SolveBlocks and
+// KsourceBlockedSolver::Solve) resumes from the latest checkpoint epoch
+// instead of from scratch. The staging cost is charged to the virtual
+// cluster like any other shared-FS traffic, so its overhead is measurable;
+// SaveCheckpoint also marks the durable-progress point the recovery
+// accounting (SimMetrics::recovery_seconds) measures wasted work against.
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "apsp/block_key.h"
 #include "apsp/block_layout.h"
+#include "apsp/run_plan.h"
 #include "common/status.h"
 #include "sparklet/rdd.h"
 
@@ -47,18 +49,31 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
 /// True if a checkpoint exists in this context's shared storage.
 bool HasCheckpoint(sparklet::SparkletContext& ctx);
 
-/// One checkpoint-restart step of the DATA_LOSS recovery policy shared by
-/// the impure solvers (ApspSolver::Solve, KsourceBlockedSolver::Solve):
-/// accounts the progress the failure destroyed (since the last durable
-/// mark), loads the latest checkpoint when one exists, invokes `rebuild` to
-/// re-populate the solver's RDDs — with the loaded CheckpointInfo, or
-/// nullptr when restarting from the stable inputs — attributes the reload
-/// itself to recovery, and re-marks durable progress. Returns the round to
-/// resume from (`fallback_round` when no checkpoint exists).
-Result<std::int64_t> RestartFromCheckpoint(
+/// Arms `plan`'s injected node and rack losses and elastic joins on `ctx`
+/// (stage ordinals count from the caller's preceding cluster Reset) and
+/// marks the job start durable: the input RDDs recompute from stable data,
+/// so a restart without a checkpoint redoes everything from here, and the
+/// recovery accounting measures exactly that.
+void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan);
+
+/// The DATA_LOSS restart policy shared by the solve drivers (SolveBlocks,
+/// KsourceBlockedSolver::Solve). DATA_LOSS marks the one recoverable abort:
+/// an executor loss destroyed state whose lineage contains out-of-lineage
+/// side effects (the impure planes). Any other `abort`, or one arriving after
+/// plan.max_restarts restarts, is returned as the run's final status.
+/// Otherwise increments `restarts`, accounts the progress the failure
+/// destroyed (since the last durable mark), loads the latest checkpoint when
+/// one exists, invokes `rebuild` to re-populate the solver's RDDs — with the
+/// loaded CheckpointInfo, or nullptr when restarting from the stable inputs,
+/// and the RDD name suffix of this restart ("#restart<k>") — attributes the
+/// reload itself to recovery, and re-marks durable progress. Returns the
+/// round to resume from (`fallback_round` when no checkpoint exists).
+Result<std::int64_t> RestartOnDataLoss(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const RunPlan& plan, const Status& abort, int& restarts,
     std::int64_t fallback_round,
-    const std::function<void(const CheckpointInfo*)>& rebuild);
+    const std::function<void(const CheckpointInfo*, const std::string& tag)>&
+        rebuild);
 
 /// Copies the failure/recovery counters from `live` into `reported`. Used
 /// by solvers whose reported metrics snapshot excludes the final assembly

@@ -1,14 +1,11 @@
 // RunPlan: the durability / fault / membership knobs shared by every solve.
 //
-// Historically ApspOptions and KsourceOptions each carried their own copy of
-// the checkpoint cadence, the armed failure plans, the elastic-join schedule
-// and the restart budget. The public-API redesign hoists them into this one
-// reusable struct: both option types now derive from RunPlan, so a caller
-// can configure one plan and assign it into any workload's options
+// ApspOptions and KsourceOptions both derive from RunPlan, so a caller can
+// configure one plan and assign it into any workload's options
 // (`static_cast<RunPlan&>(opts) = plan`), and the CLI's membership
-// validation operates on the plan alone. Field access through the derived
-// structs (`opts.checkpoint_every`, `opts.fail_nodes`, ...) is unchanged —
-// existing code compiles as before.
+// validation operates on the plan alone. apsp/checkpoint.h arms a plan on a
+// context (ArmRunPlan) and applies its restart budget (RestartOnDataLoss)
+// for every solve driver.
 #pragma once
 
 #include <cstdint>

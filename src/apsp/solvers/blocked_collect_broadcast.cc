@@ -1,4 +1,16 @@
-#include "apsp/solvers/blocked_collect_broadcast.h"
+// Blocked Collect/Broadcast APSP (paper Algorithm 4).
+//
+// A redesign of Blocked In-Memory that bypasses the CopyDiag/CopyCol data
+// shuffling: the closed diagonal block and the updated column/row cross
+// blocks are collected on the driver and redistributed to executors through
+// shared persistent storage; Phase 2 and Phase 3 become narrow MinPlus maps
+// whose second operand is read (and cached per task) from that storage.
+//
+// Impure — the storage side channel is not covered by lineage — but it is
+// the paper's best-performing solver: per iteration, only the final
+// union + partitionBy shuffles data, so local-storage spill stays within
+// bounds where Blocked In-Memory overflows.
+#include "apsp/solvers/rounds.h"
 
 #include "apsp/building_blocks.h"
 #include "apsp/checkpoint.h"
@@ -14,7 +26,7 @@ using staging::ReadPhase3Factors;
 using staging::ReadStagedBlock;
 using staging::StagingKeys;
 
-RddPtr<BlockRecord> BlockedCollectBroadcastSolver::RunRounds(
+RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
     const ApspOptions& opts, std::int64_t rounds_to_run) {

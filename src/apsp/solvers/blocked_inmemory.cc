@@ -1,4 +1,17 @@
-#include "apsp/solvers/blocked_inmemory.h"
+// Blocked In-Memory APSP (paper Algorithm 3).
+//
+// The 3-phase blocked Floyd-Warshall of Venkataraman et al., expressed in
+// pure Spark operations: the closed diagonal block and the updated
+// column/row cross blocks are *replicated through the shuffle* (CopyDiag /
+// CopyCol + partitionBy with a custom partitioner), then paired with their
+// targets via combineByKey(ListAppend) + ListUnpack + MatMin.
+//
+// Pure and fault-tolerant, but data-intensive: every iteration shuffles
+// O(q^2) block copies plus the repartitioned matrix, and since Spark
+// preserves shuffle spill for fault tolerance, per-node local storage grows
+// linearly with the iteration count — the failure the paper hits for small
+// b (Figure 3) and at p = 1024 (Table 3).
+#include "apsp/solvers/rounds.h"
 
 #include "apsp/building_blocks.h"
 #include "apsp/combine_steps.h"
@@ -8,7 +21,7 @@ namespace apspark::apsp {
 using sparklet::RddPtr;
 using sparklet::TaskContext;
 
-RddPtr<BlockRecord> BlockedInMemorySolver::RunRounds(
+RddPtr<BlockRecord> RunRoundsBlockedInMemory(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
     const ApspOptions& opts, std::int64_t rounds_to_run) {

@@ -1,4 +1,15 @@
-#include "apsp/solvers/floyd_warshall_2d.h"
+// 2D Floyd-Warshall (paper Algorithm 2).
+//
+// The textbook parallel Floyd-Warshall on a 2-D block decomposition: in
+// iteration k, global column k is extracted from the blocks of column-block
+// K = k / b, aggregated on the driver via collect, broadcast to all
+// executors, and every block applies the FloydWarshallUpdate outer-sum.
+//
+// Pure: only collect + broadcast + narrow maps — no shuffles, no side
+// effects. But n iterations of per-iteration O(b^2) work give the poor
+// computation-to-overhead balance the paper reports (Table 2: per-iteration
+// time is nearly independent of b; projected totals are in days).
+#include "apsp/solvers/rounds.h"
 
 #include <memory>
 
@@ -10,7 +21,7 @@ using linalg::BlockRef;
 using sparklet::RddPtr;
 using sparklet::TaskContext;
 
-RddPtr<BlockRecord> FloydWarshall2dSolver::RunRounds(
+RddPtr<BlockRecord> RunRoundsFloydWarshall2d(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
     const ApspOptions& opts, std::int64_t rounds_to_run) {

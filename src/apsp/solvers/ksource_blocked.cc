@@ -6,7 +6,7 @@
 #include "apsp/building_blocks.h"
 #include "apsp/checkpoint.h"
 #include "apsp/combine_steps.h"
-#include "apsp/solver.h"
+#include "apsp/solvers/rounds.h"
 #include "apsp/solvers/staging.h"
 #include "linalg/kernel_registry.h"
 #include "linalg/semiring.h"
@@ -548,7 +548,7 @@ KsourceResult KsourceBlockedSolver::Solve(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     const std::vector<BlockRecord>& blocks,
     const std::vector<PanelRecord>& frontier, const KsourceOptions& opts) {
-  // Host kernel selection for this run, exactly like ApspSolver::Solve.
+  // Host kernel selection for this run, exactly like SolveBlocks.
   linalg::ScopedKernelVariant kernel_scope(ctx.config().kernel_variant);
   // Pin the run's algebra: the fused rectangular updates and closures this
   // sweep reaches all evaluate opts.semiring.
@@ -570,17 +570,7 @@ KsourceResult KsourceBlockedSolver::Solve(
   auto f = ctx.ParallelizePartitioned("ksF", frontier, panel_part);
   // Populating the RDDs is free, consistent with the APSP solvers.
   ctx.cluster().Reset();
-  // Arm injected executor losses; stage ordinals count from this Reset.
-  for (const auto& plan : opts.fail_nodes) {
-    ctx.fault_injector().FailNode(plan.node, plan.at_stage);
-  }
-  for (const auto& plan : opts.fail_racks) {
-    ctx.fault_injector().FailRack(plan.rack, plan.at_stage);
-  }
-  for (const std::int64_t at_stage : opts.add_nodes) {
-    ctx.fault_injector().AddNode(at_stage);
-  }
-  ctx.cluster().NoteDurableMark();
+  ArmRunPlan(ctx, opts);
   const StagingKeys keys("ks");
 
   // Real-data full sweeps end with the driver assembling the n x k panel;
@@ -627,21 +617,12 @@ KsourceResult KsourceBlockedSolver::Solve(
       result.status = Status::Ok();
       break;
     } catch (const SparkletAbort& abort) {
-      // DATA_LOSS: an executor loss destroyed state the staged (impure)
-      // plane cannot replay through lineage. Restart from the latest
-      // checkpoint epoch (or from the stable inputs), accounting the lost
-      // progress as recovery. The pure shuffle variant recovers in place
-      // and never raises it.
-      if (abort.status().code() != StatusCode::kDataLoss ||
-          restarts >= opts.max_restarts) {
-        result.status = abort.status();
-        break;
-      }
-      ++restarts;
-      const std::string tag = "#restart" + std::to_string(restarts);
-      auto resume = RestartFromCheckpoint(
-          ctx, layout, /*fallback_round=*/0,
-          [&](const CheckpointInfo* info) {
+      // The pure shuffle variant recovers in place and never raises the one
+      // restartable abort (DATA_LOSS); the staged plane restarts from the
+      // latest checkpoint epoch or from the stable inputs.
+      auto resume = RestartOnDataLoss(
+          ctx, layout, opts, abort.status(), restarts, /*fallback_round=*/0,
+          [&](const CheckpointInfo* info, const std::string& tag) {
             a = ctx.ParallelizePartitioned(
                 "ksA" + tag, info != nullptr ? info->blocks : blocks,
                 block_part);

@@ -1,4 +1,20 @@
-#include "apsp/solvers/repeated_squaring.h"
+// Repeated Squaring APSP (paper Algorithm 1).
+//
+// Computes A^n over the (min,+) semiring by repeated squaring. The naive
+// cartesian-based product shuffles all-to-all and "easily stalls even on
+// small problems" (§4.2), so — like the paper — the matrix-matrix product is
+// rewritten as a sequence of per-column-block matrix-vector products: for
+// each column block J, the column is collected on the driver, staged in
+// shared persistent storage, and executors multiply their resident blocks
+// against the staged segments; reduceByKey(MatMin) finishes the product.
+//
+// Impure: column staging through the shared file system is a side effect
+// outside the RDD lineage.
+//
+// One "round" (for projection purposes) is one column sweep; a full run is
+// ceil(log2(n)) squarings x q sweeps, matching the iteration counts the
+// paper reports in Table 2.
+#include "apsp/solvers/rounds.h"
 
 #include <unordered_map>
 
@@ -39,12 +55,7 @@ BlockRef FetchSegment(std::unordered_map<std::int64_t, BlockRef>& cache,
 
 }  // namespace
 
-std::int64_t RepeatedSquaringSolver::TotalRounds(
-    const BlockLayout& layout) const {
-  return static_cast<std::int64_t>(CeilLog2(layout.n())) * layout.q();
-}
-
-RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
+RddPtr<BlockRecord> RunRoundsRepeatedSquaring(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
     const ApspOptions& opts, std::int64_t rounds_to_run) {
@@ -168,7 +179,7 @@ RddPtr<BlockRecord> RepeatedSquaringSolver::RunRounds(
     // Durability extension: the matrix is consistent here (a completed
     // squaring), so this is where Repeated Squaring can checkpoint — the
     // shared-FS column staging makes it impure, and an executor loss sends
-    // it through the restart path in ApspSolver::Solve. checkpoint_every
+    // it through the restart path in SolveBlocks. checkpoint_every
     // counts rounds (column sweeps) but snaps to squaring boundaries: a
     // checkpoint is written when this squaring crossed a multiple of it.
     const std::int64_t completed =

@@ -23,18 +23,17 @@ std::vector<TuneEntry> SweepConfigurations(const TuneRequest& request) {
 
   std::vector<TuneEntry> entries;
   for (SolverKind kind : solvers) {
-    auto solver = MakeSolver(kind);
-    if (request.require_fault_tolerance && !solver->pure()) continue;
+    if (request.require_fault_tolerance && !SolverIsPure(kind)) continue;
     for (std::int64_t b : block_sizes) {
       if (b <= 0 || b >= request.n) continue;
       for (PartitionerKind part : {PartitionerKind::kMultiDiagonal,
                                    PartitionerKind::kPortableHash}) {
-        ApspOptions options;
-        options.block_size = b;
-        options.partitioner = part;
-        options.max_rounds = 1;
-        options.directed = request.directed;
-        auto run = solver->SolveModel(request.n, options, request.cluster);
+        SolveRequest model{.solver = kind, .cluster = request.cluster};
+        model.options.block_size = b;
+        model.options.partitioner = part;
+        model.options.max_rounds = 1;
+        model.options.directed = request.directed;
+        const ApspRunResult run = SolveModel(request.n, model).run;
         TuneEntry entry;
         entry.solver = kind;
         entry.block_size = b;

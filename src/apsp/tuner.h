@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 
 namespace apspark::apsp {

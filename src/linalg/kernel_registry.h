@@ -17,8 +17,8 @@
 // The active variant and its tuning parameters are process-global: the
 // engine executes all record processing from the driver thread (see
 // sparklet/rdd.h), so a plain global is race-free as long as callers select
-// the variant before kicking off a solve — which is what
-// apsp::ApspSolver::Solve does from sparklet::ClusterConfig::kernel_variant.
+// the variant before kicking off a solve — which is what apsp::SolveBlocks
+// does from sparklet::ClusterConfig::kernel_variant.
 #pragma once
 
 #include <cstdint>

@@ -31,8 +31,8 @@ struct PregelOptions {
   int num_partitions = 8;
   /// Safety bound on supersteps (0 = number of vertices).
   std::int64_t max_supersteps = 0;
-  /// Model run: skip payloads, keep cost accounting (like ApspSolver's
-  /// SolveModel; used by the baseline benchmark at paper scale).
+  /// Model run: skip payloads, keep cost accounting (like apsp::SolveModel;
+  /// used by the baseline benchmark at paper scale).
   bool phantom = false;
 };
 

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
@@ -34,7 +34,6 @@ using apsp::BlockLayout;
 using apsp::KsourceBlockedSolver;
 using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -118,7 +117,7 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
     // rotate through all four kinds.
     const auto kinds = apsp::AllSolverKinds();
     const SolverKind kind = kinds[(seed - 1) % kinds.size()];
-    const bool pure = MakeSolver(kind)->pure();
+    const bool pure = apsp::SolverIsPure(kind);
 
     const BlockLayout layout(g.num_vertices(), block, g.directed());
     SparkletContext ctx(ChaosCluster(schedule));
@@ -129,8 +128,8 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
     opts.fail_nodes = schedule.fail_nodes;
     opts.fail_racks = schedule.fail_racks;
     opts.add_nodes = schedule.add_nodes;
-    auto result = MakeSolver(kind)->Solve(
-        ctx, layout, layout.Decompose(g.ToDenseAdjacency()), opts);
+    auto result = apsp::SolveBlocks(
+        ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, opts);
     ASSERT_TRUE(result.status.ok())
         << SolverKindName(kind) << " seed " << seed << ": "
         << result.status.ToString();

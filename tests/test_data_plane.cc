@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "graph/generators.h"
 #include "linalg/block_ref.h"
@@ -28,7 +28,7 @@ using apsp::ApspOptions;
 using apsp::KsourceBlockedSolver;
 using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
+using apsp::Solve;
 using apsp::SolverKind;
 using linalg::BlockCopyStats;
 using linalg::BlockRef;
@@ -105,8 +105,9 @@ TEST(ZeroCopyDataPlane, ShuffleSolverMakesNoUnsanctionedCopies) {
   const std::uint64_t copies = UnsanctionedCopiesDuring([&] {
     ApspOptions opts;
     opts.block_size = 12;
-    auto result = MakeSolver(SolverKind::kBlockedInMemory)
-                      ->SolveGraph(g, opts, TestCluster());
+    auto result = Solve(g, {.solver = SolverKind::kBlockedInMemory,
+                            .options = opts, .cluster = TestCluster()})
+                      .run;
     ASSERT_TRUE(result.status.ok());
   });
   EXPECT_EQ(copies, 0u);
@@ -119,8 +120,9 @@ TEST(ZeroCopyDataPlane, StagedSolverMakesNoUnsanctionedCopies) {
   const std::uint64_t copies = UnsanctionedCopiesDuring([&] {
     ApspOptions opts;
     opts.block_size = 12;
-    auto result = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                      ->SolveGraph(g, opts, TestCluster());
+    auto result = Solve(g, {.solver = SolverKind::kBlockedCollectBroadcast,
+                            .options = opts, .cluster = TestCluster()})
+                      .run;
     ASSERT_TRUE(result.status.ok());
   });
   EXPECT_EQ(copies, 0u);
@@ -238,10 +240,12 @@ TEST(MemoryHighWater, CollectBroadcastVsShuffleSolversOnFixedLayout) {
   const graph::Graph g = graph::PaperErdosRenyi(64, 9);
   ApspOptions opts;
   opts.block_size = 16;
-  auto im = MakeSolver(SolverKind::kBlockedInMemory)
-                ->SolveGraph(g, opts, TestCluster());
-  auto cb = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                ->SolveGraph(g, opts, TestCluster());
+  auto im = Solve(g, {.solver = SolverKind::kBlockedInMemory,
+                      .options = opts, .cluster = TestCluster()})
+                .run;
+  auto cb = Solve(g, {.solver = SolverKind::kBlockedCollectBroadcast,
+                      .options = opts, .cluster = TestCluster()})
+                .run;
   ASSERT_TRUE(im.status.ok());
   ASSERT_TRUE(cb.status.ok());
 
@@ -252,8 +256,9 @@ TEST(MemoryHighWater, CollectBroadcastVsShuffleSolversOnFixedLayout) {
   EXPECT_GT(cb.metrics.node_peak_bytes, 0u);
 
   // Determinism: an identical run reports identical high water.
-  auto cb2 = MakeSolver(SolverKind::kBlockedCollectBroadcast)
-                 ->SolveGraph(g, opts, TestCluster());
+  auto cb2 = Solve(g, {.solver = SolverKind::kBlockedCollectBroadcast,
+                       .options = opts, .cluster = TestCluster()})
+                 .run;
   EXPECT_EQ(cb2.metrics.driver_peak_bytes, cb.metrics.driver_peak_bytes);
   EXPECT_EQ(cb2.metrics.node_peak_bytes, cb.metrics.node_peak_bytes);
 }

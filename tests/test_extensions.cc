@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "apsp/checkpoint.h"
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/tuner.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -112,7 +112,7 @@ TEST(Tuner, FaultToleranceConstraintSelectsPureSolver) {
   request.require_fault_tolerance = true;
   auto choice = apsp::TuneConfiguration(request);
   ASSERT_TRUE(choice.ok());
-  EXPECT_TRUE(apsp::MakeSolver(choice->solver)->pure());
+  EXPECT_TRUE(apsp::SolverIsPure(choice->solver));
 }
 
 TEST(Tuner, SweepMarksStorageInfeasibleEntries) {
@@ -243,7 +243,7 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   const graph::Graph g = graph::PaperErdosRenyi(48, 51);
   const apsp::BlockLayout layout(48, 12);  // q = 4 rounds
   const auto truth = graph::DijkstraAllPairs(g);
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
+  const auto kind = apsp::SolverKind::kBlockedCollectBroadcast;
 
   // Phase 1: run with checkpointing but "crash" after 2 of 4 rounds.
   sparklet::SparkletContext ctx(TestCluster());
@@ -251,9 +251,8 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   options.block_size = 12;
   options.checkpoint_every = 1;
   options.max_rounds = 2;
-  auto partial = solver->Solve(ctx, layout,
-                               layout.Decompose(g.ToDenseAdjacency()),
-                               options);
+  auto partial = apsp::SolveBlocks(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, options);
   ASSERT_TRUE(partial.status.ok());
   EXPECT_FALSE(partial.distances.has_value());  // not finished
 
@@ -264,7 +263,8 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   apsp::ApspOptions resume;
   resume.block_size = 12;
   resume.start_round = checkpoint->next_round;
-  auto finished = solver->Solve(ctx, layout, checkpoint->blocks, resume);
+  auto finished =
+      apsp::SolveBlocks(ctx, layout, checkpoint->blocks, kind, resume);
   ASSERT_TRUE(finished.status.ok());
   ASSERT_TRUE(finished.distances.has_value());
   EXPECT_TRUE(finished.distances->ApproxEquals(truth, 1e-9))
@@ -274,14 +274,18 @@ TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
 TEST(Checkpoint, ChargesSharedFsTime) {
   const graph::Graph g = graph::PaperErdosRenyi(32, 52);
   const apsp::BlockLayout layout(32, 8);
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
+  const auto kind = apsp::SolverKind::kBlockedCollectBroadcast;
   apsp::ApspOptions with;
   with.block_size = 8;
   with.checkpoint_every = 1;
   apsp::ApspOptions without;
   without.block_size = 8;
-  auto a = solver->SolveGraph(g, with, TestCluster());
-  auto b = solver->SolveGraph(g, without, TestCluster());
+  auto a = apsp::Solve(g, {.solver = kind, .options = with,
+                           .cluster = TestCluster()})
+               .run;
+  auto b = apsp::Solve(g, {.solver = kind, .options = without,
+                           .cluster = TestCluster()})
+               .run;
   ASSERT_TRUE(a.status.ok());
   ASSERT_TRUE(b.status.ok());
   EXPECT_GT(a.metrics.shared_fs_written_bytes,

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "apsp/checkpoint.h"
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "apsp/tuner.h"
 #include "graph/generators.h"
@@ -32,7 +32,6 @@ using apsp::BlockLayout;
 using apsp::KsourceBlockedSolver;
 using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -469,10 +468,9 @@ SolverRun RunApsp(SolverKind kind, const Graph& g, std::int64_t block,
   opts.directed = g.directed();
   opts.checkpoint_every = checkpoint_every;
   opts.fail_nodes = failures;
-  auto solver = MakeSolver(kind);
   SolverRun run;
-  run.result = solver->Solve(ctx, layout,
-                             layout.Decompose(g.ToDenseAdjacency()), opts);
+  run.result = apsp::SolveBlocks(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, opts);
   run.metrics = ctx.metrics();
   return run;
 }
@@ -597,9 +595,9 @@ TEST(EndToEnd, RestartBudgetExhaustionSurfacesDataLoss) {
     opts.block_size = 8;
     opts.max_restarts = 0;  // no budget: the first impure loss is fatal
     opts.fail_nodes = {{0, stage}};
-    auto solver = MakeSolver(SolverKind::kBlockedCollectBroadcast);
-    auto result = solver->Solve(ctx, layout,
-                                layout.Decompose(g.ToDenseAdjacency()), opts);
+    auto result = apsp::SolveBlocks(
+        ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
+        SolverKind::kBlockedCollectBroadcast, opts);
     if (result.status.code() == StatusCode::kDataLoss) {
       ++data_loss_seen;
       EXPECT_FALSE(result.distances.has_value()) << "stage " << stage;
@@ -682,7 +680,7 @@ TEST(Chaos, SeededRandomFailureSchedulesAllSolversBitwise) {
          {SolverKind::kRepeatedSquaring, SolverKind::kFloydWarshall2d,
           SolverKind::kBlockedInMemory,
           SolverKind::kBlockedCollectBroadcast}) {
-      const bool pure = MakeSolver(kind)->pure();
+      const bool pure = apsp::SolverIsPure(kind);
       auto run = RunApsp(kind, g, block, schedule,
                          /*checkpoint_every=*/pure ? 0 : 1);
       ASSERT_TRUE(run.result.status.ok())

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
@@ -33,7 +33,6 @@ using apsp::BlockLayout;
 using apsp::KsourceBlockedSolver;
 using apsp::KsourceOptions;
 using apsp::KsourceVariant;
-using apsp::MakeSolver;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -389,8 +388,8 @@ MembershipRun RunApspWithMembership(
   opts.fail_racks = fail_racks;
   opts.add_nodes = add_nodes;
   MembershipRun run;
-  run.result = MakeSolver(kind)->Solve(
-      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), opts);
+  run.result = apsp::SolveBlocks(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, opts);
   run.metrics = ctx.metrics();
   const auto& placement = ctx.cluster().placement();
   for (std::int64_t p = 0; p < placement.known_partitions(); ++p) {
@@ -411,7 +410,7 @@ TEST(MembershipEndToEnd, RackLossAndJoinAllApspSolversBitwise) {
   const std::vector<sparklet::RackFailurePlan> rack_loss = {{0, 10}};
   const std::vector<std::int64_t> joins = {14};
   for (SolverKind kind : apsp::AllSolverKinds()) {
-    const bool pure = MakeSolver(kind)->pure();
+    const bool pure = apsp::SolverIsPure(kind);
     auto clean = RunApspWithMembership(kind, gi, 10, {}, {}, 0);
     ASSERT_TRUE(clean.result.status.ok()) << SolverKindName(kind);
     auto faulty = RunApspWithMembership(kind, gi, 10, rack_loss, joins,

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "apsp/building_blocks.h"
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -26,7 +26,7 @@ namespace apspark {
 namespace {
 
 using apsp::ApspOptions;
-using apsp::MakeSolver;
+using apsp::Solve;
 using apsp::SolverKind;
 using linalg::DenseBlock;
 using linalg::KernelVariant;
@@ -224,7 +224,8 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
          {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
       ApspOptions opts;
       opts.block_size = 4;
-      auto result = MakeSolver(kind)->SolveGraph(g, opts, cluster);
+      auto result =
+          Solve(g, {.solver = kind, .options = opts, .cluster = cluster}).run;
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
       test::ExpectBitwiseEqual(*result.distances, oracle,
                                std::string("tiny-b ") +
@@ -249,7 +250,8 @@ void ExpectSolversMatchOracle(const graph::Graph& g, const std::string& label) {
          {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
       ApspOptions opts;
       opts.block_size = 8;
-      auto result = MakeSolver(kind)->SolveGraph(g, opts, cluster);
+      auto result =
+          Solve(g, {.solver = kind, .options = opts, .cluster = cluster}).run;
       ASSERT_TRUE(result.status.ok())
           << label << ": " << result.status.ToString();
       ASSERT_TRUE(result.distances.has_value()) << label;

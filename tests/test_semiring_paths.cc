@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "common/rng.h"
 #include "common/serial.h"
@@ -504,8 +504,10 @@ TEST(SemiringEngine, BlockedSolversMatchOracleAcrossVariants) {
         apsp::ApspOptions opts;
         opts.block_size = 20;
         opts.semiring = id;
-        auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedInMemory);
-        auto result = solver->SolveGraph(g, opts, cluster);
+        auto result =
+            apsp::Solve(g, {.solver = apsp::SolverKind::kBlockedInMemory,
+                            .options = opts, .cluster = cluster})
+                .run;
         ASSERT_TRUE(result.status.ok())
             << linalg::SemiringName(id) << ": " << result.status.ToString();
         test::ExpectBitwiseEqual(
@@ -532,12 +534,13 @@ TEST(SemiringEngine, AllFourSolversAgreeWithOraclePerSemiring) {
       apsp::ApspOptions opts;
       opts.block_size = 14;
       opts.semiring = id;
-      auto solver = apsp::MakeSolver(kind);
-      auto result = solver->SolveGraph(g, opts, test::TestCluster());
+      auto result = apsp::Solve(g, {.solver = kind, .options = opts,
+                                    .cluster = test::TestCluster()})
+                        .run;
       ASSERT_TRUE(result.status.ok())
-          << solver->name() << "/" << linalg::SemiringName(id);
+          << apsp::SolverKindName(kind) << "/" << linalg::SemiringName(id);
       test::ExpectBitwiseEqual(*result.distances, expected,
-                               solver->name() + "/" +
+                               std::string(apsp::SolverKindName(kind)) + "/" +
                                    linalg::SemiringName(id));
     }
   }
@@ -665,11 +668,15 @@ TEST(BitpackedBoolean, SolverPackedMatchesDenseAndOracle) {
     apsp::ApspOptions opts;
     opts.block_size = 24;
     opts.semiring = SemiringId::kBoolean;
-    auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedCollectBroadcast);
+    const auto kind = apsp::SolverKind::kBlockedCollectBroadcast;
     opts.bitpack_boolean = true;
-    auto packed = solver->SolveGraph(g, opts, test::TestCluster());
+    auto packed = apsp::Solve(g, {.solver = kind, .options = opts,
+                                  .cluster = test::TestCluster()})
+                      .run;
     opts.bitpack_boolean = false;
-    auto dense = solver->SolveGraph(g, opts, test::TestCluster());
+    auto dense = apsp::Solve(g, {.solver = kind, .options = opts,
+                                 .cluster = test::TestCluster()})
+                     .run;
     ASSERT_TRUE(packed.status.ok());
     ASSERT_TRUE(dense.status.ok());
     EXPECT_TRUE(packed.distances->is_packed());
@@ -686,12 +693,16 @@ TEST(BitpackedBoolean, ModelRunAccountsAtLeast8xLessMemory) {
   apsp::ApspOptions opts;
   opts.block_size = 1024;
   opts.max_rounds = 2;
-  auto solver = apsp::MakeSolver(apsp::SolverKind::kBlockedInMemory);
+  const auto kind = apsp::SolverKind::kBlockedInMemory;
   opts.semiring = SemiringId::kMinPlus;
-  auto dense = solver->SolveModel(8192, opts, test::TestCluster());
+  auto dense = apsp::SolveModel(8192, {.solver = kind, .options = opts,
+                                       .cluster = test::TestCluster()})
+                   .run;
   opts.semiring = SemiringId::kBoolean;
   opts.bitpack_boolean = true;
-  auto packed = solver->SolveModel(8192, opts, test::TestCluster());
+  auto packed = apsp::SolveModel(8192, {.solver = kind, .options = opts,
+                                        .cluster = test::TestCluster()})
+                    .run;
   ASSERT_TRUE(dense.status.ok()) << dense.status.ToString();
   ASSERT_TRUE(packed.status.ok()) << packed.status.ToString();
   ASSERT_GT(packed.metrics.node_peak_bytes, 0u);

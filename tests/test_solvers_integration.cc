@@ -3,7 +3,7 @@
 // families, block sizes, partitioners and cluster shapes.
 #include <gtest/gtest.h>
 
-#include "apsp/solver.h"
+#include "apsp/api.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "test_support.h"
@@ -13,7 +13,7 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::ApspRunResult;
-using apsp::MakeSolver;
+using apsp::Solve;
 using apsp::PartitionerKind;
 using apsp::SolverKind;
 using graph::Graph;
@@ -42,9 +42,10 @@ TEST_P(SolverCorrectness, ErdosRenyi) {
   ApspOptions opts;
   opts.block_size = c.block_size;
   opts.partitioner = c.partitioner;
-  auto solver = MakeSolver(c.solver);
-  auto result = solver->SolveGraph(g, opts, TestCluster());
-  ExpectMatchesDijkstra(g, result, solver->name());
+  auto result =
+      Solve(g, {.solver = c.solver, .options = opts, .cluster = TestCluster()})
+          .run;
+  ExpectMatchesDijkstra(g, result, SolverKindName(c.solver));
 }
 
 TEST_P(SolverCorrectness, DisconnectedGraph) {
@@ -55,9 +56,10 @@ TEST_P(SolverCorrectness, DisconnectedGraph) {
   ApspOptions opts;
   opts.block_size = c.block_size;
   opts.partitioner = c.partitioner;
-  auto solver = MakeSolver(c.solver);
-  auto result = solver->SolveGraph(g, opts, TestCluster());
-  ExpectMatchesDijkstra(g, result, solver->name());
+  auto result =
+      Solve(g, {.solver = c.solver, .options = opts, .cluster = TestCluster()})
+          .run;
+  ExpectMatchesDijkstra(g, result, SolverKindName(c.solver));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,13 +98,40 @@ TEST(SolverDirected, AllSolversMatchJohnsonOnDigraph) {
     ApspOptions opts;
     opts.block_size = 16;
     opts.directed = true;
-    auto solver = MakeSolver(kind);
-    auto result = solver->SolveGraph(g, opts, TestCluster());
-    ASSERT_TRUE(result.status.ok()) << solver->name();
-    ASSERT_TRUE(result.distances.has_value()) << solver->name();
+    auto result =
+        Solve(g, {.solver = kind, .options = opts, .cluster = TestCluster()})
+            .run;
+    ASSERT_TRUE(result.status.ok()) << SolverKindName(kind);
+    ASSERT_TRUE(result.distances.has_value()) << SolverKindName(kind);
     EXPECT_TRUE(result.distances->ApproxEquals(*truth, 1e-9))
-        << solver->name() << ": max diff "
+        << SolverKindName(kind) << ": max diff "
         << result.distances->MaxAbsDiff(*truth);
+  }
+}
+
+TEST(SolverFrontDoor, SolveMatchesSolveBlocksOnCallerContext) {
+  // Solve is a thin shell over SolveBlocks: the same run on a caller-owned
+  // context must give bitwise-identical distances, and the report's identity
+  // fields come from the free functions.
+  const Graph g = graph::PaperErdosRenyi(40, /*seed=*/17);
+  ApspOptions opts;
+  opts.block_size = 12;
+  const apsp::BlockLayout layout(g.num_vertices(), opts.block_size);
+  for (SolverKind kind : apsp::AllSolverKinds()) {
+    const apsp::SolveReport report =
+        Solve(g, {.solver = kind, .options = opts, .cluster = TestCluster()});
+    ASSERT_TRUE(report.ok()) << SolverKindName(kind);
+    EXPECT_EQ(report.solver_name, SolverKindName(kind));
+    EXPECT_EQ(report.pure, apsp::SolverIsPure(kind)) << SolverKindName(kind);
+
+    sparklet::SparkletContext ctx(TestCluster());
+    const ApspRunResult direct = apsp::SolveBlocks(
+        ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, opts);
+    ASSERT_TRUE(direct.status.ok()) << SolverKindName(kind);
+    ASSERT_TRUE(report.distances().has_value());
+    ASSERT_TRUE(direct.distances.has_value());
+    test::ExpectBitwiseEqual(*direct.distances, *report.distances(),
+                             SolverKindName(kind));
   }
 }
 

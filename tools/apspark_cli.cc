@@ -12,19 +12,19 @@
 // pointer to that subcommand's --help. Errors from the library surface
 // uniformly as "apspark: <STATUS>: <message>".
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "apsp/api.h"
 #include "apsp/persist.h"
-#include "apsp/solver.h"
 #include "apsp/solvers/ksource_blocked.h"
 #include "apsp/tuner.h"
 #include "common/rng.h"
@@ -381,6 +381,37 @@ const FlagSpec* FindFlag(const std::string& flag) {
   return nullptr;
 }
 
+/// Parses all of `text` as a T no smaller than `min` (std::from_chars: no
+/// sign for unsigned types, no whitespace or trailing characters, in range,
+/// not NaN). On error prints which flag was wrong and returns false.
+template <typename T>
+bool ParseNumber(const std::string& flag, std::string_view text, T min,
+                 T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (text.empty() || ec != std::errc() || ptr != end || !(out >= min)) {
+    std::fprintf(stderr, "apspark: %s expects a number >= %g, got '%s'\n",
+                 flag.c_str(), static_cast<double>(min),
+                 std::string(text).c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Parses "A<sep>B" into two non-negative integers.
+template <typename A, typename B>
+bool ParsePair(const std::string& flag, std::string_view text, char sep,
+               A& first, B& second) {
+  const std::size_t at = text.find(sep);
+  if (at == std::string_view::npos) {
+    std::fprintf(stderr, "apspark: %s expects X%cY, got '%s'\n",
+                 flag.c_str(), sep, std::string(text).c_str());
+    return false;
+  }
+  return ParseNumber(flag, text.substr(0, at), A{0}, first) &&
+         ParseNumber(flag, text.substr(at + 1), B{0}, second);
+}
+
 bool ParseArgs(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   const std::string cmd = argv[1];
@@ -423,10 +454,11 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       }
       v = argv[++i];
     }
+    bool ok = true;
     if (flag == "--er" || flag == "--n") {
-      args.n = std::atoll(v);
+      ok = ParseNumber<std::int64_t>(flag, v, 1, args.n);
     } else if (flag == "--seed") {
-      args.seed = static_cast<std::uint64_t>(std::atoll(v));
+      ok = ParseNumber<std::uint64_t>(flag, v, 0, args.seed);
     } else if (flag == "--input") {
       args.input = v;
     } else if (flag == "--output") {
@@ -436,21 +468,17 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (flag == "--partitioner") {
       args.partitioner = v;
     } else if (flag == "--block") {
-      args.block = std::atoll(v);
+      ok = ParseNumber<std::int64_t>(flag, v, 1, args.block);
     } else if (flag == "--cores") {
-      args.cores = std::atoi(v);
+      ok = ParseNumber(flag, v, 1, args.cores);
     } else if (flag == "--rounds") {
-      args.rounds = std::atoll(v);
+      ok = ParseNumber<std::int64_t>(flag, v, 1, args.rounds);
     } else if (flag == "--sources") {
-      args.sources = std::atoll(v);
+      ok = ParseNumber<std::int64_t>(flag, v, 1, args.sources);
     } else if (flag == "--checkpoint-every") {
-      args.checkpoint_every = std::atoll(v);
+      ok = ParseNumber<std::int64_t>(flag, v, 0, args.checkpoint_every);
     } else if (flag == "--intra-task-cores") {
-      args.intra_task_cores = std::atoi(v);
-      if (args.intra_task_cores < 1) {
-        std::fprintf(stderr, "--intra-task-cores must be >= 1\n");
-        return false;
-      }
+      ok = ParseNumber(flag, v, 1, args.intra_task_cores);
     } else if (flag == "--kernel") {
       args.kernel = v;
     } else if (flag == "--isa") {
@@ -466,75 +494,27 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (flag == "--no-early-exit") {
       args.no_early_exit = true;
     } else if (flag == "--fail-node") {
-      const char* at = std::strchr(v, '@');
-      if (at == nullptr) {
-        std::fprintf(stderr, "--fail-node expects NODE@STAGE, got '%s'\n", v);
-        return false;
-      }
       sparklet::NodeFailurePlan plan;
-      plan.node = std::atoi(v);
-      plan.at_stage = std::atoll(at + 1);
-      if (plan.node < 0) {
-        std::fprintf(stderr, "--fail-node: node must be >= 0, got %d\n",
-                     plan.node);
-        return false;
-      }
-      if (plan.at_stage < 0) {
-        std::fprintf(stderr, "--fail-node: stage must be >= 0, got %lld\n",
-                     static_cast<long long>(plan.at_stage));
-        return false;
-      }
+      ok = ParsePair(flag, v, '@', plan.node, plan.at_stage);
       args.fail_nodes.push_back(plan);
     } else if (flag == "--fail-rack") {
-      const char* at = std::strchr(v, '@');
-      if (at == nullptr) {
-        std::fprintf(stderr, "--fail-rack expects RACK@STAGE, got '%s'\n", v);
-        return false;
-      }
       sparklet::RackFailurePlan plan;
-      plan.rack = std::atoi(v);
-      plan.at_stage = std::atoll(at + 1);
-      if (plan.rack < 0) {
-        std::fprintf(stderr, "--fail-rack: rack must be >= 0, got %d\n",
-                     plan.rack);
-        return false;
-      }
-      if (plan.at_stage < 0) {
-        std::fprintf(stderr, "--fail-rack: stage must be >= 0, got %lld\n",
-                     static_cast<long long>(plan.at_stage));
-        return false;
-      }
+      ok = ParsePair(flag, v, '@', plan.rack, plan.at_stage);
       args.fail_racks.push_back(plan);
     } else if (flag == "--add-node") {
+      std::int64_t at_stage = 0;
       if (v[0] != '@') {
         std::fprintf(stderr, "--add-node expects @STAGE, got '%s'\n", v);
         return false;
       }
-      const std::int64_t at_stage = std::atoll(v + 1);
-      if (at_stage < 0) {
-        std::fprintf(stderr, "--add-node: stage must be >= 0, got %lld\n",
-                     static_cast<long long>(at_stage));
-        return false;
-      }
+      ok = ParseNumber<std::int64_t>(flag, v + 1, 0, at_stage);
       args.add_nodes.push_back(at_stage);
     } else if (flag == "--racks") {
-      args.racks = std::atoi(v);
-      if (args.racks < 1) {
-        std::fprintf(stderr, "--racks must be >= 1\n");
-        return false;
-      }
+      ok = ParseNumber(flag, v, 1, args.racks);
     } else if (flag == "--straggler-factor") {
-      args.straggler_factor = std::atof(v);
-      if (args.straggler_factor < 1.0) {
-        std::fprintf(stderr, "--straggler-factor must be >= 1\n");
-        return false;
-      }
+      ok = ParseNumber(flag, v, 1.0, args.straggler_factor);
     } else if (flag == "--straggler-every") {
-      args.straggler_every = std::atoi(v);
-      if (args.straggler_every < 1) {
-        std::fprintf(stderr, "--straggler-every must be >= 1\n");
-        return false;
-      }
+      ok = ParseNumber(flag, v, 1, args.straggler_every);
     } else if (flag == "--speculate") {
       args.speculate = true;
     } else if (flag == "--directed") {
@@ -550,30 +530,19 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (flag == "--queries") {
       args.queries_file = v;
     } else if (flag == "--random") {
-      args.random_queries = std::atoll(v);
+      ok = ParseNumber<std::int64_t>(flag, v, 0, args.random_queries);
     } else if (flag == "--zipf") {
-      args.zipf_theta = std::atof(v);
+      ok = ParseNumber(flag, v, 0.0, args.zipf_theta);
     } else if (flag == "--threads") {
-      args.threads = static_cast<std::size_t>(std::atoll(v));
+      ok = ParseNumber<std::size_t>(flag, v, 0, args.threads);
     } else if (flag == "--cache-mb") {
-      args.cache_mb = static_cast<std::uint64_t>(std::atoll(v));
-      if (args.cache_mb == 0) {
-        std::fprintf(stderr, "--cache-mb must be >= 1\n");
-        return false;
-      }
+      ok = ParseNumber<std::uint64_t>(flag, v, 1, args.cache_mb);
     } else if (flag == "--path") {
-      const char* colon = std::strchr(v, ':');
-      if (colon == nullptr) {
-        std::fprintf(stderr, "--path expects S:T, got '%s'\n", v);
-        return false;
-      }
-      args.path_queries.emplace_back(std::atoll(v), std::atoll(colon + 1));
+      std::pair<graph::VertexId, graph::VertexId> query;
+      ok = ParsePair(flag, v, ':', query.first, query.second);
+      args.path_queries.push_back(query);
     } else if (flag == "--stats-every") {
-      args.stats_every = std::atoll(v);
-      if (args.stats_every < 0) {
-        std::fprintf(stderr, "--stats-every must be >= 0\n");
-        return false;
-      }
+      ok = ParseNumber<std::int64_t>(flag, v, 0, args.stats_every);
     } else if (flag == "--trace") {
       args.trace_file = v;
     } else if (flag == "--metrics-out") {
@@ -582,6 +551,7 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       args.help = true;
       return false;  // routes to the subcommand usage, exit 0
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -618,6 +588,12 @@ Result<apsp::SolverKind> ParseSolver(const std::string& name) {
   if (name == "im") return apsp::SolverKind::kBlockedInMemory;
   if (name == "cb") return apsp::SolverKind::kBlockedCollectBroadcast;
   return InvalidArgumentError("unknown solver '" + name + "'");
+}
+
+Result<apsp::PartitionerKind> ParsePartitioner(const std::string& name) {
+  if (name == "md") return apsp::PartitionerKind::kMultiDiagonal;
+  if (name == "ph") return apsp::PartitionerKind::kPortableHash;
+  return InvalidArgumentError("unknown partitioner '" + name + "'");
 }
 
 /// The durability/fault/membership schedule all workloads share — assigned
@@ -754,6 +730,8 @@ int RunSolve(const Args& args) {
   }
   auto kind = ParseSolver(args.solver);
   if (!kind.ok()) return Fail(kind.status());
+  auto partitioner = ParsePartitioner(args.partitioner);
+  if (!partitioner.ok()) return Fail(partitioner.status());
   const auto semiring = linalg::ParseSemiring(args.semiring);
   if (!semiring.has_value()) {
     return Fail(InvalidArgumentError("unknown semiring '" + args.semiring +
@@ -768,9 +746,7 @@ int RunSolve(const Args& args) {
   options.block_size =
       args.block > 0 ? args.block
                      : std::max<std::int64_t>(1, g.num_vertices() / 4);
-  options.partitioner = args.partitioner == "ph"
-                            ? apsp::PartitionerKind::kPortableHash
-                            : apsp::PartitionerKind::kMultiDiagonal;
+  options.partitioner = *partitioner;
   options.directed = args.directed;
   static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
   auto& cluster = request.cluster;
