@@ -80,70 +80,12 @@ BlockRef RunFused(const FusedUpdate& u) {
   return linalg::MakeBlock(std::move(out));
 }
 
-/// Runs `count` independent numeric updates: as stealable block tasks on the
-/// host pool under kTiledParallel, sequentially otherwise (naive / tiled are
-/// single-threaded baselines by contract: their solver-level timings must
-/// not be silently multithreaded).
-void RunStealableTasks(std::size_t count,
-                       const std::function<void(std::size_t)>& run_one) {
-  if (linalg::GetKernelVariant() == linalg::KernelVariant::kTiledParallel) {
-    linalg::KernelThreadPool().ParallelForTasks(count, run_one);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) run_one(i);
-  }
-}
-
-/// Adaptive task granularity: partitions [0, costs.size()) into contiguous
-/// groups whose summed modelled kernel cost reaches the dispatch-overhead
-/// floor, so tiny-b updates share one stealable task instead of paying one
-/// dispatch each. Order within a group (and across groups, per update) is
-/// the input order, so results are bitwise identical to one-task-per-update.
-std::vector<std::pair<std::size_t, std::size_t>> GrainGroups(
-    const std::vector<double>& costs) {
-  const double floor_seconds =
-      linalg::GetKernelTuning().task_grain_floor_seconds;
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  std::size_t begin = 0;
-  double acc = 0;
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    acc += costs[i];
-    if (acc >= floor_seconds) {
-      groups.emplace_back(begin, i + 1);
-      begin = i + 1;
-      acc = 0;
-    }
-  }
-  if (begin < costs.size()) {
-    // Trailing underweight run: fold into the previous group rather than
-    // paying a dispatch for leftovers below the floor.
-    if (groups.empty()) {
-      groups.emplace_back(begin, costs.size());
-    } else {
-      groups.back().second = costs.size();
-    }
-  }
-  return groups;
-}
-
-/// RunStealableTasks with the per-update modelled costs known: merges
-/// below-floor updates into shared stealable tasks (see GrainGroups).
-void RunStealableTasksAdaptive(
-    const std::vector<double>& costs,
-    const std::function<void(std::size_t)>& run_one) {
-  if (linalg::GetKernelVariant() != linalg::KernelVariant::kTiledParallel) {
-    RunStealableTasks(costs.size(), run_one);
-    return;
-  }
-  const auto groups = GrainGroups(costs);
-  if (groups.size() == costs.size()) {  // nothing merged: skip indirection
-    RunStealableTasks(costs.size(), run_one);
-    return;
-  }
-  RunStealableTasks(groups.size(), [&](std::size_t g) {
-    for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
-      run_one(i);
-    }
-  });
+/// Host work of one fused update on this machine, in multiply-adds (the
+/// unit of KernelTuning::parallel_grain_ops): the m x n x k product, a 64th
+/// of it on the bit-packed plane, whose word kernels fold 64 lanes at once.
+std::int64_t HostOps(const BlockRef& left, const BlockRef& right) {
+  const std::int64_t ops = left->rows() * right->cols() * left->cols();
+  return left->is_packed() ? ops / 64 : ops;
 }
 
 }  // namespace
@@ -186,9 +128,12 @@ std::vector<BlockRef> RunTripleBatch(
         FusedChargeSeconds(FusedUpdate{BlockKey{}, u.base, u.left, u.right},
                            tc));
   }
-  ChargeIntraTask(std::vector<double>(pieces), tc);
+  ChargeIntraTask(std::move(pieces), tc);
+  std::vector<std::int64_t> work;
+  work.reserve(updates.size());
+  for (const FusedTriple& u : updates) work.push_back(HostOps(u.left, u.right));
   std::vector<BlockRef> out(updates.size());
-  RunStealableTasksAdaptive(pieces, [&](std::size_t i) {
+  linalg::ForEachByHostWork(work, [&](std::size_t i) {
     DenseBlock c = updates[i].base.MutableCopy();
     kernel(*updates[i].left, *updates[i].right, c);
     out[i] = linalg::MakeBlock(std::move(c));
@@ -216,10 +161,35 @@ BlockRef FloydWarshall(const BlockRef& a, sparklet::TaskContext& tc) {
   return linalg::MakeBlock(std::move(closed));
 }
 
-BlockRef Transpose(const BlockRef& a, sparklet::TaskContext& tc) {
+namespace {
+
+void ChargeTranspose(const BlockRef& a, sparklet::TaskContext& tc) {
   tc.ChargeCompute(tc.cost_model().ElementwiseSeconds(a->size()) *
                    tc.cost_model().BitpackScale(a->is_packed()));
+}
+
+}  // namespace
+
+BlockRef Transpose(const BlockRef& a, sparklet::TaskContext& tc) {
+  ChargeTranspose(a, tc);
   return linalg::MakeBlock(a->Transposed());
+}
+
+BlockRef TransposeMemo::Get(const BlockRef& source) {
+  auto it = entries_.find(source.get());
+  if (it != entries_.end()) return it->second.transposed;
+  BlockRef transposed = linalg::MakeBlock(source->Transposed());
+  entries_.emplace(source.get(), Entry{source, transposed});
+  // Transposition is an exact permutation, so the source is also the
+  // transpose of the result: a later request for it costs nothing.
+  entries_.emplace(transposed.get(), Entry{transposed, source});
+  return transposed;
+}
+
+BlockRef Transpose(const BlockRef& a, sparklet::TaskContext& tc,
+                   TransposeMemo& memo) {
+  ChargeTranspose(a, tc);
+  return memo.Get(a);
 }
 
 std::pair<std::int64_t, BlockRef> ExtractColSegment(
@@ -291,13 +261,17 @@ std::vector<BlockRecord> FloydWarshallUpdateBatch(
     sparklet::TaskContext& tc) {
   std::vector<double> pieces;
   pieces.reserve(records.size());
+  std::vector<std::int64_t> work;
+  work.reserve(records.size());
   for (const auto& [key, block] : records) {
     pieces.push_back(tc.cost_model().ElementwiseSeconds(block->size()) *
                      tc.cost_model().BitpackScale(block->is_packed()));
+    // One add-and-select per element (the outer-sum update).
+    work.push_back(block->size());
   }
-  ChargeIntraTask(std::vector<double>(pieces), tc);
+  ChargeIntraTask(std::move(pieces), tc);
   std::vector<BlockRecord> out(records.size());
-  RunStealableTasksAdaptive(pieces, [&](std::size_t r) {
+  linalg::ForEachByHostWork(work, [&](std::size_t r) {
     const auto& [key, block] = records[r];
     const BlockRef& u = column_segments[static_cast<std::size_t>(key.I)];
     const BlockRef& v = row_segments[static_cast<std::size_t>(key.J)];
@@ -400,14 +374,17 @@ std::vector<BlockRecord> UnpackBatch(std::vector<ListRecord>&& records,
   pending.reserve(records.size());
   std::vector<double> pieces;
   pieces.reserve(records.size());
+  std::vector<std::int64_t> work;
+  work.reserve(records.size());
   for (std::size_t r = 0; r < records.size(); ++r) {
     if (auto update = plan(i, records[r], out[r])) {
       pieces.push_back(FusedChargeSeconds(*update, tc));
+      work.push_back(HostOps(update->left, update->right));
       pending.emplace_back(r, std::move(*update));
     }
   }
-  ChargeIntraTask(std::vector<double>(pieces), tc);
-  RunStealableTasksAdaptive(pieces, [&](std::size_t p) {
+  ChargeIntraTask(std::move(pieces), tc);
+  linalg::ForEachByHostWork(work, [&](std::size_t p) {
     out[pending[p].first] = {pending[p].second.key,
                              RunFused(pending[p].second)};
   });

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "apsp/block_key.h"
@@ -70,13 +71,12 @@ struct FusedTriple {
 /// Batched fused updates: charges each update's modelled kernel time into
 /// the task through the cost model's intra-task schedule
 /// (CostModel::IntraTaskSpan — the ordered sum when intra_task_cores == 1),
-/// then runs the independent numeric updates as stealable block tasks on the
-/// host pool under kTiledParallel (sequentially under naive/tiled, whose
-/// solver-level timings stay single-threaded by contract). Updates whose
-/// modelled kernel cost sits below KernelTuning::task_grain_floor_seconds
-/// are merged into one stealable task (adaptive granularity: at tiny b the
-/// dispatch overhead would otherwise dominate). Returns the updated blocks
-/// in input order.
+/// then runs the independent numeric updates through
+/// linalg::ForEachByHostWork: grouped by their host m·n·k into units of at
+/// least KernelTuning::parallel_grain_ops and stolen from the kernel pool
+/// under kTiledParallel (the default), inline under the naive/tiled
+/// single-thread baselines. Host threads never touch the charge. Returns
+/// the updated blocks in input order.
 std::vector<linalg::BlockRef> MinPlusIntoBatch(
     std::vector<FusedTriple>&& updates, sparklet::TaskContext& tc);
 
@@ -93,6 +93,33 @@ linalg::BlockRef FloydWarshall(const linalg::BlockRef& a,
 /// Transposition of a stored payload (the on-demand A_JI from A_IJ).
 linalg::BlockRef Transpose(const linalg::BlockRef& a,
                            sparklet::TaskContext& tc);
+
+/// Host-side memo of transposed payloads, owned by one solver round: the
+/// phase-3 tasks of a round all transpose the same few staged factors, so
+/// the host work is done once per payload and shared. Keyed by payload
+/// identity, and each entry holds its source, so a key cannot be reused by
+/// another block while it is memoized. Pure host state — it never charges
+/// the cost model. Used from the driver thread only, like TaskContext.
+class TransposeMemo {
+ public:
+  /// The transpose of `source`, computed on the first request for this
+  /// payload (or for its own transpose) and shared afterwards.
+  linalg::BlockRef Get(const linalg::BlockRef& source);
+  /// Drops every entry (the owning round ends).
+  void Clear() { entries_.clear(); }
+
+ private:
+  struct Entry {
+    linalg::BlockRef source;
+    linalg::BlockRef transposed;
+  };
+  std::unordered_map<const linalg::DenseBlock*, Entry> entries_;
+};
+
+/// Transpose whose host work is shared through `memo`; charges exactly what
+/// the plain Transpose charges, on every call.
+linalg::BlockRef Transpose(const linalg::BlockRef& a,
+                           sparklet::TaskContext& tc, TransposeMemo& memo);
 
 // --- 2D Floyd-Warshall helpers ------------------------------------------
 

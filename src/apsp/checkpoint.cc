@@ -91,6 +91,11 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
     BinaryReader reader(*obj->payload);
     auto block = linalg::DenseBlock::Deserialize(reader);
     if (!block.ok()) return block.status();
+    if (block->rows() != layout.BlockDim(key.I) ||
+        block->cols() != layout.BlockDim(key.J)) {
+      return FailedPreconditionError("checkpoint block " + key.ToString() +
+                                     " does not have its layout shape");
+    }
     info.blocks.emplace_back(key, linalg::MakeBlock(std::move(block).value()));
   }
   if (static_cast<std::int64_t>(info.blocks.size()) != *count) {

@@ -21,6 +21,10 @@ Status PersistSolve(const std::string& dir,
   }
   const bool with_paths = options.with_paths && graph != nullptr &&
                           semiring == linalg::SemiringId::kMinPlus;
+  if (with_paths && graph->num_vertices() != n) {
+    return InvalidArgumentError(
+        "PersistSolve: graph and distance matrix sizes differ");
+  }
 
   store::StoreManifest manifest;
   manifest.n = n;

@@ -12,6 +12,8 @@
 // bounds where Blocked In-Memory overflows.
 #include "apsp/solvers/rounds.h"
 
+#include <memory>
+
 #include "apsp/building_blocks.h"
 #include "apsp/checkpoint.h"
 #include "apsp/solvers/staging.h"
@@ -89,7 +91,11 @@ RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
                           });
 
     // Lines 6-7: collect the updated cross and stage the oriented factors.
-    staging::StageCrossFactors(ctx, keys, i, rowcol->Collect(), directed);
+    // The round owns one transpose memo: its phase-3 tasks re-derive the
+    // same few right factors, and the host work is done once per payload.
+    auto transposes = std::make_shared<TransposeMemo>();
+    staging::StageCrossFactors(ctx, keys, i, rowcol->Collect(), directed,
+                               *transposes);
 
     // --- Phase 3 (line 9): update every remaining block against the staged
     // factors: A_UV = min(A_UV, A_Ui (min,+) A_iV).
@@ -101,14 +107,14 @@ RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
                      })
             ->MapPartitions<BlockRecord>(
                 "cb-phase3",
-                [i, directed, keys](std::vector<BlockRecord>&& part,
-                                    TaskContext& tc) {
+                [i, directed, keys, transposes](
+                    std::vector<BlockRecord>&& part, TaskContext& tc) {
                   BlockCache cache;
                   std::vector<FusedTriple> updates;
                   updates.reserve(part.size());
                   for (const auto& [key, block] : part) {
                     auto [left, right] = ReadPhase3Factors(
-                        keys, cache, i, key, directed, tc);
+                        keys, cache, *transposes, i, key, directed, tc);
                     updates.push_back({block, left, right});
                   }
                   auto blocks = MinPlusIntoBatch(std::move(updates), tc);
@@ -128,6 +134,9 @@ RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
                   ->Persist();
     current->EnsureMaterialized();
     prev->Unpersist();
+    // The lineage keeps the phase-3 closure (and with it the memo) alive;
+    // a later recomputation simply transposes again.
+    transposes->Clear();
 
     // Optional durability extension (see apsp/checkpoint.h): stage A so a
     // restarted job resumes here instead of from scratch.

@@ -1,5 +1,6 @@
 #include "apsp/solvers/ksource_blocked.h"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -251,7 +252,11 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                 }
                 return out;
               });
-  staging::StageCrossFactors(ctx, keys, t, rowcol->Collect(), directed);
+  // The pivot owns one transpose memo shared by its phase-3 tasks (see
+  // the Collect/Broadcast solver).
+  auto transposes = std::make_shared<TransposeMemo>();
+  staging::StageCrossFactors(ctx, keys, t, rowcol->Collect(), directed,
+                             *transposes);
 
   // --- Phase 3: remaining matrix blocks through the staged factors.
   auto offcol =
@@ -261,14 +266,14 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                 })
           ->MapPartitions<BlockRecord>(
               "ks-phase3",
-              [t, directed, keys](std::vector<BlockRecord>&& part,
-                                  TaskContext& tc) {
+              [t, directed, keys, transposes](
+                  std::vector<BlockRecord>&& part, TaskContext& tc) {
                 BlockCache cache;
                 std::vector<FusedTriple> updates;
                 updates.reserve(part.size());
                 for (const auto& [key, block] : part) {
                   auto [left, right] = ReadPhase3Factors(
-                      keys, cache, t, key, directed, tc);
+                      keys, cache, *transposes, t, key, directed, tc);
                   updates.push_back({block, left, right});
                 }
                 auto blocks = MinPlusIntoBatch(std::move(updates), tc);
@@ -325,6 +330,7 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
           ->Persist();
   a->EnsureMaterialized();
   a_prev->Unpersist();
+  transposes->Clear();
 }
 
 /// One pivot of the pure shuffle-replicated sweep: the matrix phases run the

@@ -81,11 +81,13 @@ inline linalg::BlockRef ReadStagedBlock(BlockCache& cache,
 /// phase-2-updated cross blocks (diagonal excluded): stored (x, t) provides
 /// the left factor A_xt, stored (t, x) the right factor A_tx. Undirected
 /// storage keeps only the canonical block, so the missing left side is
-/// derived by transposition (driver-side, like the paper's on-demand A_JI).
+/// derived by transposition (driver-side, like the paper's on-demand A_JI)
+/// through the round's `transposes` memo, which thereby already knows the
+/// transpose of that left factor: the canonical block itself.
 inline void StageCrossFactors(sparklet::SparkletContext& ctx,
                               const StagingKeys& keys, std::int64_t t,
                               const std::vector<BlockRecord>& cross,
-                              bool directed) {
+                              bool directed, TransposeMemo& transposes) {
   for (const auto& [key, block] : cross) {
     const std::int64_t x = key.I == t ? key.J : key.I;
     if (key.J == t) {
@@ -94,7 +96,7 @@ inline void StageCrossFactors(sparklet::SparkletContext& ctx,
     } else {
       StageBlock(ctx, keys.Right(t, x), block);
       if (!directed) {
-        StageBlock(ctx, keys.Left(t, x), block->Transposed());
+        StageBlock(ctx, keys.Left(t, x), transposes.Get(block));
       }
     }
   }
@@ -104,10 +106,12 @@ inline void StageCrossFactors(sparklet::SparkletContext& ctx,
 /// target `key` needs. Undirected layouts stage only left factors beyond
 /// the canonical cross, so the right side is reconstructed by transposing
 /// the left factor of key.J (cached under the right key, charged like any
-/// transpose).
+/// transpose). The host transpose itself is shared by every task of the
+/// round through `transposes`.
 inline std::pair<linalg::BlockRef, linalg::BlockRef> ReadPhase3Factors(
-    const StagingKeys& keys, BlockCache& cache, std::int64_t t,
-    const BlockKey& key, bool directed, sparklet::TaskContext& tc) {
+    const StagingKeys& keys, BlockCache& cache, TransposeMemo& transposes,
+    std::int64_t t, const BlockKey& key, bool directed,
+    sparklet::TaskContext& tc) {
   linalg::BlockRef left = ReadStagedBlock(cache, keys.Left(t, key.I), tc);
   if (directed) {
     return {left, ReadStagedBlock(cache, keys.Right(t, key.J), tc)};
@@ -115,8 +119,8 @@ inline std::pair<linalg::BlockRef, linalg::BlockRef> ReadPhase3Factors(
   const std::string tkey = keys.Right(t, key.J);
   auto it = cache.find(tkey);
   if (it != cache.end()) return {left, it->second};
-  linalg::BlockRef right =
-      Transpose(ReadStagedBlock(cache, keys.Left(t, key.J), tc), tc);
+  linalg::BlockRef right = Transpose(
+      ReadStagedBlock(cache, keys.Left(t, key.J), tc), tc, transposes);
   cache.emplace(tkey, right);
   return {left, right};
 }

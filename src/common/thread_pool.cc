@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -52,8 +53,12 @@ void StealDeque::Push(RawTask* task) {
   }
   buf->cells[static_cast<std::size_t>(b) & buf->mask].store(
       task, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  bottom_.store(b + 1, std::memory_order_relaxed);
+  // A release store rather than a release fence plus a relaxed store: the
+  // same ordering, but expressed on the atomic a thief's acquire load of
+  // bottom_ reads, so the pushed task's contents (written by the owner
+  // before the push) happen-before the thief's use of them in a form
+  // ThreadSanitizer checks (it does not model standalone fences).
+  bottom_.store(b + 1, std::memory_order_release);
 }
 
 StealDeque::Buffer* StealDeque::Grow(Buffer* old, std::int64_t bottom,
@@ -74,7 +79,10 @@ StealDeque::Buffer* StealDeque::Grow(Buffer* old, std::int64_t bottom,
 RawTask* StealDeque::Pop() {
   const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
   Buffer* buf = buffer_.load(std::memory_order_relaxed);
-  bottom_.store(b, std::memory_order_relaxed);
+  // Every store to bottom_ is a release store (see Push): a thief whose
+  // acquire load reads any of them still synchronizes with the owner's
+  // earlier pushes (release sequences do not extend through plain stores).
+  bottom_.store(b, std::memory_order_release);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   std::int64_t t = top_.load(std::memory_order_relaxed);
   RawTask* result = nullptr;
@@ -87,10 +95,10 @@ RawTask* StealDeque::Pop() {
                                         std::memory_order_relaxed)) {
         result = nullptr;  // a thief got it first
       }
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      bottom_.store(b + 1, std::memory_order_release);
     }
   } else {
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    bottom_.store(b + 1, std::memory_order_release);
   }
   return result;
 }
@@ -293,9 +301,15 @@ void ThreadPool::WorkerLoop(std::size_t worker_index) {
   g_current_pool = this;
   g_worker_index = worker_index;
   int failed_takes = 0;
+  // Park timeout: the backstop for a wakeup lost to a racing lock-free
+  // push. It doubles while the worker finds nothing to do (up to 64 ms), so
+  // an idle pool — a process serving queries between solves — does not wake
+  // every worker every millisecond; any task resets it.
+  std::chrono::milliseconds park{1};
   for (;;) {
     if (internal::RawTask* task = TakeTask()) {
       failed_takes = 0;
+      park = std::chrono::milliseconds{1};
       RunTask(task);
       continue;
     }
@@ -311,19 +325,20 @@ void ThreadPool::WorkerLoop(std::size_t worker_index) {
         should_exit = true;
       } else if (pending_.load(std::memory_order_relaxed) <= 0 ||
                  ++failed_takes > 8) {
-        // Park. The timeout is the backstop for any wakeup lost to a racing
-        // lock-free push; the failed_takes bound keeps a worker that is
-        // repeatedly losing steal races from spinning hot.
-        cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
+        // Park (see `park` above); the failed_takes bound keeps a worker
+        // that is repeatedly losing steal races from spinning hot.
+        const bool woken = cv_.wait_for(lock, park, [this] {
           return shutting_down_ || !queue_.empty() || !injected_.empty() ||
                  pending_.load(std::memory_order_relaxed) > 0;
         });
+        if (!woken) park = std::min(park * 2, std::chrono::milliseconds{64});
         failed_takes = 0;
       }
     }
     if (should_exit) return;
     if (task.valid()) {
       failed_takes = 0;
+      park = std::chrono::milliseconds{1};
       task();  // exceptions propagate through the packaged_task future
     }
   }

@@ -1,8 +1,12 @@
 #include "graph/path_reconstruction.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
+
+#include "linalg/kernel_registry.h"
 
 namespace apspark::graph {
 
@@ -50,6 +54,11 @@ Result<std::vector<VertexId>> ExtractPath(const ApspWithPaths& apsp,
 linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
                                            const linalg::DenseBlock& dist) {
   const std::int64_t n = g.num_vertices();
+  if (dist.rows() != n || dist.cols() != n || dist.is_phantom() ||
+      dist.is_packed()) {
+    throw std::invalid_argument(
+        "SuccessorsFromDistances: needs the dense n x n distance matrix");
+  }
   // Per-vertex out-neighbor list from the edge list; parallel edges stay as
   // written — the argmin naturally selects the cheapest copy.
   std::vector<std::vector<std::pair<VertexId, double>>> adj(
@@ -60,28 +69,40 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
       adj[static_cast<std::size_t>(e.v)].emplace_back(e.u, e.weight);
     }
   }
-  linalg::DenseBlock next(n, n);
+  // Rows are independent (row i reads dist and writes only next row i), so
+  // they fan out on the kernel pool, grouped by their relaxation count.
+  std::vector<std::int64_t> work(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    // Sweeping neighbors in the outer loop reads dist(k, .) row-wise.
+    work[static_cast<std::size_t>(i)] =
+        (static_cast<std::int64_t>(adj[static_cast<std::size_t>(i)].size()) +
+         1) *
+        n;
+  }
+  linalg::DenseBlock next(n, n);
+  linalg::ForEachByHostWork(work, [&](std::size_t row) {
+    const auto i = static_cast<std::int64_t>(row);
+    // Per-row scratch: best holds the current minimum, and the hop is
+    // written straight into next's row i.
     std::vector<double> best(static_cast<std::size_t>(n),
                              std::numeric_limits<double>::infinity());
-    std::vector<double> hop(static_cast<std::size_t>(n), -1.0);
-    for (const auto& [k, w] : adj[static_cast<std::size_t>(i)]) {
+    double* hop = next.MutableRow(i);
+    std::fill(hop, hop + n, -1.0);
+    // Sweeping neighbors in the outer loop reads dist(k, .) row-wise.
+    for (const auto& [k, w] : adj[row]) {
+      const double* dk = dist.Row(k);
+      const double kd = static_cast<double>(k);
       for (std::int64_t j = 0; j < n; ++j) {
-        const double via = w + dist.At(k, j);
-        auto& b = best[static_cast<std::size_t>(j)];
-        auto& h = hop[static_cast<std::size_t>(j)];
-        if (via < b || (via == b && h >= 0 && static_cast<double>(k) < h)) {
+        const double via = w + dk[j];
+        double& b = best[static_cast<std::size_t>(j)];
+        double& h = hop[j];
+        if (via < b || (via == b && h >= 0 && kd < h)) {
           b = via;
-          h = static_cast<double>(k);
+          h = kd;
         }
       }
     }
-    for (std::int64_t j = 0; j < n; ++j) {
-      next.Set(i, j, hop[static_cast<std::size_t>(j)]);
-    }
-    next.Set(i, i, static_cast<double>(i));
-  }
+    hop[i] = static_cast<double>(i);
+  });
   return next;
 }
 

@@ -1,5 +1,6 @@
 #include "linalg/dense_block.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -275,20 +276,25 @@ DenseBlock DenseBlock::Transposed() const {
     return out;
   }
   DenseBlock out(cols_, rows_, 0.0);
-  // Simple tiled transpose to stay cache-friendly for large blocks.
-  constexpr std::int64_t kTile = 64;
-  for (std::int64_t r0 = 0; r0 < rows_; r0 += kTile) {
-    for (std::int64_t c0 = 0; c0 < cols_; c0 += kTile) {
-      const std::int64_t r1 = std::min(rows_, r0 + kTile);
-      const std::int64_t c1 = std::min(cols_, c0 + kTile);
+  TransposeRaw(rows_, cols_, data(), cols_, out.mutable_data(), rows_);
+  return out;
+}
+
+void TransposeRaw(std::int64_t rows, std::int64_t cols, const double* src,
+                  std::int64_t lds, double* dst, std::int64_t ldd) {
+  // 32 x 32 tiles: one source tile and one destination tile (8 KiB each)
+  // stay L1-resident, so the strided side of the copy hits cache.
+  constexpr std::int64_t kTile = 32;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::int64_t r1 = std::min(rows, r0 + kTile);
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::int64_t c1 = std::min(cols, c0 + kTile);
       for (std::int64_t r = r0; r < r1; ++r) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          out.Set(c, r, At(r, c));
-        }
+        const double* s = src + r * lds;
+        for (std::int64_t c = c0; c < c1; ++c) dst[c * ldd + r] = s[c];
       }
     }
   }
-  return out;
 }
 
 DenseBlock DenseBlock::SubBlock(std::int64_t r0, std::int64_t c0,

@@ -242,6 +242,13 @@ inline BlockPtr MakeBlock(DenseBlock block) {
   return std::make_shared<const DenseBlock>(std::move(block));
 }
 
+/// Cache-tiled out-of-place transpose of a rows x cols row-major matrix at
+/// `src` (leading dimension lds) into the cols x rows matrix at `dst`
+/// (leading dimension ldd). Dense doubles only; the regions must not
+/// overlap.
+void TransposeRaw(std::int64_t rows, std::int64_t cols, const double* src,
+                  std::int64_t lds, double* dst, std::int64_t ldd);
+
 /// n x k source frontier for batched k-source sweeps: column j carries the
 /// semiring one (`one`, default min-plus 0) at row unit_rows[j] and the
 /// semiring zero (`zero`, default +inf) everywhere else — the identity

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "linalg/simd.h"
@@ -158,6 +159,44 @@ ThreadPool& KernelThreadPool() {
   static std::unique_ptr<ThreadPool> default_pool =
       std::make_unique<ThreadPool>(0);
   return *default_pool;
+}
+
+void ForEachByHostWork(const std::vector<std::int64_t>& work,
+                       const std::function<void(std::size_t)>& run_one) {
+  if (GetKernelVariant() != KernelVariant::kTiledParallel) {
+    for (std::size_t i = 0; i < work.size(); ++i) run_one(i);
+    return;
+  }
+  const std::int64_t grain = GetKernelTuning().parallel_grain_ops;
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  std::size_t begin = 0;
+  std::int64_t acc = 0;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    acc += work[i];
+    if (acc >= grain) {
+      groups.emplace_back(begin, i + 1);
+      begin = i + 1;
+      acc = 0;
+    }
+  }
+  if (begin < work.size()) {
+    // Trailing light run: fold it into the previous group rather than pay
+    // a dispatch for leftovers below the grain.
+    if (groups.empty()) {
+      groups.emplace_back(begin, work.size());
+    } else {
+      groups.back().second = work.size();
+    }
+  }
+  if (groups.size() <= 1) {
+    for (std::size_t i = 0; i < work.size(); ++i) run_one(i);
+    return;
+  }
+  KernelThreadPool().ParallelForTasks(groups.size(), [&](std::size_t g) {
+    for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+      run_one(i);
+    }
+  });
 }
 
 const char* KernelVariantName(KernelVariant variant) noexcept {

@@ -6,10 +6,14 @@
 //   kNaive         — the scalar triple loops the seed shipped with; kept as
 //                    a measured baseline and as the dispatch target when a
 //                    caller wants zero tiling machinery.
-//   kTiled         — cache-tiled, fused, vectorizable loops (the default).
+//   kTiled         — cache-tiled, fused, vectorizable loops on the calling
+//                    thread: the single-thread baseline.
 //   kTiledParallel — kTiled with independent block updates scheduled as
 //                    stealable tasks on the host ThreadPool's work-stealing
-//                    deques (row stripes nest through the same scheduler).
+//                    deques (row stripes nest through the same scheduler);
+//                    the default. The solver batches, closure tiles, matrix
+//                    assembly and the successor plane fan out through the
+//                    same pool under one host-work grain (ForEachByHostWork).
 //                    Only host wall time changes: virtual cluster accounting
 //                    always charges the calibrated cost model, never host
 //                    threads.
@@ -18,13 +22,16 @@
 // engine executes all record processing from the driver thread (see
 // sparklet/rdd.h), so a plain global is race-free as long as callers select
 // the variant before kicking off a solve — which is what apsp::SolveBlocks
-// does from sparklet::ClusterConfig::kernel_variant.
+// does from sparklet::ClusterConfig::kernel_variant. Pool workers only read
+// it while running tasks the driver submitted after the selection.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace apspark {
 class ThreadPool;
@@ -87,7 +94,7 @@ enum class SemiringId {
 /// 48 KiB L1d + 2 MiB L2 AVX machine; all values are safe for any shape
 /// (ragged edges are handled by the kernels).
 struct KernelTuning {
-  KernelVariant variant = KernelVariant::kTiled;
+  KernelVariant variant = KernelVariant::kTiledParallel;
   /// Semiring the kernels evaluate. Part of the tuning so ScopedKernelVariant
   /// / ScopedSemiring restore it together with the variant: one run's algebra
   /// cannot leak into unrelated work in the same process.
@@ -109,17 +116,19 @@ struct KernelTuning {
 
   /// Minimum rows per stripe when fanning a kernel out on the pool.
   std::int64_t parallel_grain_rows = 64;
-  /// Blocks smaller than this many output elements never fan out (the
-  /// dispatch overhead would dominate).
-  std::int64_t parallel_min_elems = 128 * 128;
-  /// Adaptive task granularity of the batch decomposition (apsp building
-  /// blocks): block updates whose modelled kernel cost is below this floor
-  /// are merged with their neighbours into one stealable task, so a q^2
-  /// batch of tiny-b updates does not pay q^2 dispatches. ~40 µs of modelled
-  /// kernel time corresponds to a b ≈ 32..48 fused update; real updates at
-  /// b >= 64 stay individually stealable. 0 disables merging.
-  double task_grain_floor_seconds = 4.0e-5;
-
+  /// The one host fan-out grain: the least host work, in multiply-adds, a
+  /// stealable unit must carry. Kernels stripe into at most work / grain
+  /// row stripes, and batches of independent units (block updates, closure
+  /// tiles, assembly blocks, successor rows) are merged into groups of at
+  /// least this much work — see ForEachByHostWork. On the reference host
+  /// (4-core AVX-512 VM) one fan-out costs about 100 µs of wake-up and
+  /// join (a 2-task batch of 50 µs units takes 150 µs against 100 µs
+  /// inline) while a tiled multiply-add takes about 0.1 ns per thread
+  /// (8-12 G/s at b = 64..256), so 2^22 ≈ 4.2e6 multiply-adds (~0.4 ms) is
+  /// about four fan-out costs: a b = 256 update (1.7e7) stripes 4 ways,
+  /// b <= 128 kernels (<= 2.1e6) and small b = 64 batches run inline.
+  /// Values below 1 act as 1 (the finest fan-out).
+  std::int64_t parallel_grain_ops = std::int64_t{1} << 22;
   /// True when this tuning came out of AutoTune() rather than the static
   /// defaults — surfaced by the CLI banner so bench JSONs and CI logs record
   /// what actually ran.
@@ -152,6 +161,17 @@ KernelVariant GetKernelVariant() noexcept;
 /// calls that use it.
 void SetKernelThreadPool(ThreadPool* pool) noexcept;
 ThreadPool& KernelThreadPool();
+
+/// The one host fan-out rule. Runs run_one(i) for every i in
+/// [0, work.size()), where work[i] is unit i's host work in multiply-adds
+/// (or their equivalent). Under kTiledParallel, contiguous runs of units
+/// are merged until each group carries KernelTuning::parallel_grain_ops
+/// (a trailing light run joins the last group) and the groups run as
+/// stealable tasks on KernelThreadPool(); a single group — and every naive
+/// or tiled run — executes inline in index order. Units must be
+/// independent; their results are then identical however they are grouped.
+void ForEachByHostWork(const std::vector<std::int64_t>& work,
+                       const std::function<void(std::size_t)>& run_one);
 
 /// Convenience: swaps only the semiring, keeping the tuning parameters.
 void SetActiveSemiring(SemiringId semiring) noexcept;

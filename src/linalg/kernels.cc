@@ -80,16 +80,19 @@ void CheckPackedSemiring() {
   }
 }
 
-/// Number of row stripes to fan a kernel of `m` x `n` output out over, given
-/// the tuning thresholds. 1 means "stay sequential".
-std::int64_t ParallelStripes(std::int64_t m, std::int64_t n,
+/// Number of row stripes to fan an m x n x k kernel out over: as many as
+/// its multiply-adds fill host grains (KernelTuning::parallel_grain_ops),
+/// capped by the row grain and the pool width. 1 means "stay sequential".
+std::int64_t ParallelStripes(std::int64_t m, std::int64_t n, std::int64_t k,
                              const KernelTuning& tuning) {
-  if (m * n < tuning.parallel_min_elems) return 1;
-  const std::int64_t by_grain =
+  const std::int64_t by_work =
+      m * n * k / std::max<std::int64_t>(1, tuning.parallel_grain_ops);
+  if (by_work < 2) return 1;
+  const std::int64_t by_rows =
       (m + tuning.parallel_grain_rows - 1) / tuning.parallel_grain_rows;
   const std::int64_t by_threads =
       static_cast<std::int64_t>(KernelThreadPool().num_threads());
-  return std::max<std::int64_t>(1, std::min(by_grain, by_threads));
+  return std::max<std::int64_t>(1, std::min({by_work, by_rows, by_threads}));
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +357,8 @@ void AccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
   }
   const SimdIsa isa = ChooseIsa<S>(tuning, a, m, lda, k, b, ldb, c, ldc, n);
   KernelCounter(kKernelAccumulate, isa, tuning).Add();
-  const std::int64_t stripes = parallel ? ParallelStripes(m, n, tuning) : 1;
+  const std::int64_t stripes =
+      parallel ? ParallelStripes(m, n, k, tuning) : 1;
   if (stripes <= 1) {
     TiledRows<S>(0, m, n, k, a, lda, b, ldb, c, ldc, tuning, isa);
     return;
@@ -389,7 +393,8 @@ void PanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
   const KernelTuning tuning = GetKernelTuning();
   const SimdIsa isa = ChooseIsa<S>(tuning, a, m, lda, k, b, ldb, c, ldc, n);
   KernelCounter(kKernelPanel, isa, tuning).Add();
-  const std::int64_t stripes = parallel ? ParallelStripes(m, n, tuning) : 1;
+  const std::int64_t stripes =
+      parallel ? ParallelStripes(m, n, k, tuning) : 1;
   if (stripes <= 1) {
     PanelRows<S>(0, m, n, k, a, lda, b, ldb, c, ldc, isa);
     return;
@@ -450,32 +455,43 @@ void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
       }
     };
     if (parallel && q > 1) {
-      // Every independent block update of the pivot step is its own
-      // stealable task: 2(q-1) row/column panels in phase 2, (q-1)^2 outer
-      // blocks in phase 3 — not just q row-level stripes. Small-block
-      // layouts (q large, b small) expose q^2 units of work to the pool
-      // instead of q, which is what lets them scale.
-      ThreadPool& pool = KernelThreadPool();
-      pool.ParallelForTasks(
-          static_cast<std::size_t>(2 * q), [&](std::size_t s) {
-            const std::int64_t j = static_cast<std::int64_t>(s) / 2;
-            if (j == t) return;
-            const std::int64_t bj = dim(j);
-            if ((s & 1) == 0) {
-              // Row tile through the diagonal.
-              update(bt, bj, bt, tile(t, t), tile(t, j), tile(t, j));
-            } else {
-              // Column tile through the diagonal.
-              update(bj, bt, bt, tile(j, t), tile(t, t), tile(j, t));
-            }
-          });
-      pool.ParallelForTasks(
-          static_cast<std::size_t>(q * q), [&](std::size_t s) {
-            const std::int64_t i = static_cast<std::int64_t>(s) / q;
-            const std::int64_t j = static_cast<std::int64_t>(s) % q;
-            if (i == t || j == t) return;
-            update(dim(i), dim(j), bt, tile(i, t), tile(t, j), tile(i, j));
-          });
+      // Every independent block update of the pivot step is its own unit of
+      // host work: 2(q-1) row/column panels in phase 2, (q-1)^2 outer blocks
+      // in phase 3 — not just q row-level stripes — merged into stealable
+      // groups by the host grain (ForEachByHostWork). Small-block layouts
+      // (q large, b small) expose q^2 units of work to the pool instead of
+      // q, which is what lets them scale.
+      std::vector<std::int64_t> work(static_cast<std::size_t>(2 * q));
+      for (std::int64_t j = 0; j < q; ++j) {
+        const std::int64_t w = j == t ? 0 : bt * dim(j) * bt;
+        work[static_cast<std::size_t>(2 * j)] = w;
+        work[static_cast<std::size_t>(2 * j + 1)] = w;
+      }
+      ForEachByHostWork(work, [&](std::size_t s) {
+        const std::int64_t j = static_cast<std::int64_t>(s) / 2;
+        if (j == t) return;
+        const std::int64_t bj = dim(j);
+        if ((s & 1) == 0) {
+          // Row tile through the diagonal.
+          update(bt, bj, bt, tile(t, t), tile(t, j), tile(t, j));
+        } else {
+          // Column tile through the diagonal.
+          update(bj, bt, bt, tile(j, t), tile(t, t), tile(j, t));
+        }
+      });
+      work.assign(static_cast<std::size_t>(q * q), 0);
+      for (std::int64_t i = 0; i < q; ++i) {
+        for (std::int64_t j = 0; j < q; ++j) {
+          if (i == t || j == t) continue;
+          work[static_cast<std::size_t>(i * q + j)] = dim(i) * dim(j) * bt;
+        }
+      }
+      ForEachByHostWork(work, [&](std::size_t s) {
+        const std::int64_t i = static_cast<std::int64_t>(s) / q;
+        const std::int64_t j = static_cast<std::int64_t>(s) % q;
+        if (i == t || j == t) return;
+        update(dim(i), dim(j), bt, tile(i, t), tile(t, j), tile(i, j));
+      });
     } else {
       for (std::int64_t j = 0; j < q; ++j) phase2(j);
       for (std::int64_t i = 0; i < q; ++i) phase3(i);

@@ -59,11 +59,13 @@ struct ClusterConfig {
   /// (spark.task.maxFailures defaults to 4).
   int max_task_failures = 4;
   /// Which linalg kernel implementation the solvers select before running
-  /// (see linalg/kernel_registry.h). Host-side only: virtual-cluster time is
-  /// always charged from the calibrated cost model, so changing the variant
-  /// changes how fast real blocks are crunched on this machine, never the
-  /// modelled cluster seconds.
-  linalg::KernelVariant kernel_variant = linalg::KernelVariant::kTiled;
+  /// (see linalg/kernel_registry.h). The default, kTiledParallel, runs the
+  /// solve's block updates, closure tiles and assembly on every host core;
+  /// kTiled and kNaive are the single-thread baselines. Host-side only:
+  /// virtual-cluster time is always charged from the calibrated cost model,
+  /// so changing the variant changes how fast real blocks are crunched on
+  /// this machine, never the modelled cluster seconds.
+  linalg::KernelVariant kernel_variant = linalg::KernelVariant::kTiledParallel;
   /// Serialization/deserialization cost per byte crossing a process
   /// boundary (pySpark pickling is slow, ~300 MB/s per core).
   double serde_seconds_per_byte = 3e-9;

@@ -85,6 +85,9 @@ struct SimMetrics {
   }
 
   SimMetrics& operator+=(const SimMetrics& other) noexcept;
+  /// Field-wise exact equality (tests: host-side changes must leave every
+  /// modelled number bitwise unchanged).
+  bool operator==(const SimMetrics&) const = default;
 
   std::string Summary() const;
 };

@@ -10,6 +10,7 @@
 #include "apsp/building_blocks.h"
 #include "apsp/partitioners.h"
 #include "common/rng.h"
+#include "linalg/kernel_registry.h"
 #include "linalg/kernels.h"
 
 namespace apspark::apsp {
@@ -95,6 +96,62 @@ TEST(BlockLayout, AssembleRejectsMissingAndForeignBlocks) {
   EXPECT_FALSE(layout.Assemble(records).ok());
   records.push_back({{1, 0}, records.front().second});  // non-canonical key
   EXPECT_FALSE(layout.Assemble(records).ok());
+
+  // A duplicated key standing in for a missing one: the record count is
+  // right, but block (1, 1) never arrives.
+  auto duplicated = layout.Decompose(RandomSym(8, 4));
+  ASSERT_EQ(duplicated.back().first, (BlockKey{1, 1}));
+  duplicated.back() = duplicated.front();
+  auto assembled = layout.Assemble(duplicated);
+  ASSERT_FALSE(assembled.ok());
+  EXPECT_EQ(assembled.status().code(), StatusCode::kFailedPrecondition);
+
+  // A block whose shape is not BlockDim(I) x BlockDim(J) (here 4 x 5 on a
+  // ragged n = 10, b = 4 layout, where block (0, 2) is 4 x 2) must be
+  // rejected before it can write past the output.
+  const BlockLayout ragged(10, 4);
+  auto misshaped = ragged.Decompose(RandomSym(10, 5));
+  ASSERT_EQ(misshaped[2].first, (BlockKey{0, 2}));
+  misshaped[2].second = linalg::MakeBlock(DenseBlock(4, 5, 1.0));
+  assembled = ragged.Assemble(misshaped);
+  ASSERT_FALSE(assembled.ok());
+  EXPECT_EQ(assembled.status().code(), StatusCode::kFailedPrecondition);
+  // A transposed (2 x 4) payload at the same key is rejected too.
+  misshaped[2].second = linalg::MakeBlock(DenseBlock(2, 4, 1.0));
+  EXPECT_FALSE(ragged.Assemble(misshaped).ok());
+}
+
+TEST(BlockLayout, AssembleCopiesRaggedAndDirectedLayoutsExactly) {
+  // The row-copy + tiled-mirror path must reproduce the matrix bit for bit,
+  // ragged last blocks included, inline and fanned out one block per task.
+  for (const auto variant :
+       {linalg::KernelVariant::kTiled, linalg::KernelVariant::kTiledParallel}) {
+    linalg::ScopedKernelVariant scope(variant);
+    linalg::KernelTuning tuning = linalg::GetKernelTuning();
+    tuning.parallel_grain_ops = 1;
+    linalg::SetKernelTuning(tuning);
+    for (const bool directed : {false, true}) {
+      const std::int64_t n = 203;
+      DenseBlock m = directed ? DenseBlock(n, n, 0.0) : RandomSym(n, 11);
+      if (directed) {
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            m.Set(i, j, static_cast<double>(i * n + j));
+          }
+        }
+      }
+      const BlockLayout layout(n, 64, directed);
+      auto assembled = layout.Assemble(layout.Decompose(m));
+      ASSERT_TRUE(assembled.ok()) << assembled.status().ToString();
+      ASSERT_EQ(assembled->rows(), n);
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(assembled->At(i, j), m.At(i, j))
+              << "(" << i << ", " << j << ") directed=" << directed;
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockLayout, OrientTransposesMirroredPosition) {

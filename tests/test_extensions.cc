@@ -239,6 +239,21 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   EXPECT_FALSE(apsp::LoadCheckpoint(ctx, other).ok());
 }
 
+TEST(Checkpoint, LoadRejectsMisshapedBlocks) {
+  // A checkpoint is durable bytes from outside the solve: a block whose
+  // shape is not its layout shape must not reach Assemble or a solver.
+  const graph::Graph g = graph::PaperErdosRenyi(30, 52);
+  const apsp::BlockLayout layout(30, 8);  // ragged: last block row is 6
+  sparklet::SparkletContext ctx(TestCluster());
+  auto records = layout.Decompose(g.ToDenseAdjacency());
+  ASSERT_EQ(records.back().first, (apsp::BlockKey{3, 3}));
+  records.back().second = linalg::MakeBlock(linalg::DenseBlock(8, 8, 1.0));
+  apsp::SaveCheckpoint(ctx, layout, records, 1);
+  auto loaded = apsp::LoadCheckpoint(ctx, layout);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(Checkpoint, ResumeProducesSameResultAsUninterruptedRun) {
   const graph::Graph g = graph::PaperErdosRenyi(48, 51);
   const apsp::BlockLayout layout(48, 12);  // q = 4 rounds

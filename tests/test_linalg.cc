@@ -244,6 +244,14 @@ bool BitwiseEqual(const DenseBlock& a, const DenseBlock& b) {
   return true;
 }
 
+/// Overrides the host fan-out grain for the current scope's tuning (the
+/// enclosing ScopedVariant restores it).
+void UseHostGrain(std::int64_t ops) {
+  KernelTuning tuning = GetKernelTuning();
+  tuning.parallel_grain_ops = ops;
+  SetKernelTuning(tuning);
+}
+
 TEST(KernelVariants, MinPlusUpdateBitwiseEqualAcrossVariants) {
   // Rectangular shapes, including dims that do not divide the tile sizes.
   const struct {
@@ -271,6 +279,17 @@ TEST(KernelVariants, MinPlusUpdateBitwiseEqualAcrossVariants) {
         EXPECT_TRUE(BitwiseEqual(c, expected))
             << KernelVariantName(v) << " m=" << s.m << " n=" << s.n
             << " k=" << s.k << " inf=" << inf_fraction;
+      }
+      {
+        // These shapes sit below the default host grain; a 1-op grain
+        // forces every row stripe the row grain allows.
+        ScopedVariant scope(KernelVariant::kTiledParallel);
+        UseHostGrain(1);
+        DenseBlock c = c0;
+        MinPlusUpdate(a, b, c);
+        EXPECT_TRUE(BitwiseEqual(c, expected))
+            << "forced stripes m=" << s.m << " n=" << s.n << " k=" << s.k
+            << " inf=" << inf_fraction;
       }
     }
   }
@@ -355,6 +374,8 @@ TEST(KernelVariants, BlockedFloydWarshallAllVariantsAllTiles) {
   for (KernelVariant v : kAllVariants) {
     for (std::int64_t tile : {1, 7, 16, 53, 64}) {
       ScopedVariant scope(v);
+      // One tile per stealable task on the parallel path.
+      UseHostGrain(1);
       DenseBlock blocked = adj;
       BlockedFloydWarshall(blocked, tile);
       EXPECT_TRUE(blocked.ApproxEquals(expected, 1e-9))

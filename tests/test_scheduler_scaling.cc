@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apsp/building_blocks.h"
@@ -20,6 +23,7 @@
 #include "linalg/dense_block.h"
 #include "linalg/kernel_registry.h"
 #include "linalg/kernels.h"
+#include "obs/trace.h"
 #include "test_support.h"
 
 namespace apspark {
@@ -167,9 +171,9 @@ TEST(SchedulerScaling, IndependentBlockUpdateBatchBitwise) {
 // --- adaptive task granularity ----------------------------------------------
 
 TEST(SchedulerScaling, TinyBlockBatchMergesGrainsAndStaysBitwise) {
-  // At b = 8 a fused update's modelled cost (~1 µs) sits far below the
-  // dispatch-overhead floor, so the batch decomposition merges many updates
-  // into each stealable task. Results must stay bitwise-identical to the
+  // At b = 8 a fused update's host work (512 multiply-adds) sits far below
+  // the fan-out grain, so the batch decomposition merges many updates into
+  // each stealable task. Results must stay bitwise-identical to the
   // unmerged decomposition AND to the sequential scalar loop.
   const std::int64_t q = 12;
   const std::int64_t b = 8;
@@ -194,8 +198,8 @@ TEST(SchedulerScaling, TinyBlockBatchMergesGrainsAndStaysBitwise) {
   sparklet::SparkletContext ctx(test::TestCluster());
   for (KernelVariant v : kAllVariants) {
     ScopedKernelVariant scope(v);
-    // Sanity: the floor is live for this layout (each 8^3 update is cheap).
-    ASSERT_GT(linalg::GetKernelTuning().task_grain_floor_seconds, 0.0);
+    // Sanity: the grain is live for this layout (each 8^3 update is cheap).
+    ASSERT_GT(linalg::GetKernelTuning().parallel_grain_ops, b * b * b);
     auto tc = ctx.MakeTaskContext();
     auto batch_updates = updates;  // refs: copying the batch is free
     auto out = apsp::MinPlusIntoBatch(std::move(batch_updates), tc);
@@ -207,6 +211,54 @@ TEST(SchedulerScaling, TinyBlockBatchMergesGrainsAndStaysBitwise) {
               " variant=" + linalg::KernelVariantName(v));
     }
   }
+}
+
+/// The task count of every ParallelForTasks batch (one "parallel_for" trace
+/// span each) issued while `body` runs on a 4-worker kernel pool.
+std::vector<std::string> FanOutsDuring(const std::function<void()>& body) {
+  ThreadPool pool(4);
+  linalg::SetKernelThreadPool(&pool);
+  obs::Tracer::Get().Start();
+  body();
+  obs::Tracer::Get().Stop();
+  linalg::SetKernelThreadPool(nullptr);
+  const std::string json = obs::Tracer::Get().ToChromeJson();
+  const std::string span = "\"name\":\"parallel_for\"";
+  const std::string tasks = "\"tasks\":";
+  std::vector<std::string> fan_outs;
+  for (auto at = json.find(span); at != std::string::npos;
+       at = json.find(span, at + 1)) {
+    const auto begin = json.find(tasks, at) + tasks.size();
+    fan_outs.push_back(json.substr(begin, json.find('}', begin) - begin));
+  }
+  return fan_outs;
+}
+
+TEST(SchedulerScaling, HostGrainStripesLargeUpdatesAndInlinesSmallWork) {
+  // The design points of KernelTuning::parallel_grain_ops: a b = 256 update
+  // stripes 4 ways; a b = 128 update, and a task batch of four b = 64
+  // updates, run inline on the calling thread.
+  ScopedKernelVariant parallel(KernelVariant::kTiledParallel);
+  auto update = [](std::int64_t b) {
+    const DenseBlock a = RandomIntMatrix(b, 41, 0.3);
+    const DenseBlock p = RandomIntMatrix(b, 42, 0.3);
+    DenseBlock c = RandomIntMatrix(b, 43, 0.3);
+    return FanOutsDuring([&] { linalg::MinPlusUpdate(a, p, c); });
+  };
+  EXPECT_EQ(update(256), std::vector<std::string>{"4"});
+  EXPECT_TRUE(update(128).empty());
+
+  std::vector<apsp::FusedTriple> batch;
+  for (std::uint64_t u = 0; u < 4; ++u) {
+    batch.push_back({linalg::MakeRef(RandomIntMatrix(64, 50 + u, 0.3)),
+                     linalg::MakeRef(RandomIntMatrix(64, 60 + u, 0.3)),
+                     linalg::MakeRef(RandomIntMatrix(64, 70 + u, 0.3))});
+  }
+  sparklet::SparkletContext ctx(test::TestCluster());
+  auto tc = ctx.MakeTaskContext();
+  EXPECT_TRUE(FanOutsDuring([&] {
+                apsp::MinPlusIntoBatch(std::move(batch), tc);
+              }).empty());
 }
 
 TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
@@ -237,28 +289,49 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
 
 // --- solver level -----------------------------------------------------------
 
-/// Solves `g` at block size 8 (q >= 8 for every n >= 64 here) under each
-/// kernel variant and checks the distance matrix bitwise against the scalar
-/// oracle.
+/// Solves `g` at block size 8 (q >= 8 for every n >= 64 here) with every
+/// solver under each kernel variant — plus kTiledParallel with a 1-op host
+/// grain, which makes every block update, closure tile and assembly block
+/// its own stealable task — and checks the distance matrix bitwise against
+/// the scalar oracle. Host threads never move the model: every run's
+/// modelled seconds and SimMetrics must equal the kTiled run's.
 void ExpectSolversMatchOracle(const graph::Graph& g, const std::string& label) {
   DenseBlock oracle = g.ToDenseAdjacency();
   linalg::ReferenceFloydWarshall(oracle);
-  for (KernelVariant v : kAllVariants) {
-    auto cluster = test::TestCluster();
-    cluster.kernel_variant = v;
-    for (SolverKind kind :
-         {SolverKind::kBlockedInMemory, SolverKind::kBlockedCollectBroadcast}) {
-      ApspOptions opts;
-      opts.block_size = 8;
-      auto result =
-          Solve(g, {.solver = kind, .options = opts, .cluster = cluster}).run;
-      ASSERT_TRUE(result.status.ok())
-          << label << ": " << result.status.ToString();
-      ASSERT_TRUE(result.distances.has_value()) << label;
-      test::ExpectBitwiseEqual(*result.distances, oracle,
-                               label + " " + apsp::SolverKindName(kind) +
-                                   " variant=" +
-                                   linalg::KernelVariantName(v));
+  for (SolverKind kind : apsp::AllSolverKinds()) {
+    ApspOptions opts;
+    opts.block_size = 8;
+    auto run_with = [&](KernelVariant v, std::int64_t grain) {
+      ScopedKernelVariant restore(v);
+      auto tuning = linalg::GetKernelTuning();
+      tuning.parallel_grain_ops = grain;
+      linalg::SetKernelTuning(tuning);
+      auto cluster = test::TestCluster();
+      cluster.kernel_variant = v;
+      return Solve(g, {.solver = kind, .options = opts, .cluster = cluster})
+          .run;
+    };
+    const std::int64_t default_grain =
+        linalg::GetKernelTuning().parallel_grain_ops;
+    const auto baseline = run_with(KernelVariant::kTiled, default_grain);
+    ASSERT_TRUE(baseline.status.ok())
+        << label << ": " << baseline.status.ToString();
+    std::vector<std::pair<KernelVariant, std::int64_t>> configs;
+    for (KernelVariant v : kAllVariants) configs.emplace_back(v, default_grain);
+    configs.emplace_back(KernelVariant::kTiledParallel, 1);
+    for (const auto& [v, grain] : configs) {
+      const std::string what = label + " " + apsp::SolverKindName(kind) +
+                               " variant=" + linalg::KernelVariantName(v) +
+                               " grain=" + std::to_string(grain);
+      const auto result = run_with(v, grain);
+      ASSERT_TRUE(result.status.ok()) << what << ": "
+                                      << result.status.ToString();
+      ASSERT_TRUE(result.distances.has_value()) << what;
+      test::ExpectBitwiseEqual(*result.distances, oracle, what);
+      EXPECT_EQ(result.sim_seconds, baseline.sim_seconds) << what;
+      EXPECT_TRUE(result.metrics == baseline.metrics)
+          << what << "\n  got:    " << result.metrics.Summary()
+          << "\n  kTiled: " << baseline.metrics.Summary();
     }
   }
 }
@@ -306,19 +379,27 @@ TEST(SchedulerScaling, KsourceSmallBlocksMatchesOracleColumns) {
                    oracle.At(sources[j], v));
     }
   }
-  for (KernelVariant variant : kAllVariants) {
+  auto check = [&](KernelVariant variant, const std::string& what) {
     auto cluster = test::TestCluster();
     cluster.kernel_variant = variant;
     apsp::KsourceOptions opts;
     opts.block_size = 8;  // q = 10
     apsp::KsourceBlockedSolver solver;
     auto result = solver.SolveGraph(g, sources, opts, cluster);
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    ASSERT_TRUE(result.distances.has_value());
-    test::ExpectBitwiseEqual(*result.distances, expected,
-                             std::string("ksource variant=") +
-                                 linalg::KernelVariantName(variant));
+    ASSERT_TRUE(result.status.ok()) << what << ": " << result.status.ToString();
+    ASSERT_TRUE(result.distances.has_value()) << what;
+    test::ExpectBitwiseEqual(*result.distances, expected, what);
+  };
+  for (KernelVariant variant : kAllVariants) {
+    check(variant, std::string("ksource variant=") +
+                       linalg::KernelVariantName(variant));
   }
+  // A 1-op host grain: every block and frontier update its own task.
+  ScopedKernelVariant restore(KernelVariant::kTiledParallel);
+  auto tuning = linalg::GetKernelTuning();
+  tuning.parallel_grain_ops = 1;
+  linalg::SetKernelTuning(tuning);
+  check(KernelVariant::kTiledParallel, "ksource tiled_parallel grain=1");
 }
 
 }  // namespace

@@ -23,7 +23,9 @@
 #include "apsp/api.h"
 #include "apsp/persist.h"
 #include "common/serial.h"
+#include "common/thread_pool.h"
 #include "graph/path_reconstruction.h"
+#include "linalg/kernel_registry.h"
 #include "linalg/kernels.h"
 #include "sparklet/memory_accountant.h"
 #include "store/block_store.h"
@@ -961,6 +963,53 @@ TEST(SuccessorsFromDistances, AgreesWithTrackedFloydWarshall) {
         }
         EXPECT_EQ(total, tracked.distances.At(s, t))
             << "derived path " << s << "->" << t << " not shortest";
+      }
+    }
+  }
+
+  // Row fan-out on the kernel pool: a graph with parallel edges and weights
+  // in {1, 2} (many equal-length alternatives, so the smallest-k tie-break
+  // decides most entries) must give the same plane bit for bit on a
+  // 1-worker pool (rows inline) and on the default pool — at the default
+  // grain and with one row per stealable task.
+  const std::int64_t n = 320;
+  graph::Graph g(n);
+  for (std::int64_t u = 0; u < n; ++u) {
+    for (int e = 0; e < 4; ++e) {
+      const auto v = static_cast<graph::VertexId>(rng.NextBounded(n));
+      if (v == u) continue;
+      const double w = 1.0 + static_cast<double>(rng.NextBounded(2));
+      ASSERT_TRUE(g.AddEdge(u, v, w).ok());
+      if (e == 0) {
+        ASSERT_TRUE(g.AddEdge(u, v, w).ok());        // equal parallel copy
+        ASSERT_TRUE(g.AddEdge(u, v, w + 1.0).ok());  // heavier copy
+      }
+    }
+  }
+  const auto tracked = graph::FloydWarshallWithPaths(g);
+  ThreadPool one_worker(1);
+  linalg::ScopedKernelVariant parallel(linalg::KernelVariant::kTiledParallel);
+  for (const std::int64_t grain :
+       {linalg::GetKernelTuning().parallel_grain_ops, n}) {
+    linalg::KernelTuning tuning = linalg::GetKernelTuning();
+    tuning.parallel_grain_ops = grain;
+    linalg::SetKernelTuning(tuning);
+    linalg::SetKernelThreadPool(&one_worker);
+    const linalg::DenseBlock inline_rows =
+        graph::SuccessorsFromDistances(g, tracked.distances);
+    linalg::SetKernelThreadPool(nullptr);
+    const linalg::DenseBlock fanned_out =
+        graph::SuccessorsFromDistances(g, tracked.distances);
+    test::ExpectBitwiseEqual(fanned_out, inline_rows,
+                             "successor rows, grain " + std::to_string(grain));
+    for (std::int64_t s = 0; s < n; s += 7) {
+      for (std::int64_t t = 0; t < n; t += 5) {
+        auto path = graph::ExtractPathWithLookup(
+            n, s, t, [&](graph::VertexId i, graph::VertexId target) {
+              return static_cast<std::int64_t>(fanned_out.At(i, target));
+            });
+        ASSERT_EQ(path.ok(), !std::isinf(tracked.distances.At(s, t)))
+            << s << "->" << t;
       }
     }
   }

@@ -128,7 +128,7 @@ struct Args {
   int intra_task_cores = 1;
   bool directed = false;
   bool fault_tolerant = false;
-  std::string kernel = "tiled";
+  std::string kernel = "tiled_parallel";
   /// Micro-kernel ISA: scalar|avx2|avx512|auto (auto = CPUID-detected best,
   /// or APSPARK_FORCE_ISA). Pin `--isa scalar` when bisecting a kernel bug.
   std::string isa = "auto";
@@ -185,7 +185,9 @@ void UsageSolve() {
       "          shuffle-replicated panels\n"
       "  [--no-early-exit]  disable the all-infinite pivot\n"
       "          early-exit sweep (k-source mode)\n"
-      "  [--kernel naive|tiled|tiled_parallel]\n"
+      "  [--kernel naive|tiled|tiled_parallel]  host kernels (default\n"
+      "          tiled_parallel: every core; tiled and naive are\n"
+      "          single-thread baselines)\n"
       "  [--isa scalar|avx2|avx512|auto]  micro-kernel instruction set\n"
       "          (auto = CPUID-detected best; all choices are bitwise-\n"
       "          identical — pin scalar when bisecting a kernel bug)\n"
@@ -759,6 +761,9 @@ int RunSolve(const Args& args) {
                                      "'"));
   }
   cluster.kernel_variant = *kernel;
+  // The host work after the solve (successor plane, store writes) follows
+  // the same selection.
+  linalg::SetKernelVariant(*kernel);
   cluster.intra_task_cores = args.intra_task_cores;
   cluster.straggler_factor = args.straggler_factor;
   cluster.straggler_every = args.straggler_every;
