@@ -55,11 +55,13 @@
 #   M = qps      serving throughput of both workloads — queries per second
 #                through the disk-backed DistanceService; HIGHER is better.
 #                Machine-dependent, so CI runs it with a generous tolerance:
-#                the Zipf record guards the lock-free hit path, the uniform
-#                records guard the miss path (window admission: checksum,
-#                page faults, eviction). The uniform p99.9 is LOWER-is-better
-#                and fails past baseline / (1 - tolerance), the same slowdown
-#                factor the qps floor baseline * (1 - tolerance) allows.
+#                both qps records guard block-grouped batching and the
+#                lock-free hit path; the uniform p99.9, measured on
+#                single-client calls, guards the miss path (window
+#                admission: checksum, page faults, eviction). The p99.9 is
+#                LOWER-is-better and fails past baseline / (1 - tolerance),
+#                the same slowdown factor the qps floor
+#                baseline * (1 - tolerance) allows.
 #
 # Env: APSPARK_BENCH_TOLERANCE  allowed fractional regression (default 0.10)
 set -euo pipefail
@@ -315,9 +317,9 @@ if [[ "$bench" == "fig2" && "$metric" == "speedup" ]]; then
   fi
 fi
 
-# The serving gate also covers the uniform workload, where a quarter-payload
-# cache cap makes about a quarter of the lookups admit a window: its
-# throughput and its p99.9 tail.
+# The serving gate also covers the uniform workload: its batch throughput
+# and the p99.9 tail of its single-client sample, where a quarter-payload
+# cache cap makes about a quarter of the lookups admit a window.
 if [[ "$bench" == "serve" ]]; then
   for uniform_field in qps p999_us; do
     uniform_measured="$(extract_serve "$measured" uniform "$uniform_field")"

@@ -3,10 +3,7 @@
 // A solve ends; serving begins: the service answers point-to-point distance
 // queries and reconstructs shortest-path vertex sequences against the
 // block-resident planes, fetching (and pinning) only the blocks a query
-// touches. Batched lookups fan out across a work-stealing thread pool; each
-// chunk keeps a one-entry pin memo, so a skewed (hot-vertex) workload
-// resolves most queries without touching the store at all, and a lookup is
-// a read through the store's mapping.
+// touches, and a lookup is a read through the store's mapping.
 //
 // Geometry: a distance query (s, t) maps to block (s/b, t/b) and local
 // offsets (s%b, t%b). Undirected stores hold only the canonical upper
@@ -14,6 +11,18 @@
 // reads the transposed element — element-level transposition, never a block
 // copy. The successor plane is always full q^2 (first hops are not
 // symmetric), and a path walk fetches along next(i, t) until it lands on t.
+//
+// Batches are block-major multigets, the serving-side form of the paper's
+// rule that a per-block cost must pay for b^2 elements of work. A batch is
+// validated whole, then its queries are grouped by canonical stored block
+// (two stable counting passes, over J and then over I: O(batch + q)). The
+// block runs are laid out coldest first — ascending query count, ties in
+// (I, J) order — so the batch's hottest blocks are admitted last and stay
+// resident for the traffic that follows. The run sequence is cut into a
+// few equal chunks per pool worker; a chunk fetches each run's block once
+// and reads every query of the run out of it, so a batch touching D blocks
+// makes at most D + chunks - 1 fetches. Answers land at their input
+// positions, bitwise equal to point queries.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +63,14 @@ class DistanceService {
   /// dist(s, t); +inf when t is unreachable from s.
   Result<double> Distance(graph::VertexId s, graph::VertexId t);
 
-  /// Answers every query (answers[i] is queries[i]'s distance), fanning the
-  /// batch out across the service's thread pool. Fails as a whole on the
-  /// first invalid query or store error.
+  /// Answers every query (answers[i] is queries[i]'s distance) block by
+  /// block, fanning the block runs out across the service's thread pool (see
+  /// the file comment). Every query is validated before the store is
+  /// touched: a batch with an invalid query fails kInvalidArgument naming
+  /// the lowest-index one and moves no cache counter. A store error fails
+  /// the whole batch. Each answered query adds one PointLatency() sample;
+  /// the fetch of a run's block is charged to the run's first query in its
+  /// chunk, the rest of the run pays only its element read.
   Result<std::vector<double>> DistanceBatch(const std::vector<Query>& queries);
 
   /// The vertex sequence of a shortest s->t path (endpoints inclusive).
@@ -115,11 +129,23 @@ class DistanceService {
     BlockStore::Pin pin;
   };
 
+  /// Where a distance query reads: stored block (I, J) of the distance
+  /// plane, canonical when the store is undirected, and the element (li, lj)
+  /// inside it.
+  struct Cell {
+    std::int64_t I = 0;
+    std::int64_t J = 0;
+    std::int64_t li = 0;
+    std::int64_t lj = 0;
+  };
+
+  /// kInvalidArgument unless s and t are both vertices of the store.
+  Status CheckQuery(graph::VertexId s, graph::VertexId t) const;
+  /// The cell answering a checked query (s, t).
+  Cell Locate(graph::VertexId s, graph::VertexId t) const noexcept;
   /// Pins (or reuses from `memo`) the block covering (I, J) of `plane`.
   Result<const BlockView*> FetchVia(PinMemo& memo, Plane plane,
                                     std::int64_t I, std::int64_t J);
-  Result<double> DistanceVia(PinMemo& memo, graph::VertexId s,
-                             graph::VertexId t);
 
   std::unique_ptr<BlockStore> store_;
   ThreadPool pool_;

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -927,6 +928,232 @@ TEST(DistanceService, ServesUnderTightCacheCap) {
   EXPECT_GT(stats.evictions, 0u) << "cap was meant to force churn";
   EXPECT_LE(svc.store().resident_bytes(),
             sopts.store_options.cache_capacity_bytes);
+}
+
+/// An ER graph on n vertices with integer weights (exact path sums), made
+/// directed by dropping each reverse arc with probability 1/2.
+graph::Graph IntegerGraph(std::int64_t n, bool directed, std::uint64_t seed) {
+  const graph::Graph real = graph::ErdosRenyi(n, 0.15, {1.0, 10.0}, seed);
+  graph::Graph g(n, directed);
+  Xoshiro256 rng(seed ^ 0x1d);
+  for (const auto& e : real.edges()) {
+    const double w = std::floor(e.weight);
+    g.AddEdge(e.u, e.v, w).CheckOk();
+    if (directed && rng.NextDouble() < 0.5) g.AddEdge(e.v, e.u, w).CheckOk();
+  }
+  return g;
+}
+
+/// Solves `g`, persists its distance plane at store block `store_b` into
+/// `dir` and returns the scalar Floyd-Warshall oracle.
+linalg::DenseBlock PersistDistances(const graph::Graph& g,
+                                    std::int64_t store_b,
+                                    const std::string& dir) {
+  linalg::DenseBlock oracle = g.ToDenseAdjacency();
+  linalg::ReferenceFloydWarshall(oracle);
+  apsp::SolveRequest request;
+  request.options.block_size = 16;
+  request.options.directed = g.directed();
+  request.cluster = test::TestCluster();
+  auto report = apsp::Solve(g, request);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return oracle;
+  apsp::PersistOptions popts;
+  popts.block_size = store_b;
+  popts.with_paths = false;
+  const Status persisted =
+      apsp::PersistSolve(dir, *report.distances(), nullptr, g.directed(),
+                         linalg::SemiringId::kMinPlus, popts);
+  EXPECT_TRUE(persisted.ok()) << persisted.ToString();
+  return oracle;
+}
+
+std::vector<store::DistanceService::Query> UniformQueries(Xoshiro256& rng,
+                                                          std::int64_t n,
+                                                          int count) {
+  std::vector<store::DistanceService::Query> queries;
+  for (int i = 0; i < count; ++i) {
+    const auto bound = static_cast<std::uint64_t>(n);
+    queries.push_back({static_cast<graph::VertexId>(rng.NextBounded(bound)),
+                       static_cast<graph::VertexId>(rng.NextBounded(bound))});
+  }
+  return queries;
+}
+
+TEST(DistanceService, GroupedBatchIsBitwiseOracleInInputOrder) {
+  // n % b != 0 leaves a ragged last block row and column. The batch mixes
+  // mirrored pairs (s/b > t/b), duplicates and s == t, shuffled, so the
+  // block-major grouping must scatter every answer back to its position.
+  for (const bool directed : {false, true}) {
+    const std::uint64_t seed = directed ? 0xb471 : 0xb470;
+    APSPARK_SEEDED_CASE(seed);
+    Xoshiro256 rng(seed);
+    const std::int64_t n = 45;
+    const graph::Graph g = IntegerGraph(n, directed, seed);
+    TempStoreDir dir(directed ? "group_dir" : "group_undir");
+    const linalg::DenseBlock oracle = PersistDistances(g, 8, dir.path());
+
+    store::DistanceService::Options sopts;
+    sopts.num_threads = 4;
+    sopts.store_options.cache_capacity_bytes =
+        3 * linalg::DenseBlock(8, 8).SerializedBytes();
+    auto service = store::DistanceService::Open(dir.path(), sopts);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    store::DistanceService& svc = **service;
+
+    auto queries = UniformQueries(rng, n, 600);
+    for (const auto& [s, t] : std::vector<std::pair<std::int64_t,
+                                                    std::int64_t>>{
+             {40, 3}, {3, 40}, {44, 0}, {0, 44}, {44, 44}, {0, 0}, {17, 17}}) {
+      queries.push_back({s, t});
+    }
+    for (int dup = 0; dup < 50; ++dup) queries.push_back(queries[dup % 7]);
+    for (std::size_t i = queries.size(); i > 1; --i) {
+      std::swap(queries[i - 1], queries[rng.NextBounded(i)]);
+    }
+
+    auto answers = svc.DistanceBatch(queries);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    ASSERT_EQ(answers->size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const double expected = oracle.At(queries[i].s, queries[i].t);
+      ASSERT_EQ(std::memcmp(&(*answers)[i], &expected, sizeof expected), 0)
+          << "answer " << i << " for (" << queries[i].s << ", "
+          << queries[i].t << ")";
+    }
+
+    auto empty = svc.DistanceBatch({});
+    ASSERT_TRUE(empty.ok());
+    EXPECT_TRUE(empty->empty());
+  }
+}
+
+TEST(DistanceService, BatchFetchesEachBlockOncePerChunk) {
+  // A batch touching D distinct stored blocks makes at most one fetch per
+  // block plus one per chunk boundary that splits a block's run.
+  for (const bool directed : {false, true}) {
+    const std::uint64_t seed = directed ? 0xfe71 : 0xfe70;
+    APSPARK_SEEDED_CASE(seed);
+    Xoshiro256 rng(seed);
+    const std::int64_t n = 45;
+    const std::int64_t b = 8;
+    TempStoreDir dir(directed ? "fetch_dir" : "fetch_undir");
+    PersistDistances(IntegerGraph(n, directed, seed), b, dir.path());
+
+    store::DistanceService::Options sopts;
+    sopts.num_threads = 4;
+    auto service = store::DistanceService::Open(dir.path(), sopts);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    store::DistanceService& svc = **service;
+
+    const auto queries = UniformQueries(rng, n, 5000);
+    std::set<std::pair<std::int64_t, std::int64_t>> blocks;
+    for (const auto& query : queries) {
+      std::int64_t I = query.s / b;
+      std::int64_t J = query.t / b;
+      if (!directed && I > J) std::swap(I, J);
+      blocks.insert({I, J});
+    }
+    const std::uint64_t chunks = 4 * sopts.num_threads;
+
+    const auto before = svc.store().stats();
+    ASSERT_TRUE(svc.DistanceBatch(queries).ok());
+    const auto after = svc.store().stats();
+    const std::uint64_t fetches =
+        (after.hits + after.misses) - (before.hits + before.misses);
+    EXPECT_GE(fetches, blocks.size());
+    EXPECT_LE(fetches, blocks.size() + chunks - 1);
+  }
+}
+
+TEST(DistanceService, SkewedBatchLeavesItsHottestBlockResident) {
+  // Runs are laid out coldest first, so the hottest block is admitted last
+  // even when it comes first in (I, J) order: under a one-window cap it is
+  // the window the batch leaves behind.
+  const std::uint64_t seed = 0x407;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  TempStoreDir dir("skew");
+  const linalg::DenseBlock oracle =
+      PersistDistances(IntegerGraph(32, false, seed), 8, dir.path());
+
+  store::DistanceService::Options sopts;
+  sopts.num_threads = 2;
+  sopts.store_options.cache_capacity_bytes =
+      linalg::DenseBlock(8, 8).SerializedBytes();
+  auto service = store::DistanceService::Open(dir.path(), sopts);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  store::DistanceService& svc = **service;
+
+  // Block (0, 0) is the hottest and first in key order; (0, 1) and (1, 1)
+  // are cold and, at 70 of 800 queries, fit in the first of 8 chunks.
+  std::vector<store::DistanceService::Query> queries;
+  auto add = [&](std::int64_t I, std::int64_t J, int count) {
+    for (int i = 0; i < count; ++i) {
+      queries.push_back(
+          {static_cast<graph::VertexId>(8 * I + rng.NextBounded(8)),
+           static_cast<graph::VertexId>(8 * J + rng.NextBounded(8))});
+    }
+  };
+  add(0, 0, 730);
+  add(0, 1, 30);
+  add(1, 1, 40);
+  for (std::size_t i = queries.size(); i > 1; --i) {
+    std::swap(queries[i - 1], queries[rng.NextBounded(i)]);
+  }
+  auto answers = svc.DistanceBatch(queries);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ((*answers)[i], oracle.At(queries[i].s, queries[i].t));
+  }
+
+  const auto before = svc.store().stats();
+  auto d = svc.Distance(5, 2);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(*d, oracle.At(5, 2));
+  const auto after = svc.store().stats();
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 0u);
+}
+
+TEST(DistanceService, BatchRejectsLowestIndexBadQueryBeforeAnyFetch) {
+  // Two bad queries in different chunks: the batch names the lower-index
+  // one, whichever chunk would have run first, and leaves the cache as it
+  // was.
+  const std::uint64_t seed = 0xbad;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  const std::int64_t n = 45;
+  TempStoreDir dir("badbatch");
+  PersistDistances(IntegerGraph(n, false, seed), 8, dir.path());
+
+  store::DistanceService::Options sopts;
+  sopts.num_threads = 4;
+  sopts.store_options.cache_capacity_bytes =
+      2 * linalg::DenseBlock(8, 8).SerializedBytes();
+  auto service = store::DistanceService::Open(dir.path(), sopts);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  store::DistanceService& svc = **service;
+  ASSERT_TRUE(svc.DistanceBatch(UniformQueries(rng, n, 200)).ok());
+
+  // 1000 queries in 16 chunks of 63: indices 120 and 900 fall in chunks 1
+  // and 14.
+  auto queries = UniformQueries(rng, n, 1000);
+  queries[900] = {n, 0};
+  queries[120] = {7, -3};
+  const auto before = svc.store().stats();
+  auto answers = svc.DistanceBatch(queries);
+  ASSERT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = answers.status().message();
+  EXPECT_NE(message.find("batch query 120"), std::string::npos) << message;
+  EXPECT_NE(message.find("(7, -3)"), std::string::npos) << message;
+  EXPECT_EQ(message.find("(45, 0)"), std::string::npos) << message;
+  const auto after = svc.store().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.bytes_loaded, before.bytes_loaded);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes);
 }
 
 TEST(SuccessorsFromDistances, AgreesWithTrackedFloydWarshall) {

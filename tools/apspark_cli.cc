@@ -1038,9 +1038,11 @@ int RunServe(const Args& args) {
       }
     }
     // --stats-every N slices the workload so a progress + live-percentile
-    // line appears mid-run; N = 0 keeps the original single batch (and the
-    // exact same answers/checksum either way — slicing only changes when
-    // the batch-level histogram samples land).
+    // line appears mid-run; N = 0 keeps the original single batch. The
+    // answers and checksum are the same either way. Each slice is grouped
+    // by stored block on its own, so slicing changes how many fetches (and
+    // cache hits, misses and evictions) the run makes, and when the
+    // batch-level histogram samples land.
     const std::int64_t chunk =
         args.stats_every > 0 ? args.stats_every : args.random_queries;
     double sum = 0;
