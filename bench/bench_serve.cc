@@ -9,21 +9,24 @@
 // fetches a block about once per chunk whatever its skew; the timed
 // single-client Distance() sample that follows is what still exercises
 // window admission — about a quarter of its uniform lookups miss, while
-// its Zipf lookups mostly hit.
+// its Zipf lookups mostly hit. A timed sample of 256 uniform Path() walks
+// runs last: most hops admit a successor window, so its p50 is what misses
+// cost a walk.
 //
 // In-binary correctness gates (exit non-zero on violation):
 //   * every served distance of the full n^2 sweep is bitwise-equal to the
 //     scalar Floyd-Warshall oracle (integer weights: exact path sums);
-//   * reconstructed paths are genuine edge walks of exactly oracle length;
+//   * reconstructed paths (the probe and the timed sample) are genuine edge
+//     walks of exactly oracle length;
 //   * resident bytes stay under the configured cache cap after each sweep,
 //     with evictions actually observed (the cap is meant to bind).
 //
 // Machine-readable results go to BENCH_serve.json (override via
 // APSPARK_BENCH_JSON), one JSON object per line so check_regression.sh can
 // grep the tracked records: the "serve" section's "qps" of both workloads
-// (higher is better) and the uniform workload's "p999_us" (lower is
-// better). The first record is the "host" fingerprint of the machine and
-// build that produced the file.
+// (higher is better) and the uniform workload's "p999_us" and
+// "path_p50_us" (lower is better). The first record is the "host"
+// fingerprint of the machine and build that produced the file.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -55,6 +58,7 @@ constexpr std::int64_t kSolveBlock = 128;
 constexpr std::int64_t kStoreBlock = 64;
 constexpr std::int64_t kQueriesPerWorkload = 1'000'000;
 constexpr std::int64_t kLatencySample = 200'000;
+constexpr int kPathSample = 256;
 constexpr double kZipfTheta = 0.99;
 constexpr std::uint64_t kSeed = 42;
 
@@ -68,6 +72,7 @@ struct WorkloadResult {
   double p50_us = 0;
   double p99_us = 0;
   double p999_us = 0;
+  double path_p50_us = -1;  // uniform only
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t evictions = 0;
@@ -93,6 +98,23 @@ std::vector<store::DistanceService::Query> MakeQueries(
   return queries;
 }
 
+/// True if Path(s, t) is a genuine edge walk of exactly the oracle's length
+/// (kNotFound when t is unreachable).
+bool PathIsExact(const Result<std::vector<graph::VertexId>>& path,
+                 graph::VertexId s, graph::VertexId t,
+                 const linalg::DenseBlock& oracle,
+                 const linalg::DenseBlock& adjacency) {
+  if (std::isinf(oracle.At(s, t))) {
+    return path.status().code() == StatusCode::kNotFound;
+  }
+  if (!path.ok() || path->front() != s || path->back() != t) return false;
+  double total = 0;
+  for (std::size_t hop = 0; hop + 1 < path->size(); ++hop) {
+    total += adjacency.At((*path)[hop], (*path)[hop + 1]);
+  }
+  return total == oracle.At(s, t);
+}
+
 }  // namespace
 
 int main() {
@@ -107,7 +129,8 @@ int main() {
   for (const auto& e : g_real.edges()) {
     g.AddEdge(e.u, e.v, std::floor(e.weight)).CheckOk();
   }
-  linalg::DenseBlock oracle = g.ToDenseAdjacency();
+  const linalg::DenseBlock adjacency = g.ToDenseAdjacency();
+  linalg::DenseBlock oracle = adjacency;
   linalg::ReferenceFloydWarshall(oracle);
 
   apsp::SolveRequest request;
@@ -186,29 +209,12 @@ int main() {
                                 : "DIVERGES from");
 
     Xoshiro256 prng(kSeed + 7);
-    linalg::DenseBlock adjacency = g.ToDenseAdjacency();
     for (int probe_i = 0; probe_i < 256 && ok; ++probe_i) {
       const auto s =
           static_cast<graph::VertexId>(prng.NextBounded(kN));
       const auto t =
           static_cast<graph::VertexId>(prng.NextBounded(kN));
-      auto path = svc.Path(s, t);
-      if (std::isinf(oracle.At(s, t))) {
-        ok &= path.status().code() == StatusCode::kNotFound;
-        continue;
-      }
-      if (!path.ok()) {
-        ok = false;
-        break;
-      }
-      double total = 0;
-      ok &= path->front() == s && path->back() == t;
-      for (std::size_t hop = 0; hop + 1 < path->size(); ++hop) {
-        const double w = adjacency.At((*path)[hop], (*path)[hop + 1]);
-        ok &= !std::isinf(w);
-        total += w;
-      }
-      ok &= total == oracle.At(s, t);
+      ok &= PathIsExact(svc.Path(s, t), s, t, oracle, adjacency);
     }
     std::printf("correctness: reconstructed paths %s\n",
                 ok ? "are exact shortest walks" : "FAILED");
@@ -275,6 +281,31 @@ int main() {
         static_cast<unsigned long long>(r.evictions));
   }
 
+  // Timed single-client Path() walks on uniform pairs, each one checked and
+  // reported on the uniform record. They run after both batch workloads, so
+  // the successor windows they admit leave the batches' cache counts alone.
+  {
+    Xoshiro256 rng(kSeed + 3);
+    std::vector<double> path_us;
+    path_us.reserve(kPathSample);
+    bool paths_exact = true;
+    for (int i = 0; i < kPathSample; ++i) {
+      const auto s = static_cast<graph::VertexId>(rng.NextBounded(kN));
+      const auto t = static_cast<graph::VertexId>(rng.NextBounded(kN));
+      const auto t0 = Clock::now();
+      auto path = svc.Path(s, t);
+      path_us.push_back(Seconds(t0) * 1e6);
+      paths_exact &= PathIsExact(path, s, t, oracle, adjacency);
+    }
+    std::sort(path_us.begin(), path_us.end());
+    results.front().path_p50_us = path_us[path_us.size() / 2];
+    ok &= paths_exact;
+    std::printf("uniform  %d Path() walks: p50 %.2f us; %s\n", kPathSample,
+                results.front().path_p50_us,
+                paths_exact ? "every walk is an exact shortest walk"
+                            : "a walk FAILED");
+  }
+
   // The cap is meant to bind: the full-sweep + uniform phases must have
   // forced churn (a cap nobody hits gates nothing).
   const auto final_stats = svc.store().stats();
@@ -310,16 +341,21 @@ int main() {
                  persist_seconds);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
+      char path_field[48] = "";
+      if (r.path_p50_us >= 0) {
+        std::snprintf(path_field, sizeof path_field,
+                      "\"path_p50_us\": %.3f, ", r.path_p50_us);
+      }
       std::fprintf(f,
                    "    {\"section\": \"serve\", \"workload\": \"%s\", "
                    "\"queries\": %lld, \"qps\": %.1f, \"p50_us\": %.3f, "
-                   "\"p99_us\": %.3f, \"p999_us\": %.3f, "
+                   "\"p99_us\": %.3f, \"p999_us\": %.3f, %s"
                    "\"cache_hits\": %llu, "
                    "\"cache_misses\": %llu, \"evictions\": %llu, "
                    "\"bitwise_equal_to_reference\": %s}%s\n",
                    r.name.c_str(),
                    static_cast<long long>(kQueriesPerWorkload), r.qps,
-                   r.p50_us, r.p99_us, r.p999_us,
+                   r.p50_us, r.p99_us, r.p999_us, path_field,
                    static_cast<unsigned long long>(r.cache_hits),
                    static_cast<unsigned long long>(r.cache_misses),
                    static_cast<unsigned long long>(r.evictions),

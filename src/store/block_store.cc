@@ -20,7 +20,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint64_t kManifestMagic = 0x415053504d414e31ULL;  // "APSPMAN1"
-constexpr std::uint32_t kManifestVersion = 2;
+constexpr std::uint32_t kManifestVersion = 3;
 constexpr char kManifestFile[] = "MANIFEST.bin";
 constexpr char kDataFile[] = "BLOCKS.bin";
 constexpr std::uint64_t kManifestSeed = 0;
@@ -104,7 +104,7 @@ std::uint64_t WindowBytes(const StoreManifest& m, std::int64_t I,
       .SerializedBytes();
 }
 
-/// Decodes MANIFEST.bin v2, checking every field as if hostile; window
+/// Decodes MANIFEST.bin v3, checking every field as if hostile; window
 /// placement against the data file is checked once that is open.
 Result<StoreManifest> ParseManifest(const std::vector<std::uint8_t>& bytes,
                                     const std::string& dir) {
@@ -240,19 +240,33 @@ std::uint64_t Checksum64(const std::uint8_t* data, std::size_t size,
                          std::uint64_t seed) noexcept {
   constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
   constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kLanes = 32;
   std::uint64_t lane[kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) lane[l] = (kBasis ^ seed) + l;
   const std::size_t words = size / sizeof(std::uint64_t);
-  std::size_t k = 0;
-  for (; k + kLanes <= words; k += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      std::uint64_t word;
-      std::memcpy(&word, data + 8 * (k + l), sizeof word);
-      lane[l] = (lane[l] ^ word) * kPrime;
+  const std::size_t strided = words / kLanes * kLanes;
+  // Lanes are independent, so any grouping of their updates gives the same
+  // hash. With 256- or 512-bit vectors all 32 advance together, as
+  // independent multiply chains; without, 8 per pass keeps the accumulators
+  // in the 16 general registers instead of spilling them.
+#if defined(__AVX2__)
+  constexpr std::size_t kGroup = kLanes;
+#else
+  constexpr std::size_t kGroup = 8;
+#endif
+  for (std::size_t g = 0; g < kLanes; g += kGroup) {
+    std::uint64_t acc[kGroup];
+    std::memcpy(acc, lane + g, sizeof acc);
+    for (std::size_t k = g; k < strided; k += kLanes) {
+      for (std::size_t l = 0; l < kGroup; ++l) {
+        std::uint64_t word;
+        std::memcpy(&word, data + 8 * (k + l), sizeof word);
+        acc[l] = (acc[l] ^ word) * kPrime;
+      }
     }
+    std::memcpy(lane + g, acc, sizeof acc);
   }
-  for (; k < words; ++k) {
+  for (std::size_t k = strided; k < words; ++k) {
     std::uint64_t word;
     std::memcpy(&word, data + 8 * k, sizeof word);
     lane[k % kLanes] = (lane[k % kLanes] ^ word) * kPrime;
@@ -560,7 +574,6 @@ Result<BlockStore::Pin> BlockStore::Fetch(Plane plane, std::int64_t I,
       return verified;
     }
   }
-  std::vector<std::size_t> victims;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Only this fetch writes an admitting word, so a plain store admits it
@@ -575,14 +588,12 @@ Result<BlockStore::Pin> BlockStore::Fetch(Plane plane, std::int64_t I,
     if (options_.accountant != nullptr) {
       options_.accountant->ChargeDriver(meta.payload_bytes);
     }
-    victims = EvictToFit();
+    EvictToFit();
   }
-  DropPages(victims);
   return pin();
 }
 
-std::vector<std::size_t> BlockStore::EvictToFit() {
-  std::vector<std::size_t> victims;
+void BlockStore::EvictToFit() {
   const std::size_t count = manifest_.entries.size();
   // Two sweeps without an eviction visit every window twice: the first may
   // only clear reference bits, the second then finds any unpinned window.
@@ -607,28 +618,7 @@ std::vector<std::size_t> BlockStore::EvictToFit() {
     if (options_.accountant != nullptr) {
       options_.accountant->ReleaseDriver(bytes);
     }
-    victims.push_back(k);
     idle = 0;
-  }
-  return victims;
-}
-
-void BlockStore::DropPages(const std::vector<std::size_t>& victims) const {
-  // Runs without the mutex: a victim may already be re-admitted, and then
-  // dropping its pages only costs the readers a fault back from the page
-  // cache. Only pages wholly inside a window go; neighbours share the
-  // boundary pages.
-  static const auto kPage =
-      static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  for (const std::size_t k : victims) {
-    const auto& meta = manifest_.entries[k];
-    const std::uint64_t begin = (meta.offset + kPage - 1) / kPage * kPage;
-    const std::uint64_t end =
-        (meta.offset + meta.payload_bytes) / kPage * kPage;
-    if (begin < end) {
-      ::madvise(const_cast<std::uint8_t*>(mapping_) + begin,
-                static_cast<std::size_t>(end - begin), MADV_DONTNEED);
-    }
   }
 }
 
@@ -639,12 +629,8 @@ void BlockStore::Unpin(std::size_t window) {
   const std::uint32_t before = words_[window].fetch_sub(1);
   if ((before & kPinMask) == 1 &&
       resident_bytes_.load() > options_.cache_capacity_bytes) {
-    std::vector<std::size_t> victims;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      victims = EvictToFit();
-    }
-    DropPages(victims);
+    std::lock_guard<std::mutex> lock(mu_);
+    EvictToFit();
   }
 }
 

@@ -16,19 +16,24 @@
 // A window is exactly the DenseBlock::Serialize bytes of one block — rows,
 // cols, flags, then the doubles or the bit-packed words, so a bit-packed
 // boolean solve persists its 64-per-word footprint — at a 64-byte aligned
-// offset; the gap up to the next window is zero padding. MANIFEST.bin v2 is
-//   magic u64, version u32 (= 2), n i64, b i64, directed u8, semiring u8,
+// offset; the gap up to the next window is zero padding. MANIFEST.bin v3 is
+//   magic u64, version u32 (= 3), n i64, b i64, directed u8, semiring u8,
 //   has_paths u8, count u64,
 //   count x {plane u8, I i64, J i64, offset u64, payload_bytes u64,
 //            checksum u64},
 //   Checksum64(body, seed 0) u64
 // all little-endian. Layouts are limited to 4096 blocks per side (a b = 64
 // store of n = 262144) so the per-plane q x q slot index stays bounded.
+// Version 2 (an 8-lane Checksum64) and older stores fail Open with
+// "unsupported manifest version"; re-persist them.
 //
-// Checksum64(data, size, seed): eight FNV-1a lanes over the little-endian
-// 64-bit words (word k feeds lane k mod 8; lane l starts at the FNV offset
-// basis xor seed, plus l), then one FNV-1a pass folding the eight lanes, the
-// size mod 8 tail bytes and the size. A window's seed is its key,
+// Checksum64(data, size, seed): 32 FNV-1a lanes over the little-endian
+// 64-bit words (word k feeds lane k mod 32; lane l starts at the FNV offset
+// basis xor seed, plus l), then one FNV-1a pass folding the 32 lanes, the
+// size mod 8 tail bytes and the size. With AVX-512 the 32 lanes are four
+// independent 512-bit multiply chains, so hashing is not bound by one
+// multiply's latency; a build without AVX2 updates them 8 per pass, which
+// gives the same hash. A window's seed is its key,
 // (plane << 62) ^ (I << 31) ^ J, so a window that lands at another key's
 // offset fails verification. Any change confined to one 64-bit word, so any
 // single-byte change, is always detected: every step is a bijection of the
@@ -45,14 +50,17 @@
 // Caching and ref counting:
 //   Fetch() returns a Pin — a lease on an admitted window and a BlockView
 //   into the mapping; nothing is copied. While any Pin is live the window
-//   cannot be evicted. Admitted bytes are kept under
-//   Options::cache_capacity_bytes by a CLOCK sweep over unpinned windows
-//   (pinned bytes may transiently exceed the cap; the store trims back under
-//   it as pins release). An evicted window's whole pages are dropped from
-//   the mapping (madvise MADV_DONTNEED) and it is re-verified on its next
-//   touch. Admitted bytes charge/release the driver ledger of an optional
-//   MemoryAccountant, so a serving process's high water is measured the
-//   same way the solvers' is.
+//   cannot be evicted. Admitted bytes — windows verified since their last
+//   admission — are kept under Options::cache_capacity_bytes by a CLOCK
+//   sweep over unpinned windows (pinned bytes may transiently exceed the
+//   cap; the store trims back under it as pins release). Eviction only
+//   forgets the verification: the window stays mapped and is re-verified
+//   on its next touch. Its clean pages belong to the kernel's page cache
+//   (the mapping is read-only and shared), so dropping them would free
+//   nothing and only cost the next admission a page fault. Admitted bytes
+//   charge/release the driver ledger of an optional MemoryAccountant, so a
+//   serving process's verified working set is measured the same way the
+//   solvers' is.
 //
 // Error model: every failure routes through Status — kNotFound for a
 // missing directory/manifest/data file or a key the index lacks,
@@ -67,9 +75,9 @@
 // and Contains() reads the immutable index. A miss moves the word from cold
 // to admitting, so concurrent misses on one window verify it once, and the
 // verification runs without a lock. Admitting a verified window and the
-// CLOCK sweep are serialized by one mutex the hit path never takes; the
-// evicted pages are dropped after it is released. The writer protocol
-// (Create/Put/Seal) is single-threaded.
+// CLOCK sweep are serialized by one mutex the hit path never takes; a miss
+// makes no system call. The writer protocol (Create/Put/Seal) is
+// single-threaded.
 #pragma once
 
 #include <atomic>
@@ -183,7 +191,12 @@ class BlockStore {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t bytes_loaded = 0;
+    /// Bytes of the windows admitted (checksum-verified) and not evicted
+    /// since: what the cap and the accountant count, exported as the
+    /// store_resident_bytes gauge. Not the process's RSS: page residency of
+    /// the mapping is the kernel's business.
     std::uint64_t resident_bytes = 0;
+    /// High water of resident_bytes.
     std::uint64_t peak_resident_bytes = 0;
   };
 
@@ -284,10 +297,7 @@ class BlockStore {
   /// Verifies an admitting window in place.
   Status Verify(std::size_t window) const;
   /// Evicts unpinned windows, CLOCK order, until residency fits (mu_ held).
-  /// Returns the victims for DropPages.
-  std::vector<std::size_t> EvictToFit();
-  /// Drops the victims' whole pages from the mapping (mu_ not held).
-  void DropPages(const std::vector<std::size_t>& victims) const;
+  void EvictToFit();
   void Unpin(std::size_t window);
 
   const std::string dir_;
@@ -322,7 +332,7 @@ class BlockStore {
   std::atomic<std::uint64_t> peak_resident_bytes_{0};
 };
 
-/// The store's checksum (see the file comment): 8-lane FNV-1a over
+/// The store's checksum (see the file comment): 32-lane FNV-1a over
 /// little-endian 64-bit words plus a byte tail, keyed by `seed`.
 std::uint64_t Checksum64(const std::uint8_t* data, std::size_t size,
                          std::uint64_t seed) noexcept;

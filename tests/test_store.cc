@@ -123,11 +123,11 @@ void WriteTinyStore(
   ASSERT_TRUE((*writer)->Seal().ok());
 }
 
-/// Rewrites MANIFEST.bin from `m` in the v2 layout with a valid trailing
+/// Rewrites MANIFEST.bin from `m` in the v3 layout with a valid trailing
 /// checksum, so Open must reject the content itself, not its bytes.
 void WriteManifest(const std::string& dir, const store::StoreManifest& m,
                    std::uint64_t declared_count, std::uint8_t semiring,
-                   std::uint32_t version = 2) {
+                   std::uint32_t version = 3) {
   BinaryWriter body;
   body.Write(std::uint64_t{0x415053504d414e31ULL});
   body.Write(version);
@@ -524,7 +524,7 @@ class HostileManifest : public ::testing::Test {
 
   void ExpectRejected(const store::StoreManifest& m,
                       std::uint64_t declared_count, std::uint8_t semiring,
-                      std::uint32_t version = 2) {
+                      std::uint32_t version = 3) {
     WriteManifest(dir_.path(), m, declared_count, semiring, version);
     const auto opened = store::BlockStore::Open(dir_.path());
     EXPECT_EQ(opened.status().code(), StatusCode::kStoreCorrupt)
@@ -588,6 +588,15 @@ TEST_F(HostileManifest, WindowPastDataFileEndIsCorrupt) {
 
 TEST_F(HostileManifest, VersionOneManifestIsUnsupported) {
   WriteManifest(dir_.path(), manifest_, manifest_.entries.size(), 0, 1);
+  const auto opened = store::BlockStore::Open(dir_.path());
+  EXPECT_EQ(opened.status().code(), StatusCode::kStoreCorrupt);
+  EXPECT_NE(opened.status().ToString().find("unsupported manifest version"),
+            std::string::npos);
+}
+
+TEST_F(HostileManifest, VersionTwoManifestIsUnsupported) {
+  // v2 windows carry 8-lane checksums; no v2 reader is kept.
+  WriteManifest(dir_.path(), manifest_, manifest_.entries.size(), 0, 2);
   const auto opened = store::BlockStore::Open(dir_.path());
   EXPECT_EQ(opened.status().code(), StatusCode::kStoreCorrupt);
   EXPECT_NE(opened.status().ToString().find("unsupported manifest version"),
@@ -757,23 +766,53 @@ TEST(BlockStore, EvictedWindowIsReverifiedOnItsNextTouch) {
   EXPECT_TRUE(bs.Fetch(store::Plane::kDistance, 0, 0).ok());
 }
 
-TEST(Checksum64, EverySingleByteChangeAndEverySeedChangeIsDetected) {
-  std::vector<std::uint8_t> bytes(203);  // 25 words + a 3-byte tail
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+/// Deterministic bytes with no short period: byte i is the top byte of
+/// i * 0x9E3779B1 (mod 2^32). (i * 37 + 11 repeats every 256 bytes, one
+/// 32-lane stride, so each lane would only ever see one word.)
+std::vector<std::uint8_t> HashPattern(std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(
+        (static_cast<std::uint32_t>(i) * 0x9E3779B1u) >> 24);
   }
-  const std::uint64_t base =
-      store::Checksum64(bytes.data(), bytes.size(), 7);
-  EXPECT_NE(store::Checksum64(bytes.data(), bytes.size(), 8), base);
-  EXPECT_NE(store::Checksum64(bytes.data(), bytes.size() - 1, 7), base);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
-      bytes[i] ^= mask;
-      EXPECT_NE(store::Checksum64(bytes.data(), bytes.size(), 7), base)
-          << "byte " << i << " mask " << int{mask};
-      bytes[i] ^= mask;
+  return bytes;
+}
+
+TEST(Checksum64, EverySingleByteChangeAndEverySeedChangeIsDetected) {
+  // 25 words + a 3-byte tail never reaches a full 32-lane stride; a 32 KiB
+  // window + a 3-byte tail runs 128 full strides, then the tail.
+  for (const std::size_t size :
+       {std::size_t{203}, std::size_t{32 * 1024 + 3}}) {
+    std::vector<std::uint8_t> bytes = HashPattern(size);
+    const std::uint64_t base = store::Checksum64(bytes.data(), size, 7);
+    EXPECT_NE(store::Checksum64(bytes.data(), size, 8), base);
+    EXPECT_NE(store::Checksum64(bytes.data(), size - 1, 7), base);
+    for (std::size_t i = 0; i < size; ++i) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        bytes[i] ^= mask;
+        const std::uint64_t flipped =
+            store::Checksum64(bytes.data(), size, 7);
+        bytes[i] ^= mask;
+        ASSERT_NE(flipped, base)
+            << "size " << size << " byte " << i << " mask " << int{mask};
+      }
     }
   }
+}
+
+TEST(Checksum64, KnownAnswersPinTheDefinition) {
+  // Computed by an independent implementation of the definition in
+  // block_store.h (32 lanes). A change here changes every persisted
+  // checksum, so it must come with a MANIFEST version bump.
+  EXPECT_EQ(store::Checksum64(nullptr, 0, 0), 0x4b330376487e963fULL);
+  const auto short_bytes = HashPattern(203);
+  EXPECT_EQ(store::Checksum64(short_bytes.data(), short_bytes.size(), 7),
+            0x17ab5253bf7a3943ULL);
+  const auto window = HashPattern(32 * 1024 + 3);
+  const std::uint64_t seed = (std::uint64_t{1} << 62) ^
+                             (std::uint64_t{3} << 31) ^ std::uint64_t{5};
+  EXPECT_EQ(store::Checksum64(window.data(), window.size(), seed),
+            0x0c25c87eb7221ae7ULL);
 }
 
 TEST(DistanceService, EndToEndSolvePersistQueryMatchesOracle) {
@@ -1154,6 +1193,97 @@ TEST(DistanceService, BatchRejectsLowestIndexBadQueryBeforeAnyFetch) {
   EXPECT_EQ(after.evictions, before.evictions);
   EXPECT_EQ(after.bytes_loaded, before.bytes_loaded);
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+}
+
+TEST(DistanceService, ConcurrentPathsAndBatchUnderATwoWindowCap) {
+  // Four Path() walkers and one DistanceBatch client share a store whose cap
+  // holds two windows, so nearly every hop admits a window and evicts
+  // another while other threads hold pins on the same plane.
+  const std::uint64_t seed = 0x9a7f;
+  APSPARK_SEEDED_CASE(seed);
+  const std::int64_t n = 48;
+  constexpr std::int64_t kStoreB = 8;
+  const graph::Graph g = IntegerGraph(n, /*directed=*/true, seed);
+  linalg::DenseBlock oracle = g.ToDenseAdjacency();
+  linalg::ReferenceFloydWarshall(oracle);
+  const linalg::DenseBlock adjacency = g.ToDenseAdjacency();
+
+  apsp::SolveRequest request;
+  request.options.block_size = 16;
+  request.options.directed = true;
+  request.cluster = test::TestCluster();
+  auto report = apsp::Solve(g, request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  TempStoreDir dir("pathrace");
+  apsp::PersistOptions popts;
+  popts.block_size = kStoreB;
+  ASSERT_TRUE(apsp::PersistSolve(dir.path(), *report.distances(), &g, true,
+                                 linalg::SemiringId::kMinPlus, popts)
+                  .ok());
+
+  sparklet::MemoryAccountant accountant;
+  store::DistanceService::Options sopts;
+  sopts.num_threads = 4;
+  sopts.store_options.cache_capacity_bytes =
+      2 * linalg::DenseBlock(kStoreB, kStoreB).SerializedBytes();
+  sopts.store_options.accountant = &accountant;
+  auto service = store::DistanceService::Open(dir.path(), sopts);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  store::DistanceService& svc = **service;
+
+  constexpr int kWalkers = 4;
+  constexpr int kWalksPerThread = 150;
+  std::atomic<int> bad_paths{0};
+  std::atomic<int> bad_answers{0};
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < kWalkers; ++tid) {
+    threads.emplace_back([&, tid] {
+      Xoshiro256 rng(seed + static_cast<std::uint64_t>(tid) + 1);
+      for (int walk = 0; walk < kWalksPerThread; ++walk) {
+        const auto s = static_cast<graph::VertexId>(rng.NextBounded(n));
+        const auto t = static_cast<graph::VertexId>(rng.NextBounded(n));
+        auto path = svc.Path(s, t);
+        if (std::isinf(oracle.At(s, t))) {
+          if (path.status().code() != StatusCode::kNotFound) ++bad_paths;
+          continue;
+        }
+        if (!path.ok() || path->front() != s || path->back() != t) {
+          ++bad_paths;
+          continue;
+        }
+        double total = 0;
+        for (std::size_t hop = 0; hop + 1 < path->size(); ++hop) {
+          total += adjacency.At((*path)[hop], (*path)[hop + 1]);
+        }
+        if (total != oracle.At(s, t)) ++bad_paths;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    Xoshiro256 rng(seed);
+    for (int round = 0; round < 6; ++round) {
+      const auto queries = UniformQueries(rng, n, 2000);
+      auto answers = svc.DistanceBatch(queries);
+      if (!answers.ok()) {
+        ++bad_answers;
+        continue;
+      }
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const double want = oracle.At(queries[i].s, queries[i].t);
+        if (std::memcmp(&(*answers)[i], &want, sizeof want) != 0) {
+          ++bad_answers;
+        }
+      }
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_paths.load(), 0) << "every path is an oracle-length walk";
+  EXPECT_EQ(bad_answers.load(), 0) << "every answer is bitwise the oracle";
+
+  const auto stats = svc.store().stats();
+  EXPECT_GT(stats.evictions, 0u) << "the cap was meant to force churn";
+  EXPECT_LE(stats.resident_bytes, sopts.store_options.cache_capacity_bytes);
+  EXPECT_EQ(accountant.driver_live_bytes(), stats.resident_bytes);
 }
 
 TEST(SuccessorsFromDistances, AgreesWithTrackedFloydWarshall) {
