@@ -1,5 +1,6 @@
-// Ablation probes for the design choices DESIGN.md calls out: how sensitive
-// are the headline results to the simulation's tunable constants?
+// Ablation probes for the simulation constants behind the modelled results
+// (README.md, "Running the benchmarks"): how sensitive are the headline
+// results to them?
 //
 //   1. Shuffle compression ratio — moves the Blocked-IM storage cliff.
 //   2. Straggler spread — drives the value of over-decomposition (B).

@@ -9,26 +9,33 @@
 // fast below the cache knee, rapidly growing past it.
 //
 // Section 2 races the kernel variants (naive scalar loops vs tiled+fused vs
-// tiled+parallel) on the MinPlus and FloydWarshall building blocks, checks
-// the min-plus results are bitwise-identical to the scalar reference, and
-// writes machine-readable results to BENCH_kernels.json (path overridable
-// via APSPARK_BENCH_JSON) so every future PR is measured against this one.
+// tiled+parallel) on the MinPlus and FloydWarshall building blocks and checks
+// the min-plus results are bitwise-identical to the scalar reference.
+// Section 3 races the work-stealing block-task scheduler on one task
+// batch's worth of independent block updates (q^2 updates at b = 128, the
+// small-block layout that row striping alone cannot scale).
+// Section 4 races the semiring engine: the fused closure in each algebra
+// (one generic engine, four instantiations), and the headline bit-packed
+// boolean record — word-parallel or/and closure vs the dense-double boolean
+// closure at the same b.
+// Section 5 races the SIMD backends against forced-scalar dispatch.
+//
+// Results go to BENCH_kernels.json (path overridable via APSPARK_BENCH_JSON;
+// APSPARK_FIG2_MAX_B caps the measured block size). The tracked records
+// declare their gates (GatesFor below), which bench/check_gates.py evaluates
+// against the committed file; the bench itself exits non-zero only when a
+// result loses bitwise equality or FW diverges from its reference.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
-// Section 3 races the work-stealing block-task scheduler on one task
-// batch's worth of independent block updates (q^2 updates at b = 128, the
-// small-block layout that row striping alone cannot scale) and gates the
-// speedup on multi-core hosts.
-// Section 4 races the semiring engine: the fused closure in each algebra
-// (one generic engine, four instantiations), and the headline bit-packed
-// boolean record — word-parallel or/and closure vs the dense-double boolean
-// closure at the same b. The bit-packed record is the tracked headline in
-// BENCH_kernels.json and is gated by check_regression.sh.
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -81,29 +88,86 @@ double BestOf(int reps, Fn&& fn) {
   return best;
 }
 
-void WriteJson(const std::vector<KernelResult>& results,
-               const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+/// The gates a record declares. Same-host values hold on the machine that
+/// produced the committed BENCH_kernels.json; other-host values are for
+/// shared CI runners (2 reps, no -march=native), which differ from it in ISA
+/// and caches, so even the same-run speedup ratios move there.
+std::vector<bench::Gate> GatesFor(const KernelResult& r) {
+  using bench::Better;
+  if (r.kernel == "minplus" && r.variant == "tiled" && r.b == 1024) {
+    return {
+        // The fused tiled engine's acceptance bar: 2x the seed's unfused
+        // naive path; 1.5x leaves headroom for shared-runner noise.
+        bench::Bound("minplus_tiled_speedup_floor", "speedup_vs_naive",
+                     Better::kHigher, 2.0, 1.5),
+        // The perf trajectory. Other hosts get 0.69, the band once set so
+        // that it implied the 1.5x bar above.
+        bench::Relative("minplus_tiled_speedup", "speedup_vs_naive",
+                        Better::kHigher, 0.10, 0.69),
+        // Absolute throughput compares only on the baseline machine.
+        bench::Relative("minplus_tiled_gops", "gops", Better::kHigher, 0.10,
+                        std::nullopt),
+    };
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_fig2_kernels\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"b\": %lld, "
-                 "\"seconds\": %.6f, \"gops\": %.3f, \"speedup_vs_naive\": "
-                 "%.2f, \"bitwise_equal_to_reference\": %s}%s\n",
-                 r.kernel.c_str(), r.variant.c_str(),
-                 static_cast<long long>(r.b), r.seconds, r.gops, r.speedup,
-                 r.bitwise_equal ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
+  if (r.kernel == "sched_batch" && r.variant == "work_steal" &&
+      linalg::KernelThreadPool().num_threads() > 1) {
+    // Work stealing across a task batch's block updates must beat running
+    // them one after another at b = 128, q = 8. On a single-core host both
+    // modes are the same sequential loop, so the gate is not emitted there.
+    return {bench::Bound("sched_work_steal_speedup_floor", "speedup_vs_naive",
+                         Better::kHigher, 1.3, 1.2, /*optional=*/true)};
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nresults written to %s\n", path.c_str());
+  if (r.kernel == "boolean_packed" && r.variant == "bitpacked" &&
+      r.b == 1024) {
+    // The semiring engine's headline: word-parallel or/and retires 64 lanes
+    // per op against the dense boolean plane, so 2x is a deliberately loose
+    // floor everywhere; the relative band tracks the committed speedup.
+    return {
+        bench::Bound("boolean_packed_speedup_floor", "speedup_vs_naive",
+                     Better::kHigher, 2.0, 2.0),
+        bench::Relative("boolean_packed_speedup", "speedup_vs_naive",
+                        Better::kHigher, 0.10, 0.69),
+    };
+  }
+  if (r.kernel == "minplus_simd" && r.b == 1024) {
+    std::vector<bench::Gate> gates;
+    // The host's best SIMD backend must beat forced-scalar tiled dispatch
+    // (the micro-tile's acceptance bar). Not emitted when the best ISA is
+    // scalar: the record set is then the scalar baseline alone.
+    if (r.variant == linalg::SimdIsaName(linalg::DetectSimdIsa()) &&
+        r.variant != "scalar") {
+      gates.push_back(bench::Bound("minplus_simd_best_speedup_floor",
+                                   "speedup_vs_naive", Better::kHigher, 1.3,
+                                   1.2, /*optional=*/true));
+    }
+    // AVX2 is the lowest common denominator of x86 CI runners, so its
+    // record compares like with like across hosts; a host without AVX2
+    // emits no record.
+    if (r.variant == "avx2") {
+      gates.push_back(bench::Relative("minplus_simd_avx2_speedup",
+                                      "speedup_vs_naive", Better::kHigher,
+                                      0.10, 0.69, /*optional=*/true));
+    }
+    return gates;
+  }
+  return {};
+}
+
+bool WriteJson(const std::vector<KernelResult>& results) {
+  std::vector<bench::Record> records;
+  for (const KernelResult& r : results) {
+    records.push_back(
+        {bench::Format("\"kernel\": \"%s\", \"variant\": \"%s\", \"b\": %lld, "
+                       "\"seconds\": %.6f, \"gops\": %.3f, "
+                       "\"speedup_vs_naive\": %.2f, "
+                       "\"bitwise_equal_to_reference\": %s",
+                       r.kernel.c_str(), r.variant.c_str(),
+                       static_cast<long long>(r.b), r.seconds, r.gops,
+                       r.speedup, r.bitwise_equal ? "true" : "false"),
+         GatesFor(r)});
+  }
+  return bench::WriteBenchJson("bench_fig2_kernels", "BENCH_kernels.json",
+                               records);
 }
 
 /// Section 2: the kernel-engine race. Returns all measurements.
@@ -481,7 +545,16 @@ int main() {
 
   std::int64_t max_measured = 1024;
   if (const char* env = std::getenv("APSPARK_FIG2_MAX_B")) {
-    max_measured = std::atoll(env);
+    const std::string_view text(env);
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, max_measured);
+    if (text.empty() || ec != std::errc() || ptr != end || max_measured < 1) {
+      std::fprintf(stderr,
+                   "bench_fig2_kernels: APSPARK_FIG2_MAX_B expects a number "
+                   ">= 1, got '%s'\n",
+                   env);
+      return 2;
+    }
   }
 
   std::printf("%8s %16s %16s %16s %16s\n", "b", "FW measured", "FW model",
@@ -534,147 +607,20 @@ int main() {
                  semiring_results.end());
   const auto simd_results = RunSimdComparison(max_measured);
   results.insert(results.end(), simd_results.begin(), simd_results.end());
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  WriteJson(results, json_path != nullptr ? json_path : "BENCH_kernels.json");
+  if (!WriteJson(results)) return 1;
 
-  // Fail loudly if the tiled engine regressed below the 2x bar this PR set,
-  // or if any min-plus variant stopped being bit-exact. Shared CI runners
-  // are noisy (2 reps, no -march=native), so the threshold can be relaxed
-  // via APSPARK_GATE_MIN_SPEEDUP there; the default is the local bar.
-  double min_speedup = 2.0;
-  if (const char* env = std::getenv("APSPARK_GATE_MIN_SPEEDUP")) {
-    min_speedup = std::atof(env);
-  }
-  bool gate_evaluated = false;
+  // Correctness locks (the speed bars are the records' gates): every
+  // min-plus variant, scheduler mode, semiring closure and SIMD backend must
+  // stay bit-exact against its scalar oracle. Blocked FW reorders
+  // relaxations, so it is only checked for divergence (Section 2).
   for (const KernelResult& r : results) {
-    if (r.kernel == "minplus" && !r.bitwise_equal) {
-      std::fprintf(stderr, "FAIL: %s %s b=%lld not bitwise equal\n",
-                   r.kernel.c_str(), r.variant.c_str(),
-                   static_cast<long long>(r.b));
-      return 1;
-    }
-    if (r.kernel == "minplus" && r.variant == "tiled" && r.b == 1024) {
-      gate_evaluated = true;
-      if (r.speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: tiled minplus speedup %.2fx < %.2fx at b=1024\n",
-                     r.speedup, min_speedup);
-        return 1;
-      }
-    }
-  }
-  if (!gate_evaluated) {
-    std::printf("note: perf gate NOT evaluated (b=1024 not measured; "
-                "APSPARK_FIG2_MAX_B=%lld)\n",
-                static_cast<long long>(max_measured));
-  }
-
-  // Scheduler gate (ISSUE 3 acceptance): work stealing across a task
-  // batch's block updates must beat row-striping-only at b = 128, q >= 8 on
-  // a multi-core host — on a single-core host both modes degenerate to the
-  // same sequential execution and the ratio is meaningless. Bitwise
-  // equality is gated unconditionally.
-  double sched_min_speedup = 1.3;
-  if (const char* env = std::getenv("APSPARK_GATE_SCHED_SPEEDUP")) {
-    sched_min_speedup = std::atof(env);
-  }
-  for (const KernelResult& r : results) {
-    if (r.kernel != "sched_batch") continue;
-    if (!r.bitwise_equal) {
-      std::fprintf(stderr, "FAIL: sched_batch %s b=%lld not bitwise equal\n",
-                   r.variant.c_str(), static_cast<long long>(r.b));
-      return 1;
-    }
-    if (r.variant != "work_steal") continue;
-    if (linalg::KernelThreadPool().num_threads() <= 1) {
-      std::printf("note: scheduler gate NOT evaluated (single-core host)\n");
-    } else if (r.speedup < sched_min_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: work-stealing speedup %.2fx < %.2fx over "
-                   "row striping (b=%lld, q=8)\n",
-                   r.speedup, sched_min_speedup,
-                   static_cast<long long>(r.b));
-      return 1;
-    }
-  }
-
-  // Semiring-engine gate: every algebra's fused closure must stay bit-exact
-  // against its scalar oracle, and the headline bit-packed boolean closure
-  // must beat the dense boolean plane (word-parallel or/and retires 64 lanes
-  // per op; 2x is a deliberately loose floor for noisy shared runners,
-  // overridable via APSPARK_GATE_BITPACK_SPEEDUP).
-  double bitpack_min_speedup = 2.0;
-  if (const char* env = std::getenv("APSPARK_GATE_BITPACK_SPEEDUP")) {
-    bitpack_min_speedup = std::atof(env);
-  }
-  bool bitpack_gate_evaluated = false;
-  for (const KernelResult& r : results) {
-    const bool semiring_record =
-        r.kernel.rfind("semiring_", 0) == 0 || r.kernel == "boolean_packed";
-    if (!semiring_record) continue;
-    if (!r.bitwise_equal) {
+    if (r.kernel != "floyd_warshall" && !r.bitwise_equal) {
       std::fprintf(stderr, "FAIL: %s %s b=%lld not bitwise equal to its "
                    "scalar oracle\n",
                    r.kernel.c_str(), r.variant.c_str(),
                    static_cast<long long>(r.b));
       return 1;
     }
-    if (r.kernel == "boolean_packed" && r.variant == "bitpacked" &&
-        r.b == 1024) {
-      bitpack_gate_evaluated = true;
-      if (r.speedup < bitpack_min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: bit-packed boolean closure speedup %.2fx < %.2fx "
-                     "vs dense at b=1024\n",
-                     r.speedup, bitpack_min_speedup);
-        return 1;
-      }
-    }
-  }
-  if (!bitpack_gate_evaluated && max_measured >= 1024) {
-    std::fprintf(stderr, "FAIL: bit-packed boolean record missing\n");
-    return 1;
-  }
-
-  // SIMD micro-kernel gate: every ISA record must be bitwise-equal to the
-  // forced-scalar run (unconditional), and the host's best SIMD backend must
-  // beat forced-scalar tiled by 1.3x at b = 1024 (the micro-tile acceptance
-  // bar; overridable via APSPARK_GATE_SIMD_SPEEDUP for noisy shared
-  // runners). Hosts whose best ISA is scalar skip the speed half — the
-  // record set degenerates to the scalar baseline alone.
-  double simd_min_speedup = 1.3;
-  if (const char* env = std::getenv("APSPARK_GATE_SIMD_SPEEDUP")) {
-    simd_min_speedup = std::atof(env);
-  }
-  const char* best_isa_name = linalg::SimdIsaName(linalg::DetectSimdIsa());
-  bool simd_gate_evaluated = false;
-  for (const KernelResult& r : results) {
-    if (r.kernel != "minplus_simd") continue;
-    if (!r.bitwise_equal) {
-      std::fprintf(stderr,
-                   "FAIL: minplus_simd %s b=%lld not bitwise equal to "
-                   "forced-scalar dispatch\n",
-                   r.variant.c_str(), static_cast<long long>(r.b));
-      return 1;
-    }
-    if (r.variant == best_isa_name && r.variant != std::string("scalar") &&
-        r.b >= 1024) {
-      simd_gate_evaluated = true;
-      if (r.speedup < simd_min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD (%s) minplus speedup %.2fx < %.2fx vs "
-                     "forced-scalar tiled at b=%lld\n",
-                     r.variant.c_str(), r.speedup, simd_min_speedup,
-                     static_cast<long long>(r.b));
-        return 1;
-      }
-    }
-  }
-  if (!simd_gate_evaluated) {
-    std::printf("note: SIMD gate NOT evaluated (%s)\n",
-                linalg::DetectSimdIsa() == linalg::SimdIsa::kScalar
-                    ? "host best ISA is scalar"
-                    : "b=1024 not measured");
   }
   return 0;
 }

@@ -14,16 +14,14 @@
 // Runs through the consolidated apsp::SolveRequest / SolveModel surface and
 // the kernel registry (the projected per-block kernel cost follows the
 // resolved KernelTuning), and writes one JSON record per (solver,
-// partitioner, B, b) cell to BENCH_fig3.json (APSPARK_BENCH_JSON overrides)
-// so check_regression.sh --bench fig3 can gate the tracked CB/MD record.
-// Model times are virtual (deterministic cost projections), so the gate is
-// stable across hosts.
+// partitioner, B, b) cell to BENCH_fig3.json (APSPARK_BENCH_JSON overrides);
+// the tracked CB/MD cell declares the gate bench/check_gates.py evaluates.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apsp/api.h"
@@ -47,29 +45,30 @@ struct CellResult {
   bool storage_ok = true;
 };
 
-void WriteJson(const std::vector<CellResult>& results,
-               const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+bool WriteJson(const std::vector<CellResult>& results) {
+  std::vector<bench::Record> records;
+  for (const CellResult& r : results) {
+    std::vector<bench::Gate> gates;
+    if (r.solver == "cb" && r.partitioner == "MD" &&
+        r.over_decomposition == 2 && r.b == 1024) {
+      // The paper's tracked cell. Model time is deterministic cost-model
+      // output, identical on any runner, so 10% holds everywhere: growth
+      // means the cost model or the placement logic got worse.
+      gates.push_back(bench::Relative("fig3_cb_md_B2_b1024_model_seconds",
+                                      "model_seconds", bench::Better::kLower,
+                                      0.10, 0.10));
+    }
+    records.push_back(
+        {bench::Format("\"section\": \"fig3\", \"solver\": \"%s\", "
+                       "\"partitioner\": \"%s\", \"B\": %d, \"b\": %lld, "
+                       "\"model_seconds\": %.6f, \"storage_ok\": %s",
+                       r.solver.c_str(), r.partitioner.c_str(),
+                       r.over_decomposition, static_cast<long long>(r.b),
+                       r.model_seconds, r.storage_ok ? "true" : "false"),
+         std::move(gates)});
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_fig3_blocksize\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"section\": \"fig3\", \"solver\": \"%s\", "
-                 "\"partitioner\": \"%s\", \"B\": %d, \"b\": %lld, "
-                 "\"model_seconds\": %.6f, \"storage_ok\": %s}%s\n",
-                 r.solver.c_str(), r.partitioner.c_str(),
-                 r.over_decomposition, static_cast<long long>(r.b),
-                 r.model_seconds, r.storage_ok ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nresults written to %s\n", path.c_str());
+  return bench::WriteBenchJson("bench_fig3_blocksize", "BENCH_fig3.json",
+                               records);
 }
 
 }  // namespace
@@ -166,8 +165,7 @@ int main() {
       " are flat\nwhile PH skews badly on upper-triangular keys (Fig. 3 "
       "bottom).\n");
 
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  WriteJson(results, json_path != nullptr ? json_path : "BENCH_fig3.json");
+  if (!WriteJson(results)) return 1;
 
   // Sanity gate: the paper's tracked cell — Blocked-CB with the
   // multi-diagonal partitioner, B = 2, b = 1024 — must be feasible.

@@ -12,9 +12,9 @@
 // oracle.
 //
 // Machine-readable results go to BENCH_ksource.json (override via
-// APSPARK_BENCH_JSON). The bench exits non-zero if any variant loses bitwise
-// equality or if the tiled kernel drops below the naive baseline's
-// throughput (gate overridable via APSPARK_GATE_MIN_SPEEDUP).
+// APSPARK_BENCH_JSON); the tracked records declare the gates
+// bench/check_gates.py evaluates. The bench exits non-zero if any variant
+// loses bitwise equality or a solve diverges from the oracle.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -75,7 +75,7 @@ struct KsResult {
   double speedup = 1.0;    // vs naive at the same shape
   bool bitwise_equal = true;
   /// Driver live-bytes high water of the modelled run (solve section only) —
-  /// a deterministic byte count, gated by check_regression.sh --metric peak.
+  /// a deterministic byte count.
   std::uint64_t driver_peak_bytes = 0;
   /// Fault-injection section: the recovery trajectory of a solve with an
   /// injected executor loss (deterministic modelled quantities).
@@ -85,46 +85,70 @@ struct KsResult {
   std::uint64_t job_restarts = 0;
 };
 
-void WriteJson(const std::vector<KsResult>& results, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+/// The gates a record declares. Same-host values hold on the machine that
+/// produced the committed BENCH_ksource.json, other-host values on shared
+/// CI runners.
+std::vector<bench::Gate> GatesFor(const KsResult& r) {
+  using bench::Better;
+  if (r.section == "rect_kernel" && r.variant == "tiled" && r.b == 1024 &&
+      r.k == 64) {
+    return {
+        // The KSSP acceptance bar: the panel-tiled kernel at least matches
+        // naive throughput; 0.9 leaves headroom for shared-runner noise.
+        bench::Bound("rect_tiled_speedup_floor", "speedup_vs_naive",
+                     Better::kHigher, 1.0, 0.9),
+        // The trajectory, widened on other hosts so the band implies about
+        // the bar above.
+        bench::Relative("rect_tiled_speedup", "speedup_vs_naive",
+                        Better::kHigher, 0.10, 0.55),
+        // Absolute throughput compares only on the baseline machine.
+        bench::Relative("rect_tiled_gops", "gops", Better::kHigher, 0.10,
+                        std::nullopt),
+    };
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"bench_ksource\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KsResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"section\": \"%s\", \"variant\": \"%s\", "
-                 "\"data_plane\": \"%s\", \"b\": %lld, "
-                 "\"k\": %lld, \"seconds\": %.6f, \"gops\": %.3f, "
-                 "\"speedup_vs_naive\": %.2f, "
-                 "\"driver_peak_bytes\": %llu, "
-                 "\"recovery_seconds\": %.6f, \"recomputed_tasks\": %llu, "
-                 "\"task_retries\": %llu, \"job_restarts\": %llu, "
-                 "\"bitwise_equal_to_reference\": %s}%s\n",
-                 r.section.c_str(), r.variant.c_str(), r.data_plane.c_str(),
-                 static_cast<long long>(r.b), static_cast<long long>(r.k),
-                 r.seconds, r.gops, r.speedup,
-                 static_cast<unsigned long long>(r.driver_peak_bytes),
-                 r.recovery_seconds,
-                 static_cast<unsigned long long>(r.recomputed_tasks),
-                 static_cast<unsigned long long>(r.task_retries),
-                 static_cast<unsigned long long>(r.job_restarts),
-                 r.bitwise_equal ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
+  if (r.section == "solve" && r.variant == "tiled" &&
+      r.data_plane == "shuffle") {
+    // A deterministic byte count, so 10% holds on any runner: growth means
+    // the zero-copy data plane started materializing copies on the driver.
+    return {bench::Relative("solve_shuffle_driver_peak_bytes",
+                            "driver_peak_bytes", Better::kLower, 0.10, 0.10)};
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nresults written to %s\n", path.c_str());
+  return {};
+}
+
+bool WriteJson(const std::vector<KsResult>& results) {
+  std::vector<bench::Record> records;
+  for (const KsResult& r : results) {
+    records.push_back(
+        {bench::Format(
+             "\"section\": \"%s\", \"variant\": \"%s\", "
+             "\"data_plane\": \"%s\", \"b\": %lld, "
+             "\"k\": %lld, \"seconds\": %.6f, \"gops\": %.3f, "
+             "\"speedup_vs_naive\": %.2f, "
+             "\"driver_peak_bytes\": %llu, "
+             "\"recovery_seconds\": %.6f, \"recomputed_tasks\": %llu, "
+             "\"task_retries\": %llu, \"job_restarts\": %llu, "
+             "\"bitwise_equal_to_reference\": %s",
+             r.section.c_str(), r.variant.c_str(), r.data_plane.c_str(),
+             static_cast<long long>(r.b), static_cast<long long>(r.k),
+             r.seconds, r.gops, r.speedup,
+             static_cast<unsigned long long>(r.driver_peak_bytes),
+             r.recovery_seconds,
+             static_cast<unsigned long long>(r.recomputed_tasks),
+             static_cast<unsigned long long>(r.task_retries),
+             static_cast<unsigned long long>(r.job_restarts),
+             r.bitwise_equal ? "true" : "false"),
+         GatesFor(r)});
+  }
+  return bench::WriteBenchJson("bench_ksource", "BENCH_ksource.json",
+                               records);
 }
 
 constexpr linalg::KernelVariant kVariants[] = {
     linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled,
     linalg::KernelVariant::kTiledParallel};
 
-std::vector<KsResult> RunRectKernelRace(std::int64_t max_b) {
+std::vector<KsResult> RunRectKernelRace() {
   bench::PrintHeader(
       "Rectangular frontier kernel — C[b x k] = min(C, A[b x b] \xe2\x8a\x97 "
       "P[b x k])\n(naive scalar vs panel-tiled vs panel-tiled+parallel)");
@@ -132,7 +156,6 @@ std::vector<KsResult> RunRectKernelRace(std::int64_t max_b) {
   std::printf("%8s %6s %16s %16s %10s %10s  %s\n", "b", "k", "variant", "time",
               "Gops", "speedup", "exact");
   for (std::int64_t b : {256, 512, 1024}) {
-    if (b > max_b) continue;
     for (std::int64_t k : {8, 32, 64}) {
       const int reps = b >= 1024 ? 3 : 5;
       // ~20% infinite entries: the sweep's panels are inf-heavy early on.
@@ -347,31 +370,13 @@ std::vector<KsResult> RunFaultRecoveryRace() {
 }  // namespace
 
 int main() {
-  std::int64_t max_b = 1024;
-  if (const char* env = std::getenv("APSPARK_KSOURCE_MAX_B")) {
-    max_b = std::atoll(env);
-  }
-  auto results = RunRectKernelRace(max_b);
+  auto results = RunRectKernelRace();
   const auto solve_results = RunSolveRace();
   results.insert(results.end(), solve_results.begin(), solve_results.end());
   const auto fault_results = RunFaultRecoveryRace();
   results.insert(results.end(), fault_results.begin(), fault_results.end());
+  if (!WriteJson(results)) return 1;
 
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  WriteJson(results, json_path != nullptr ? json_path : "BENCH_ksource.json");
-
-  // Gate: the tiled rect kernel must not lose bitwise equality and must at
-  // least match naive throughput at the largest measured shape (ISSUE 2
-  // acceptance: tiled >= naive). Override for noisy shared runners via env.
-  double min_speedup = 1.0;
-  if (const char* env = std::getenv("APSPARK_GATE_MIN_SPEEDUP")) {
-    min_speedup = std::atof(env);
-  }
-  std::int64_t largest_b = 0;
-  for (const KsResult& r : results) {
-    if (r.section == "rect_kernel") largest_b = std::max(largest_b, r.b);
-  }
-  bool gate_evaluated = false;
   for (const KsResult& r : results) {
     if (r.section == "rect_kernel" && !r.bitwise_equal) {
       std::fprintf(stderr, "FAIL: %s b=%lld k=%lld not bitwise equal\n",
@@ -379,21 +384,6 @@ int main() {
                    static_cast<long long>(r.k));
       return 1;
     }
-    if (r.section == "rect_kernel" && r.variant == "tiled" &&
-        r.b == largest_b && r.k == 64) {
-      gate_evaluated = true;
-      if (r.speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: tiled rect kernel speedup %.2fx < %.2fx "
-                     "(b=%lld, k=64)\n",
-                     r.speedup, min_speedup, static_cast<long long>(r.b));
-        return 1;
-      }
-    }
-  }
-  if (!gate_evaluated) {
-    std::printf("note: perf gate NOT evaluated (APSPARK_KSOURCE_MAX_B=%lld)\n",
-                static_cast<long long>(max_b));
   }
   return 0;
 }

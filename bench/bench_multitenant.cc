@@ -13,16 +13,13 @@
 // force-admit spill fire deterministically from the modelled numbers.
 //
 // Machine-readable results go to BENCH_multitenant.json (override via
-// APSPARK_BENCH_JSON), one JSON object per line so check_regression.sh can
-// grep the tracked record: the "multitenant" section's
-// fair_makespan_seconds (lower is better — the schedule quality gate).
-// Exits non-zero if any tenant loses bitwise equality, if fairness
+// APSPARK_BENCH_JSON); the "multitenant" record's fair_makespan_seconds
+// carries the schedule-quality gate bench/check_gates.py evaluates. Exits non-zero if any tenant loses bitwise equality, if fairness
 // accounting is inconsistent, or if the fair makespan exceeds the serial
 // baseline (fair sharing must never be worse than running the jobs back to
 // back).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -217,50 +214,50 @@ int main() {
   ok &= tight.spilled_bytes > 0;
   ok &= tight.makespan_seconds >= report.makespan_seconds;
 
-  const char* json_path = std::getenv("APSPARK_BENCH_JSON");
-  const std::string path =
-      json_path != nullptr ? json_path : "BENCH_multitenant.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"benchmark\": \"bench_multitenant\",\n");
-    std::fprintf(f, "  \"results\": [\n");
-    for (const SoloRun& run : solos) {
-      std::fprintf(f,
-                   "    {\"section\": \"solo\", \"plane\": \"%s\", "
-                   "\"sim_seconds\": %.6f, \"executor_failures\": %llu, "
-                   "\"node_joins\": %llu, \"migrated_partitions\": %llu, "
-                   "\"migration_bytes\": %llu, "
-                   "\"bitwise_equal_to_reference\": %s},\n",
-                   run.plane.c_str(), run.sim_seconds,
-                   static_cast<unsigned long long>(run.executor_failures),
-                   static_cast<unsigned long long>(run.node_joins),
-                   static_cast<unsigned long long>(run.migrated_partitions),
-                   static_cast<unsigned long long>(run.migration_bytes),
-                   run.bitwise_equal ? "true" : "false");
-    }
-    std::fprintf(f,
-                 "    {\"section\": \"multitenant\", \"tenants\": 2, "
-                 "\"fair_makespan_seconds\": %.6f, "
-                 "\"serial_seconds\": %.6f, "
-                 "\"admission_wait_seconds\": %.6f, "
-                 "\"spilled_bytes\": %llu, "
-                 "\"bitwise_equal_to_reference\": %s},\n",
-                 report.makespan_seconds, report.serial_seconds,
-                 report.admission_wait_seconds,
-                 static_cast<unsigned long long>(report.spilled_bytes),
-                 ok ? "true" : "false");
-    std::fprintf(f,
-                 "    {\"section\": \"multitenant_tight\", \"tenants\": 2, "
-                 "\"tight_makespan_seconds\": %.6f, "
-                 "\"admission_wait_seconds\": %.6f, "
-                 "\"spilled_bytes\": %llu}\n",
-                 tight.makespan_seconds, tight.admission_wait_seconds,
-                 static_cast<unsigned long long>(tight.spilled_bytes));
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nresults written to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::vector<bench::Record> records;
+  for (const SoloRun& run : solos) {
+    records.push_back(
+        {bench::Format(
+            "\"section\": \"solo\", \"plane\": \"%s\", "
+            "\"sim_seconds\": %.6f, \"executor_failures\": %llu, "
+            "\"node_joins\": %llu, \"migrated_partitions\": %llu, "
+            "\"migration_bytes\": %llu, "
+            "\"bitwise_equal_to_reference\": %s",
+            run.plane.c_str(), run.sim_seconds,
+            static_cast<unsigned long long>(run.executor_failures),
+            static_cast<unsigned long long>(run.node_joins),
+            static_cast<unsigned long long>(run.migrated_partitions),
+            static_cast<unsigned long long>(run.migration_bytes),
+            run.bitwise_equal ? "true" : "false"),
+         {}});
+  }
+  records.push_back(
+      {bench::Format("\"section\": \"multitenant\", \"tenants\": 2, "
+                     "\"fair_makespan_seconds\": %.6f, "
+                     "\"serial_seconds\": %.6f, "
+                     "\"admission_wait_seconds\": %.6f, "
+                     "\"spilled_bytes\": %llu, "
+                     "\"bitwise_equal_to_reference\": %s",
+                     report.makespan_seconds, report.serial_seconds,
+                     report.admission_wait_seconds,
+                     static_cast<unsigned long long>(report.spilled_bytes),
+                     ok ? "true" : "false"),
+       // Modelled virtual time, identical on any runner, so 10% holds
+       // everywhere: growth means the fair scheduler packs the two
+       // tenants' stages worse.
+       {bench::Relative("multitenant_fair_makespan", "fair_makespan_seconds",
+                        bench::Better::kLower, 0.10, 0.10)}});
+  records.push_back(
+      {bench::Format("\"section\": \"multitenant_tight\", \"tenants\": 2, "
+                     "\"tight_makespan_seconds\": %.6f, "
+                     "\"admission_wait_seconds\": %.6f, "
+                     "\"spilled_bytes\": %llu",
+                     tight.makespan_seconds, tight.admission_wait_seconds,
+                     static_cast<unsigned long long>(tight.spilled_bytes)),
+       {}});
+  if (!bench::WriteBenchJson("bench_multitenant", "BENCH_multitenant.json",
+                             records)) {
+    return 1;
   }
 
   if (!ok) {

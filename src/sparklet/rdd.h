@@ -16,7 +16,7 @@
 // Execution model: record processing is real and runs in the driver thread
 // (correctness is bit-for-bit testable); *time* is virtual, advanced by the
 // discrete-event VirtualCluster using the calibrated CostModel plus byte
-// accounting from Serde<T>. See DESIGN.md §5.
+// accounting from Serde<T>. See README.md, "Zero-copy data plane".
 #pragma once
 
 #include <cstdint>

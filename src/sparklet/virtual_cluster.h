@@ -3,7 +3,8 @@
 // The cluster never runs real threads: callers hand it descriptions of work
 // (per-task compute seconds, bytes moved) and it advances a virtual clock by
 // the modelled makespan. Actual record processing happens in the calling
-// (driver) thread — correctness is real, time is simulated. See DESIGN.md §5.
+// (driver) thread — correctness is real, time is simulated. See README.md,
+// "Fault tolerance".
 #pragma once
 
 #include <cstdint>
