@@ -7,9 +7,9 @@
 // over the naive loop comes from touching each C row once per reduction
 // instead of once per k step.
 //
-// Section 2 times a full Ksource-Blocked solve (host compute, real blocks)
-// per variant and validates the panel against the scalar Floyd-Warshall
-// oracle.
+// Section 2 times a full k-source solve through apsp::Solve (host compute,
+// real blocks) per variant and validates the panel against the scalar
+// Floyd-Warshall oracle.
 //
 // Machine-readable results go to BENCH_ksource.json (override via
 // APSPARK_BENCH_JSON); the tracked records declare the gates
@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/time_utils.h"
@@ -144,6 +144,23 @@ bool WriteJson(const std::vector<KsResult>& results) {
                                records);
 }
 
+/// The record's data_plane label for a k-source solver kind.
+const char* PlaneName(apsp::SolverKind kind) {
+  return kind == apsp::SolverKind::kBlockedInMemory ? "shuffle" : "staged";
+}
+
+/// A k-source solve of `sources` at block size b on `plane` (the tiny test
+/// cluster with ample local storage).
+apsp::SolveRequest KsourceRequest(const std::vector<graph::VertexId>& sources,
+                                  std::int64_t b, apsp::SolverKind plane) {
+  apsp::SolveRequest request{.solver = plane,
+                             .sources = sources,
+                             .cluster = sparklet::ClusterConfig::TinyTest()};
+  request.options.block_size = b;
+  request.cluster.local_storage_bytes = 16ULL * kGiB;
+  return request;
+}
+
 constexpr linalg::KernelVariant kVariants[] = {
     linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled,
     linalg::KernelVariant::kTiledParallel};
@@ -198,7 +215,7 @@ std::vector<KsResult> RunRectKernelRace() {
 
 std::vector<KsResult> RunSolveRace() {
   bench::PrintHeader(
-      "End-to-end Ksource-Blocked solve (host wall time, n = 512, k = 16,"
+      "End-to-end k-source solve (host wall time, n = 512, k = 16,"
       " b = 128)\nstaged data plane per kernel variant + the pure"
       " shuffle-replicated plane;\ndriver-peak = modelled driver live-bytes"
       " high water (zero-copy record plane)");
@@ -217,36 +234,30 @@ std::vector<KsResult> RunSolveRace() {
   // plus the pure shuffle-replicated plane on the tiled kernel.
   struct Combo {
     linalg::KernelVariant kernel;
-    apsp::KsourceVariant plane;
+    apsp::SolverKind plane;
   };
   std::vector<Combo> combos;
   for (linalg::KernelVariant v : kVariants) {
-    combos.push_back({v, apsp::KsourceVariant::kStagedStorage});
+    combos.push_back({v, apsp::SolverKind::kBlockedCollectBroadcast});
   }
   combos.push_back(
-      {linalg::KernelVariant::kTiled, apsp::KsourceVariant::kShuffleReplicated});
+      {linalg::KernelVariant::kTiled, apsp::SolverKind::kBlockedInMemory});
 
   std::printf("%16s %8s %16s %10s %14s  %s\n", "variant", "plane", "time",
               "speedup", "driver-peak", "valid");
   double naive_seconds = 0;
   for (const Combo& combo : combos) {
-    apsp::KsourceOptions opts;
-    opts.block_size = b;
-    opts.variant = combo.plane;
-    auto cluster = sparklet::ClusterConfig::TinyTest();
-    cluster.local_storage_bytes = 16ULL * kGiB;
-    cluster.kernel_variant = combo.kernel;
-    apsp::KsourceBlockedSolver solver;
+    apsp::SolveRequest request = KsourceRequest(sources, b, combo.plane);
+    request.cluster.kernel_variant = combo.kernel;
     KsResult r;
     r.section = "solve";
     r.variant = linalg::KernelVariantName(combo.kernel);
-    r.data_plane = apsp::KsourceVariantName(combo.plane);
+    r.data_plane = PlaneName(combo.plane);
     r.b = b;
     r.k = k;
-    apsp::KsourceResult solve_result;
-    r.seconds = BestOf(2, [&] {
-      solve_result = solver.SolveGraph(g, sources, opts, cluster);
-    });
+    apsp::ApspRunResult solve_result;
+    r.seconds =
+        BestOf(2, [&] { solve_result = apsp::Solve(g, request).run; });
     if (combo.kernel == linalg::KernelVariant::kNaive) {
       naive_seconds = r.seconds;
     }
@@ -303,25 +314,18 @@ std::vector<KsResult> RunFaultRecoveryRace() {
 
   std::printf("%8s %12s %10s %12s %10s %10s  %s\n", "plane", "redone", "tasks",
               "retried-maps", "restarts", "loss-hit", "valid");
-  for (const apsp::KsourceVariant plane :
-       {apsp::KsourceVariant::kStagedStorage,
-        apsp::KsourceVariant::kShuffleReplicated}) {
-    apsp::KsourceOptions opts;
-    opts.block_size = b;
-    opts.variant = plane;
-    opts.fail_nodes = {{1, 10}};
-    if (plane == apsp::KsourceVariant::kStagedStorage) {
-      opts.checkpoint_every = 1;
-    }
-    auto cluster = sparklet::ClusterConfig::TinyTest();
-    cluster.local_storage_bytes = 16ULL * kGiB;
-    apsp::KsourceBlockedSolver solver;
+  for (const apsp::SolverKind plane :
+       {apsp::SolverKind::kBlockedCollectBroadcast,
+        apsp::SolverKind::kBlockedInMemory}) {
+    apsp::SolveRequest request = KsourceRequest(sources, b, plane);
+    request.options.fail_nodes = {{1, 10}};
+    if (!apsp::SolverIsPure(plane)) request.options.checkpoint_every = 1;
     WallTimer timer;
-    auto solve_result = solver.SolveGraph(g, sources, opts, cluster);
+    auto solve_result = apsp::Solve(g, request).run;
     KsResult r;
     r.section = "fault";
     r.variant = "tiled";
-    r.data_plane = apsp::KsourceVariantName(plane);
+    r.data_plane = PlaneName(plane);
     r.b = b;
     r.k = k;
     r.seconds = timer.ElapsedSeconds();

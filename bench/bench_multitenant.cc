@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "bench_util.h"
 #include "common/time_utils.h"
 #include "graph/generators.h"
@@ -37,9 +37,7 @@ namespace {
 
 using namespace apspark;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
-using apsp::KsourceVariant;
+using apsp::SolverKind;
 using linalg::DenseBlock;
 using sparklet::ClusterConfig;
 using sparklet::FairScheduler;
@@ -71,30 +69,26 @@ struct SoloRun {
 };
 
 /// Solo tenant run under a rack loss + replacement join, stage trace on.
-/// Mirrors KsourceBlockedSolver::SolveGraph, which owns its context — the
-/// trace needs a caller-owned one.
+/// Mirrors apsp::Solve on an undirected graph, which owns its context — the
+/// trace needs a caller-owned one, so this calls SolveBlocks directly.
 SoloRun RunSolo(const graph::Graph& g,
-                const std::vector<graph::VertexId>& sources,
-                KsourceVariant variant, const DenseBlock& oracle) {
+                const std::vector<graph::VertexId>& sources, SolverKind plane,
+                const DenseBlock& oracle) {
   SoloRun run;
-  run.plane = apsp::KsourceVariantName(variant);
-  KsourceOptions opts;
+  run.plane = plane == SolverKind::kBlockedInMemory ? "shuffle" : "staged";
+  apsp::ApspOptions opts;
   opts.block_size = kBlock;
-  opts.variant = variant;
   opts.fail_racks = {{0, 12}};
   opts.add_nodes = {16};
-  if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 2;
+  if (!apsp::SolverIsPure(plane)) opts.checkpoint_every = 2;
 
   const BlockLayout layout(g.num_vertices(), opts.block_size, g.directed());
-  const DenseBlock frontier = linalg::FrontierPanel(
-      g.num_vertices(),
-      std::vector<std::int64_t>(sources.begin(), sources.end()));
   SparkletContext ctx(TenantCluster());
   ctx.cluster().EnableStageTrace();
-  KsourceBlockedSolver solver;
-  auto result =
-      solver.Solve(ctx, layout, layout.Decompose(g.ToDenseAdjacency()),
-                   apsp::DecomposeFrontier(layout, frontier), opts);
+  auto result = apsp::SolveBlocks(
+      ctx, layout, layout.Decompose(g.ToDenseAdjacency()), plane, opts,
+      layout.DecomposeFrontier(
+          linalg::FrontierPanel(g.num_vertices(), sources)));
   if (!result.status.ok()) {
     std::fprintf(stderr, "%s solo run failed: %s\n", run.plane.c_str(),
                  result.status.ToString().c_str());
@@ -145,9 +139,9 @@ int main() {
               "joins", "migrated", "exact");
   std::vector<SoloRun> solos;
   bool ok = true;
-  for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
-                                       KsourceVariant::kShuffleReplicated}) {
-    SoloRun run = RunSolo(g, sources, variant, oracle);
+  for (const SolverKind plane : {SolverKind::kBlockedCollectBroadcast,
+                                 SolverKind::kBlockedInMemory}) {
+    SoloRun run = RunSolo(g, sources, plane, oracle);
     std::printf("%10s %10s %8llu %8llu %10llu %8s\n", run.plane.c_str(),
                 FormatDuration(run.sim_seconds).c_str(),
                 static_cast<unsigned long long>(run.executor_failures),

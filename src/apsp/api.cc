@@ -77,39 +77,91 @@ SolveReport Report(SolverKind kind, ApspRunResult run) {
   return report;
 }
 
-bool Packed(const ApspOptions& opts) {
-  return opts.semiring == linalg::SemiringId::kBoolean && opts.bitpack_boolean;
+SolveReport Rejected(SolverKind kind, Status status) {
+  ApspRunResult run;
+  run.status = std::move(status);
+  return Report(kind, std::move(run));
+}
+
+Status CheckSources(const SolveRequest& request, std::int64_t n) {
+  for (const graph::VertexId s : request.sources) {
+    if (s < 0 || s >= n) {
+      return InvalidArgumentError("k-source: source " + std::to_string(s) +
+                                  " out of range for n = " +
+                                  std::to_string(n));
+    }
+  }
+  return Status::Ok();
+}
+
+/// K-source panels stay dense (see ApspOptions::bitpack_boolean).
+bool Packed(const SolveRequest& request) {
+  const ApspOptions& opts = request.options;
+  return request.sources.empty() &&
+         opts.semiring == linalg::SemiringId::kBoolean && opts.bitpack_boolean;
 }
 
 }  // namespace
 
 SolveReport Solve(const graph::Graph& graph, const SolveRequest& request) {
   const ApspOptions& opts = request.options;
-  const BlockLayout layout(graph.num_vertices(), opts.block_size,
+  const std::int64_t n = graph.num_vertices();
+  Status sources_ok = CheckSources(request, n);
+  if (!sources_ok.ok()) return Rejected(request.solver, std::move(sources_ok));
+  const BlockLayout layout(n, opts.block_size,
                            opts.directed || graph.directed());
+  linalg::DenseBlock adjacency = graph.ToDenseAdjacency();
+  std::vector<PanelRecord> frontier;
+  if (!request.sources.empty()) {
+    // The sweep computes F = A* (x) F_0, i.e. distances *to* the frontier
+    // columns; sweeping the reversed graph roots them at the sources.
+    if (layout.directed()) adjacency = adjacency.Transposed();
+    frontier = layout.DecomposeFrontier(linalg::FrontierPanel(
+        n, request.sources, linalg::SemiringZeroValue(opts.semiring),
+        linalg::SemiringOneValue(opts.semiring)));
+  }
   // Ingest into the requested algebra: the graph's canonical min-plus
   // adjacency becomes the semiring's matrix (bit-packed for boolean).
-  const linalg::DenseBlock adjacency = linalg::SemiringAdjacency(
-      graph.ToDenseAdjacency(), opts.semiring, Packed(opts));
+  adjacency = linalg::SemiringAdjacency(std::move(adjacency), opts.semiring,
+                                        Packed(request));
   sparklet::SparkletContext ctx(request.cluster, request.cost_model);
   return Report(request.solver,
                 SolveBlocks(ctx, layout, layout.Decompose(adjacency),
-                            request.solver, opts));
+                            request.solver, opts, frontier));
 }
 
 SolveReport SolveModel(std::int64_t n, const SolveRequest& request) {
   const ApspOptions& opts = request.options;
+  Status sources_ok = CheckSources(request, n);
+  if (!sources_ok.ok()) return Rejected(request.solver, std::move(sources_ok));
   const BlockLayout layout(n, opts.block_size, opts.directed);
+  std::vector<PanelRecord> frontier;
+  if (!request.sources.empty()) {
+    frontier = layout.DecomposeFrontier(linalg::DenseBlock::Phantom(
+        n, static_cast<std::int64_t>(request.sources.size())));
+  }
   sparklet::SparkletContext ctx(request.cluster, request.cost_model);
   return Report(request.solver,
-                SolveBlocks(ctx, layout, layout.DecomposePhantom(Packed(opts)),
-                            request.solver, opts));
+                SolveBlocks(ctx, layout,
+                            layout.DecomposePhantom(Packed(request)),
+                            request.solver, opts, frontier));
 }
 
 ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
                           const BlockLayout& layout,
                           const std::vector<BlockRecord>& blocks,
-                          SolverKind kind, const ApspOptions& opts) {
+                          SolverKind kind, const ApspOptions& opts,
+                          const std::vector<PanelRecord>& frontier) {
+  ApspRunResult result;
+  const bool ksource = !frontier.empty();
+  if (ksource && kind != SolverKind::kBlockedInMemory &&
+      kind != SolverKind::kBlockedCollectBroadcast) {
+    result.status = InvalidArgumentError(
+        std::string("k-source runs on the Blocked-IM or Blocked-CB data "
+                    "plane, not ") +
+        SolverKindName(kind));
+    return result;
+  }
   // Select the host kernel implementation for this run (restored on return
   // so one run's config cannot leak into other work in the process). This
   // only affects how fast real blocks are processed on this machine;
@@ -118,7 +170,6 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
   // Pin the run's algebra: every kernel entry point this solve reaches —
   // fused updates, closures, element-wise folds — evaluates opts.semiring.
   linalg::ScopedSemiring semiring_scope(opts.semiring);
-  ApspRunResult result;
   result.rounds_total = TotalRounds(kind, layout);
   const std::int64_t rounds_remaining =
       std::max<std::int64_t>(0, result.rounds_total - opts.start_round);
@@ -131,8 +182,15 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
       std::max(1, opts.partitions_per_core * ctx.config().total_cores());
   auto partitioner =
       MakeBlockPartitioner(opts.partitioner, layout, num_partitions);
+  sparklet::PartitionerPtr<std::int64_t> panel_partitioner;
 
   auto a = ctx.ParallelizePartitioned("A", blocks, partitioner);
+  sparklet::RddPtr<PanelRecord> f;
+  if (ksource) {
+    panel_partitioner = sparklet::MakePortableHash<std::int64_t>(
+        std::min<int>(num_partitions, static_cast<int>(layout.q())));
+    f = ctx.ParallelizePartitioned("F", frontier, panel_partitioner);
+  }
   // The paper disregards the cost of populating the RDD (§5.1).
   ctx.cluster().Reset();
   ArmRunPlan(ctx, opts);
@@ -145,14 +203,19 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
 
   sparklet::RddPtr<BlockRecord> final_rdd;
   std::vector<BlockRecord> assembled;
+  std::vector<PanelRecord> assembled_panels;
   std::int64_t start = opts.start_round;
   int restarts = 0;
   for (;;) {
     try {
       ApspOptions attempt_opts = opts;
       attempt_opts.start_round = start;
-      final_rdd = RunRounds(kind, ctx, layout, a, partitioner, attempt_opts,
-                            end_round - start);
+      final_rdd =
+          ksource ? RunRoundsKsource(kind, ctx, layout, a, partitioner, f,
+                                     panel_partitioner, attempt_opts,
+                                     end_round - start)
+                  : RunRounds(kind, ctx, layout, a, partitioner, attempt_opts,
+                              end_round - start);
       result.rounds_executed = rounds_to_run;
       // The assembly collect is excluded from the reported solve time and
       // metrics, like the paper's timings (both captured before the collect
@@ -163,7 +226,17 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
       result.sim_seconds = ctx.now_seconds();
       result.metrics = ctx.metrics();
       if (want_assembly) {
-        assembled = final_rdd->Collect();
+        if (ksource) {
+          assembled_panels = f->Collect();
+          // The one accounting difference between the workloads: a k-source
+          // report's memory peaks include the panel collect (the shuffle
+          // plane's only driver-resident spike); an APSP report's exclude
+          // the n x n assembly.
+          result.metrics.driver_peak_bytes = ctx.metrics().driver_peak_bytes;
+          result.metrics.node_peak_bytes = ctx.metrics().node_peak_bytes;
+        } else {
+          assembled = final_rdd->Collect();
+        }
         FoldRecoveryMetrics(ctx.metrics(), result.metrics);
       }
       result.status = Status::Ok();
@@ -179,6 +252,11 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
             a = ctx.ParallelizePartitioned(
                 "A" + tag, info != nullptr ? info->blocks : blocks,
                 partitioner);
+            if (ksource) {
+              f = ctx.ParallelizePartitioned(
+                  "F" + tag, info != nullptr ? info->panels : frontier,
+                  panel_partitioner);
+            }
           });
       if (!resume.ok()) {
         result.status = resume.status();
@@ -205,11 +283,18 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
   }
 
   if (result.status.ok() && want_assembly) {
-    auto matrix = layout.Assemble(assembled);
-    if (matrix.ok()) {
-      result.distances = std::move(matrix).value();
+    if (ksource) {
+      // Every row is pasted; the semiring Zero fill makes a would-be gap
+      // read as "unreachable", not as a min-plus artifact.
+      result.distances = layout.AssembleFrontier(
+          assembled_panels, linalg::SemiringZeroValue(opts.semiring));
     } else {
-      result.status = matrix.status();
+      auto matrix = layout.Assemble(assembled);
+      if (!matrix.ok()) {
+        result.status = matrix.status();
+      } else {
+        result.distances = std::move(matrix).value();
+      }
     }
   }
   return result;

@@ -1,4 +1,5 @@
-// Public APSP solve surface: the one way to run the paper's four solvers.
+// Public solve surface: the one way to run the paper's four APSP solvers
+// and the batched k-source sweep.
 //
 // The four solvers implement the paper's algorithms (§4) and differ in one
 // property — whether they stay pure Spark or stage data in shared persistent
@@ -7,24 +8,31 @@
 //   kFloydWarshall2d         — Alg. 2 (pure)
 //   kBlockedInMemory         — Alg. 3 (pure)
 //   kBlockedCollectBroadcast — Alg. 4 (impure)
+// A k-source request (non-empty SolveRequest::sources) solves the n x k
+// frontier instead of the n x n matrix, on the data plane of one of the
+// blocked methods: kBlockedCollectBroadcast stages pivot data through shared
+// storage, kBlockedInMemory replicates it through the shuffle
+// (solvers/rounds.h, RunRoundsKsource).
 //
-//   SolveRequest — everything one APSP solve needs: which solver, the
-//     workload options (ApspOptions), the cluster and the cost model. The
-//     shared durability/fault/membership knobs live in options' RunPlan base
-//     (apsp/run_plan.h) so one plan configures any workload.
+//   SolveRequest — everything one solve needs: which solver, the workload
+//     options (ApspOptions), the k-source sources, the cluster and the cost
+//     model. The shared durability/fault/membership knobs live in options'
+//     RunPlan base (apsp/run_plan.h).
 //   SolveReport — the run payload (ApspRunResult) plus the identity of the
 //     solver that produced it.
 //
 //   Solve(graph, request)   — full-fidelity run on real data; returns the
-//     distance matrix, validated in tests against Dijkstra/Johnson.
+//     distance matrix (or k-source panel), validated in tests against
+//     Dijkstra/Johnson and the scalar Floyd-Warshall oracle.
 //   SolveModel(n, request)  — paper-scale run on phantom blocks; executes the
 //     complete engine control path (partitioning, shuffles, storage
 //     accounting) and reports modelled time. With options.max_rounds > 0 only
 //     the first rounds run and the total is projected, exactly the
 //     methodology of the paper's Table 2 ("Single" vs "Projected").
-//   SolveBlocks(ctx, layout, blocks, kind, opts) — the engine-level core both
-//     of the above call, on a caller-owned context (fault injection through
-//     ctx.fault_injector(), checkpoint resume, shared-storage inspection).
+//   SolveBlocks(ctx, layout, blocks, kind, opts, frontier) — the
+//     engine-level core both of the above call, on a caller-owned context
+//     (fault injection through ctx.fault_injector(), checkpoint resume,
+//     shared-storage inspection, stage traces).
 #pragma once
 
 #include <cstdint>
@@ -55,16 +63,17 @@ enum class SolverKind {
 const char* SolverKindName(SolverKind kind) noexcept;
 std::vector<SolverKind> AllSolverKinds();
 /// Pure solvers rely only on fault-tolerant Spark functionality; impure
-/// ones stage data in shared persistent storage (§3).
+/// ones stage data in shared persistent storage (§3). A k-source sweep
+/// inherits the purity of the blocked method whose data plane it runs.
 bool SolverIsPure(SolverKind kind) noexcept;
 /// Rounds a full run of `kind` takes for `layout` (a "round" is one column
 /// sweep for Repeated Squaring, one k step for 2D Floyd-Warshall, one
-/// diagonal iteration for the blocked methods).
+/// diagonal iteration for the blocked methods and the k-source sweep).
 std::int64_t TotalRounds(SolverKind kind, const BlockLayout& layout);
 
-/// The durability/fault/membership knobs live in the RunPlan base (shared
-/// with KsourceOptions — see apsp/run_plan.h); the fields here are the
-/// APSP-specific decomposition and execution parameters.
+/// The durability/fault/membership knobs live in the RunPlan base (see
+/// apsp/run_plan.h); the fields here are the decomposition and execution
+/// parameters of both workloads.
 struct ApspOptions : RunPlan {
   /// Decomposition parameter b; q = ceil(n/b).
   std::int64_t block_size = 256;
@@ -74,7 +83,9 @@ struct ApspOptions : RunPlan {
   /// the result matrix is in the semiring's value domain.
   linalg::SemiringId semiring = linalg::SemiringId::kMinPlus;
   /// Boolean solves use the bit-packed block plane (64 vertices per word)
-  /// unless disabled. Ignored for the other semirings.
+  /// unless disabled. Ignored for the other semirings and for k-source
+  /// solves, whose rectangular panels mix with matrix blocks every pivot
+  /// and stay dense.
   bool bitpack_boolean = true;
   PartitionerKind partitioner = PartitionerKind::kMultiDiagonal;
   /// Spark's over-decomposition factor B: RDD partitions per core (§5.3).
@@ -86,12 +97,21 @@ struct ApspOptions : RunPlan {
   /// Resume support: skip rounds [0, start_round) — the caller provides the
   /// matching checkpointed blocks via SolveBlocks().
   std::int64_t start_round = 0;
+  /// K-source early exit: skip a pivot's phases 2/3 and frontier sweep when
+  /// its whole cross is the semiring's annihilator (all-infinite under
+  /// (min, +)). The detection scan charges identically on real and phantom
+  /// runs; only real runs can actually skip, so disable this when comparing
+  /// a disconnected real run against its phantom projection
+  /// second-for-second. Ignored by APSP solves.
+  bool early_exit_infinite = true;
 };
 
 struct ApspRunResult {
   Status status;  // OK, or why the run stopped (e.g. storage exhausted)
 
-  /// Full distance matrix (only for completed real-data runs).
+  /// Full distance matrix, or for a k-source run the n x k panel with
+  /// distances->At(v, j) = dist(sources[j] -> v) (only for completed
+  /// real-data runs).
   std::optional<linalg::DenseBlock> distances;
 
   sparklet::SimMetrics metrics;
@@ -115,11 +135,18 @@ struct ApspRunResult {
 };
 
 struct SolveRequest {
+  /// For a k-source request, the data plane: kBlockedCollectBroadcast
+  /// (staged) or kBlockedInMemory (shuffle); any other kind is
+  /// INVALID_ARGUMENT.
   SolverKind solver = SolverKind::kBlockedCollectBroadcast;
   /// Workload options. The RunPlan base carries the checkpoint cadence and
   /// the armed failure/membership schedule; assign a shared plan with
   /// `static_cast<RunPlan&>(request.options) = plan`.
   ApspOptions options{};
+  /// Empty = APSP. Otherwise the batched k-source workload: vertex ids of
+  /// the graph (duplicates allowed, so k may exceed n); SolveModel uses
+  /// only their count as k.
+  std::vector<graph::VertexId> sources{};
   sparklet::ClusterConfig cluster = sparklet::ClusterConfig::TinyTest();
   linalg::CostModel cost_model{};
 };
@@ -148,12 +175,17 @@ SolveReport Solve(const graph::Graph& graph, const SolveRequest& request);
 SolveReport SolveModel(std::int64_t n, const SolveRequest& request);
 
 /// Runs solver `kind` over `blocks` (the decomposition of the input matrix
-/// for `layout`, real or phantom) on a caller-owned context. Arms opts' run
-/// plan, restarts impure solvers from checkpoints after DATA_LOSS, and
-/// assembles the distance matrix when a real-data run completes.
+/// for `layout`, real or phantom) on a caller-owned context. A non-empty
+/// `frontier` (layout.DecomposeFrontier of the n x k source frontier) makes
+/// it a k-source sweep on kind's data plane; its columns come out
+/// source-rooted only if `blocks` hold the transposed adjacency of a
+/// directed graph, as Solve arranges. Arms opts' run plan, restarts
+/// impure solvers from checkpoints after DATA_LOSS, and assembles the
+/// distance matrix or panel when a real-data run completes.
 ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
                           const BlockLayout& layout,
                           const std::vector<BlockRecord>& blocks,
-                          SolverKind kind, const ApspOptions& opts);
+                          SolverKind kind, const ApspOptions& opts,
+                          const std::vector<PanelRecord>& frontier = {});
 
 }  // namespace apspark::apsp

@@ -110,6 +110,27 @@ std::vector<BlockRecord> BlockLayout::DecomposePhantom(bool packed) const {
   return records;
 }
 
+std::vector<PanelRecord> BlockLayout::DecomposeFrontier(
+    const linalg::DenseBlock& frontier) const {
+  std::vector<PanelRecord> panels;
+  panels.reserve(static_cast<std::size_t>(q_));
+  for (std::int64_t i = 0; i < q_; ++i) {
+    panels.push_back(
+        {i, linalg::MakeBlock(frontier.RowPanel(i * b_, BlockDim(i)))});
+  }
+  return panels;
+}
+
+linalg::DenseBlock BlockLayout::AssembleFrontier(
+    const std::vector<PanelRecord>& panels, double fill) const {
+  const std::int64_t k = panels.empty() ? 0 : panels.front().second->cols();
+  linalg::DenseBlock out(n_, k, fill);
+  for (const auto& [index, panel] : panels) {
+    out.PasteRowPanel(index * b_, *panel);
+  }
+  return out;
+}
+
 Result<linalg::DenseBlock> BlockLayout::Assemble(
     const std::vector<BlockRecord>& records) const {
   // Validate every record before writing anything: each stored key must

@@ -64,6 +64,16 @@ class BlockLayout {
   Result<linalg::DenseBlock> Assemble(
       const std::vector<BlockRecord>& records) const;
 
+  /// Decomposes an n x k k-source frontier (real or phantom) into one panel
+  /// record per block row.
+  std::vector<PanelRecord> DecomposeFrontier(
+      const linalg::DenseBlock& frontier) const;
+
+  /// Pastes per-block-row panels back into the n x k frontier; rows no
+  /// panel covers keep `fill`.
+  linalg::DenseBlock AssembleFrontier(const std::vector<PanelRecord>& panels,
+                                      double fill) const;
+
   /// Logical block at (I, J) given the canonical record's payload:
   /// transposes when (I, J) is the mirrored position.
   static linalg::DenseBlock Orient(const BlockKey& canonical,

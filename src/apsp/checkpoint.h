@@ -6,12 +6,12 @@
 // as an extension — is coarse-grained checkpointing: every k rounds the
 // current matrix A (and, for the k-source workload, the frontier panels F)
 // is staged to the same shared storage, and after an executor loss the
-// restart policy below (RestartOnDataLoss, shared by SolveBlocks and
-// KsourceBlockedSolver::Solve) resumes from the latest checkpoint epoch
-// instead of from scratch. The staging cost is charged to the virtual
-// cluster like any other shared-FS traffic, so its overhead is measurable;
-// SaveCheckpoint also marks the durable-progress point the recovery
-// accounting (SimMetrics::recovery_seconds) measures wasted work against.
+// restart policy below (RestartOnDataLoss, applied by SolveBlocks for both
+// workloads) resumes from the latest checkpoint epoch instead of from
+// scratch. The staging cost is charged to the virtual cluster like any
+// other shared-FS traffic, so its overhead is measurable; SaveCheckpoint
+// also marks the durable-progress point the recovery accounting
+// (SimMetrics::recovery_seconds) measures wasted work against.
 #pragma once
 
 #include <functional>
@@ -56,10 +56,10 @@ bool HasCheckpoint(sparklet::SparkletContext& ctx);
 /// recovery accounting measures exactly that.
 void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan);
 
-/// The DATA_LOSS restart policy shared by the solve drivers (SolveBlocks,
-/// KsourceBlockedSolver::Solve). DATA_LOSS marks the one recoverable abort:
-/// an executor loss destroyed state whose lineage contains out-of-lineage
-/// side effects (the impure planes). Any other `abort`, or one arriving after
+/// The DATA_LOSS restart policy SolveBlocks applies to every solve, APSP or
+/// k-source. DATA_LOSS marks the one recoverable abort: an executor loss
+/// destroyed state whose lineage contains out-of-lineage side effects (the
+/// impure planes). Any other `abort`, or one arriving after
 /// plan.max_restarts restarts, is returned as the run's final status.
 /// Otherwise increments `restarts`, accounts the progress the failure
 /// destroyed (since the last durable mark), loads the latest checkpoint when

@@ -1,11 +1,11 @@
 // RunPlan: the durability / fault / membership knobs shared by every solve.
 //
-// ApspOptions and KsourceOptions both derive from RunPlan, so a caller can
-// configure one plan and assign it into any workload's options
+// ApspOptions derives from RunPlan, so a caller can configure one plan and
+// assign it into the options of any solve, APSP or k-source
 // (`static_cast<RunPlan&>(opts) = plan`), and the CLI's membership
 // validation operates on the plan alone. apsp/checkpoint.h arms a plan on a
-// context (ArmRunPlan) and applies its restart budget (RestartOnDataLoss)
-// for every solve driver.
+// context (ArmRunPlan) and applies its restart budget (RestartOnDataLoss);
+// SolveBlocks does both for every solve.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,52 @@
-#include "apsp/solvers/ksource_blocked.h"
-
+// Batched k-source shortest paths (KSSP): the round runner SolveBlocks
+// dispatches to for a k-source request.
+//
+// The paper's building blocks solve APSP; the same blocked min-plus algebra
+// solves the far more common k-source problem as a rectangular n x k
+// frontier F, F(v, j) = dist(sources[j] -> v). The sweep runs the blocked
+// Floyd-Warshall pivots of A and, per pivot t, folds the pivot's column
+// factors into a *resident* frontier with two rectangular updates:
+//
+//   P_t  = min(F_t, A*_tt (min,+) F_t)        (pivot panel through the
+//                                              closed diagonal)
+//   F_I  = min(F_I, A_It  (min,+) P_t)        (every panel through the
+//                                              phase-2-updated column cross)
+//
+// Invariant (same induction as blocked FW): after pivot t, F(v, j) is the
+// shortest v -> sources[j] distance using intermediates from block rows
+// 0..t; after the last pivot F = A* (min,+) F_0 exactly. Solve sweeps
+// directed inputs on the transposed adjacency so columns come out
+// source-rooted.
+//
+// The request's SolverKind picks one of two data planes:
+//
+//   kBlockedCollectBroadcast ("staged") — like Alg. 4, impure: pivot
+//   blocks, column factors, and the pivot panel travel through shared
+//   persistent storage.
+//
+//   kBlockedInMemory ("shuffle") — *pure*: no shared-storage side channel
+//   at all. The matrix phases run the Blocked In-Memory combine steps
+//   (CopyDiag / Phase2 / CopyCol / Phase3 through custom-partitioned
+//   shuffles), and the frontier factors replicate through the shuffle too:
+//   round A pairs the closed diagonal with panel t to form P_t, round B
+//   scatters P_t plus the per-panel left factors A_It to every panel and
+//   folds them in with one rectangular update. Fault-tolerant by
+//   construction (everything stays in the RDD lineage) at the price of
+//   shuffling the replicas — with the zero-copy record plane, the replicas
+//   are refs, so the driver's live-byte high water stays at the final panel
+//   collect instead of a full cross per pivot (see MemoryAccountant).
+//
+// Early-exit pivot sweep (ApspOptions::early_exit_infinite): when a pivot's
+// cross (every stored off-diagonal block of block row/column t) is entirely
+// the semiring's annihilator — all-infinite under (min, +), routine for
+// disconnected or inf-heavy graphs — phases 2/3 and the frontier factor
+// sweep are provably no-ops and are skipped; only the diagonal closure and
+// the pivot-panel update run. Detection scans the cross blocks through the
+// semiring's IsZero (charged like the element-wise kernel it is) and never
+// fires for phantom blocks, whose structure is unknown.
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "apsp/building_blocks.h"
@@ -9,108 +54,19 @@
 #include "apsp/combine_steps.h"
 #include "apsp/solvers/rounds.h"
 #include "apsp/solvers/staging.h"
-#include "linalg/kernel_registry.h"
 #include "linalg/semiring.h"
 
 namespace apspark::apsp {
 
 using linalg::BlockRef;
-using linalg::DenseBlock;
 using sparklet::RddPtr;
-using sparklet::SparkletAbort;
 using sparklet::TaskContext;
 using staging::BlockCache;
 using staging::ReadPhase3Factors;
 using staging::ReadStagedBlock;
 using staging::StagingKeys;
 
-const char* KsourceVariantName(KsourceVariant variant) noexcept {
-  switch (variant) {
-    case KsourceVariant::kStagedStorage:
-      return "staged";
-    case KsourceVariant::kShuffleReplicated:
-      return "shuffle";
-  }
-  return "?";
-}
-
-std::optional<KsourceVariant> ParseKsourceVariant(std::string_view name) {
-  if (name == "staged") return KsourceVariant::kStagedStorage;
-  if (name == "shuffle") return KsourceVariant::kShuffleReplicated;
-  return std::nullopt;
-}
-
-std::vector<PanelRecord> DecomposeFrontier(const BlockLayout& layout,
-                                           const linalg::DenseBlock& frontier) {
-  std::vector<PanelRecord> panels;
-  panels.reserve(static_cast<std::size_t>(layout.q()));
-  for (std::int64_t i = 0; i < layout.q(); ++i) {
-    const std::int64_t r0 = i * layout.block_size();
-    panels.push_back(
-        {i, linalg::MakeBlock(frontier.RowPanel(r0, layout.BlockDim(i)))});
-  }
-  return panels;
-}
-
-KsourceResult KsourceBlockedSolver::SolveGraph(
-    const graph::Graph& graph, const std::vector<graph::VertexId>& sources,
-    const KsourceOptions& opts, const sparklet::ClusterConfig& cluster,
-    const linalg::CostModel& model) {
-  KsourceResult result;
-  const std::int64_t n = graph.num_vertices();
-  if (sources.empty()) {
-    result.status = InvalidArgumentError("ksource: no sources given");
-    return result;
-  }
-  for (graph::VertexId s : sources) {
-    if (s < 0 || s >= n) {
-      result.status = InvalidArgumentError("ksource: source " +
-                                           std::to_string(s) +
-                                           " out of range");
-      return result;
-    }
-  }
-  const bool directed = opts.directed || graph.directed();
-  DenseBlock adjacency = graph.ToDenseAdjacency();
-  // The sweep computes F = A* ⊗ F_0, i.e. distances *to* the frontier
-  // columns; sweeping the reversed graph roots them at the sources instead.
-  if (directed) adjacency = adjacency.Transposed();
-  // Ingest into the requested algebra (panels stay dense; see KsourceOptions).
-  adjacency = linalg::SemiringAdjacency(std::move(adjacency), opts.semiring,
-                                        /*bitpack=*/false);
-  KsourceOptions run_opts = opts;
-  run_opts.directed = directed;
-  const BlockLayout layout(n, opts.block_size, directed);
-  const DenseBlock frontier = linalg::FrontierPanel(
-      n, std::vector<std::int64_t>(sources.begin(), sources.end()),
-      linalg::SemiringZeroValue(opts.semiring),
-      linalg::SemiringOneValue(opts.semiring));
-  sparklet::SparkletContext ctx(cluster, model);
-  return Solve(ctx, layout, layout.Decompose(adjacency),
-               DecomposeFrontier(layout, frontier), run_opts);
-}
-
-KsourceResult KsourceBlockedSolver::SolveModel(
-    std::int64_t n, std::int64_t num_sources, const KsourceOptions& opts,
-    const sparklet::ClusterConfig& cluster, const linalg::CostModel& model) {
-  KsourceResult result;
-  if (num_sources <= 0) {
-    result.status = InvalidArgumentError("ksource: no sources given");
-    return result;
-  }
-  const BlockLayout layout(n, opts.block_size, opts.directed);
-  std::vector<PanelRecord> panels;
-  panels.reserve(static_cast<std::size_t>(layout.q()));
-  for (std::int64_t i = 0; i < layout.q(); ++i) {
-    panels.push_back({i, linalg::MakeBlock(DenseBlock::Phantom(
-                             layout.BlockDim(i), num_sources))});
-  }
-  sparklet::SparkletContext ctx(cluster, model);
-  return Solve(ctx, layout, layout.DecomposePhantom(), panels, opts);
-}
-
 namespace {
-
 /// Early-exit detection: true when every stored off-diagonal cross block of
 /// pivot t is entirely the semiring's annihilator (all-infinite under
 /// (min, +)), i.e. block row/column t carries no path in or out and phases
@@ -550,122 +506,29 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
 
 }  // namespace
 
-KsourceResult KsourceBlockedSolver::Solve(
-    sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    const std::vector<BlockRecord>& blocks,
-    const std::vector<PanelRecord>& frontier, const KsourceOptions& opts) {
-  // Host kernel selection for this run, exactly like SolveBlocks.
-  linalg::ScopedKernelVariant kernel_scope(ctx.config().kernel_variant);
-  // Pin the run's algebra: the fused rectangular updates and closures this
-  // sweep reaches all evaluate opts.semiring.
-  linalg::ScopedSemiring semiring_scope(opts.semiring);
-  KsourceResult result;
-  const std::int64_t q = layout.q();
-  result.rounds_total = q;
-  const std::int64_t rounds_to_run =
-      opts.max_rounds > 0 ? std::min(opts.max_rounds, q) : q;
-
-  const int num_partitions =
-      std::max(1, opts.partitions_per_core * ctx.config().total_cores());
-  auto block_part =
-      MakeBlockPartitioner(opts.partitioner, layout, num_partitions);
-  auto panel_part = sparklet::MakePortableHash<std::int64_t>(
-      std::min<int>(num_partitions, static_cast<int>(q)));
-
-  auto a = ctx.ParallelizePartitioned("ksA", blocks, block_part);
-  auto f = ctx.ParallelizePartitioned("ksF", frontier, panel_part);
-  // Populating the RDDs is free, consistent with the APSP solvers.
-  ctx.cluster().Reset();
-  ArmRunPlan(ctx, opts);
+RddPtr<BlockRecord> RunRoundsKsource(
+    SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    RddPtr<BlockRecord> a, sparklet::PartitionerPtr<BlockKey> partitioner,
+    RddPtr<PanelRecord>& f,
+    sparklet::PartitionerPtr<std::int64_t> panel_partitioner,
+    const ApspOptions& opts, std::int64_t rounds_to_run) {
   const StagingKeys keys("ks");
-
-  // Real-data full sweeps end with the driver assembling the n x k panel;
-  // the collect runs inside the attempt loop so an executor loss firing
-  // during assembly goes through the same recovery as one mid-sweep.
-  const bool phantom =
-      !frontier.empty() && frontier.front().second->is_phantom();
-  const bool want_assembly = !phantom && rounds_to_run == q;
-
-  std::vector<PanelRecord> assembled;
-  std::int64_t first = 0;
-  int restarts = 0;
-  for (;;) {
-    try {
-      for (std::int64_t t = first; t < rounds_to_run; ++t) {
-        RoundSpanScope round_span(ctx.cluster(), t);
-        const bool skip = opts.early_exit_infinite &&
-                          PivotCrossAllZero(a, layout, t, opts.semiring);
-        if (opts.variant == KsourceVariant::kShuffleReplicated) {
-          RunShufflePivot(ctx, layout, t, block_part, panel_part, a, f, skip);
-        } else {
-          RunStagedPivot(ctx, layout, t, keys, block_part, a, f, skip);
-        }
-        result.rounds_executed = t + 1;
-        if (opts.checkpoint_every > 0 &&
-            (t + 1) % opts.checkpoint_every == 0) {
-          SaveCheckpoint(ctx, layout, a->Collect(), t + 1, f->Collect());
-        }
-      }
-      // Timing and metrics stay pivots-only (the projection methodology);
-      // the assembly collect below is excluded — except its memory high
-      // water (the pure variant's only driver-resident spike) and any
-      // failure/recovery evidence, both folded in after the collect. The
-      // collect still runs in this try block so an executor loss firing
-      // during assembly recovers like any other.
-      result.sim_seconds = ctx.now_seconds();
-      result.metrics = ctx.metrics();
-      if (want_assembly) {
-        assembled = f->Collect();
-        result.metrics.driver_peak_bytes = ctx.metrics().driver_peak_bytes;
-        result.metrics.node_peak_bytes = ctx.metrics().node_peak_bytes;
-        FoldRecoveryMetrics(ctx.metrics(), result.metrics);
-      }
-      result.status = Status::Ok();
-      break;
-    } catch (const SparkletAbort& abort) {
-      // The pure shuffle variant recovers in place and never raises the one
-      // restartable abort (DATA_LOSS); the staged plane restarts from the
-      // latest checkpoint epoch or from the stable inputs.
-      auto resume = RestartOnDataLoss(
-          ctx, layout, opts, abort.status(), restarts, /*fallback_round=*/0,
-          [&](const CheckpointInfo* info, const std::string& tag) {
-            a = ctx.ParallelizePartitioned(
-                "ksA" + tag, info != nullptr ? info->blocks : blocks,
-                block_part);
-            f = ctx.ParallelizePartitioned(
-                "ksF" + tag, info != nullptr ? info->panels : frontier,
-                panel_part);
-          });
-      if (!resume.ok()) {
-        result.status = resume.status();
-        break;
-      }
-      first = *resume;
+  const std::int64_t first = opts.start_round;
+  for (std::int64_t t = first; t < first + rounds_to_run; ++t) {
+    RoundSpanScope round_span(ctx.cluster(), t);
+    const bool skip = opts.early_exit_infinite &&
+                      PivotCrossAllZero(a, layout, t, opts.semiring);
+    if (kind == SolverKind::kBlockedInMemory) {
+      RunShufflePivot(ctx, layout, t, partitioner, panel_partitioner, a, f,
+                      skip);
+    } else {
+      RunStagedPivot(ctx, layout, t, keys, partitioner, a, f, skip);
+    }
+    if (opts.checkpoint_every > 0 && (t + 1) % opts.checkpoint_every == 0) {
+      SaveCheckpoint(ctx, layout, a->Collect(), t + 1, f->Collect());
     }
   }
-
-  if (!result.status.ok()) {
-    result.sim_seconds = ctx.now_seconds();
-    result.metrics = ctx.metrics();
-  }
-  if (result.rounds_executed > 0) {
-    result.projected_seconds =
-        result.sim_seconds * static_cast<double>(q) /
-        static_cast<double>(result.rounds_executed);
-  }
-
-  if (result.status.ok() && want_assembly) {
-    const std::int64_t k =
-        assembled.empty() ? 0 : assembled.front().second->cols();
-    // Every row is pasted below; fill with the semiring Zero anyway so a
-    // would-be gap reads as "unreachable", not as a min-plus artifact.
-    DenseBlock out(layout.n(), k, linalg::SemiringZeroValue(opts.semiring));
-    for (const auto& [idx, panel] : assembled) {
-      out.PasteRowPanel(idx * layout.block_size(), *panel);
-    }
-    result.distances = std::move(out);
-  }
-  return result;
+  return a;
 }
 
 }  // namespace apspark::apsp

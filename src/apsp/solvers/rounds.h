@@ -1,10 +1,12 @@
-// Internal: the round loops of the four APSP solvers.
+// Internal: the round loops of the four APSP solvers and of the k-source
+// sweep.
 //
 // SolveBlocks (apsp/api.h) owns everything the solvers share — partitioning,
 // the run plan, checkpoint restarts, assembly — and dispatches on SolverKind
-// to one of these. Each runs `rounds_to_run` rounds of its algorithm starting
-// at opts.start_round from block RDD `a`, returns the final block RDD, and
-// throws SparkletAbort on modelled failures.
+// (and, for k-source requests, to RunRoundsKsource) to one of these. Each
+// runs `rounds_to_run` rounds of its algorithm starting at opts.start_round
+// from block RDD `a`, returns the final block RDD, and throws SparkletAbort
+// on modelled failures.
 #pragma once
 
 #include <cstdint>
@@ -67,5 +69,18 @@ sparklet::RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
     sparklet::RddPtr<BlockRecord> a,
     sparklet::PartitionerPtr<BlockKey> partitioner, const ApspOptions& opts,
     std::int64_t rounds_to_run);
+
+/// The batched k-source sweep (see solvers/ksource.cc): one round is one
+/// blocked Floyd-Warshall pivot of `a` folded into the frontier panels `f`,
+/// which it replaces with the updated panels. `kind` picks the data plane:
+/// kBlockedCollectBroadcast stages pivot data through shared storage like
+/// Alg. 4, kBlockedInMemory shuffles it with Alg. 3's combine steps.
+sparklet::RddPtr<BlockRecord> RunRoundsKsource(
+    SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    sparklet::RddPtr<BlockRecord> a,
+    sparklet::PartitionerPtr<BlockKey> partitioner,
+    sparklet::RddPtr<PanelRecord>& f,
+    sparklet::PartitionerPtr<std::int64_t> panel_partitioner,
+    const ApspOptions& opts, std::int64_t rounds_to_run);
 
 }  // namespace apspark::apsp

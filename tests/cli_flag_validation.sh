@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Malformed CLI flags must be rejected with the usage exit code (2) before
 # any work runs — never clamped, truncated or defaulted into a different run.
+# A few well-formed runs, including the k-source path, must still exit 0.
 #
 # Usage: cli_flag_validation.sh <path/to/apspark_cli>
 set -u
@@ -34,10 +35,30 @@ expect_usage_error solve --er 40 --fail-node 1@x
 expect_usage_error solve --er 40 --straggler-factor 2x
 expect_usage_error solve --er 40 --straggler-factor nan
 expect_usage_error serve --store . --path 3:-1
+# The k-source data plane comes from --ksource-variant, so --solver is a
+# usage error there; so is --persist (a panel is not a servable store).
+expect_usage_error solve --er 256 --sources 8 --block 64 --solver rs
+expect_usage_error model --n 1000 --sources 8 --solver im
+expect_usage_error solve --er 64 --sources 4 --block 16 --persist unused-dir
 
-# The well-formed counterpart still runs.
-if ! "$CLI" model --n 1000 --block 250 --rounds 1 > /dev/null 2>&1; then
-  echo "FAIL: apspark_cli model --n 1000 --block 250 --rounds 1 did not run"
+# The well-formed counterparts still run.
+expect_run() {
+  "$CLI" "$@" > /dev/null 2>&1
+  local rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: apspark_cli $* exited $rc, expected 0"
+    failures=$((failures + 1))
+  else
+    echo "ok: apspark_cli $* ran"
+  fi
+}
+
+expect_run model --n 1000 --block 250 --rounds 1
+expect_run solve --er 64 --sources 4 --block 16 --ksource-variant shuffle
+expect_run model --n 16384 --sources 64 --block 1024 --ksource-variant auto
+if ! "$CLI" model --n 16384 --sources 64 --block 1024 --ksource-variant auto \
+    2> /dev/null | grep -q "^auto-selected ksource data plane: "; then
+  echo "FAIL: model --ksource-variant auto printed no auto-selected plane"
   failures=$((failures + 1))
 fi
 

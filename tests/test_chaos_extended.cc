@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "apsp/api.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
 #include "sparklet/rdd.h"
@@ -31,9 +30,6 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
-using apsp::KsourceVariant;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -178,27 +174,28 @@ TEST(ChaosExtended, SeededMembershipSchedulesBothKsourcePlanesBitwise) {
       }
     }
     const MembershipSchedule schedule = DrawSchedule(rng);
-    const KsourceVariant variant = seed % 2 == 0
-                                       ? KsourceVariant::kStagedStorage
-                                       : KsourceVariant::kShuffleReplicated;
-    KsourceOptions opts;
+    const SolverKind plane = seed % 2 == 0
+                                 ? SolverKind::kBlockedCollectBroadcast
+                                 : SolverKind::kBlockedInMemory;
+    apsp::SolveRequest request{.solver = plane,
+                               .sources = sources,
+                               .cluster = ChaosCluster(schedule)};
+    auto& opts = request.options;
     opts.block_size = 4 + static_cast<std::int64_t>(rng.NextBounded(13));
-    opts.variant = variant;
     opts.directed = g.directed();
     opts.fail_nodes = schedule.fail_nodes;
     opts.fail_racks = schedule.fail_racks;
     opts.add_nodes = schedule.add_nodes;
-    if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 1;
-    KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(g, sources, opts, ChaosCluster(schedule));
+    if (!apsp::SolverIsPure(plane)) opts.checkpoint_every = 1;
+    auto result = apsp::Solve(g, request).run;
     ASSERT_TRUE(result.status.ok())
-        << apsp::KsourceVariantName(variant) << " seed " << seed << ": "
+        << SolverKindName(plane) << " seed " << seed << ": "
         << result.status.ToString();
     ASSERT_TRUE(result.distances.has_value());
     ExpectBitwiseEqual(*result.distances, oracle,
-                       std::string(apsp::KsourceVariantName(variant)) +
-                           " seed " + std::to_string(seed));
-    if (KsourceBlockedSolver::Pure(variant)) {
+                       std::string(SolverKindName(plane)) + " seed " +
+                           std::to_string(seed));
+    if (apsp::SolverIsPure(plane)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u)
           << "seed " << seed << ": pure plane must recover in place";
     }

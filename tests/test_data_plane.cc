@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "apsp/api.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "graph/generators.h"
 #include "linalg/block_ref.h"
 #include "sparklet/memory_accountant.h"
@@ -25,9 +24,6 @@ namespace apspark {
 namespace {
 
 using apsp::ApspOptions;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
-using apsp::KsourceVariant;
 using apsp::Solve;
 using apsp::SolverKind;
 using linalg::BlockCopyStats;
@@ -128,20 +124,19 @@ TEST(ZeroCopyDataPlane, StagedSolverMakesNoUnsanctionedCopies) {
   EXPECT_EQ(copies, 0u);
 }
 
-TEST(ZeroCopyDataPlane, BothKsourceVariantsMakeNoUnsanctionedCopies) {
+TEST(ZeroCopyDataPlane, BothKsourcePlanesMakeNoUnsanctionedCopies) {
   const graph::Graph g = graph::PaperErdosRenyi(60, 5);
   const std::vector<graph::VertexId> sources = {0, 7, 31, 59};
-  for (KsourceVariant variant :
-       {KsourceVariant::kStagedStorage, KsourceVariant::kShuffleReplicated}) {
+  for (SolverKind plane : {SolverKind::kBlockedCollectBroadcast,
+                           SolverKind::kBlockedInMemory}) {
     const std::uint64_t copies = UnsanctionedCopiesDuring([&] {
-      KsourceOptions opts;
-      opts.block_size = 16;
-      opts.variant = variant;
-      KsourceBlockedSolver solver;
-      auto result = solver.SolveGraph(g, sources, opts, TestCluster());
+      apsp::SolveRequest request{
+          .solver = plane, .sources = sources, .cluster = TestCluster()};
+      request.options.block_size = 16;
+      auto result = Solve(g, request).run;
       ASSERT_TRUE(result.status.ok());
     });
-    EXPECT_EQ(copies, 0u) << apsp::KsourceVariantName(variant);
+    EXPECT_EQ(copies, 0u) << apsp::SolverKindName(plane);
   }
 }
 
@@ -263,19 +258,20 @@ TEST(MemoryHighWater, CollectBroadcastVsShuffleSolversOnFixedLayout) {
   EXPECT_EQ(cb2.metrics.node_peak_bytes, cb.metrics.node_peak_bytes);
 }
 
-TEST(MemoryHighWater, PureKsourceVariantKeepsTheDriverQuiet) {
+TEST(MemoryHighWater, PureKsourcePlaneKeepsTheDriverQuiet) {
   // The staged variant collects the updated cross every pivot; the pure
   // shuffle-replicated variant's only driver spike is the final panel
   // assembly — its high water must sit strictly below the staged one.
   const graph::Graph g = graph::PaperErdosRenyi(96, 11);
   const std::vector<graph::VertexId> sources = {0, 13, 55};
-  KsourceOptions staged;
-  staged.block_size = 16;
-  KsourceOptions shuffle = staged;
-  shuffle.variant = KsourceVariant::kShuffleReplicated;
-  KsourceBlockedSolver solver;
-  auto staged_run = solver.SolveGraph(g, sources, staged, TestCluster());
-  auto shuffle_run = solver.SolveGraph(g, sources, shuffle, TestCluster());
+  apsp::SolveRequest staged{.solver = SolverKind::kBlockedCollectBroadcast,
+                            .sources = sources,
+                            .cluster = TestCluster()};
+  staged.options.block_size = 16;
+  apsp::SolveRequest shuffle = staged;
+  shuffle.solver = SolverKind::kBlockedInMemory;
+  auto staged_run = Solve(g, staged).run;
+  auto shuffle_run = Solve(g, shuffle).run;
   ASSERT_TRUE(staged_run.status.ok());
   ASSERT_TRUE(shuffle_run.status.ok());
   EXPECT_GT(shuffle_run.metrics.driver_peak_bytes, 0u);  // final assembly

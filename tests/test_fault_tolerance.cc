@@ -17,7 +17,6 @@
 
 #include "apsp/checkpoint.h"
 #include "apsp/api.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "apsp/tuner.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
@@ -29,9 +28,6 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
-using apsp::KsourceVariant;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -627,24 +623,23 @@ TEST(EndToEnd, KsourceStagedRestartsShuffleRecoversBitwise) {
   }
   const std::vector<VertexId> sources = {0, 7, 19, 33};
   const DenseBlock oracle = KsourceOracle(gi, sources);
-  for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
-                                       KsourceVariant::kShuffleReplicated}) {
-    KsourceOptions opts;
-    opts.block_size = 10;
-    opts.variant = variant;
-    opts.fail_nodes = {{1, 18}};
-    if (variant == KsourceVariant::kStagedStorage) opts.checkpoint_every = 2;
-    KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(gi, sources, opts, TestCluster());
+  for (const SolverKind plane : {SolverKind::kBlockedCollectBroadcast,
+                                 SolverKind::kBlockedInMemory}) {
+    apsp::SolveRequest request{
+        .solver = plane, .sources = sources, .cluster = TestCluster()};
+    request.options.block_size = 10;
+    request.options.fail_nodes = {{1, 18}};
+    if (plane == SolverKind::kBlockedCollectBroadcast) {
+      request.options.checkpoint_every = 2;
+    }
+    auto result = apsp::Solve(gi, request).run;
     ASSERT_TRUE(result.status.ok())
-        << apsp::KsourceVariantName(variant) << ": "
-        << result.status.ToString();
+        << SolverKindName(plane) << ": " << result.status.ToString();
     ASSERT_TRUE(result.distances.has_value());
-    ExpectBitwiseEqual(*result.distances, oracle,
-                       apsp::KsourceVariantName(variant));
+    ExpectBitwiseEqual(*result.distances, oracle, SolverKindName(plane));
     EXPECT_EQ(result.metrics.executor_failures, 1u);
     EXPECT_GT(result.metrics.recovery_seconds, 0.0);
-    if (KsourceBlockedSolver::Pure(variant)) {
+    if (apsp::SolverIsPure(plane)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u)
           << "pure variant must recover in place";
     } else {
@@ -713,83 +708,81 @@ TEST(Chaos, SeededKsourceSchedules) {
     std::vector<sparklet::NodeFailurePlan> schedule = {
         {static_cast<int>(rng.NextBounded(2)),
          static_cast<std::int64_t>(rng.NextBounded(30))}};
-    for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
-                                         KsourceVariant::kShuffleReplicated}) {
-      KsourceOptions opts;
+    for (const SolverKind plane : {SolverKind::kBlockedCollectBroadcast,
+                                   SolverKind::kBlockedInMemory}) {
+      apsp::SolveRequest request{
+          .solver = plane, .sources = sources, .cluster = TestCluster()};
+      auto& opts = request.options;
       opts.block_size = 4 + static_cast<std::int64_t>(rng.NextBounded(13));
-      opts.variant = variant;
       opts.directed = g.directed();
       opts.fail_nodes = schedule;
-      if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 1;
-      KsourceBlockedSolver solver;
-      auto result = solver.SolveGraph(g, sources, opts, TestCluster());
+      if (!apsp::SolverIsPure(plane)) opts.checkpoint_every = 1;
+      auto result = apsp::Solve(g, request).run;
       ASSERT_TRUE(result.status.ok())
-          << apsp::KsourceVariantName(variant) << " seed " << seed << ": "
+          << SolverKindName(plane) << " seed " << seed << ": "
           << result.status.ToString();
       ASSERT_TRUE(result.distances.has_value());
       ExpectBitwiseEqual(*result.distances, oracle,
-                         std::string(apsp::KsourceVariantName(variant)) +
-                             " seed " + std::to_string(seed));
+                         std::string(SolverKindName(plane)) + " seed " +
+                             std::to_string(seed));
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive KSSP variant chooser
+// Adaptive KSSP data-plane choice (the tuner with num_sources)
 // ---------------------------------------------------------------------------
 
-TEST(KsourceTuner, PrefersStagedOnFatSharedFs) {
-  // The paper's testbed: GPFS sustains 16 GB/s aggregate while the GbE
-  // fabric moves ~125 MB/s per node — staging through the shared FS wins.
-  apsp::KsourceTuneRequest request;
+/// One block size and one phantom pivot per plane and partitioner: the
+/// tuner's k-source data-plane choice at n = 16384, k = 64, b = 1024.
+apsp::TuneRequest KsourcePlaneRequest() {
+  apsp::TuneRequest request;
   request.n = 16384;
   request.num_sources = 64;
-  request.block_size = 1024;
+  request.block_sizes = {1024};
   request.cluster = ClusterConfig::Paper();
-  auto choice = apsp::ChooseKsourceVariant(request);
-  ASSERT_TRUE(choice.ok()) << choice.status().ToString();
-  EXPECT_EQ(*choice, KsourceVariant::kStagedStorage);
+  return request;
 }
 
-TEST(KsourceTuner, PrefersShuffleWhenSharedFsSlow) {
+TEST(TunerKsourcePlane, PrefersStagedOnFatSharedFs) {
+  // The paper's testbed: GPFS sustains 16 GB/s aggregate while the GbE
+  // fabric moves ~125 MB/s per node — staging through the shared FS wins.
+  auto choice = apsp::TuneConfiguration(KsourcePlaneRequest());
+  ASSERT_TRUE(choice.ok()) << choice.status().ToString();
+  EXPECT_EQ(choice->solver, SolverKind::kBlockedCollectBroadcast);
+}
+
+TEST(TunerKsourcePlane, PrefersShuffleWhenSharedFsSlow) {
   // Starve the shared FS (an overloaded NFS appliance): per-file overhead
   // and low aggregate bandwidth make staging the bottleneck, so the
   // shuffle-replicated plane wins.
-  apsp::KsourceTuneRequest request;
-  request.n = 16384;
-  request.num_sources = 64;
-  request.block_size = 1024;
-  request.cluster = ClusterConfig::Paper();
+  apsp::TuneRequest request = KsourcePlaneRequest();
   request.cluster.shared_fs.aggregate_bandwidth_bytes_per_sec = 20.0e6;
   request.cluster.shared_fs.file_overhead_seconds = 0.25;
-  auto choice = apsp::ChooseKsourceVariant(request);
+  auto choice = apsp::TuneConfiguration(request);
   ASSERT_TRUE(choice.ok()) << choice.status().ToString();
-  EXPECT_EQ(*choice, KsourceVariant::kShuffleReplicated);
+  EXPECT_EQ(choice->solver, SolverKind::kBlockedInMemory);
 }
 
-TEST(KsourceTuner, FaultToleranceConstraintForcesShuffle) {
-  apsp::KsourceTuneRequest request;
-  request.n = 16384;
-  request.num_sources = 64;
-  request.block_size = 1024;
-  request.cluster = ClusterConfig::Paper();
+TEST(TunerKsourcePlane, FaultToleranceConstraintForcesShuffle) {
+  apsp::TuneRequest request = KsourcePlaneRequest();
   request.require_fault_tolerance = true;
-  auto choice = apsp::ChooseKsourceVariant(request);
+  auto choice = apsp::TuneConfiguration(request);
   ASSERT_TRUE(choice.ok()) << choice.status().ToString();
-  EXPECT_EQ(*choice, KsourceVariant::kShuffleReplicated);
+  EXPECT_EQ(choice->solver, SolverKind::kBlockedInMemory);
 }
 
-TEST(KsourceTuner, RejectsInvalidRequests) {
-  apsp::KsourceTuneRequest request;
+TEST(TunerKsourcePlane, RejectsInvalidRequests) {
+  apsp::TuneRequest request;
   request.n = 1;
   request.num_sources = 4;
-  EXPECT_FALSE(apsp::ChooseKsourceVariant(request).ok());
+  EXPECT_FALSE(apsp::TuneConfiguration(request).ok());
   request.n = 1024;
-  request.num_sources = 0;
-  EXPECT_FALSE(apsp::ChooseKsourceVariant(request).ok());
+  request.num_sources = -1;
+  EXPECT_FALSE(apsp::TuneConfiguration(request).ok());
   request.num_sources = 4;
-  request.block_size = 0;
-  EXPECT_FALSE(apsp::ChooseKsourceVariant(request).ok());
+  request.block_sizes = {0};
+  EXPECT_FALSE(apsp::TuneConfiguration(request).ok());
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include <optional>
 #include <vector>
 
-#include "apsp/solvers/ksource_blocked.h"
+#include "apsp/api.h"
 #include "common/rng.h"
 #include "graph/shortest_paths.h"
 #include "linalg/kernels.h"
@@ -23,8 +23,8 @@
 namespace apspark {
 namespace {
 
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
+using apsp::SolveRequest;
+using apsp::SolverKind;
 using graph::Graph;
 using graph::VertexId;
 using linalg::DenseBlock;
@@ -54,17 +54,23 @@ DenseBlock OraclePanel(const Graph& g, const std::vector<VertexId>& sources) {
   return out;
 }
 
-apsp::KsourceResult RunKsource(
+/// A k-source request on `data_plane` (staged = Blocked-CB's plane).
+SolveRequest KsourceRequest(
+    const std::vector<VertexId>& sources, std::int64_t block_size,
+    SolverKind data_plane = SolverKind::kBlockedCollectBroadcast) {
+  SolveRequest request{
+      .solver = data_plane, .sources = sources, .cluster = TestCluster()};
+  request.options.block_size = block_size;
+  return request;
+}
+
+apsp::ApspRunResult RunKsource(
     const Graph& g, const std::vector<VertexId>& sources,
     std::int64_t block_size, KernelVariant variant,
-    apsp::KsourceVariant data_plane = apsp::KsourceVariant::kStagedStorage) {
-  KsourceOptions opts;
-  opts.block_size = block_size;
-  opts.variant = data_plane;
-  auto cluster = TestCluster();
-  cluster.kernel_variant = variant;
-  KsourceBlockedSolver solver;
-  return solver.SolveGraph(g, sources, opts, cluster);
+    SolverKind data_plane = SolverKind::kBlockedCollectBroadcast) {
+  SolveRequest request = KsourceRequest(sources, block_size, data_plane);
+  request.cluster.kernel_variant = variant;
+  return apsp::Solve(g, request).run;
 }
 
 // --- rectangular kernel, all variants ------------------------------------
@@ -337,7 +343,7 @@ TEST(KsourceShuffleVariant, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
     const DenseBlock oracle = OraclePanel(g, sources);
     for (KernelVariant variant : kVariants) {
       auto result = RunKsource(g, sources, block_size, variant,
-                               apsp::KsourceVariant::kShuffleReplicated);
+                               SolverKind::kBlockedInMemory);
       ASSERT_TRUE(result.status.ok())
           << linalg::KernelVariantName(variant) << ": "
           << result.status.ToString();
@@ -355,9 +361,9 @@ TEST(KsourceShuffleVariant, UsesNoSharedStorageAndAgreesWithStaged) {
   const Graph g = graph::PaperErdosRenyi(72, 19);
   const std::vector<VertexId> sources = {3, 17, 41, 66};
   auto staged = RunKsource(g, sources, 16, KernelVariant::kTiled,
-                           apsp::KsourceVariant::kStagedStorage);
+                           SolverKind::kBlockedCollectBroadcast);
   auto shuffle = RunKsource(g, sources, 16, KernelVariant::kTiled,
-                            apsp::KsourceVariant::kShuffleReplicated);
+                            SolverKind::kBlockedInMemory);
   ASSERT_TRUE(staged.status.ok());
   ASSERT_TRUE(shuffle.status.ok());
   ExpectBitwiseEqual(*shuffle.distances, *staged.distances,
@@ -368,10 +374,8 @@ TEST(KsourceShuffleVariant, UsesNoSharedStorageAndAgreesWithStaged) {
   EXPECT_GT(staged.metrics.shared_fs_written_bytes, 0u);
   // And it pays for that purity through the shuffle instead.
   EXPECT_GT(shuffle.metrics.shuffle_bytes, staged.metrics.shuffle_bytes);
-  EXPECT_TRUE(apsp::KsourceBlockedSolver::Pure(
-      apsp::KsourceVariant::kShuffleReplicated));
-  EXPECT_FALSE(apsp::KsourceBlockedSolver::Pure(
-      apsp::KsourceVariant::kStagedStorage));
+  EXPECT_TRUE(apsp::SolverIsPure(SolverKind::kBlockedInMemory));
+  EXPECT_FALSE(apsp::SolverIsPure(SolverKind::kBlockedCollectBroadcast));
 }
 
 // --- early-exit pivot sweep -------------------------------------------------
@@ -397,25 +401,22 @@ TEST(KsourceEarlyExit, DisconnectedGraphOutputIdenticalWithAndWithoutSkip) {
     const Graph g = IntegerTwoComponentGraph(16, seed, seed + 50);  // n = 32
     const std::vector<VertexId> sources = {0, 5, 17, 31};
     const DenseBlock oracle = OraclePanel(g, sources);
-    for (auto data_plane : {apsp::KsourceVariant::kStagedStorage,
-                            apsp::KsourceVariant::kShuffleReplicated}) {
+    for (auto data_plane : {SolverKind::kBlockedCollectBroadcast,
+                            SolverKind::kBlockedInMemory}) {
       // b = 16 aligns each component with exactly one block (every pivot
       // cross is all-infinite: the skip fires on all pivots); b = 6 leaves
       // blocks straddling the cut (the skip never fires). Identical output
       // either way is the property under test.
       for (std::int64_t b : {6, 16}) {
-        KsourceOptions with_skip;
-        with_skip.block_size = b;
-        with_skip.variant = data_plane;
-        KsourceOptions without_skip = with_skip;
-        without_skip.early_exit_infinite = false;
-        KsourceBlockedSolver solver;
-        auto on = solver.SolveGraph(g, sources, with_skip, TestCluster());
-        auto off = solver.SolveGraph(g, sources, without_skip, TestCluster());
+        const SolveRequest with_skip = KsourceRequest(sources, b, data_plane);
+        SolveRequest without_skip = with_skip;
+        without_skip.options.early_exit_infinite = false;
+        auto on = apsp::Solve(g, with_skip).run;
+        auto off = apsp::Solve(g, without_skip).run;
         ASSERT_TRUE(on.status.ok());
         ASSERT_TRUE(off.status.ok());
         const std::string label =
-            std::string(apsp::KsourceVariantName(data_plane)) + " b=" +
+            std::string(apsp::SolverKindName(data_plane)) + " b=" +
             std::to_string(b);
         ExpectBitwiseEqual(*on.distances, *off.distances, label);
         ExpectBitwiseEqual(*on.distances, oracle, label + " vs oracle");
@@ -435,13 +436,11 @@ TEST(KsourceEarlyExit, ConnectedGraphNeverSkips) {
   // must add only the detection scan — same stage structure either way.
   const Graph g = graph::PaperErdosRenyi(48, 29);
   const std::vector<VertexId> sources = {1, 30};
-  KsourceOptions on;
-  on.block_size = 12;
-  KsourceOptions off = on;
-  off.early_exit_infinite = false;
-  KsourceBlockedSolver solver;
-  auto run_on = solver.SolveGraph(g, sources, on, TestCluster());
-  auto run_off = solver.SolveGraph(g, sources, off, TestCluster());
+  const SolveRequest on = KsourceRequest(sources, 12);
+  SolveRequest off = on;
+  off.options.early_exit_infinite = false;
+  auto run_on = apsp::Solve(g, on).run;
+  auto run_off = apsp::Solve(g, off).run;
   ASSERT_TRUE(run_on.status.ok());
   ASSERT_TRUE(run_off.status.ok());
   ExpectBitwiseEqual(*run_on.distances, *run_off.distances, "on vs off");
@@ -456,13 +455,9 @@ TEST(KsourceSolver, PhantomRunChargesSameTimeAsRealRun) {
   // The virtual clock must not depend on payload materialization, the same
   // invariant the APSP solvers keep (it justifies paper-scale projections).
   const Graph g = graph::PaperErdosRenyi(48, 23);
-  KsourceOptions opts;
-  opts.block_size = 12;
-  std::vector<VertexId> sources = {1, 9, 17, 33, 41};
-  KsourceBlockedSolver solver;
-  auto real = solver.SolveGraph(g, sources, opts, TestCluster());
-  auto phantom = solver.SolveModel(
-      48, static_cast<std::int64_t>(sources.size()), opts, TestCluster());
+  const SolveRequest request = KsourceRequest({1, 9, 17, 33, 41}, 12);
+  auto real = apsp::Solve(g, request).run;
+  auto phantom = apsp::SolveModel(48, request).run;
   ASSERT_TRUE(real.status.ok());
   ASSERT_TRUE(phantom.status.ok());
   EXPECT_FALSE(phantom.distances.has_value());
@@ -473,15 +468,15 @@ TEST(KsourceSolver, PhantomRunChargesSameTimeAsRealRun) {
 }
 
 TEST(KsourceSolver, ProjectionApproximatesFullRun) {
-  KsourceOptions full_opts;
-  full_opts.block_size = 16;
-  KsourceBlockedSolver solver;
-  auto full = solver.SolveModel(96, 8, full_opts, TestCluster());
+  // A model run uses only the source count: k = 8.
+  const SolveRequest full_request =
+      KsourceRequest(std::vector<VertexId>(8, 0), 16);
+  auto full = apsp::SolveModel(96, full_request).run;
   ASSERT_TRUE(full.status.ok());
   EXPECT_EQ(full.rounds_executed, full.rounds_total);
-  KsourceOptions partial_opts = full_opts;
-  partial_opts.max_rounds = 2;
-  auto partial = solver.SolveModel(96, 8, partial_opts, TestCluster());
+  SolveRequest partial_request = full_request;
+  partial_request.options.max_rounds = 2;
+  auto partial = apsp::SolveModel(96, partial_request).run;
   ASSERT_TRUE(partial.status.ok());
   EXPECT_EQ(partial.rounds_executed, 2);
   EXPECT_NEAR(partial.projected_seconds, full.sim_seconds,
@@ -490,17 +485,30 @@ TEST(KsourceSolver, ProjectionApproximatesFullRun) {
 
 TEST(KsourceSolver, RejectsInvalidSources) {
   const Graph g = graph::PathGraph(5);
-  KsourceBlockedSolver solver;
-  KsourceOptions opts;
-  opts.block_size = 2;
-  EXPECT_EQ(solver.SolveGraph(g, {}, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(solver.SolveGraph(g, {5}, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(solver.SolveGraph(g, {-1}, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(solver.SolveModel(5, 0, opts, TestCluster()).status.code(),
-            StatusCode::kInvalidArgument);
+  for (const VertexId bad : {VertexId{5}, VertexId{-1}}) {
+    const SolveRequest request = KsourceRequest({0, bad}, 2);
+    EXPECT_EQ(apsp::Solve(g, request).status().code(),
+              StatusCode::kInvalidArgument)
+        << "source " << bad;
+    EXPECT_EQ(apsp::SolveModel(5, request).status().code(),
+              StatusCode::kInvalidArgument)
+        << "source " << bad;
+  }
+}
+
+TEST(KsourceSolver, RejectsSolversWithoutAKsourcePlane) {
+  // Only the blocked methods have a k-source data plane.
+  const Graph g = graph::PathGraph(5);
+  for (const SolverKind kind :
+       {SolverKind::kRepeatedSquaring, SolverKind::kFloydWarshall2d}) {
+    const SolveRequest request = KsourceRequest({0, 3}, 2, kind);
+    EXPECT_EQ(apsp::Solve(g, request).status().code(),
+              StatusCode::kInvalidArgument)
+        << apsp::SolverKindName(kind);
+    EXPECT_EQ(apsp::SolveModel(5, request).status().code(),
+              StatusCode::kInvalidArgument)
+        << apsp::SolverKindName(kind);
+  }
 }
 
 }  // namespace

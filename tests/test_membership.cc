@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "apsp/api.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "graph/generators.h"
 #include "linalg/kernels.h"
 #include "sparklet/block_manager.h"
@@ -30,9 +29,6 @@ namespace {
 
 using apsp::ApspOptions;
 using apsp::BlockLayout;
-using apsp::KsourceBlockedSolver;
-using apsp::KsourceOptions;
-using apsp::KsourceVariant;
 using apsp::SolverKind;
 using apsp::SolverKindName;
 using graph::Graph;
@@ -454,25 +450,23 @@ TEST(MembershipEndToEnd, RackLossAndJoinBothKsourcePlanesBitwise) {
   auto cfg = TestCluster();
   cfg.nodes = 4;
   cfg.racks = 2;
-  for (const KsourceVariant variant : {KsourceVariant::kStagedStorage,
-                                       KsourceVariant::kShuffleReplicated}) {
-    KsourceOptions opts;
+  for (const SolverKind plane : {SolverKind::kBlockedCollectBroadcast,
+                                 SolverKind::kBlockedInMemory}) {
+    apsp::SolveRequest request{
+        .solver = plane, .sources = sources, .cluster = cfg};
+    auto& opts = request.options;
     opts.block_size = 10;
     opts.fail_racks = {{1, 16}};
     opts.add_nodes = {20};
-    if (!KsourceBlockedSolver::Pure(variant)) opts.checkpoint_every = 2;
-    opts.variant = variant;
-    KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(gi, sources, opts, cfg);
+    if (!apsp::SolverIsPure(plane)) opts.checkpoint_every = 2;
+    auto result = apsp::Solve(gi, request).run;
     ASSERT_TRUE(result.status.ok())
-        << apsp::KsourceVariantName(variant) << ": "
-        << result.status.ToString();
+        << SolverKindName(plane) << ": " << result.status.ToString();
     ASSERT_TRUE(result.distances.has_value());
-    ExpectBitwiseEqual(*result.distances, oracle,
-                       apsp::KsourceVariantName(variant));
+    ExpectBitwiseEqual(*result.distances, oracle, SolverKindName(plane));
     EXPECT_EQ(result.metrics.executor_failures, 2u);
     EXPECT_EQ(result.metrics.node_joins, 1u);
-    if (KsourceBlockedSolver::Pure(variant)) {
+    if (apsp::SolverIsPure(plane)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u);
     }
   }

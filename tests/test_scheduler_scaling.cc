@@ -15,7 +15,6 @@
 
 #include "apsp/building_blocks.h"
 #include "apsp/api.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
@@ -380,12 +379,11 @@ TEST(SchedulerScaling, KsourceSmallBlocksMatchesOracleColumns) {
     }
   }
   auto check = [&](KernelVariant variant, const std::string& what) {
-    auto cluster = test::TestCluster();
-    cluster.kernel_variant = variant;
-    apsp::KsourceOptions opts;
-    opts.block_size = 8;  // q = 10
-    apsp::KsourceBlockedSolver solver;
-    auto result = solver.SolveGraph(g, sources, opts, cluster);
+    apsp::SolveRequest request{.sources = sources,
+                               .cluster = test::TestCluster()};
+    request.cluster.kernel_variant = variant;
+    request.options.block_size = 8;  // q = 10
+    auto result = apsp::Solve(g, request).run;
     ASSERT_TRUE(result.status.ok()) << what << ": " << result.status.ToString();
     ASSERT_TRUE(result.distances.has_value()) << what;
     test::ExpectBitwiseEqual(*result.distances, expected, what);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "apsp/api.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "graph/generators.h"
@@ -164,10 +163,10 @@ TEST(Paths, KsourcePanelDistancesAreRealizedByReconstructedPaths) {
   APSPARK_SEEDED_CASE(seed);
   const graph::Graph g = graph::PaperErdosRenyi(56, seed);
   const std::vector<graph::VertexId> sources = {0, 7, 23, 41, 55};
-  apsp::KsourceOptions opts;
-  opts.block_size = 16;
-  apsp::KsourceBlockedSolver solver;
-  auto result = solver.SolveGraph(g, sources, opts, test::TestCluster());
+  apsp::SolveRequest request{.sources = sources,
+                             .cluster = test::TestCluster()};
+  request.options.block_size = 16;
+  auto result = apsp::Solve(g, request).run;
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   ASSERT_TRUE(result.distances.has_value());
   const auto& panel = *result.distances;
@@ -205,10 +204,10 @@ TEST(Paths, DirectedKsourcePanelRealizedOnDigraph) {
   const graph::Graph g = graph::ErdosRenyi(30, 0.2, {1.0, 5.0}, /*seed=*/9,
                                            /*directed=*/true);
   const std::vector<graph::VertexId> sources = {3, 11, 28};
-  apsp::KsourceOptions opts;
-  opts.block_size = 8;
-  apsp::KsourceBlockedSolver solver;
-  auto result = solver.SolveGraph(g, sources, opts, test::TestCluster());
+  apsp::SolveRequest request{.sources = sources,
+                             .cluster = test::TestCluster()};
+  request.options.block_size = 8;
+  auto result = apsp::Solve(g, request).run;
   ASSERT_TRUE(result.status.ok());
   const auto& panel = *result.distances;
   const auto apsp = graph::FloydWarshallWithPaths(g);
@@ -411,14 +410,14 @@ TEST(KsourceEarlyExit, SkipIsBitwiseNoOpInEverySemiring) {
   const graph::Graph g = test::TwoComponentGraph(18, 5, 6);
   const std::vector<graph::VertexId> sources = {0, 3, 20, 35};
   for (const SemiringId id : kAllSemirings) {
-    apsp::KsourceOptions opts;
-    opts.block_size = 9;
-    opts.semiring = id;
-    apsp::KsourceBlockedSolver solver;
-    opts.early_exit_infinite = true;
-    auto fast = solver.SolveGraph(g, sources, opts, test::TestCluster());
-    opts.early_exit_infinite = false;
-    auto full = solver.SolveGraph(g, sources, opts, test::TestCluster());
+    apsp::SolveRequest request{.sources = sources,
+                               .cluster = test::TestCluster()};
+    request.options.block_size = 9;
+    request.options.semiring = id;
+    request.options.early_exit_infinite = true;
+    auto fast = apsp::Solve(g, request).run;
+    request.options.early_exit_infinite = false;
+    auto full = apsp::Solve(g, request).run;
     ASSERT_TRUE(fast.status.ok()) << linalg::SemiringName(id);
     ASSERT_TRUE(full.status.ok()) << linalg::SemiringName(id);
     test::ExpectBitwiseEqual(*fast.distances, *full.distances,
@@ -566,12 +565,12 @@ TEST(SemiringEngine, KsourcePanelsMatchOracleColumns) {
     const DenseBlock adj = g.ToDenseAdjacency();
     for (const SemiringId id : kAllSemirings) {
       const DenseBlock closure = OracleClosure(adj, id);
-      apsp::KsourceOptions opts;
-      opts.block_size = 16;
-      opts.semiring = id;
-      opts.directed = g.directed();
-      apsp::KsourceBlockedSolver solver;
-      auto result = solver.SolveGraph(g, sources, opts, test::TestCluster());
+      apsp::SolveRequest request{.sources = sources,
+                                 .cluster = test::TestCluster()};
+      request.options.block_size = 16;
+      request.options.semiring = id;
+      request.options.directed = g.directed();
+      auto result = apsp::Solve(g, request).run;
       ASSERT_TRUE(result.status.ok()) << linalg::SemiringName(id);
       DenseBlock expected(n, static_cast<std::int64_t>(sources.size()), 0.0);
       for (std::size_t j = 0; j < sources.size(); ++j) {

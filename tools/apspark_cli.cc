@@ -25,7 +25,6 @@
 
 #include "apsp/api.h"
 #include "apsp/persist.h"
-#include "apsp/solvers/ksource_blocked.h"
 #include "apsp/tuner.h"
 #include "common/rng.h"
 #include "common/time_utils.h"
@@ -118,7 +117,8 @@ struct Args {
   std::uint64_t seed = 1;
   std::string input;
   std::string output;
-  std::string solver = "cb";
+  std::string solver;  // empty = cb; the k-source plane comes from
+                       // --ksource-variant instead
   std::string partitioner = "md";
   std::int64_t block = 0;  // 0 = auto
   int cores = 4;
@@ -179,10 +179,11 @@ void UsageSolve() {
       "  [--persist DIR]  write the solved result as a disk-backed block\n"
       "          store DIR that `apspark serve` answers queries from\n"
       "  [--no-paths]  persist distances only (skip the successor plane)\n"
-      "  [--sources K]  k-source mode (n x K frontier)\n"
+      "  [--sources K]  k-source mode (n x K frontier; not with\n"
+      "          --solver or --persist)\n"
       "  [--ksource-variant staged|shuffle|auto]  pivot data plane:\n"
-      "          shared-storage staging (impure) or pure\n"
-      "          shuffle-replicated panels\n"
+      "          Blocked-CB's shared-storage staging (impure), Blocked-IM's\n"
+      "          pure shuffle, or the modelled cheaper of the two\n"
       "  [--no-early-exit]  disable the all-infinite pivot\n"
       "          early-exit sweep (k-source mode)\n"
       "  [--kernel naive|tiled|tiled_parallel]  host kernels (default\n"
@@ -225,8 +226,8 @@ void UsageModel() {
       "  [--checkpoint-every K] [--straggler-factor F]\n"
       "  [--straggler-every K] [--speculate] [--directed]\n"
       "  [--trace FILE] [--metrics-out FILE]\n"
-      "  --sources K with --ksource-variant auto picks the cheaper\n"
-      "  modelled data plane (staged vs shuffle)\n");
+      "  --sources K runs k-source on the --ksource-variant plane\n"
+      "  (not with --solver); auto picks the cheaper modelled plane\n");
 }
 
 void UsageServe() {
@@ -555,6 +556,13 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     }
     if (!ok) return false;
   }
+  // A k-source run's data plane comes from --ksource-variant, and its n x k
+  // panel is not a servable store.
+  if (args.sources > 0 && (!args.solver.empty() || !args.persist.empty())) {
+    std::fprintf(stderr, "apspark: %s does not apply with --sources\n",
+                 args.solver.empty() ? "--persist" : "--solver");
+    return false;
+  }
   return true;
 }
 
@@ -599,7 +607,7 @@ Result<apsp::PartitionerKind> ParsePartitioner(const std::string& name) {
 }
 
 /// The durability/fault/membership schedule all workloads share — assigned
-/// into both ApspOptions and KsourceOptions through their RunPlan base.
+/// into ApspOptions through its RunPlan base.
 apsp::RunPlan BuildRunPlan(const Args& args) {
   apsp::RunPlan plan;
   plan.checkpoint_every = args.checkpoint_every;
@@ -690,32 +698,69 @@ void PrintRecovery(const sparklet::SimMetrics& m) {
   }
 }
 
-/// Resolves --ksource-variant, including the adaptive "auto" choice from
-/// the modelled staged-vs-shuffle cost (apsp/tuner.h).
-Result<apsp::KsourceVariant> ResolveKsourceVariant(
-    const Args& args, std::int64_t n, std::int64_t block_size,
-    const sparklet::ClusterConfig& cluster) {
-  if (args.ksource_variant == "auto") {
-    apsp::KsourceTuneRequest request;
-    request.n = n;
-    request.num_sources = args.sources;
-    request.block_size = block_size;
-    request.cluster = cluster;
-    request.directed = args.directed;
-    request.require_fault_tolerance = args.fault_tolerant;
-    auto chosen = apsp::ChooseKsourceVariant(request);
-    if (chosen.ok()) {
-      std::printf("auto-selected ksource data plane: %s\n",
-                  apsp::KsourceVariantName(*chosen));
-    }
-    return chosen;
+/// The k-source data plane a solver kind runs (--ksource-variant spelling).
+const char* PlaneName(apsp::SolverKind kind) {
+  return kind == apsp::SolverKind::kBlockedInMemory ? "shuffle" : "staged";
+}
+
+/// The solver a run uses. With --sources it is the data plane from
+/// --ksource-variant: staged is Blocked-CB's, shuffle Blocked-IM's, and
+/// auto the kind the tuner models as cheaper at this n, k and b
+/// (apsp/tuner.h); --partitioner still decides the partitioner.
+Result<apsp::SolverKind> ResolveSolver(const Args& args, std::int64_t n,
+                                       std::int64_t block_size,
+                                       const sparklet::ClusterConfig& cluster) {
+  if (args.sources == 0) {
+    return ParseSolver(args.solver.empty() ? "cb" : args.solver);
   }
-  const auto variant = apsp::ParseKsourceVariant(args.ksource_variant);
-  if (!variant.has_value()) {
+  if (args.ksource_variant == "staged") {
+    return apsp::SolverKind::kBlockedCollectBroadcast;
+  }
+  if (args.ksource_variant == "shuffle") {
+    return apsp::SolverKind::kBlockedInMemory;
+  }
+  if (args.ksource_variant != "auto") {
     return InvalidArgumentError("unknown ksource variant '" +
                                 args.ksource_variant + "'");
   }
-  return *variant;
+  apsp::TuneRequest request;
+  request.n = n;
+  request.num_sources = args.sources;
+  request.cluster = cluster;
+  request.block_sizes = {block_size};
+  request.require_fault_tolerance = args.fault_tolerant;
+  request.directed = args.directed;
+  auto chosen = apsp::TuneConfiguration(request);
+  if (!chosen.ok()) return chosen.status();
+  std::printf("auto-selected ksource data plane: %s\n",
+              PlaneName(chosen->solver));
+  return chosen->solver;
+}
+
+/// The banner's note that a boolean APSP solve runs on the bit-packed plane
+/// (k-source panels stay dense).
+const char* PackedLabel(const Args& args, const apsp::ApspOptions& options) {
+  return args.sources == 0 &&
+                 options.semiring == linalg::SemiringId::kBoolean &&
+                 options.bitpack_boolean
+             ? " bit-packed"
+             : "";
+}
+
+/// The banner's k-source clause ("" for APSP).
+std::string KsourceLabel(const Args& args, apsp::SolverKind kind) {
+  if (args.sources == 0) return "";
+  return " k-source (k = " + std::to_string(args.sources) + ", " +
+         PlaneName(kind) + " plane)";
+}
+
+/// K-source runs also report their memory high water, which includes the
+/// final panel collect (see SolveBlocks).
+void PrintKsourceMemory(const Args& args, const sparklet::SimMetrics& m) {
+  if (args.sources == 0) return;
+  std::printf("memory: driver high-water %s, node high-water %s\n",
+              FormatBytes(m.driver_peak_bytes).c_str(),
+              FormatBytes(m.node_peak_bytes).c_str());
 }
 
 int RunSolve(const Args& args) {
@@ -730,8 +775,6 @@ int RunSolve(const Args& args) {
   } else {
     return Usage(args);
   }
-  auto kind = ParseSolver(args.solver);
-  if (!kind.ok()) return Fail(kind.status());
   auto partitioner = ParsePartitioner(args.partitioner);
   if (!partitioner.ok()) return Fail(partitioner.status());
   const auto semiring = linalg::ParseSemiring(args.semiring);
@@ -741,7 +784,6 @@ int RunSolve(const Args& args) {
   }
 
   apsp::SolveRequest request;
-  request.solver = *kind;
   auto& options = request.options;
   options.semiring = *semiring;
   options.bitpack_boolean = !args.no_bitpack;
@@ -750,7 +792,9 @@ int RunSolve(const Args& args) {
                      : std::max<std::int64_t>(1, g.num_vertices() / 4);
   options.partitioner = *partitioner;
   options.directed = args.directed;
+  options.early_exit_infinite = !args.no_early_exit;
   static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
+  request.sources = PickSources(g.num_vertices(), args.sources);
   auto& cluster = request.cluster;
   cluster.nodes = std::max(1, args.cores / 2);
   cluster.cores_per_node = 2;
@@ -771,71 +815,34 @@ int RunSolve(const Args& args) {
   cluster.racks = args.racks;
   if (!ValidateMembershipPlans(args, cluster)) return 2;
 
-  if (args.sources > 0) {
-    // Batched k-source mode: rectangular n x K frontier on the kernel
-    // registry instead of the full APSP matrix.
-    apsp::KsourceOptions kopts;
-    static_cast<apsp::RunPlan&>(kopts) = BuildRunPlan(args);
-    kopts.block_size = options.block_size;
-    kopts.semiring = options.semiring;
-    kopts.partitioner = options.partitioner;
-    kopts.directed = args.directed;
-    kopts.early_exit_infinite = !args.no_early_exit;
-    const auto variant = ResolveKsourceVariant(
-        args, g.num_vertices(), kopts.block_size, cluster);
-    if (!variant.ok()) return Fail(variant.status());
-    kopts.variant = *variant;
-    apsp::KsourceBlockedSolver ksolver;
-    const auto sources = PickSources(g.num_vertices(), args.sources);
-    std::printf(
-        "solving %s k-source (k = %lld) with %s [%s%s] (b = %lld, %s)\n",
-        g.Summary().c_str(), static_cast<long long>(args.sources),
-        ksolver.name().c_str(), apsp::KsourceVariantName(kopts.variant),
-        apsp::KsourceBlockedSolver::Pure(kopts.variant) ? ", pure"
-                                                        : ", impure",
-        static_cast<long long>(kopts.block_size),
-        linalg::SemiringName(kopts.semiring));
-    PrintKernelTuning(*kernel);
-    auto kresult = ksolver.SolveGraph(g, sources, kopts, cluster);
-    if (!kresult.status.ok()) return Fail(kresult.status);
-    std::printf("done: %lld pivots, simulated cluster time %s\n",
-                static_cast<long long>(kresult.rounds_executed),
-                FormatDuration(kresult.sim_seconds).c_str());
-    std::printf("engine: %s\n", kresult.metrics.Summary().c_str());
-    std::printf("memory: driver high-water %s, node high-water %s\n",
-                FormatBytes(kresult.metrics.driver_peak_bytes).c_str(),
-                FormatBytes(kresult.metrics.node_peak_bytes).c_str());
-    PrintRecovery(kresult.metrics);
-    if (!EmitRunMetrics(args, kresult.metrics)) return 1;
-    if (!args.output.empty()) {
-      if (!WriteDenseBlock(args.output, *kresult.distances)) return 1;
-      std::printf("distance panel (n x k) written to %s\n",
-                  args.output.c_str());
-    }
-    return 0;
-  }
+  auto kind = ResolveSolver(args, g.num_vertices(), options.block_size,
+                            cluster);
+  if (!kind.ok()) return Fail(kind.status());
+  request.solver = *kind;
 
   auto report = apsp::Solve(g, request);
-  std::printf("solving %s with %s (b = %lld%s, %s%s)\n", g.Summary().c_str(),
+  std::printf("solving %s%s with %s (b = %lld%s, %s%s)\n",
+              g.Summary().c_str(), KsourceLabel(args, *kind).c_str(),
               report.solver_name.c_str(),
               static_cast<long long>(options.block_size),
               report.pure ? ", pure" : ", impure",
               linalg::SemiringName(options.semiring),
-              options.semiring == linalg::SemiringId::kBoolean &&
-                      options.bitpack_boolean
-                  ? " bit-packed"
-                  : "");
+              PackedLabel(args, options));
   PrintKernelTuning(*kernel);
   if (!report.ok()) return Fail(report.status());
-  std::printf("done: %lld rounds, simulated cluster time %s\n",
+  std::printf("done: %lld %s, simulated cluster time %s\n",
               static_cast<long long>(report.run.rounds_executed),
+              args.sources > 0 ? "pivots" : "rounds",
               FormatDuration(report.run.sim_seconds).c_str());
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
+  PrintKsourceMemory(args, report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
   if (!args.output.empty()) {
     if (!WriteDenseBlock(args.output, *report.distances())) return 1;
-    std::printf("distances written to %s\n", args.output.c_str());
+    std::printf(args.sources > 0 ? "distance panel (n x k) written to %s\n"
+                                 : "distances written to %s\n",
+                args.output.c_str());
   }
   if (!args.persist.empty()) {
     apsp::PersistOptions popts;
@@ -880,59 +887,16 @@ int RunModel(const Args& args) {
     return Fail(InvalidArgumentError("unknown semiring '" + args.semiring +
                                      "'"));
   }
-  if (args.sources > 0) {
-    apsp::KsourceOptions kopts;
-    static_cast<apsp::RunPlan&>(kopts) = BuildRunPlan(args);
-    kopts.block_size = args.block > 0 ? args.block : 1024;
-    kopts.semiring = *semiring;
-    kopts.max_rounds = args.rounds > 0 ? args.rounds : 1;
-    kopts.directed = args.directed;
-    kopts.early_exit_infinite = !args.no_early_exit;
-    auto cluster = sparklet::ClusterConfig::PaperWithCores(
-        args.cores > 4 ? args.cores : 1024);
-    cluster.intra_task_cores = args.intra_task_cores;
-    cluster.straggler_factor = args.straggler_factor;
-    cluster.straggler_every = args.straggler_every;
-    cluster.speculation = args.speculate;
-    cluster.racks = args.racks;
-    if (!ValidateMembershipPlans(args, cluster)) return 2;
-    const auto variant =
-        ResolveKsourceVariant(args, args.n, kopts.block_size, cluster);
-    if (!variant.ok()) return Fail(variant.status());
-    kopts.variant = *variant;
-    apsp::KsourceBlockedSolver solver;
-    auto result =
-        solver.SolveModel(args.n, args.sources, kopts, cluster);
-    std::printf("%s [%s], n = %lld, k = %lld, b = %lld on %s\n",
-                solver.name().c_str(),
-                apsp::KsourceVariantName(kopts.variant),
-                static_cast<long long>(args.n),
-                static_cast<long long>(args.sources),
-                static_cast<long long>(kopts.block_size),
-                cluster.Summary().c_str());
-    std::printf("pivots: %lld of %lld, projected %s\n",
-                static_cast<long long>(result.rounds_executed),
-                static_cast<long long>(result.rounds_total),
-                FormatDuration(result.projected_seconds).c_str());
-    std::printf("engine: %s\n", result.metrics.Summary().c_str());
-    std::printf("memory: driver high-water %s, node high-water %s\n",
-                FormatBytes(result.metrics.driver_peak_bytes).c_str(),
-                FormatBytes(result.metrics.node_peak_bytes).c_str());
-    PrintRecovery(result.metrics);
-    if (!EmitRunMetrics(args, result.metrics)) return 1;
-    return result.status.ok() ? 0 : 1;
-  }
-  auto kind = ParseSolver(args.solver);
-  if (!kind.ok()) return Fail(kind.status());
-
   apsp::SolveRequest request;
-  request.solver = *kind;
   auto& options = request.options;
   static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
   options.block_size = args.block > 0 ? args.block : 1024;
   options.semiring = *semiring;
   options.bitpack_boolean = !args.no_bitpack;
   options.max_rounds = args.rounds > 0 ? args.rounds : 1;
+  options.directed = args.directed;
+  options.early_exit_infinite = !args.no_early_exit;
+  request.sources = PickSources(args.n, args.sources);
   request.cluster = sparklet::ClusterConfig::PaperWithCores(
       args.cores > 4 ? args.cores : 1024);
   auto& cluster = request.cluster;
@@ -942,28 +906,37 @@ int RunModel(const Args& args) {
   cluster.speculation = args.speculate;
   cluster.racks = args.racks;
   if (!ValidateMembershipPlans(args, cluster)) return 2;
+  auto kind = ResolveSolver(args, args.n, options.block_size, cluster);
+  if (!kind.ok()) return Fail(kind.status());
+  request.solver = *kind;
   auto report = apsp::SolveModel(args.n, request);
   const auto& result = report.run;
-  std::printf("%s, n = %lld, b = %lld, %s%s on %s\n",
-              report.solver_name.c_str(), static_cast<long long>(args.n),
+  std::printf("%s%s, n = %lld, b = %lld, %s%s on %s\n",
+              report.solver_name.c_str(), KsourceLabel(args, *kind).c_str(),
+              static_cast<long long>(args.n),
               static_cast<long long>(options.block_size),
               linalg::SemiringName(options.semiring),
-              options.semiring == linalg::SemiringId::kBoolean &&
-                      options.bitpack_boolean
-                  ? " bit-packed"
-                  : "",
-              cluster.Summary().c_str());
-  std::printf("rounds: %lld of %lld, per-round %s, projected %s%s\n",
-              static_cast<long long>(result.rounds_executed),
-              static_cast<long long>(result.rounds_total),
-              FormatDuration(result.SecondsPerRound()).c_str(),
-              FormatDuration(result.projected_seconds).c_str(),
-              result.projected_storage_exceeded ? "  [would exhaust storage]"
-                                                : "");
+              PackedLabel(args, options), cluster.Summary().c_str());
+  if (args.sources > 0) {
+    std::printf("pivots: %lld of %lld, projected %s\n",
+                static_cast<long long>(result.rounds_executed),
+                static_cast<long long>(result.rounds_total),
+                FormatDuration(result.projected_seconds).c_str());
+  } else {
+    std::printf("rounds: %lld of %lld, per-round %s, projected %s%s\n",
+                static_cast<long long>(result.rounds_executed),
+                static_cast<long long>(result.rounds_total),
+                FormatDuration(result.SecondsPerRound()).c_str(),
+                FormatDuration(result.projected_seconds).c_str(),
+                result.projected_storage_exceeded
+                    ? "  [would exhaust storage]"
+                    : "");
+  }
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
+  PrintKsourceMemory(args, report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
-  return 0;
+  return report.ok() ? 0 : 1;
 }
 
 int RunServe(const Args& args) {
