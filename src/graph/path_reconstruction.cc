@@ -51,6 +51,87 @@ Result<std::vector<VertexId>> ExtractPath(const ApspWithPaths& apsp,
       [&apsp](VertexId i, VertexId target) { return apsp.Next(i, target); });
 }
 
+namespace {
+
+using Adjacency = std::vector<std::vector<std::pair<VertexId, double>>>;
+
+/// Re-picks the successors toward every target so no walk can cycle across
+/// zero-weight edges. A tight edge (u, k) — w + dist(k, t) equal to u's best
+/// — that lowers the remaining distance always makes progress; a tight edge
+/// that keeps it (weight 0) only may, so the smallest-k rule can pick two
+/// such edges that point at each other. Per target t: a BFS backwards over
+/// those no-progress tight edges, from t and from every vertex with a
+/// progress edge, gives each vertex its hop count to an exit, and a vertex
+/// may take a no-progress edge only toward a smaller hop count. Among the
+/// admissible tight edges the smallest k still wins, so where no
+/// no-progress edge is tight the choice is the one the first pass made.
+void BreakZeroWeightTies(const Adjacency& adj, const linalg::DenseBlock& dist,
+                         linalg::DenseBlock& next) {
+  const std::int64_t n = dist.rows();
+  Adjacency radj(static_cast<std::size_t>(n));
+  std::int64_t m = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    for (const auto& [k, w] : adj[static_cast<std::size_t>(u)]) {
+      radj[static_cast<std::size_t>(k)].emplace_back(u, w);
+      ++m;
+    }
+  }
+  // Row t of the transpose is dist(., t), read contiguously per target.
+  const linalg::DenseBlock dist_t = dist.Transposed();
+  std::vector<std::int64_t> work(static_cast<std::size_t>(n), 2 * m + n);
+  linalg::ForEachByHostWork(work, [&](std::size_t col) {
+    const auto t = static_cast<VertexId>(col);
+    const double* dt = dist_t.Row(t);
+    const auto uz = static_cast<std::size_t>(n);
+    std::vector<double> best(uz, std::numeric_limits<double>::infinity());
+    for (std::size_t u = 0; u < uz; ++u) {
+      for (const auto& [k, w] : adj[u]) best[u] = std::min(best[u], w + dt[k]);
+    }
+    // level[u] = hops from u to an exit over no-progress tight edges; -1
+    // when unreached.
+    std::vector<std::int64_t> level(uz, -1);
+    std::vector<VertexId> queue{t};
+    level[col] = 0;
+    for (std::size_t u = 0; u < uz; ++u) {
+      if (u == col || std::isinf(best[u])) continue;
+      for (const auto& [k, w] : adj[u]) {
+        if (w + dt[k] == best[u] && dt[k] < best[u]) {
+          level[u] = 0;
+          queue.push_back(static_cast<VertexId>(u));
+          break;
+        }
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const VertexId k = queue[head];
+      for (const auto& [u, w] : radj[static_cast<std::size_t>(k)]) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (level[ui] < 0 && w + dt[k] == best[ui] && dt[k] == best[ui]) {
+          level[ui] = level[static_cast<std::size_t>(k)] + 1;
+          queue.push_back(u);
+        }
+      }
+    }
+    for (std::size_t u = 0; u < uz; ++u) {
+      // Unreached vertices (possible only through rounding) keep the first
+      // pass's choice.
+      if (u == col || level[u] < 0) continue;
+      VertexId hop = -1;
+      for (const auto& [k, w] : adj[u]) {
+        if (w + dt[k] != best[u]) continue;
+        const std::int64_t lk = level[static_cast<std::size_t>(k)];
+        const bool admissible =
+            dt[k] < best[u] || (lk >= 0 && lk < level[u]);
+        if (admissible && (hop < 0 || k < hop)) hop = k;
+      }
+      next.MutableRow(static_cast<std::int64_t>(u))[t] =
+          static_cast<double>(hop);
+    }
+  });
+}
+
+}  // namespace
+
 linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
                                            const linalg::DenseBlock& dist) {
   const std::int64_t n = g.num_vertices();
@@ -61,9 +142,10 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
   }
   // Per-vertex out-neighbor list from the edge list; parallel edges stay as
   // written — the argmin naturally selects the cheapest copy.
-  std::vector<std::vector<std::pair<VertexId, double>>> adj(
-      static_cast<std::size_t>(n));
+  Adjacency adj(static_cast<std::size_t>(n));
+  bool zero_weight = false;
   for (const Edge& e : g.edges()) {
+    zero_weight = zero_weight || e.weight == 0.0;
     adj[static_cast<std::size_t>(e.u)].emplace_back(e.v, e.weight);
     if (!g.directed()) {
       adj[static_cast<std::size_t>(e.v)].emplace_back(e.u, e.weight);
@@ -103,6 +185,7 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
     }
     hop[i] = static_cast<double>(i);
   });
+  if (zero_weight) BreakZeroWeightTies(adj, dist, next);
   return next;
 }
 

@@ -40,7 +40,11 @@ Result<std::vector<VertexId>> ExtractPath(const ApspWithPaths& apsp,
 /// next(i, j) = the neighbor k of i minimizing w(i, k) + dist(k, j)
 /// (smallest k on ties), which is the first hop of a shortest i->j path.
 /// With positive weights the chain strictly decreases remaining distance,
-/// so walking it terminates at j. Entries are stored as doubles in an
+/// so walking it terminates at j. A zero-weight edge keeps the remaining
+/// distance, so when the graph has one a second pass breaks ties across
+/// such edges by hop count toward j (a per-target BFS), which keeps every
+/// walk finite; positive-weight graphs skip that pass and keep the
+/// smallest-k plane byte for byte. Entries are stored as doubles in an
 /// n x n DenseBlock (-1 where j is unreachable, i on the diagonal) so the
 /// plane persists through the same serialization as distances. O(n * m).
 ///

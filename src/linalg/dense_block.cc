@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "linalg/block_pool.h"
+
 namespace apspark::linalg {
 
 namespace {
@@ -25,6 +27,24 @@ void CountCopy(bool phantom, std::size_t payload_elems) noexcept {
 
 std::int64_t WordsPerRow(std::int64_t cols) noexcept {
   return (cols + 63) >> 6;
+}
+
+/// A dense payload of `count` copies of `fill`, on a recycled buffer when
+/// the pool holds one of that size.
+std::vector<double> FilledPayload(std::size_t count, double fill) {
+  std::vector<double> buf = TakeBlockBuffer(count);
+  if (buf.empty()) return std::vector<double>(count, fill);
+  std::fill(buf.begin(), buf.end(), fill);
+  return buf;
+}
+
+/// An element-wise copy of `src`, on a recycled buffer when the pool holds
+/// one of that size.
+std::vector<double> CopiedPayload(const std::vector<double>& src) {
+  std::vector<double> buf = TakeBlockBuffer(src.size());
+  if (buf.empty()) return src;
+  std::copy(src.begin(), src.end(), buf.begin());
+  return buf;
 }
 
 }  // namespace
@@ -55,7 +75,7 @@ DenseBlock::DenseBlock(const DenseBlock& other)
       words_per_row_(other.words_per_row_),
       phantom_(other.phantom_),
       packed_(other.packed_),
-      data_(other.data_),
+      data_(CopiedPayload(other.data_)),
       words_(other.words_) {
   CountCopy(phantom_, data_.size() + words_.size());
 }
@@ -67,16 +87,36 @@ DenseBlock& DenseBlock::operator=(const DenseBlock& other) {
   words_per_row_ = other.words_per_row_;
   phantom_ = other.phantom_;
   packed_ = other.packed_;
-  data_ = other.data_;
+  if (data_.size() == other.data_.size()) {
+    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+  } else {
+    ReleaseBlockBuffer(data_);
+    data_ = CopiedPayload(other.data_);
+  }
   words_ = other.words_;
   CountCopy(phantom_, data_.size() + words_.size());
   return *this;
 }
 
+DenseBlock& DenseBlock::operator=(DenseBlock&& other) noexcept {
+  if (this == &other) return *this;
+  rows_ = other.rows_;
+  cols_ = other.cols_;
+  words_per_row_ = other.words_per_row_;
+  phantom_ = other.phantom_;
+  packed_ = other.packed_;
+  ReleaseBlockBuffer(data_);
+  data_ = std::move(other.data_);
+  words_ = std::move(other.words_);
+  return *this;
+}
+
+DenseBlock::~DenseBlock() { ReleaseBlockBuffer(data_); }
+
 DenseBlock::DenseBlock(std::int64_t rows, std::int64_t cols, double fill)
     : rows_(rows),
       cols_(cols),
-      data_(static_cast<std::size_t>(rows * cols), fill) {}
+      data_(FilledPayload(static_cast<std::size_t>(rows * cols), fill)) {}
 
 DenseBlock::DenseBlock(std::int64_t rows, std::int64_t cols,
                        std::vector<double> data)
@@ -211,7 +251,8 @@ Result<DenseBlock> DenseBlock::Deserialize(BinaryReader& reader) {
   if (reader.remaining() < count * sizeof(double)) {
     return OutOfRangeError("DenseBlock: truncated payload");
   }
-  std::vector<double> data(count);
+  std::vector<double> data = TakeBlockBuffer(count);
+  if (data.empty()) data.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     auto v = reader.Read<double>();
     if (!v.ok()) return v.status();

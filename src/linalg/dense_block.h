@@ -106,12 +106,14 @@ class DenseBlock {
 
   // Copies of materialized payloads are counted (see BlockCopyStats above);
   // moves stay free. Defined out of line so the accounting lives in one
-  // place.
+  // place. Dense payloads come from and go back to the block buffer pool
+  // (linalg/block_pool.h): the destructor and both assignments release the
+  // payload they drop.
   DenseBlock(const DenseBlock& other);
   DenseBlock& operator=(const DenseBlock& other);
   DenseBlock(DenseBlock&&) noexcept = default;
-  DenseBlock& operator=(DenseBlock&&) noexcept = default;
-  ~DenseBlock() = default;
+  DenseBlock& operator=(DenseBlock&& other) noexcept;
+  ~DenseBlock();
 
   std::int64_t rows() const noexcept { return rows_; }
   std::int64_t cols() const noexcept { return cols_; }

@@ -123,10 +123,12 @@ struct KernelTuning {
   /// least this much work — see ForEachByHostWork. On the reference host
   /// (4-core AVX-512 VM) one fan-out costs about 100 µs of wake-up and
   /// join (a 2-task batch of 50 µs units takes 150 µs against 100 µs
-  /// inline) while a tiled multiply-add takes about 0.1 ns per thread
-  /// (8-12 G/s at b = 64..256), so 2^22 ≈ 4.2e6 multiply-adds (~0.4 ms) is
-  /// about four fan-out costs: a b = 256 update (1.7e7) stripes 4 ways,
-  /// b <= 128 kernels (<= 2.1e6) and small b = 64 batches run inline.
+  /// inline) while a tiled multiply-add takes 0.05-0.2 ns per thread
+  /// (warm, b = 64..256: SIMD updates 16-20 G/s, aliased in-place ones on
+  /// the scalar path 5-13 G/s), so 2^22 ≈ 4.2e6 multiply-adds (0.2-0.4 ms
+  /// of SIMD updates, up to 0.8 ms in place) is two to eight fan-out costs:
+  /// a b = 256 update (1.7e7) stripes 4 ways, b <= 128 kernels (<= 2.1e6)
+  /// and small b = 64 batches run inline.
   /// Values below 1 act as 1 (the finest fan-out).
   std::int64_t parallel_grain_ops = std::int64_t{1} << 22;
   /// True when this tuning came out of AutoTune() rather than the static

@@ -26,6 +26,12 @@
 // Shape: a 2x4 (rows x vectors) register micro-tile — eight accumulators
 // live in registers across each k chunk, so C traffic is one load + one
 // store per strip per chunk and every B load is amortized over two C rows.
+// Within a (j0, k0) tile the strip loop is outermost and the row-pair loop
+// inner: one strip's packed micro-panel (kn x 4 kWidth doubles: 32 KiB on
+// AVX-512, 16 KiB on AVX2 at tile_k = 128) stays L1-resident while every
+// row pair of [i0, i1) streams through it, so B is read from L2 once per
+// tile rather than once per row pair. Each output element still sees its
+// k chunks in ascending order, so the loop order does not change results.
 //
 // B is repacked per (j0, k0) tile into contiguous per-strip micro-panels
 // (GEMM-style): walking a 4-vector column strip down k in the natural
@@ -51,8 +57,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
+#include "linalg/block_pool.h"
 #include "linalg/semiring.h"
 
 namespace apspark::linalg::simd_detail {
@@ -183,31 +189,32 @@ inline void MicroStrip(std::int64_t kn, std::int64_t live, const double* ap0,
   }
 }
 
-/// Packed strips of one row pair (or a final single row) over the current
-/// (j0, k0) tile: full micro-tiles, then one masked tail strip.
-template <typename V, typename S, int kRows>
-inline void MicroRowStrips(std::int64_t i, std::int64_t j0, std::int64_t jn,
-                           std::int64_t k0, std::int64_t kn, const double* a,
-                           std::int64_t lda, const double* pack, double* c,
+/// One packed strip over C rows [i0, i1) for the current (j0, k0) tile:
+/// row pairs through the 2x4 micro-tile, then a final single row. Every row
+/// pair re-reads the strip's micro-panel (kn x 4 kWidth doubles), which
+/// therefore stays L1-resident across the rows.
+template <typename V, typename S, bool kMasked>
+inline void MicroStripRows(std::int64_t i0, std::int64_t i1, std::int64_t kn,
+                           std::int64_t live, const double* a,
+                           std::int64_t lda, const double* bp, double* c,
                            std::int64_t ldc) {
-  constexpr std::int64_t SW = 4 * V::kWidth;
-  const double* ap0 = a + i * lda + k0;
-  const double* ap1 = kRows == 2 ? ap0 + lda : ap0;
-  double* cp0 = c + i * ldc + j0;
-  double* cp1 = kRows == 2 ? cp0 + ldc : cp0;
-  const std::int64_t sn = (jn + SW - 1) / SW;
-  for (std::int64_t s = 0; s < sn; ++s) {
-    const double* bp = pack + s * kn * SW;
-    const std::int64_t live = jn - s * SW;
-    if (live >= SW) {
-      MicroStrip<V, S, kRows, false>(kn, SW, ap0, ap1, bp, cp0 + s * SW,
-                                     cp1 + s * SW);
-    } else {
-      MicroStrip<V, S, kRows, true>(kn, live, ap0, ap1, bp, cp0 + s * SW,
-                                    cp1 + s * SW);
-    }
+  std::int64_t i = i0;
+  for (; i + 2 <= i1; i += 2) {
+    const double* ap0 = a + i * lda;
+    double* cp0 = c + i * ldc;
+    MicroStrip<V, S, 2, kMasked>(kn, live, ap0, ap0 + lda, bp, cp0,
+                                 cp0 + ldc);
+  }
+  if (i < i1) {
+    const double* ap0 = a + i * lda;
+    double* cp0 = c + i * ldc;
+    MicroStrip<V, S, 1, kMasked>(kn, live, ap0, ap0, bp, cp0, cp0);
   }
 }
+
+/// Rows per block of the strip loop: 128 rows of a tile_k = 128 A panel are
+/// 128 KiB, which stays L2-resident beside a 1 MiB B pack.
+inline constexpr std::int64_t kStripRowBlock = 128;
 
 /// SIMD body of the tiled accumulate over C rows [i0, i1): same tile_j /
 /// tile_k blocking and ascending-k candidate order as the scalar TiledRows,
@@ -225,7 +232,10 @@ void SimdTiledRowsImpl(std::int64_t i0, std::int64_t i1, std::int64_t n,
   const std::int64_t tk = std::max<std::int64_t>(1, tile_k);
   const std::int64_t sn_max = (std::min(tj, n) + SW - 1) / SW;
   const std::int64_t kn_max = std::min(tk, k);
-  std::vector<double> pack(static_cast<std::size_t>(sn_max * kn_max * SW));
+  // This thread's scratch, cache-line aligned so no B load of the k loop
+  // splits across two lines.
+  double* const pack =
+      ThreadScratch(static_cast<std::size_t>(sn_max * kn_max * SW));
   for (std::int64_t j0 = 0; j0 < n; j0 += tj) {
     const std::int64_t jn = std::min(tj, n - j0);
     const std::int64_t sn = (jn + SW - 1) / SW;
@@ -237,21 +247,31 @@ void SimdTiledRowsImpl(std::int64_t i0, std::int64_t i1, std::int64_t n,
       for (std::int64_t kk = 0; kk < kn; ++kk) {
         const double* brow = b + (k0 + kk) * ldb + j0;
         for (std::int64_t s = 0; s < sn; ++s) {
-          double* dst = pack.data() + (s * kn + kk) * SW;
+          double* dst = pack + (s * kn + kk) * SW;
           const std::int64_t cols = std::min<std::int64_t>(SW, jn - s * SW);
           std::int64_t t = 0;
           for (; t < cols; ++t) dst[t] = brow[s * SW + t];
           for (; t < SW; ++t) dst[t] = 0.0;
         }
       }
-      std::int64_t i = i0;
-      for (; i + 2 <= i1; i += 2) {
-        MicroRowStrips<V, S, 2>(i, j0, jn, k0, kn, a, lda, pack.data(), c,
-                                ldc);
-      }
-      if (i < i1) {
-        MicroRowStrips<V, S, 1>(i, j0, jn, k0, kn, a, lda, pack.data(), c,
-                                ldc);
+      // Strips outermost within a row block: each strip's micro-panel is
+      // loaded into L1 once and reused by every row pair of the block,
+      // instead of streaming the whole pack from L2 once per row pair. The
+      // row block keeps the A panel it re-reads per strip L2-resident next
+      // to the pack.
+      for (std::int64_t r0 = i0; r0 < i1; r0 += kStripRowBlock) {
+        const std::int64_t r1 = std::min(i1, r0 + kStripRowBlock);
+        for (std::int64_t s = 0; s < sn; ++s) {
+          const double* bp = pack + s * kn * SW;
+          const std::int64_t live = jn - s * SW;
+          if (live >= SW) {
+            MicroStripRows<V, S, false>(r0, r1, kn, SW, a + k0, lda, bp,
+                                        c + j0 + s * SW, ldc);
+          } else {
+            MicroStripRows<V, S, true>(r0, r1, kn, live, a + k0, lda, bp,
+                                       c + j0 + s * SW, ldc);
+          }
+        }
       }
     }
   }

@@ -61,5 +61,11 @@ if ! "$CLI" model --n 16384 --sources 64 --block 1024 --ksource-variant auto \
   echo "FAIL: model --ksource-variant auto printed no auto-selected plane"
   failures=$((failures + 1))
 fi
+# A solve reports what the host paid beside the modelled memory peaks.
+if ! "$CLI" solve --er 64 --block 16 2> /dev/null |
+    grep -Eq "^host: solve minor-faults=[0-9]+ peak-rss=[0-9.]+[KMG]?i?B$"; then
+  echo "FAIL: solve printed no host: line"
+  failures=$((failures + 1))
+fi
 
 exit "$failures"

@@ -255,6 +255,104 @@ TEST(Paths, DirectedPathsFollowEdgeOrientation) {
   EXPECT_EQ(back->size(), 2u);  // direct edge 3->0
 }
 
+/// Walks the successor plane derived from `dist` for every reachable pair
+/// and checks each walk is a real edge walk of oracle length.
+void ExpectSuccessorWalksRealizeOracle(const graph::Graph& g,
+                                       const DenseBlock& dist) {
+  const std::int64_t n = g.num_vertices();
+  const DenseBlock next = graph::SuccessorsFromDistances(g, dist);
+  const auto oracle = graph::FloydWarshallWithPaths(g);
+  const DenseBlock adjacency = g.ToDenseAdjacency();
+  for (graph::VertexId s = 0; s < n; ++s) {
+    for (graph::VertexId t = 0; t < n; ++t) {
+      auto path = graph::ExtractPathWithLookup(
+          n, s, t, [&](graph::VertexId i, graph::VertexId target) {
+            return static_cast<std::int64_t>(next.At(i, target));
+          });
+      if (std::isinf(oracle.distances.At(s, t))) {
+        EXPECT_FALSE(path.ok()) << s << "->" << t;
+        continue;
+      }
+      ASSERT_TRUE(path.ok()) << s << "->" << t << ": "
+                             << path.status().ToString();
+      EXPECT_EQ(path->front(), s);
+      EXPECT_EQ(path->back(), t);
+      double total = 0;
+      for (std::size_t i = 0; i + 1 < path->size(); ++i) {
+        const double w = adjacency.At((*path)[i], (*path)[i + 1]);
+        ASSERT_FALSE(std::isinf(w)) << "path uses a non-edge";
+        total += w;
+      }
+      EXPECT_EQ(total, oracle.distances.At(s, t)) << s << "->" << t;
+    }
+  }
+}
+
+TEST(Paths, ZeroWeightEdgeDoesNotCycleTheSuccessorWalk) {
+  // 0 -0- 1 -1- 3, 2 -5- 3: the smallest-k tie-break alone sends 1 back to
+  // 0 on the way to 3 (both neighbours are at remaining distance 1), and
+  // 0 -> 1 -> 0 -> ... never reaches 3.
+  graph::Graph g(4, /*directed=*/false);
+  g.AddEdge(0, 1, 0.0).CheckOk();
+  g.AddEdge(1, 3, 1.0).CheckOk();
+  g.AddEdge(2, 3, 5.0).CheckOk();
+  apsp::SolveRequest request;
+  request.options.block_size = 2;
+  const auto report = apsp::Solve(g, request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ExpectSuccessorWalksRealizeOracle(g, *report.distances());
+  const DenseBlock next =
+      graph::SuccessorsFromDistances(g, *report.distances());
+  EXPECT_EQ(next.At(0, 3), 1.0);
+  EXPECT_EQ(next.At(1, 3), 3.0);
+}
+
+TEST(Paths, ZeroWeightPlateauWalksTowardItsExit) {
+  // Three vertices joined by weight-0 edges, left only through 2 -1- 3:
+  // toward 3 every plateau vertex is at distance 1, so ties must be broken
+  // by hops to the exit for the walk to leave the plateau.
+  graph::Graph g(4, /*directed=*/false);
+  g.AddEdge(0, 1, 0.0).CheckOk();
+  g.AddEdge(1, 2, 0.0).CheckOk();
+  g.AddEdge(0, 2, 0.0).CheckOk();
+  g.AddEdge(2, 3, 1.0).CheckOk();
+  ExpectSuccessorWalksRealizeOracle(g, graph::DijkstraAllPairs(g));
+  graph::Graph chain(4, /*directed=*/false);
+  chain.AddEdge(0, 1, 0.0).CheckOk();
+  chain.AddEdge(1, 2, 0.0).CheckOk();
+  chain.AddEdge(2, 3, 1.0).CheckOk();
+  ExpectSuccessorWalksRealizeOracle(chain, graph::DijkstraAllPairs(chain));
+}
+
+TEST(Paths, PositiveWeightSuccessorsKeepSmallestNeighbourTieBreak) {
+  // Integer weights make many ties; without a zero-weight edge the plane
+  // is the smallest-k argmin, entry for entry.
+  graph::Graph g(40, /*directed=*/false);
+  Xoshiro256 rng(17);
+  for (int e = 0; e < 160; ++e) {
+    const auto u = static_cast<graph::VertexId>(rng.NextBounded(40));
+    const auto v = static_cast<graph::VertexId>(rng.NextBounded(40));
+    if (u != v) g.AddEdge(u, v, 1.0 + static_cast<double>(rng.NextBounded(3)))
+                    .CheckOk();
+  }
+  const DenseBlock dist = graph::DijkstraAllPairs(g);
+  const DenseBlock next = graph::SuccessorsFromDistances(g, dist);
+  const DenseBlock adjacency = g.ToDenseAdjacency();
+  for (graph::VertexId i = 0; i < 40; ++i) {
+    for (graph::VertexId j = 0; j < 40; ++j) {
+      if (i == j || std::isinf(dist.At(i, j))) continue;
+      graph::VertexId smallest = -1;
+      for (graph::VertexId k = 0; k < 40 && smallest < 0; ++k) {
+        if (k != i && adjacency.At(i, k) + dist.At(k, j) == dist.At(i, j)) {
+          smallest = k;
+        }
+      }
+      EXPECT_EQ(next.At(i, j), static_cast<double>(smallest)) << i << "->" << j;
+    }
+  }
+  ExpectSuccessorWalksRealizeOracle(g, dist);
+}
+
 // ---------------------------------------------------------------------------
 // Oracle bug regressions (dimension checks, annihilators, aliasing).
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
 // Flags that do not apply to the chosen subcommand are rejected with a
 // pointer to that subcommand's --help. Errors from the library surface
 // uniformly as "apspark: <STATUS>: <message>".
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -763,6 +765,20 @@ void PrintKsourceMemory(const Args& args, const sparklet::SimMetrics& m) {
               FormatBytes(m.node_peak_bytes).c_str());
 }
 
+/// The process's minor page faults so far and its peak RSS in bytes, from
+/// getrusage: what the host actually paid next to the modelled mem-peak.
+struct HostUsage {
+  std::uint64_t minor_faults = 0;
+  std::uint64_t peak_rss_bytes = 0;
+};
+
+HostUsage ReadHostUsage() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return {static_cast<std::uint64_t>(ru.ru_minflt),
+          static_cast<std::uint64_t>(ru.ru_maxrss) * 1024};  // KiB on Linux
+}
+
 int RunSolve(const Args& args) {
   graph::Graph g(0);
   if (!args.input.empty()) {
@@ -820,7 +836,9 @@ int RunSolve(const Args& args) {
   if (!kind.ok()) return Fail(kind.status());
   request.solver = *kind;
 
+  const HostUsage before = ReadHostUsage();
   auto report = apsp::Solve(g, request);
+  const HostUsage after = ReadHostUsage();
   std::printf("solving %s%s with %s (b = %lld%s, %s%s)\n",
               g.Summary().c_str(), KsourceLabel(args, *kind).c_str(),
               report.solver_name.c_str(),
@@ -835,6 +853,10 @@ int RunSolve(const Args& args) {
               args.sources > 0 ? "pivots" : "rounds",
               FormatDuration(report.run.sim_seconds).c_str());
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
+  std::printf("host: solve minor-faults=%llu peak-rss=%s\n",
+              static_cast<unsigned long long>(after.minor_faults -
+                                              before.minor_faults),
+              FormatBytes(after.peak_rss_bytes).c_str());
   PrintKsourceMemory(args, report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
