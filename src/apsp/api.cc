@@ -83,7 +83,14 @@ SolveReport Rejected(SolverKind kind, Status status) {
   return Report(kind, std::move(run));
 }
 
-Status CheckSources(const SolveRequest& request, std::int64_t n) {
+/// What a BlockLayout and the k-source frontier need of a request: at
+/// least one vertex, a positive block size and in-range sources.
+Status CheckRequest(const SolveRequest& request, std::int64_t n) {
+  if (n < 1 || request.options.block_size < 1) {
+    return InvalidArgumentError(
+        "solve: n = " + std::to_string(n) + " and block size " +
+        std::to_string(request.options.block_size) + " must both be >= 1");
+  }
   for (const graph::VertexId s : request.sources) {
     if (s < 0 || s >= n) {
       return InvalidArgumentError("k-source: source " + std::to_string(s) +
@@ -106,8 +113,8 @@ bool Packed(const SolveRequest& request) {
 SolveReport Solve(const graph::Graph& graph, const SolveRequest& request) {
   const ApspOptions& opts = request.options;
   const std::int64_t n = graph.num_vertices();
-  Status sources_ok = CheckSources(request, n);
-  if (!sources_ok.ok()) return Rejected(request.solver, std::move(sources_ok));
+  Status request_ok = CheckRequest(request, n);
+  if (!request_ok.ok()) return Rejected(request.solver, std::move(request_ok));
   const BlockLayout layout(n, opts.block_size,
                            opts.directed || graph.directed());
   linalg::DenseBlock adjacency = graph.ToDenseAdjacency();
@@ -132,8 +139,8 @@ SolveReport Solve(const graph::Graph& graph, const SolveRequest& request) {
 
 SolveReport SolveModel(std::int64_t n, const SolveRequest& request) {
   const ApspOptions& opts = request.options;
-  Status sources_ok = CheckSources(request, n);
-  if (!sources_ok.ok()) return Rejected(request.solver, std::move(sources_ok));
+  Status request_ok = CheckRequest(request, n);
+  if (!request_ok.ok()) return Rejected(request.solver, std::move(request_ok));
   const BlockLayout layout(n, opts.block_size, opts.directed);
   std::vector<PanelRecord> frontier;
   if (!request.sources.empty()) {

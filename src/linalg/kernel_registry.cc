@@ -112,28 +112,6 @@ std::optional<SimdIsa> ParseSimdIsa(std::string_view name) {
   return std::nullopt;
 }
 
-std::string DescribeKernelTuning(const KernelTuning& tuning) {
-  const SimdIsa resolved = ResolveSimdIsa(tuning.isa);
-  std::string out = "variant=";
-  out += KernelVariantName(tuning.variant);
-  out += " semiring=";
-  out += SemiringName(tuning.semiring);
-  out += " isa=";
-  out += SimdIsaName(resolved);
-  out += " (requested ";
-  out += SimdIsaName(tuning.isa);
-  out += ", host best ";
-  out += SimdIsaName(DetectSimdIsa());
-  out += ") tiles j=";
-  out += std::to_string(tuning.tile_j);
-  out += " k=";
-  out += std::to_string(tuning.tile_k);
-  out += " fw=";
-  out += std::to_string(tuning.fw_block);
-  out += tuning.auto_tuned ? " [auto-tuned]" : " [default]";
-  return out;
-}
-
 const KernelTuning& GetKernelTuning() noexcept { return MutableTuning(); }
 
 void SetKernelTuning(const KernelTuning& tuning) noexcept {

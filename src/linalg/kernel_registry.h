@@ -90,9 +90,9 @@ enum class SemiringId {
   kMaxTimes,  // (max, x): widest / most-reliable paths over [0, 1]
 };
 
-/// Tiling / parallelism parameters of the tiled kernels. Defaults target a
-/// 48 KiB L1d + 2 MiB L2 AVX machine; all values are safe for any shape
-/// (ragged edges are handled by the kernels).
+/// Dispatch and fan-out parameters of the kernels. The tile geometry is not
+/// among them: the tiled kernels run one fixed geometry (linalg/kernels.cc),
+/// which DescribeKernelTuning prints.
 struct KernelTuning {
   KernelVariant variant = KernelVariant::kTiledParallel;
   /// Semiring the kernels evaluate. Part of the tuning so ScopedKernelVariant
@@ -105,17 +105,6 @@ struct KernelTuning {
   /// bitwise-identical on every semiring — this knob trades speed only.
   SimdIsa isa = DefaultSimdIsa();
 
-  /// Columns of B/C processed per tile: one C-row segment plus one B-row
-  /// segment of this width must stay L1-resident (2 x 8 KiB at 1024).
-  std::int64_t tile_j = 1024;
-  /// Rows of B held hot per panel: tile_k x tile_j doubles should fit L2
-  /// (128 x 1024 x 8 B = 1 MiB).
-  std::int64_t tile_k = 128;
-  /// Diagonal-tile size of the tiled Floyd-Warshall decomposition.
-  std::int64_t fw_block = 128;
-
-  /// Minimum rows per stripe when fanning a kernel out on the pool.
-  std::int64_t parallel_grain_rows = 64;
   /// The one host fan-out grain: the least host work, in multiply-adds, a
   /// stealable unit must carry. Kernels stripe into at most work / grain
   /// row stripes, and batches of independent units (block updates, closure
@@ -131,24 +120,8 @@ struct KernelTuning {
   /// and small b = 64 batches run inline.
   /// Values below 1 act as 1 (the finest fan-out).
   std::int64_t parallel_grain_ops = std::int64_t{1} << 22;
-  /// True when this tuning came out of AutoTune() rather than the static
-  /// defaults — surfaced by the CLI banner so bench JSONs and CI logs record
-  /// what actually ran.
-  bool auto_tuned = false;
 
   bool operator==(const KernelTuning&) const = default;
-
-  /// Cache-aware self-tuning (linalg/autotune.cc): probes the host L1/L2/L3
-  /// sizes (sysfs, with a measured pointer-chase fallback), derives
-  /// tile_j/tile_k/fw_block from them, optionally confirms the choice with a
-  /// short seeded race among neighbouring geometries (every candidate is
-  /// verified bitwise against the scalar oracle before it may win), and
-  /// memoizes the result per seed. Deterministic given a seed when the race
-  /// is disabled; with the race, the memo pins the first outcome for the
-  /// rest of the process. variant/semiring/isa of the current tuning are
-  /// preserved. Callers publish it via the existing SetKernelTuning path.
-  static KernelTuning AutoTune(std::uint64_t seed = 42,
-                               bool confirm_race = true);
 };
 
 const KernelTuning& GetKernelTuning() noexcept;
@@ -235,9 +208,9 @@ class ScopedSimdIsa {
   KernelTuning saved_;
 };
 
-/// One-line human-readable rendering of a tuning, e.g.
+/// One-line human-readable rendering of a tuning and the fixed tiles, e.g.
 ///   "variant=tiled semiring=minplus isa=avx512 (requested avx512, host best
-///    avx512) tiles j=1024 k=128 fw=128 [auto-tuned]"
+///    avx512) tiles j=1024 k=128 fw=128"
 /// — what `apspark_cli plan` and the solve banner print so logs record the
 /// geometry and ISA that actually ran.
 std::string DescribeKernelTuning(const KernelTuning& tuning);

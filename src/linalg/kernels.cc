@@ -15,9 +15,28 @@
 namespace apspark::linalg {
 namespace {
 
+// The one tile geometry of the tiled kernels, sized for a 48 KiB L1d +
+// 2 MiB L2 core. Every value is safe for any shape (ragged edges are handled
+// by the kernels); on other caches only the speed changes, never a result.
+//
+// Columns of B/C per tile: one C-row segment and one B-row segment of this
+// width, plus a third of slack for A broadcasts, fit half of L1d
+// (3 x 1024 x 8 B = 24 KiB), leaving the other half for the second
+// micro-tile row, prefetch streams and stack.
+constexpr std::int64_t kTileJ = 1024;
+// Rows of B held hot per panel: the kTileK x kTileJ B panel reused across a
+// row block fills at most half of L2 (128 x 1024 x 8 B = 1 MiB), so C/A
+// traffic does not evict it.
+constexpr std::int64_t kTileK = 128;
+// Diagonal-tile size of FloydWarshallInPlace's blocked decomposition: the
+// three tiles a phase-3 update touches fit half of L2 (3 x 128 KiB).
+constexpr std::int64_t kFwBlock = 128;
+// Minimum rows per stripe when fanning a kernel out on the pool.
+constexpr std::int64_t kParallelGrainRows = 64;
+
 // Always-on kernel-invocation accounting: one sharded-counter increment per
-// block-level kernel call, labelled with the resolved ISA, active semiring,
-// and tile geometry that actually ran. The registry lookup is memoized in a
+// block-level kernel call, labelled with the resolved ISA and active
+// semiring that actually ran. The registry lookup is memoized in a
 // thread-local map, so the steady-state cost is a hash probe plus a relaxed
 // atomic add — noise next to any block's O(b^3) work.
 enum KernelKind {
@@ -29,21 +48,16 @@ enum KernelKind {
 constexpr const char* kKernelKindNames[] = {"accumulate", "panel", "closure"};
 
 obs::Counter& KernelCounter(KernelKind kind, SimdIsa isa,
-                            const KernelTuning& tuning) {
-  const std::uint64_t key =
-      static_cast<std::uint64_t>(kind) |
-      (static_cast<std::uint64_t>(isa) << 4) |
-      (static_cast<std::uint64_t>(tuning.semiring) << 8) |
-      (static_cast<std::uint64_t>(tuning.tile_j) << 16) |
-      (static_cast<std::uint64_t>(tuning.tile_k) << 40);
+                            SemiringId semiring) {
+  const std::uint64_t key = static_cast<std::uint64_t>(kind) |
+                            (static_cast<std::uint64_t>(isa) << 4) |
+                            (static_cast<std::uint64_t>(semiring) << 8);
   thread_local std::unordered_map<std::uint64_t, obs::Counter*> memo;
   auto it = memo.find(key);
   if (it == memo.end()) {
     const std::string labels =
         std::string("kernel=\"") + kKernelKindNames[kind] + "\",isa=\"" +
-        SimdIsaName(isa) + "\",semiring=\"" + SemiringName(tuning.semiring) +
-        "\",tile_j=\"" + std::to_string(tuning.tile_j) + "\",tile_k=\"" +
-        std::to_string(tuning.tile_k) + "\"";
+        SimdIsaName(isa) + "\",semiring=\"" + SemiringName(semiring) + "\"";
     it = memo.emplace(key, &obs::Registry::Global().GetCounter(
                                "kernel_invocations_total", labels))
              .first;
@@ -89,7 +103,7 @@ std::int64_t ParallelStripes(std::int64_t m, std::int64_t n, std::int64_t k,
       m * n * k / std::max<std::int64_t>(1, tuning.parallel_grain_ops);
   if (by_work < 2) return 1;
   const std::int64_t by_rows =
-      (m + tuning.parallel_grain_rows - 1) / tuning.parallel_grain_rows;
+      (m + kParallelGrainRows - 1) / kParallelGrainRows;
   const std::int64_t by_threads =
       static_cast<std::int64_t>(KernelThreadPool().num_threads());
   return std::max<std::int64_t>(1, std::min({by_work, by_rows, by_threads}));
@@ -151,25 +165,23 @@ template <typename S>
 void TiledRows(std::int64_t i0, std::int64_t i1, std::int64_t n,
                std::int64_t k, const double* a, std::int64_t lda,
                const double* b, std::int64_t ldb, double* c, std::int64_t ldc,
-               const KernelTuning& tuning, SimdIsa isa) {
+               SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kAvx512:
       SimdTiledRowsAvx512(S::kId, i0, i1, n, k, a, lda, b, ldb, c, ldc,
-                          tuning.tile_j, tuning.tile_k);
+                          kTileJ, kTileK);
       return;
     case SimdIsa::kAvx2:
-      SimdTiledRowsAvx2(S::kId, i0, i1, n, k, a, lda, b, ldb, c, ldc,
-                        tuning.tile_j, tuning.tile_k);
+      SimdTiledRowsAvx2(S::kId, i0, i1, n, k, a, lda, b, ldb, c, ldc, kTileJ,
+                        kTileK);
       return;
     case SimdIsa::kScalar:
       break;  // the portable loops below
   }
-  const std::int64_t tj = std::max<std::int64_t>(8, tuning.tile_j);
-  const std::int64_t tk = std::max<std::int64_t>(1, tuning.tile_k);
-  for (std::int64_t j0 = 0; j0 < n; j0 += tj) {
-    const std::int64_t jn = std::min(tj, n - j0);
-    for (std::int64_t k0 = 0; k0 < k; k0 += tk) {
-      const std::int64_t kn = std::min(tk, k - k0);
+  for (std::int64_t j0 = 0; j0 < n; j0 += kTileJ) {
+    const std::int64_t jn = std::min(kTileJ, n - j0);
+    for (std::int64_t k0 = 0; k0 < k; k0 += kTileK) {
+      const std::int64_t kn = std::min(kTileK, k - k0);
       for (std::int64_t i = i0; i < i1; ++i) {
         const double* ai = a + i * lda + k0;
         double* ci = c + i * ldc + j0;
@@ -227,7 +239,7 @@ void TiledRows(std::int64_t i0, std::int64_t i1, std::int64_t n,
 constexpr std::int64_t kPanelAccWidth = 32;
 
 /// Panels at most this wide take the accumulator micro-kernel; wider ones
-/// fall back to the square-tiled path (whose tile_j/tile_k blocking wins once
+/// fall back to the square-tiled path (whose kTileJ/kTileK blocking wins once
 /// the B panel no longer fits low cache levels).
 constexpr std::int64_t kPanelNarrowWidth = 64;
 
@@ -356,11 +368,11 @@ void AccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
     parallel = false;
   }
   const SimdIsa isa = ChooseIsa<S>(tuning, a, m, lda, k, b, ldb, c, ldc, n);
-  KernelCounter(kKernelAccumulate, isa, tuning).Add();
+  KernelCounter(kKernelAccumulate, isa, tuning.semiring).Add();
   const std::int64_t stripes =
       parallel ? ParallelStripes(m, n, k, tuning) : 1;
   if (stripes <= 1) {
-    TiledRows<S>(0, m, n, k, a, lda, b, ldb, c, ldc, tuning, isa);
+    TiledRows<S>(0, m, n, k, a, lda, b, ldb, c, ldc, isa);
     return;
   }
   const std::int64_t rows_per_stripe = (m + stripes - 1) / stripes;
@@ -370,7 +382,7 @@ void AccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
             static_cast<std::int64_t>(s) * rows_per_stripe;
         const std::int64_t i1 = std::min(m, i0 + rows_per_stripe);
         if (i0 < i1) {
-          TiledRows<S>(i0, i1, n, k, a, lda, b, ldb, c, ldc, tuning, isa);
+          TiledRows<S>(i0, i1, n, k, a, lda, b, ldb, c, ldc, isa);
         }
       });
 }
@@ -392,7 +404,7 @@ void PanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
   }
   const KernelTuning tuning = GetKernelTuning();
   const SimdIsa isa = ChooseIsa<S>(tuning, a, m, lda, k, b, ldb, c, ldc, n);
-  KernelCounter(kKernelPanel, isa, tuning).Add();
+  KernelCounter(kKernelPanel, isa, tuning.semiring).Add();
   const std::int64_t stripes =
       parallel ? ParallelStripes(m, n, k, tuning) : 1;
   if (stripes <= 1) {
@@ -736,7 +748,8 @@ void ElementMinInPlace(DenseBlock& a, const DenseBlock& b) {
 
 void FloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda) {
   const KernelTuning tuning = GetKernelTuning();
-  KernelCounter(kKernelClosure, ResolveSimdIsa(tuning.isa), tuning).Add();
+  KernelCounter(kKernelClosure, ResolveSimdIsa(tuning.isa), tuning.semiring)
+      .Add();
   WithSemiring(tuning.semiring, [&](auto s) {
     using S = decltype(s);
     switch (tuning.variant) {
@@ -745,12 +758,12 @@ void FloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda) {
         return;
       case KernelVariant::kTiled:
       case KernelVariant::kTiledParallel:
-        if (n <= tuning.fw_block) {
+        if (n <= kFwBlock) {
           FloydWarshallRawScalar<S>(n, a, lda);
           return;
         }
         BlockedFloydWarshallRaw<S>(
-            n, a, lda, tuning.fw_block, /*tiled=*/true,
+            n, a, lda, kFwBlock, /*tiled=*/true,
             tuning.variant == KernelVariant::kTiledParallel);
         return;
     }
@@ -834,6 +847,27 @@ void BlockedFloydWarshall(DenseBlock& a, std::int64_t block_size) {
                                block_size, variant != KernelVariant::kNaive,
                                variant == KernelVariant::kTiledParallel);
   });
+}
+
+std::string DescribeKernelTuning(const KernelTuning& tuning) {
+  const SimdIsa resolved = ResolveSimdIsa(tuning.isa);
+  std::string out = "variant=";
+  out += KernelVariantName(tuning.variant);
+  out += " semiring=";
+  out += SemiringName(tuning.semiring);
+  out += " isa=";
+  out += SimdIsaName(resolved);
+  out += " (requested ";
+  out += SimdIsaName(tuning.isa);
+  out += ", host best ";
+  out += SimdIsaName(DetectSimdIsa());
+  out += ") tiles j=";
+  out += std::to_string(kTileJ);
+  out += " k=";
+  out += std::to_string(kTileK);
+  out += " fw=";
+  out += std::to_string(kFwBlock);
+  return out;
 }
 
 }  // namespace apspark::linalg

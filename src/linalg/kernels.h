@@ -69,7 +69,8 @@ void ElementMinInPlace(DenseBlock& a, const DenseBlock& b);
 
 /// In-place Floyd-Warshall over a square block: closes paths through the
 /// block's own vertices (the paper's FloydWarshall building block). Tiled
-/// variants run the 3-phase blocked decomposition at tuning.fw_block.
+/// variants run the 3-phase blocked decomposition on the fixed 128-wide
+/// tile (BlockedFloydWarshall takes the tile as an argument).
 void FloydWarshallInPlace(DenseBlock& a);
 
 /// a_ij = a_ij (+) (u_i (x) v_j) where u is a rows x 1 and v a cols x 1

@@ -34,6 +34,19 @@ expect_usage_error solve --er 40 --partitioner bogus
 expect_usage_error solve --er 40 --fail-node 1@x
 expect_usage_error solve --er 40 --straggler-factor 2x
 expect_usage_error solve --er 40 --straggler-factor nan
+expect_usage_error solve --er 64 --block 16 --straggler-factor inf
+expect_usage_error serve --store . --random 10 --zipf inf
+# --intra-task-cores spends a node's own cores: at most cores_per_node.
+expect_usage_error model --n 1000 --intra-task-cores 64
+# The kernels run one fixed tile geometry; there is nothing to auto-tune.
+expect_usage_error solve --er 64 --autotune
+expect_usage_error plan --n 4096 --autotune
+expect_usage_error model --n 1000 --autotune
+# An empty graph is a usage error, not an abort.
+empty_graph="$(mktemp)"
+printf 'apsp 0 0\n' > "$empty_graph"
+expect_usage_error solve --input "$empty_graph" --block 2
+rm -f "$empty_graph"
 expect_usage_error serve --store . --path 3:-1
 # The k-source data plane comes from --ksource-variant, so --solver is a
 # usage error there; so is --persist (a panel is not a servable store).
@@ -54,11 +67,24 @@ expect_run() {
 }
 
 expect_run model --n 1000 --block 250 --rounds 1
+expect_run model --n 1000 --intra-task-cores 32
 expect_run solve --er 64 --sources 4 --block 16 --ksource-variant shuffle
 expect_run model --n 16384 --sources 64 --block 1024 --ksource-variant auto
 if ! "$CLI" model --n 16384 --sources 64 --block 1024 --ksource-variant auto \
     2> /dev/null | grep -q "^auto-selected ksource data plane: "; then
   echo "FAIL: model --ksource-variant auto printed no auto-selected plane"
+  failures=$((failures + 1))
+fi
+# model without --cores runs the paper's 1024-core cluster; a given --cores
+# goes through the same mapping as plan, whatever its value.
+model_cluster() {
+  "$CLI" model --n 1000 --block 250 "$@" 2> /dev/null | head -n 1 |
+      grep -o "on [0-9]* nodes x [0-9]* cores"
+}
+if [ "$(model_cluster)" != "on 32 nodes x 32 cores" ] ||
+    [ "$(model_cluster --cores 4)" != "$(model_cluster --cores 5)" ] ||
+    [ "$(model_cluster --cores 64)" != "on 2 nodes x 32 cores" ]; then
+  echo "FAIL: model --cores does not map its value like plan"
   failures=$((failures + 1))
 fi
 # A solve reports what the host paid beside the modelled memory peaks.

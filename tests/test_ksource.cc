@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "apsp/api.h"
@@ -493,6 +494,30 @@ TEST(KsourceSolver, RejectsInvalidSources) {
     EXPECT_EQ(apsp::SolveModel(5, request).status().code(),
               StatusCode::kInvalidArgument)
         << "source " << bad;
+  }
+}
+
+TEST(KsourceSolver, RejectsEmptyGraphsAndNonPositiveBlockSizes) {
+  // The front door reports a bad layout as INVALID_ARGUMENT instead of
+  // throwing from BlockLayout, for every solver kind.
+  struct Case {
+    std::int64_t n;
+    std::int64_t block_size;
+  };
+  for (const SolverKind kind : apsp::AllSolverKinds()) {
+    for (const Case c : {Case{0, 2}, Case{5, 0}, Case{5, -3}}) {
+      SolveRequest request{.solver = kind, .cluster = TestCluster()};
+      request.options.block_size = c.block_size;
+      const std::string label = std::string(apsp::SolverKindName(kind)) +
+                                " n=" + std::to_string(c.n) +
+                                " b=" + std::to_string(c.block_size);
+      EXPECT_EQ(apsp::Solve(Graph(c.n), request).status().code(),
+                StatusCode::kInvalidArgument)
+          << label;
+      EXPECT_EQ(apsp::SolveModel(c.n, request).status().code(),
+                StatusCode::kInvalidArgument)
+          << label;
+    }
   }
 }
 

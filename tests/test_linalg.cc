@@ -310,26 +310,6 @@ TEST(KernelVariants, MinPlusProductBitwiseEqualAcrossVariants) {
   }
 }
 
-TEST(KernelVariants, TinyTileSizesStayCorrect) {
-  // Degenerate tiling parameters must not change results.
-  KernelTuning tuning;
-  tuning.variant = KernelVariant::kTiled;
-  tuning.tile_j = 1;
-  tuning.tile_k = 1;
-  tuning.fw_block = 1;
-  const KernelTuning saved = GetKernelTuning();
-  SetKernelTuning(tuning);
-  const DenseBlock a = RandomBlock(17, 13, 51, 0.2);
-  const DenseBlock b = RandomBlock(13, 19, 52, 0.2);
-  DenseBlock c = RandomBlock(17, 19, 53, 0.2);
-  DenseBlock expected = c;
-  MinPlusAccumulateRawNaive(17, 19, 13, a.data(), 13, b.data(), 19,
-                            expected.mutable_data(), 19);
-  MinPlusUpdate(a, b, c);
-  SetKernelTuning(saved);
-  EXPECT_TRUE(BitwiseEqual(c, expected));
-}
-
 DenseBlock RandomGraphMatrix(std::int64_t n, std::uint64_t seed, bool directed,
                              double inf_fraction) {
   DenseBlock adj = RandomBlock(n, n, seed, inf_fraction);
@@ -345,22 +325,23 @@ DenseBlock RandomGraphMatrix(std::int64_t n, std::uint64_t seed, bool directed,
 TEST(KernelVariants, FloydWarshallMatchesReferenceOracle) {
   for (bool directed : {false, true}) {
     for (double inf_fraction : {0.3, 0.7}) {
-      // n chosen to not divide the fw tile below.
+      // n chosen to cross and not divide both the fixed 128-wide closure
+      // tile and the 16-wide tile below.
       const DenseBlock adj = RandomGraphMatrix(
-          101, directed ? 61u : 62u, directed, inf_fraction);
+          261, directed ? 61u : 62u, directed, inf_fraction);
       DenseBlock expected = adj;
       ReferenceFloydWarshall(expected);
-      KernelTuning tuning;
-      tuning.fw_block = 16;  // force multiple ragged tiles
       for (KernelVariant v : kAllVariants) {
-        const KernelTuning saved = GetKernelTuning();
-        tuning.variant = v;
-        SetKernelTuning(tuning);
+        ScopedVariant scope(v);
         DenseBlock fw = adj;
         FloydWarshallInPlace(fw);
-        SetKernelTuning(saved);
         EXPECT_TRUE(fw.ApproxEquals(expected, 1e-9))
             << KernelVariantName(v) << " directed=" << directed
+            << " inf=" << inf_fraction;
+        DenseBlock blocked = adj;
+        BlockedFloydWarshall(blocked, 16);  // force multiple ragged tiles
+        EXPECT_TRUE(blocked.ApproxEquals(expected, 1e-9))
+            << KernelVariantName(v) << " tile=16 directed=" << directed
             << " inf=" << inf_fraction;
       }
     }

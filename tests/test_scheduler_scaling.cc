@@ -77,13 +77,6 @@ graph::Graph IntegerWeights(const graph::Graph& g) {
   return gi;
 }
 
-/// Pins the Floyd-Warshall tile size for the current scope's variant.
-void UseFwBlock(std::int64_t b) {
-  auto tuning = linalg::GetKernelTuning();
-  tuning.fw_block = b;
-  linalg::SetKernelTuning(tuning);
-}
-
 // --- kernel level -----------------------------------------------------------
 
 TEST(SchedulerScaling, BlockedFloydWarshallBitwiseAtSmallBlocks) {
@@ -96,9 +89,8 @@ TEST(SchedulerScaling, BlockedFloydWarshallBitwiseAtSmallBlocks) {
     linalg::ReferenceFloydWarshall(oracle);
     for (KernelVariant v : kAllVariants) {
       ScopedKernelVariant scope(v);
-      UseFwBlock(b);
       DenseBlock out = m;
-      linalg::FloydWarshallInPlace(out);
+      linalg::BlockedFloydWarshall(out, b);
       test::ExpectBitwiseEqual(out, oracle,
                                std::string("fw b=") + std::to_string(b) +
                                    " variant=" + linalg::KernelVariantName(v));

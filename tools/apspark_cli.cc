@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -83,7 +84,6 @@ constexpr FlagSpec kFlags[] = {
     {"--intra-task-cores", true, kSolve | kModel},
     {"--kernel", true, kSolve},
     {"--isa", true, kSolve | kPlan | kModel},
-    {"--autotune", false, kSolve | kPlan | kModel},
     {"--semiring", true, kSolve | kModel},
     {"--no-bitpack", false, kSolve | kModel},
     {"--ksource-variant", true, kSolve | kModel},
@@ -123,7 +123,8 @@ struct Args {
                        // --ksource-variant instead
   std::string partitioner = "md";
   std::int64_t block = 0;  // 0 = auto
-  int cores = 4;
+  /// Absent: 4 modelled cores on solve and plan, the paper's 1024 on model.
+  std::optional<int> cores;
   std::int64_t rounds = 0;
   std::int64_t sources = 0;  // > 0 selects the batched k-source workload
   std::int64_t checkpoint_every = 0;
@@ -134,8 +135,6 @@ struct Args {
   /// Micro-kernel ISA: scalar|avx2|avx512|auto (auto = CPUID-detected best,
   /// or APSPARK_FORCE_ISA). Pin `--isa scalar` when bisecting a kernel bug.
   std::string isa = "auto";
-  /// Probe the host caches and self-tune the kernel tile geometry.
-  bool autotune = false;
   std::string semiring = "minplus";
   bool no_bitpack = false;
   std::string ksource_variant = "staged";
@@ -194,7 +193,6 @@ void UsageSolve() {
       "  [--isa scalar|avx2|avx512|auto]  micro-kernel instruction set\n"
       "          (auto = CPUID-detected best; all choices are bitwise-\n"
       "          identical — pin scalar when bisecting a kernel bug)\n"
-      "  [--autotune]  probe host caches, self-tune the tile geometry\n"
       "  [--semiring minplus|boolean|maxmin|maxtimes]\n"
       "          algebra the solve evaluates: shortest path,\n"
       "          reachability, bottleneck capacity, or widest path\n"
@@ -212,9 +210,9 @@ void UsageSolve() {
 void UsagePlan() {
   std::fprintf(stderr,
                "usage: apspark plan --n N [--cores C] [--fault-tolerant]\n"
-               "  [--isa scalar|avx2|avx512|auto] [--autotune] [--trace FILE]\n"
+               "  [--isa scalar|avx2|avx512|auto] [--trace FILE]\n"
                "  also prints the resolved kernel tuning (detected ISA,\n"
-               "  tile geometry, auto-tuned vs default)\n");
+               "  tile geometry)\n");
 }
 
 void UsageModel() {
@@ -223,7 +221,7 @@ void UsageModel() {
       "usage: apspark model --n N [--cores C] [--solver rs|fw2d|im|cb]\n"
       "  [--block B] [--rounds R] [--sources K] [--ksource-variant V]\n"
       "  [--semiring S] [--no-bitpack] [--intra-task-cores C]\n"
-      "  [--isa scalar|avx2|avx512|auto] [--autotune]\n"
+      "  [--isa scalar|avx2|avx512|auto]\n"
       "  [--fail-node N@S] [--fail-rack R@S] [--add-node @S] [--racks R]\n"
       "  [--checkpoint-every K] [--straggler-factor F]\n"
       "  [--straggler-every K] [--speculate] [--directed]\n"
@@ -282,7 +280,7 @@ int UsageTop() {
   return 2;
 }
 
-/// Resolves --isa / --autotune into the process-global kernel tuning before
+/// Resolves --isa into the process-global kernel tuning before
 /// a run (solvers pick it up through the registry). Returns false, after
 /// printing an error, on an unknown ISA name.
 bool ApplyKernelTuningFlags(const Args& args) {
@@ -293,9 +291,7 @@ bool ApplyKernelTuningFlags(const Args& args) {
                  args.isa.c_str());
     return false;
   }
-  linalg::KernelTuning tuning = args.autotune
-                                    ? linalg::KernelTuning::AutoTune()
-                                    : linalg::GetKernelTuning();
+  linalg::KernelTuning tuning = linalg::GetKernelTuning();
   tuning.isa = *isa;
   linalg::SetKernelTuning(tuning);
   return true;
@@ -388,14 +384,16 @@ const FlagSpec* FindFlag(const std::string& flag) {
 
 /// Parses all of `text` as a T no smaller than `min` (std::from_chars: no
 /// sign for unsigned types, no whitespace or trailing characters, in range,
-/// not NaN). On error prints which flag was wrong and returns false.
+/// finite). On error prints which flag was wrong and returns false.
 template <typename T>
 bool ParseNumber(const std::string& flag, std::string_view text, T min,
                  T& out) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (text.empty() || ec != std::errc() || ptr != end || !(out >= min)) {
-    std::fprintf(stderr, "apspark: %s expects a number >= %g, got '%s'\n",
+  if (text.empty() || ec != std::errc() || ptr != end || !(out >= min) ||
+      !std::isfinite(static_cast<double>(out))) {
+    std::fprintf(stderr,
+                 "apspark: %s expects a finite number >= %g, got '%s'\n",
                  flag.c_str(), static_cast<double>(min),
                  std::string(text).c_str());
     return false;
@@ -475,7 +473,7 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (flag == "--block") {
       ok = ParseNumber<std::int64_t>(flag, v, 1, args.block);
     } else if (flag == "--cores") {
-      ok = ParseNumber(flag, v, 1, args.cores);
+      ok = ParseNumber(flag, v, 1, args.cores.emplace());
     } else if (flag == "--rounds") {
       ok = ParseNumber<std::int64_t>(flag, v, 1, args.rounds);
     } else if (flag == "--sources") {
@@ -488,8 +486,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       args.kernel = v;
     } else if (flag == "--isa") {
       args.isa = v;
-    } else if (flag == "--autotune") {
-      args.autotune = true;
     } else if (flag == "--semiring") {
       args.semiring = v;
     } else if (flag == "--no-bitpack") {
@@ -617,6 +613,17 @@ apsp::RunPlan BuildRunPlan(const Args& args) {
   plan.fail_racks = args.fail_racks;
   plan.add_nodes = args.add_nodes;
   return plan;
+}
+
+/// --intra-task-cores spends an executor's own cores on one task; it cannot
+/// ask for more cores than a node has. Rejected here instead of modelling a
+/// task wider than its executor.
+bool ValidateIntraTaskCores(const sparklet::ClusterConfig& cluster) {
+  if (cluster.intra_task_cores <= cluster.cores_per_node) return true;
+  std::fprintf(stderr,
+               "--intra-task-cores %d: exceeds the %d cores of a node\n",
+               cluster.intra_task_cores, cluster.cores_per_node);
+  return false;
 }
 
 /// Membership plans that parse fine can still be nonsense for the actual
@@ -812,7 +819,7 @@ int RunSolve(const Args& args) {
   static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
   request.sources = PickSources(g.num_vertices(), args.sources);
   auto& cluster = request.cluster;
-  cluster.nodes = std::max(1, args.cores / 2);
+  cluster.nodes = std::max(1, args.cores.value_or(4) / 2);
   cluster.cores_per_node = 2;
   cluster.local_storage_bytes = 64ULL * kGiB;
   const auto kernel = linalg::ParseKernelVariant(args.kernel);
@@ -829,7 +836,10 @@ int RunSolve(const Args& args) {
   cluster.straggler_every = args.straggler_every;
   cluster.speculation = args.speculate;
   cluster.racks = args.racks;
-  if (!ValidateMembershipPlans(args, cluster)) return 2;
+  if (!ValidateIntraTaskCores(cluster) ||
+      !ValidateMembershipPlans(args, cluster)) {
+    return 2;
+  }
 
   auto kind = ResolveSolver(args, g.num_vertices(), options.block_size,
                             cluster);
@@ -889,7 +899,8 @@ int RunPlan(const Args& args) {
   if (args.n <= 1) return Usage(args);
   apsp::TuneRequest request;
   request.n = args.n;
-  request.cluster = sparklet::ClusterConfig::PaperWithCores(args.cores);
+  request.cluster =
+      sparklet::ClusterConfig::PaperWithCores(args.cores.value_or(4));
   request.require_fault_tolerance = args.fault_tolerant;
   auto choice = apsp::TuneConfiguration(request);
   if (!choice.ok()) return Fail(choice.status());
@@ -919,15 +930,18 @@ int RunModel(const Args& args) {
   options.directed = args.directed;
   options.early_exit_infinite = !args.no_early_exit;
   request.sources = PickSources(args.n, args.sources);
-  request.cluster = sparklet::ClusterConfig::PaperWithCores(
-      args.cores > 4 ? args.cores : 1024);
+  request.cluster =
+      sparklet::ClusterConfig::PaperWithCores(args.cores.value_or(1024));
   auto& cluster = request.cluster;
   cluster.intra_task_cores = args.intra_task_cores;
   cluster.straggler_factor = args.straggler_factor;
   cluster.straggler_every = args.straggler_every;
   cluster.speculation = args.speculate;
   cluster.racks = args.racks;
-  if (!ValidateMembershipPlans(args, cluster)) return 2;
+  if (!ValidateIntraTaskCores(cluster) ||
+      !ValidateMembershipPlans(args, cluster)) {
+    return 2;
+  }
   auto kind = ResolveSolver(args, args.n, options.block_size, cluster);
   if (!kind.ok()) return Fail(kind.status());
   request.solver = *kind;
