@@ -15,9 +15,8 @@
 // (solvers/rounds.h, RunRoundsKsource).
 //
 //   SolveRequest — everything one solve needs: which solver, the workload
-//     options (ApspOptions), the k-source sources, the cluster and the cost
-//     model. The shared durability/fault/membership knobs live in options'
-//     RunPlan base (apsp/run_plan.h).
+//     options (ApspOptions, including the durability/fault/membership
+//     knobs), the k-source sources, the cluster and the cost model.
 //   SolveReport — the run payload (ApspRunResult) plus the identity of the
 //     solver that produced it.
 //
@@ -43,11 +42,11 @@
 #include "apsp/block_key.h"
 #include "apsp/block_layout.h"
 #include "apsp/partitioners.h"
-#include "apsp/run_plan.h"
 #include "graph/graph.h"
 #include "linalg/cost_model.h"
 #include "linalg/kernel_registry.h"
 #include "sparklet/config.h"
+#include "sparklet/fault.h"
 #include "sparklet/rdd.h"
 
 namespace apspark::apsp {
@@ -71,10 +70,10 @@ bool SolverIsPure(SolverKind kind) noexcept;
 /// diagonal iteration for the blocked methods and the k-source sweep).
 std::int64_t TotalRounds(SolverKind kind, const BlockLayout& layout);
 
-/// The durability/fault/membership knobs live in the RunPlan base (see
-/// apsp/run_plan.h); the fields here are the decomposition and execution
-/// parameters of both workloads.
-struct ApspOptions : RunPlan {
+/// The decomposition and execution parameters of both workloads, and the
+/// durability/fault/membership schedule every solve arms (ArmRunPlan and
+/// RestartOnDataLoss in apsp/checkpoint.h).
+struct ApspOptions {
   /// Decomposition parameter b; q = ceil(n/b).
   std::int64_t block_size = 256;
   /// Semiring the solve evaluates (see linalg/semiring.h). Solve converts
@@ -104,6 +103,24 @@ struct ApspOptions : RunPlan {
   /// a disconnected real run against its phantom projection
   /// second-for-second. Ignored by APSP solves.
   bool early_exit_infinite = true;
+
+  // --- durability, faults and membership
+  /// Durability extension: checkpoint solver state to shared storage every
+  /// this many rounds/pivots (0 = off); see apsp/checkpoint.h. Honored by
+  /// the impure solvers; pure ones recover through lineage and ignore it.
+  std::int64_t checkpoint_every = 0;
+  /// Fault injection: executor losses to arm before the run (fired by the
+  /// engine at stage boundaries; see sparklet::FaultInjector::FailNode).
+  std::vector<sparklet::NodeFailurePlan> fail_nodes;
+  /// Correlated failures: whole racks lost at a stage boundary (expanded to
+  /// per-node losses by the engine; see sparklet::FaultInjector::FailRack).
+  std::vector<sparklet::RackFailurePlan> fail_racks;
+  /// Elastic membership: replacement nodes joining at these stage
+  /// boundaries (see sparklet::FaultInjector::AddNode).
+  std::vector<std::int64_t> add_nodes;
+  /// How many checkpoint restarts an impure solver may attempt after
+  /// executor losses before giving up and surfacing DATA_LOSS.
+  int max_restarts = 3;
 };
 
 struct ApspRunResult {
@@ -139,9 +156,8 @@ struct SolveRequest {
   /// (staged) or kBlockedInMemory (shuffle); any other kind is
   /// INVALID_ARGUMENT.
   SolverKind solver = SolverKind::kBlockedCollectBroadcast;
-  /// Workload options. The RunPlan base carries the checkpoint cadence and
-  /// the armed failure/membership schedule; assign a shared plan with
-  /// `static_cast<RunPlan&>(request.options) = plan`.
+  /// Workload options, including the checkpoint cadence and the armed
+  /// failure/membership schedule.
   ApspOptions options{};
   /// Empty = APSP. Otherwise the batched k-source workload: vertex ids of
   /// the graph (duplicates allowed, so k may exceed n); SolveModel uses
@@ -179,7 +195,7 @@ SolveReport SolveModel(std::int64_t n, const SolveRequest& request);
 /// `frontier` (layout.DecomposeFrontier of the n x k source frontier) makes
 /// it a k-source sweep on kind's data plane; its columns come out
 /// source-rooted only if `blocks` hold the transposed adjacency of a
-/// directed graph, as Solve arranges. Arms opts' run plan, restarts
+/// directed graph, as Solve arranges. Arms opts' failure schedule, restarts
 /// impure solvers from checkpoints after DATA_LOSS, and assembles the
 /// distance matrix or panel when a real-data run completes.
 ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,

@@ -21,14 +21,6 @@ bool OnDiagonal(const BlockKey& key, std::int64_t x) {
   return key.I == x && key.J == x;
 }
 
-BlockRef MatProd(const BlockRef& a, const BlockRef& b,
-                 sparklet::TaskContext& tc) {
-  tc.ChargeCompute(
-      tc.cost_model().MinPlusSeconds(a->rows(), b->cols(), a->cols()) *
-      tc.cost_model().BitpackScale(a->is_packed()));
-  return linalg::MakeBlock(linalg::MinPlusProduct(*a, *b));
-}
-
 BlockRef MatMin(const BlockRef& a, const BlockRef& b,
                 sparklet::TaskContext& tc) {
   tc.ChargeCompute(tc.cost_model().ElementwiseSeconds(a->size()) *
@@ -38,46 +30,24 @@ BlockRef MatMin(const BlockRef& a, const BlockRef& b,
 
 namespace {
 
-/// One fused min-plus update c = min(base, left ⊗ right): the planning /
-/// charging / numeric-execution split lets the batch unpackers charge the
-/// cost model sequentially while fanning the arithmetic out on the pool.
-struct FusedUpdate {
-  BlockKey key;
-  BlockRef base;
-  BlockRef left;
-  BlockRef right;
-};
-
-/// Modelled seconds of one fused update: exactly what the unfused MatProd +
-/// MatMin pair charged, so the modelled cluster time is unchanged by fusion.
-double FusedChargeSeconds(const FusedUpdate& u, sparklet::TaskContext& tc) {
+/// Modelled seconds of one fused update min(base, left ⊗ right): exactly
+/// what the unfused MatProd + MatMin pair charged, so the modelled cluster
+/// time is unchanged by fusion.
+double FusedChargeSeconds(const FusedTriple& u, sparklet::TaskContext& tc) {
   return (tc.cost_model().MinPlusSeconds(u.left->rows(), u.right->cols(),
                                          u.left->cols()) +
           tc.cost_model().ElementwiseSeconds(u.base->size())) *
          tc.cost_model().BitpackScale(u.base->is_packed());
 }
 
-void ChargeFused(const FusedUpdate& u, sparklet::TaskContext& tc) {
-  tc.ChargeCompute(FusedChargeSeconds(u, tc));
-}
-
 /// Charges one task's independent kernel pieces: the ordered sequential sum
-/// when intra_task_cores == 1 (bitwise identical to the historical
-/// per-update charging), the LPT intra-task makespan otherwise.
+/// when intra_task_cores == 1, the LPT intra-task makespan otherwise.
 void ChargeIntraTask(std::vector<double>&& pieces, sparklet::TaskContext& tc) {
   if (tc.cost_model().intra_task_cores <= 1) {
     for (double piece : pieces) tc.ChargeCompute(piece);
     return;
   }
   tc.ChargeCompute(tc.cost_model().IntraTaskSpan(std::move(pieces)));
-}
-
-/// Pure numeric part (no TaskContext): safe to run on any host thread. The
-/// base copy is the data plane's sanctioned copy-on-write mutation site.
-BlockRef RunFused(const FusedUpdate& u) {
-  DenseBlock out = u.base.MutableCopy();
-  linalg::MinPlusUpdate(*u.left, *u.right, out);
-  return linalg::MakeBlock(std::move(out));
 }
 
 /// Host work of one fused update on this machine, in multiply-adds (the
@@ -88,50 +58,23 @@ std::int64_t HostOps(const BlockRef& left, const BlockRef& right) {
   return left->is_packed() ? ops / 64 : ops;
 }
 
-}  // namespace
-
-BlockRef MinPlusInto(const BlockRef& base, const BlockRef& a,
-                     const BlockRef& b, sparklet::TaskContext& tc) {
-  FusedUpdate update{BlockKey{}, base, a, b};
-  ChargeFused(update, tc);
-  return RunFused(update);
-}
-
-BlockRef MinPlus(const BlockRef& a, const BlockRef& b,
-                 sparklet::TaskContext& tc) {
-  return MinPlusInto(a, a, b, tc);
-}
-
-BlockRef MinPlusRect(const BlockRef& base, const BlockRef& a,
-                     const BlockRef& panel, sparklet::TaskContext& tc) {
-  tc.ChargeCompute(
-      (tc.cost_model().MinPlusSeconds(a->rows(), panel->cols(), a->cols()) +
-       tc.cost_model().ElementwiseSeconds(base->size())) *
-      tc.cost_model().BitpackScale(base->is_packed()));
-  DenseBlock out = base.MutableCopy();
-  linalg::MinPlusUpdateRect(*a, *panel, out);
-  return linalg::MakeBlock(std::move(out));
-}
-
-namespace {
-
 /// Shared body of the fused-triple batches: charge every update through the
-/// intra-task schedule (the same formula as FusedChargeSeconds), then run
-/// `kernel(left, right, c)` per triple as stealable tasks.
+/// intra-task schedule (TaskContext is not thread-safe, so all charging
+/// stays on the calling thread), then run `kernel(left, right, c)` per
+/// triple as stealable tasks. The base copy is the data plane's sanctioned
+/// copy-on-write mutation site.
 std::vector<BlockRef> RunTripleBatch(
     std::vector<FusedTriple>&& updates, sparklet::TaskContext& tc,
     void (*kernel)(const DenseBlock&, const DenseBlock&, DenseBlock&)) {
   std::vector<double> pieces;
   pieces.reserve(updates.size());
-  for (const FusedTriple& u : updates) {
-    pieces.push_back(
-        FusedChargeSeconds(FusedUpdate{BlockKey{}, u.base, u.left, u.right},
-                           tc));
-  }
-  ChargeIntraTask(std::move(pieces), tc);
   std::vector<std::int64_t> work;
   work.reserve(updates.size());
-  for (const FusedTriple& u : updates) work.push_back(HostOps(u.left, u.right));
+  for (const FusedTriple& u : updates) {
+    pieces.push_back(FusedChargeSeconds(u, tc));
+    work.push_back(HostOps(u.left, u.right));
+  }
+  ChargeIntraTask(std::move(pieces), tc);
   std::vector<BlockRef> out(updates.size());
   linalg::ForEachByHostWork(work, [&](std::size_t i) {
     DenseBlock c = updates[i].base.MutableCopy();
@@ -142,6 +85,14 @@ std::vector<BlockRef> RunTripleBatch(
 }
 
 }  // namespace
+
+BlockRef MinPlusRect(const BlockRef& base, const BlockRef& a,
+                     const BlockRef& panel, sparklet::TaskContext& tc) {
+  tc.ChargeCompute(FusedChargeSeconds({base, a, panel}, tc));
+  DenseBlock out = base.MutableCopy();
+  linalg::MinPlusUpdateRect(*a, *panel, out);
+  return linalg::MakeBlock(std::move(out));
+}
 
 std::vector<BlockRef> MinPlusIntoBatch(std::vector<FusedTriple>&& updates,
                                        sparklet::TaskContext& tc) {
@@ -230,30 +181,6 @@ std::pair<std::int64_t, BlockRef> ExtractRowSegment(
   return {key.J, linalg::MakeBlock(block->RowBlock(k_loc).Transposed())};
 }
 
-BlockRecord FloydWarshallUpdate(
-    const BlockLayout& layout, const BlockRecord& record,
-    const std::vector<linalg::BlockRef>& column_segments,
-    const std::vector<linalg::BlockRef>& row_segments,
-    sparklet::TaskContext& tc) {
-  (void)layout;
-  const auto& [key, block] = record;
-  const BlockRef& u = column_segments[static_cast<std::size_t>(key.I)];
-  const BlockRef& v = row_segments[static_cast<std::size_t>(key.J)];
-  tc.ChargeCompute(tc.cost_model().ElementwiseSeconds(block->size()) *
-                   tc.cost_model().BitpackScale(block->is_packed()));
-  DenseBlock updated = block.MutableCopy();
-  linalg::OuterSumMinUpdate(updated, *u, *v);
-  return {key, linalg::MakeBlock(std::move(updated))};
-}
-
-BlockRecord FloydWarshallUpdate(
-    const BlockLayout& layout, const BlockRecord& record,
-    const std::vector<linalg::BlockRef>& column_segments,
-    sparklet::TaskContext& tc) {
-  return FloydWarshallUpdate(layout, record, column_segments, column_segments,
-                             tc);
-}
-
 std::vector<BlockRecord> FloydWarshallUpdateBatch(
     std::vector<BlockRecord>&& records,
     const std::vector<linalg::BlockRef>& column_segments,
@@ -311,8 +238,8 @@ const linalg::BlockRef* FindRole(const TaggedList& list, BlockRole role) {
 namespace {
 
 /// Plans one Phase-2 record: either a passthrough result or a fused update.
-/// Throws exactly like the original per-record unpack on malformed lists.
-std::optional<FusedUpdate> PlanPhase2(std::int64_t i, const ListRecord& record,
+/// Throws on malformed lists.
+std::optional<FusedTriple> PlanPhase2(std::int64_t i, const ListRecord& record,
                                       BlockRecord& passthrough) {
   const auto& [key, list] = record;
   const linalg::BlockRef* original = FindRole(list, BlockRole::kOriginal);
@@ -330,14 +257,12 @@ std::optional<FusedUpdate> PlanPhase2(std::int64_t i, const ListRecord& record,
   // Orientation matters in the (min,+) semiring: stored (X, i) holds the
   // column-side factor A_Xi and is updated as min(A_Xi, A_Xi (min,+) D);
   // stored (i, X) holds the row-side A_iX, updated as min(A_iX, D (min,+) A_iX).
-  if (key.J == i) return FusedUpdate{key, *original, *original, *diag};
-  return FusedUpdate{key, *original, *diag, *original};
+  if (key.J == i) return FusedTriple{*original, *original, *diag};
+  return FusedTriple{*original, *diag, *original};
 }
 
-/// Plans one Phase-3 record (same contract as PlanPhase2; `i` is unused but
-/// keeps the planner signatures interchangeable for UnpackBatch).
-std::optional<FusedUpdate> PlanPhase3(std::int64_t /*i*/,
-                                      const ListRecord& record,
+/// Plans one Phase-3 record (same contract as PlanPhase2).
+std::optional<FusedTriple> PlanPhase3(const ListRecord& record,
                                       BlockRecord& passthrough) {
   const auto& [key, list] = record;
   const linalg::BlockRef* original = FindRole(list, BlockRole::kOriginal);
@@ -357,59 +282,39 @@ std::optional<FusedUpdate> PlanPhase3(std::int64_t /*i*/,
                            key.ToString());
   }
   // A_UV = min(A_UV, A_Ui (min,+) A_iV).
-  return FusedUpdate{key, *original, *row, *col};
+  return FusedTriple{*original, *row, *col};
 }
 
-using PlanFn = std::optional<FusedUpdate> (*)(std::int64_t, const ListRecord&,
-                                              BlockRecord&);
-
-/// Shared batch driver: plan sequentially, charge through the intra-task
-/// schedule (TaskContext is not thread-safe, so all charging stays on the
-/// calling thread), then run the fused numeric updates as stealable tasks.
+/// Shared batch driver: plan every record sequentially, then run the planned
+/// fused updates as one batch (see RunTripleBatch) and key them back.
+template <typename Plan>
 std::vector<BlockRecord> UnpackBatch(std::vector<ListRecord>&& records,
-                                     sparklet::TaskContext& tc,
-                                     PlanFn plan, std::int64_t i) {
+                                     sparklet::TaskContext& tc, Plan plan) {
   std::vector<BlockRecord> out(records.size());
-  std::vector<std::pair<std::size_t, FusedUpdate>> pending;
-  pending.reserve(records.size());
-  std::vector<double> pieces;
-  pieces.reserve(records.size());
-  std::vector<std::int64_t> work;
-  work.reserve(records.size());
+  std::vector<FusedTriple> updates;
+  std::vector<std::size_t> slots;
   for (std::size_t r = 0; r < records.size(); ++r) {
-    if (auto update = plan(i, records[r], out[r])) {
-      pieces.push_back(FusedChargeSeconds(*update, tc));
-      work.push_back(HostOps(update->left, update->right));
-      pending.emplace_back(r, std::move(*update));
+    if (auto update = plan(records[r], out[r])) {
+      updates.push_back(std::move(*update));
+      slots.push_back(r);
     }
   }
-  ChargeIntraTask(std::move(pieces), tc);
-  linalg::ForEachByHostWork(work, [&](std::size_t p) {
-    out[pending[p].first] = {pending[p].second.key,
-                             RunFused(pending[p].second)};
-  });
+  auto blocks = RunTripleBatch(std::move(updates), tc, linalg::MinPlusUpdate);
+  for (std::size_t p = 0; p < slots.size(); ++p) {
+    out[slots[p]] = {records[slots[p]].first, std::move(blocks[p])};
+  }
   return out;
 }
 
 }  // namespace
 
-BlockRecord Phase2Unpack(const BlockLayout& layout, std::int64_t i,
-                         const ListRecord& record, sparklet::TaskContext& tc) {
-  (void)layout;
-  BlockRecord passthrough;
-  if (auto update = PlanPhase2(i, record, passthrough)) {
-    ChargeFused(*update, tc);
-    return {update->key, RunFused(*update)};
-  }
-  return passthrough;
-}
-
-std::vector<BlockRecord> Phase2UnpackBatch(const BlockLayout& layout,
-                                           std::int64_t i,
+std::vector<BlockRecord> Phase2UnpackBatch(std::int64_t i,
                                            std::vector<ListRecord>&& records,
                                            sparklet::TaskContext& tc) {
-  (void)layout;
-  return UnpackBatch(std::move(records), tc, PlanPhase2, i);
+  return UnpackBatch(std::move(records), tc,
+                     [i](const ListRecord& record, BlockRecord& passthrough) {
+                       return PlanPhase2(i, record, passthrough);
+                     });
 }
 
 void CopyCol(const BlockLayout& layout, std::int64_t i,
@@ -465,23 +370,9 @@ void CopyCol(const BlockLayout& layout, std::int64_t i,
   }
 }
 
-BlockRecord Phase3Unpack(const BlockLayout& layout, std::int64_t i,
-                         const ListRecord& record, sparklet::TaskContext& tc) {
-  (void)layout;
-  BlockRecord passthrough;
-  if (auto update = PlanPhase3(i, record, passthrough)) {
-    ChargeFused(*update, tc);
-    return {update->key, RunFused(*update)};
-  }
-  return passthrough;
-}
-
-std::vector<BlockRecord> Phase3UnpackBatch(const BlockLayout& layout,
-                                           std::int64_t i,
-                                           std::vector<ListRecord>&& records,
+std::vector<BlockRecord> Phase3UnpackBatch(std::vector<ListRecord>&& records,
                                            sparklet::TaskContext& tc) {
-  (void)layout;
-  return UnpackBatch(std::move(records), tc, PlanPhase3, i);
+  return UnpackBatch(std::move(records), tc, PlanPhase3);
 }
 
 }  // namespace apspark::apsp

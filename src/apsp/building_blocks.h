@@ -5,6 +5,13 @@
 // dispatches the numeric work to bare metal (NumPy/SciPy/Numba) while Spark
 // handles distribution. Kernels execute for materialized blocks and
 // short-circuit for phantom ones; the charged time is identical.
+//
+// Only the forms a solver calls are here. Table 1's MatProd and MinPlus are
+// fused updates min(base, A (min,+) B) run a task's worth at a time
+// (MinPlusIntoBatch), and the combine-step unpackers and the 2D
+// Floyd-Warshall update work a partition at a time too. The blocked
+// planes' pivot functions (solvers/rounds.h) are the one caller of
+// CopyDiag, CopyCol, the unpackers and MinPlusIntoBatch.
 #pragma once
 
 #include <cstdint>
@@ -28,31 +35,14 @@ bool OnDiagonal(const BlockKey& key, std::int64_t x);
 
 // --- kernel wrappers (charge cost model, propagate phantoms) ------------
 
-/// MatProd: min-plus product A (min,+) B.
-linalg::BlockRef MatProd(const linalg::BlockRef& a, const linalg::BlockRef& b,
-                         sparklet::TaskContext& tc);
-
 /// MatMin: element-wise minimum.
 linalg::BlockRef MatMin(const linalg::BlockRef& a, const linalg::BlockRef& b,
                         sparklet::TaskContext& tc);
 
-/// MinPlus: min(A (min,+) B, A) — Table 1's fused form, computed in one
-/// fused pass (no intermediate product block is materialized). Charges the
-/// same modelled time as MatProd followed by MatMin.
-linalg::BlockRef MinPlus(const linalg::BlockRef& a, const linalg::BlockRef& b,
-                         sparklet::TaskContext& tc);
-
-/// Fused three-operand form: min(base, A (min,+) B) in one pass. The hot
-/// kernel of the blocked solvers' phase-2/phase-3 updates.
-linalg::BlockRef MinPlusInto(const linalg::BlockRef& base,
-                             const linalg::BlockRef& a,
-                             const linalg::BlockRef& b,
-                             sparklet::TaskContext& tc);
-
 /// MinPlusRect: panel' = min(base, A (min,+) panel) in one fused pass via
-/// the rectangular panel kernel (linalg::MinPlusUpdateRect) — the hot kernel
-/// of the batched k-source frontier sweep. Charges the same modelled time as
-/// MatProd followed by MatMin on the panel shape.
+/// the rectangular panel kernel (linalg::MinPlusUpdateRect) — the k-source
+/// pivot-panel update. Charges the same modelled time as MatProd followed
+/// by MatMin on the panel shape.
 linalg::BlockRef MinPlusRect(const linalg::BlockRef& base,
                              const linalg::BlockRef& a,
                              const linalg::BlockRef& panel,
@@ -68,8 +58,10 @@ struct FusedTriple {
   linalg::BlockRef right;
 };
 
-/// Batched fused updates: charges each update's modelled kernel time into
-/// the task through the cost model's intra-task schedule
+/// Batched fused updates — Table 1's MinPlus, min(base, A (min,+) B), in one
+/// pass per update with no intermediate product block. Charges each
+/// update's modelled kernel time — exactly what MatProd followed by MatMin
+/// charges — into the task through the cost model's intra-task schedule
 /// (CostModel::IntraTaskSpan — the ordered sum when intra_task_cores == 1),
 /// then runs the independent numeric updates through
 /// linalg::ForEachByHostWork: grouped by their host m·n·k into units of at
@@ -137,27 +129,13 @@ std::pair<std::int64_t, linalg::BlockRef> ExtractRowSegment(
     const BlockLayout& layout, const BlockRecord& record, std::int64_t k,
     sparklet::TaskContext& tc);
 
-/// FloydWarshallUpdate: A_IJ = min(A_IJ, B_Ik 1^T + 1 B_kJ) where
-/// `column_segments[X]` is the b x 1 slice of global column k for row-block
-/// X and `row_segments[Y]` the slice of global row k for column-block Y
-/// (equal to column_segments for undirected graphs — the symmetry the paper
-/// exploits).
-BlockRecord FloydWarshallUpdate(
-    const BlockLayout& layout, const BlockRecord& record,
-    const std::vector<linalg::BlockRef>& column_segments,
-    const std::vector<linalg::BlockRef>& row_segments,
-    sparklet::TaskContext& tc);
-
-/// Undirected convenience overload (row == column by symmetry).
-BlockRecord FloydWarshallUpdate(
-    const BlockLayout& layout, const BlockRecord& record,
-    const std::vector<linalg::BlockRef>& column_segments,
-    sparklet::TaskContext& tc);
-
-/// Partition-at-a-time FloydWarshallUpdate: identical records and identical
-/// virtual-cluster charges (modulo the intra-task schedule) as mapping the
-/// per-record form, with the independent outer-sum updates fanned out as
-/// stealable tasks under kTiledParallel.
+/// FloydWarshallUpdate over one task's records: A_IJ = min(A_IJ, B_Ik 1^T +
+/// 1 B_kJ), where `column_segments[X]` is the b x 1 slice of global column k
+/// for row-block X and `row_segments[Y]` the slice of global row k for
+/// column-block Y (equal to column_segments for undirected graphs — the
+/// symmetry the paper exploits). Each record charges one element-wise pass;
+/// the independent outer-sum updates fan out as stealable tasks under
+/// kTiledParallel.
 std::vector<BlockRecord> FloydWarshallUpdateBatch(
     std::vector<BlockRecord>&& records,
     const std::vector<linalg::BlockRef>& column_segments,
@@ -176,11 +154,6 @@ const linalg::BlockRef* FindRole(const TaggedList& list, BlockRole role);
 void CopyDiag(const BlockLayout& layout, std::int64_t i,
               const linalg::BlockRef& diag, std::vector<TaggedRecord>& out);
 
-/// Phase-2 unpack: list = {original cross block, diagonal copy}; returns the
-/// cross block updated through the diagonal (correctly oriented min-plus).
-BlockRecord Phase2Unpack(const BlockLayout& layout, std::int64_t i,
-                         const ListRecord& record, sparklet::TaskContext& tc);
-
 /// CopyCol: from an updated cross block of iteration i, emit the block
 /// itself (kOriginal) plus, for every stored target key, the row-side
 /// (A_Xi, kRow) or column-side (A_iX, kCol) factor needed by Phase 3.
@@ -189,22 +162,17 @@ void CopyCol(const BlockLayout& layout, std::int64_t i,
              const BlockRecord& record, std::vector<TaggedRecord>& out,
              sparklet::TaskContext& tc);
 
-/// Phase-3 unpack: list = {original} for cross blocks (already updated), or
-/// {original, kRow, kCol} for the rest: min(A_UV, A_Ui (min,+) A_iV).
-BlockRecord Phase3Unpack(const BlockLayout& layout, std::int64_t i,
-                         const ListRecord& record, sparklet::TaskContext& tc);
-
-/// Partition-at-a-time unpackers: same records and identical virtual-cluster
-/// charges as mapping Phase2Unpack / Phase3Unpack record by record, but the
-/// numeric block updates fan out on the host ThreadPool (host threads speed
-/// up real compute only; modelled time is untouched).
-std::vector<BlockRecord> Phase2UnpackBatch(const BlockLayout& layout,
-                                           std::int64_t i,
+/// Phase-2 unpack of one task's records: each list = {original cross block,
+/// diagonal copy}, and each cross block is updated through the diagonal
+/// (correctly oriented min-plus); the diagonal key takes the copy itself.
+std::vector<BlockRecord> Phase2UnpackBatch(std::int64_t i,
                                            std::vector<ListRecord>&& records,
                                            sparklet::TaskContext& tc);
-std::vector<BlockRecord> Phase3UnpackBatch(const BlockLayout& layout,
-                                           std::int64_t i,
-                                           std::vector<ListRecord>&& records,
+
+/// Phase-3 unpack of one task's records: each list = {original} for cross
+/// blocks (already updated), or {original, kRow, kCol} for the rest:
+/// min(A_UV, A_Ui (min,+) A_iV).
+std::vector<BlockRecord> Phase3UnpackBatch(std::vector<ListRecord>&& records,
                                            sparklet::TaskContext& tc);
 
 }  // namespace apspark::apsp

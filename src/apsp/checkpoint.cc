@@ -1,5 +1,6 @@
 #include "apsp/checkpoint.h"
 
+#include "apsp/api.h"
 #include "common/serial.h"
 
 namespace apspark::apsp {
@@ -127,14 +128,14 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
   return info;
 }
 
-void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan) {
-  for (const auto& node : plan.fail_nodes) {
+void ArmRunPlan(sparklet::SparkletContext& ctx, const ApspOptions& opts) {
+  for (const auto& node : opts.fail_nodes) {
     ctx.fault_injector().FailNode(node.node, node.at_stage);
   }
-  for (const auto& rack : plan.fail_racks) {
+  for (const auto& rack : opts.fail_racks) {
     ctx.fault_injector().FailRack(rack.rack, rack.at_stage);
   }
-  for (const std::int64_t at_stage : plan.add_nodes) {
+  for (const std::int64_t at_stage : opts.add_nodes) {
     ctx.fault_injector().AddNode(at_stage);
   }
   ctx.cluster().NoteDurableMark();
@@ -142,11 +143,11 @@ void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan) {
 
 Result<std::int64_t> RestartOnDataLoss(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    const RunPlan& plan, const Status& abort, int& restarts,
+    const ApspOptions& opts, const Status& abort, int& restarts,
     std::int64_t fallback_round,
     const std::function<void(const CheckpointInfo*, const std::string& tag)>&
         rebuild) {
-  if (abort.code() != StatusCode::kDataLoss || restarts >= plan.max_restarts) {
+  if (abort.code() != StatusCode::kDataLoss || restarts >= opts.max_restarts) {
     return abort;
   }
   ++restarts;

@@ -20,11 +20,12 @@
 
 #include "apsp/block_key.h"
 #include "apsp/block_layout.h"
-#include "apsp/run_plan.h"
 #include "common/status.h"
 #include "sparklet/rdd.h"
 
 namespace apspark::apsp {
+
+struct ApspOptions;  // apsp/api.h
 
 struct CheckpointInfo {
   /// First round that still needs to run.
@@ -49,18 +50,18 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
 /// True if a checkpoint exists in this context's shared storage.
 bool HasCheckpoint(sparklet::SparkletContext& ctx);
 
-/// Arms `plan`'s injected node and rack losses and elastic joins on `ctx`
+/// Arms `opts`' injected node and rack losses and elastic joins on `ctx`
 /// (stage ordinals count from the caller's preceding cluster Reset) and
 /// marks the job start durable: the input RDDs recompute from stable data,
 /// so a restart without a checkpoint redoes everything from here, and the
 /// recovery accounting measures exactly that.
-void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan);
+void ArmRunPlan(sparklet::SparkletContext& ctx, const ApspOptions& opts);
 
 /// The DATA_LOSS restart policy SolveBlocks applies to every solve, APSP or
 /// k-source. DATA_LOSS marks the one recoverable abort: an executor loss
 /// destroyed state whose lineage contains out-of-lineage side effects (the
 /// impure planes). Any other `abort`, or one arriving after
-/// plan.max_restarts restarts, is returned as the run's final status.
+/// opts.max_restarts restarts, is returned as the run's final status.
 /// Otherwise increments `restarts`, accounts the progress the failure
 /// destroyed (since the last durable mark), loads the latest checkpoint when
 /// one exists, invokes `rebuild` to re-populate the solver's RDDs — with the
@@ -70,7 +71,7 @@ void ArmRunPlan(sparklet::SparkletContext& ctx, const RunPlan& plan);
 /// round to resume from (`fallback_round` when no checkpoint exists).
 Result<std::int64_t> RestartOnDataLoss(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
-    const RunPlan& plan, const Status& abort, int& restarts,
+    const ApspOptions& opts, const Status& abort, int& restarts,
     std::int64_t fallback_round,
     const std::function<void(const CheckpointInfo*, const std::string& tag)>&
         rebuild);

@@ -1,11 +1,11 @@
-// Shared combine-step wiring of the shuffle-based solvers.
+// Combine-step wiring of the shuffle plane.
 //
-// Blocked In-Memory (matrix-block keys) and the shuffle-replicated KSSP
-// variant (frontier-panel keys) both gather tagged replicas per target key
-// with the same combineByKey(ListAppend) pattern and both tag resident
-// records for it. This header is the single home of that wiring so the two
-// solvers cannot drift apart (same rationale as solvers/staging.h for the
-// staged protocol).
+// The shuffle pivot functions ShuffleUpdateCross / ShuffleUpdateRest
+// (solvers/blocked_inmemory.cc, matrix-block keys), which the Blocked
+// In-Memory round loop and the shuffle k-source sweep both call, and that
+// sweep's frontier rounds A/B (frontier-panel keys) gather tagged replicas
+// per target key with the same combineByKey(ListAppend) pattern and tag
+// their resident records for it. This header holds that wiring.
 #pragma once
 
 #include <string>
@@ -38,12 +38,14 @@ sparklet::RddPtr<std::pair<K, TaggedList>> GatherLists(
       });
 }
 
-/// Tags resident A blocks for the combine steps.
-inline sparklet::RddPtr<TaggedRecord> TagOriginals(
-    sparklet::RddPtr<BlockRecord> rdd, std::string op_name) {
+/// Tags resident records (A blocks or frontier panels) as kOriginal for the
+/// combine steps.
+template <typename K>
+sparklet::RddPtr<std::pair<K, TaggedBlock>> TagOriginals(
+    sparklet::RddPtr<std::pair<K, linalg::BlockRef>> rdd, std::string op_name) {
   return rdd->Map(std::move(op_name),
-                  [](const BlockRecord& rec,
-                     sparklet::TaskContext&) -> TaggedRecord {
+                  [](const std::pair<K, linalg::BlockRef>& rec,
+                     sparklet::TaskContext&) -> std::pair<K, TaggedBlock> {
                     return {rec.first, {BlockRole::kOriginal, rec.second}};
                   });
 }

@@ -18,19 +18,23 @@
 // directed inputs on the transposed adjacency so columns come out
 // source-rooted.
 //
-// The request's SolverKind picks one of two data planes:
+// The request's SolverKind picks one of two data planes, and the matrix
+// phases of each pivot are that plane's own pivot functions (declared in
+// solvers/rounds.h), the ones its APSP round loop calls; this file holds
+// only the frontier work in between:
 //
-//   kBlockedCollectBroadcast ("staged") — like Alg. 4, impure: pivot
-//   blocks, column factors, and the pivot panel travel through shared
-//   persistent storage.
+//   kBlockedCollectBroadcast ("staged") — like Alg. 4, impure:
+//   StageDiagonal stages the closed diagonal, the pivot panel is staged next
+//   to it, StageCrossAndRebuild stages the column factors, and the frontier
+//   sweep reads both back from shared persistent storage.
 //
 //   kBlockedInMemory ("shuffle") — *pure*: no shared-storage side channel
-//   at all. The matrix phases run the Blocked In-Memory combine steps
-//   (CopyDiag / Phase2 / CopyCol / Phase3 through custom-partitioned
-//   shuffles), and the frontier factors replicate through the shuffle too:
-//   round A pairs the closed diagonal with panel t to form P_t, round B
-//   scatters P_t plus the per-panel left factors A_It to every panel and
-//   folds them in with one rectangular update. Fault-tolerant by
+//   at all. CloseDiagonal, ShuffleUpdateCross and ShuffleUpdateRest run the
+//   Blocked In-Memory combine steps, and the frontier factors replicate
+//   through the shuffle too: round A pairs the closed diagonal with panel t
+//   to form P_t, round B scatters P_t plus the per-panel left factors A_It
+//   (from the updated cross, persisted for it) to every panel and folds
+//   them in with one rectangular update. Fault-tolerant by
 //   construction (everything stays in the RDD lineage) at the price of
 //   shuffling the replicas — with the zero-copy record plane, the replicas
 //   are refs, so the driver's live-byte high water stays at the final panel
@@ -44,7 +48,6 @@
 // the pivot-panel update run. Detection scans the cross blocks through the
 // semiring's IsZero (charged like the element-wise kernel it is) and never
 // fires for phantom blocks, whose structure is unknown.
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -62,7 +65,6 @@ using linalg::BlockRef;
 using sparklet::RddPtr;
 using sparklet::TaskContext;
 using staging::BlockCache;
-using staging::ReadPhase3Factors;
 using staging::ReadStagedBlock;
 using staging::StagingKeys;
 
@@ -102,45 +104,27 @@ bool PivotCrossAllZero(RddPtr<BlockRecord>& a, const BlockLayout& layout,
 }
 
 /// Rebuilds A after a skipped pivot: only the closed diagonal changed.
-RddPtr<BlockRecord> RebuildSkipped(sparklet::SparkletContext& ctx,
-                                   RddPtr<BlockRecord> a,
-                                   RddPtr<BlockRecord> diag,
-                                   sparklet::PartitionerPtr<BlockKey> part,
-                                   std::int64_t t, const std::string& prefix) {
-  auto rest = a->Filter(prefix + "-rest",
-                        [t](const BlockRecord& rec) {
-                          return !OnDiagonal(rec.first, t);
-                        });
-  auto rebuilt = sparklet::PartitionBy(
-                     ctx.Union(prefix + "-skip-union", {diag, rest}), part,
-                     prefix + "-skip-repartition")
-                     ->Persist();
-  rebuilt->EnsureMaterialized();
-  a->Unpersist();
-  return rebuilt;
+void RebuildSkipped(sparklet::SparkletContext& ctx, RddPtr<BlockRecord>& a,
+                    const RddPtr<BlockRecord>& diag,
+                    const sparklet::PartitionerPtr<BlockKey>& part,
+                    std::int64_t t, const std::string& prefix) {
+  auto rest = a->Filter(prefix + "-rest", [t](const BlockRecord& rec) {
+    return !OnDiagonal(rec.first, t);
+  });
+  Advance(a, sparklet::PartitionBy(
+                 ctx.Union(prefix + "-skip-union", {diag, rest}), part,
+                 prefix + "-skip-repartition")
+                 ->Persist());
 }
 
 /// One pivot of the staged-storage (impure) sweep. `skip` = early exit.
 void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
-                    std::int64_t t, const StagingKeys& keys,
-                    sparklet::PartitionerPtr<BlockKey> block_part,
+                    std::int64_t t,
+                    const sparklet::PartitionerPtr<BlockKey>& block_part,
                     RddPtr<BlockRecord>& a, RddPtr<PanelRecord>& f,
                     bool skip) {
-  const bool directed = layout.directed();
-
-  // --- Phase 1: close the pivot diagonal and stage it.
-  auto diag = a->Filter("ks-diag",
-                        [t](const BlockRecord& rec) {
-                          return OnDiagonal(rec.first, t);
-                        })
-                  ->Map("ks-fw",
-                        [](const BlockRecord& rec, TaskContext& tc) {
-                          return BlockRecord{rec.first,
-                                             FloydWarshall(rec.second, tc)};
-                        });
-  for (const auto& [key, block] : diag->Collect()) {
-    staging::StageBlock(ctx, keys.Diag(t), block);
-  }
+  const StagingKeys keys("ks");
+  auto diag = StageDiagonal(ctx, a, t, "ks");
 
   // --- Pivot panel: P_t = min(F_t, A*_tt (min,+) F_t), staged for the
   // frontier sweep below.
@@ -162,89 +146,28 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
     // Early exit: the cross is all-infinite, so phases 2/3 and the frontier
     // factor sweep are no-ops. Only panel t changed (through the closed
     // diagonal) and only the diagonal block of A changed.
-    auto f_prev = f;
-    f = f->Map("ks-frontier-skip",
-               [t, keys](const PanelRecord& rec, TaskContext& tc) {
-                 if (rec.first != t) return rec;
-                 BlockCache cache;
-                 return PanelRecord{
-                     t, ReadStagedBlock(cache, keys.Panel(t), tc)};
-               })
-            ->Persist();
-    f->EnsureMaterialized();
-    f_prev->Unpersist();
-    a = RebuildSkipped(ctx, a, diag, block_part, t, "ks");
+    Advance(f, f->Map("ks-frontier-skip",
+                      [t, keys](const PanelRecord& rec, TaskContext& tc) {
+                        if (rec.first != t) return rec;
+                        BlockCache cache;
+                        return PanelRecord{
+                            t, ReadStagedBlock(cache, keys.Panel(t), tc)};
+                      })
+                   ->Persist());
+    RebuildSkipped(ctx, a, diag, block_part, t, "ks");
     return;
   }
 
-  // --- Phase 2: update the column/row cross of the matrix against the
-  // staged diagonal and stage the oriented factors (Alg. 4 lines 5-7).
-  auto rowcol =
-      a->Filter("ks-rowcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return layout.InCross(rec.first, t) &&
-                         !OnDiagonal(rec.first, t);
-                })
-          ->MapPartitions<BlockRecord>(
-              "ks-phase2",
-              [t, keys](std::vector<BlockRecord>&& part, TaskContext& tc) {
-                // Staged reads and charges stay sequential (TaskContext
-                // is driver-thread state); the independent block updates
-                // then run as one stealable intra-task batch.
-                BlockCache cache;
-                std::vector<FusedTriple> updates;
-                updates.reserve(part.size());
-                for (const auto& [key, block] : part) {
-                  BlockRef d = ReadStagedBlock(cache, keys.Diag(t), tc);
-                  updates.push_back(key.J == t
-                                        ? FusedTriple{block, block, d}
-                                        : FusedTriple{block, d, block});
-                }
-                auto blocks = MinPlusIntoBatch(std::move(updates), tc);
-                std::vector<BlockRecord> out;
-                out.reserve(part.size());
-                for (std::size_t r = 0; r < part.size(); ++r) {
-                  out.push_back({part[r].first, std::move(blocks[r])});
-                }
-                return out;
-              });
-  // The pivot owns one transpose memo shared by its phase-3 tasks (see
-  // the Collect/Broadcast solver).
-  auto transposes = std::make_shared<TransposeMemo>();
-  staging::StageCrossFactors(ctx, keys, t, rowcol->Collect(), directed,
-                             *transposes);
-
-  // --- Phase 3: remaining matrix blocks through the staged factors.
-  auto offcol =
-      a->Filter("ks-offcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return !layout.InCross(rec.first, t);
-                })
-          ->MapPartitions<BlockRecord>(
-              "ks-phase3",
-              [t, directed, keys, transposes](
-                  std::vector<BlockRecord>&& part, TaskContext& tc) {
-                BlockCache cache;
-                std::vector<FusedTriple> updates;
-                updates.reserve(part.size());
-                for (const auto& [key, block] : part) {
-                  auto [left, right] = ReadPhase3Factors(
-                      keys, cache, *transposes, t, key, directed, tc);
-                  updates.push_back({block, left, right});
-                }
-                auto blocks = MinPlusIntoBatch(std::move(updates), tc);
-                std::vector<BlockRecord> out;
-                out.reserve(part.size());
-                for (std::size_t r = 0; r < part.size(); ++r) {
-                  out.push_back({part[r].first, std::move(blocks[r])});
-                }
-                return out;
-              });
+  // --- Matrix phases 2 and 3: the staged factors A_It double as the
+  // frontier sweep's left factors.
+  StagedRebuild rebuilt =
+      StageCrossAndRebuild(ctx, layout, a, diag, t, block_part, "ks");
 
   // --- Frontier sweep: every panel through the pivot's column factors.
   // F_I = min(F_I, A_It (min,+) P_t); the pivot panel becomes P_t.
-  auto f_prev = f;
-  f = f->MapPartitions<PanelRecord>(
+  Advance(
+      f,
+      f->MapPartitions<PanelRecord>(
            "ks-frontier",
            [t, keys](std::vector<PanelRecord>&& part, TaskContext& tc) {
              BlockCache cache;
@@ -256,37 +179,24 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
              for (std::size_t r = 0; r < part.size(); ++r) {
                const auto& [idx, panel] = part[r];
                if (idx == t) {
-                 out[r] = {idx,
-                           ReadStagedBlock(cache, keys.Panel(t), tc)};
+                 out[r] = {idx, ReadStagedBlock(cache, keys.Panel(t), tc)};
                  continue;
                }
-               BlockRef left =
-                   ReadStagedBlock(cache, keys.Left(t, idx), tc);
-               BlockRef pivot =
-                   ReadStagedBlock(cache, keys.Panel(t), tc);
+               BlockRef left = ReadStagedBlock(cache, keys.Left(t, idx), tc);
+               BlockRef pivot = ReadStagedBlock(cache, keys.Panel(t), tc);
                updates.push_back({panel, left, pivot});
                slots.push_back(r);
              }
              auto panels = MinPlusRectBatch(std::move(updates), tc);
              for (std::size_t p = 0; p < slots.size(); ++p) {
-               out[slots[p]] = {part[slots[p]].first,
-                                std::move(panels[p])};
+               out[slots[p]] = {part[slots[p]].first, std::move(panels[p])};
              }
              return out;
            })
-          ->Persist();
-  f->EnsureMaterialized();
-  f_prev->Unpersist();
+          ->Persist());
 
-  // --- Rebuild A for the next pivot (Alg. 4 lines 11-12).
-  auto a_prev = a;
-  a = sparklet::PartitionBy(
-          ctx.Union("ks-union", {diag, rowcol, offcol}), block_part,
-          "ks-repartition")
-          ->Persist();
-  a->EnsureMaterialized();
-  a_prev->Unpersist();
-  transposes->Clear();
+  Advance(a, rebuilt.a);
+  rebuilt.transposes->Clear();
 }
 
 /// One pivot of the pure shuffle-replicated sweep: the matrix phases run the
@@ -294,22 +204,13 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
 /// through the shuffle (no shared-storage side channel). `skip` = early exit.
 void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                      std::int64_t t,
-                     sparklet::PartitionerPtr<BlockKey> block_part,
-                     sparklet::PartitionerPtr<std::int64_t> panel_part,
+                     const sparklet::PartitionerPtr<BlockKey>& block_part,
+                     const sparklet::PartitionerPtr<std::int64_t>& panel_part,
                      RddPtr<BlockRecord>& a, RddPtr<PanelRecord>& f,
                      bool skip) {
   const std::int64_t q = layout.q();
-
-  // --- Phase 1: close the pivot diagonal (narrow map; stays in lineage).
-  auto diag = a->Filter("ksp-diag",
-                        [t](const BlockRecord& rec) {
-                          return OnDiagonal(rec.first, t);
-                        })
-                  ->Map("ksp-fw",
-                        [](const BlockRecord& rec, TaskContext& tc) {
-                          return BlockRecord{rec.first,
-                                             FloydWarshall(rec.second, tc)};
-                        });
+  // Phase 1 stays in lineage: a narrow map.
+  auto diag = CloseDiagonal(a, t, "ksp");
 
   // --- Frontier round A: pair the closed diagonal with panel t through the
   // shuffle and form the pivot panel P_t = min(F_t, A*_tt (min,+) F_t).
@@ -318,14 +219,10 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
       [t](const BlockRecord& rec, TaskContext&) -> TaggedPanelRecord {
         return {t, {BlockRole::kDiag, rec.second}};
       });
-  auto f_tagged =
-      f->Map("ksp-f-tag",
-             [](const PanelRecord& rec, TaskContext&) -> TaggedPanelRecord {
-               return {rec.first, {BlockRole::kOriginal, rec.second}};
-             });
   auto round_a = GatherLists(
-      ctx.Union("ksp-round-a-union", {diag_to_panel, f_tagged}), panel_part,
-      "ksp-round-a-combine");
+      ctx.Union("ksp-round-a-union",
+                {diag_to_panel, TagOriginals(f, "ksp-f-tag")}),
+      panel_part, "ksp-round-a-combine");
   auto f_a = round_a
                  ->MapPartitions<PanelRecord>(
                      "ksp-pivot-update",
@@ -351,60 +248,19 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
   f_a->EnsureMaterialized();
 
   if (skip) {
-    auto f_prev = f;
-    f = f_a;
-    f_prev->Unpersist();
-    a = RebuildSkipped(ctx, a, diag, block_part, t, "ksp");
+    Advance(f, f_a);
+    RebuildSkipped(ctx, a, diag, block_part, t, "ksp");
     return;
   }
 
-  // --- Matrix phase 2 (Alg. 3 lines 6-10): diagonal copies meet the cross.
-  auto diag_copies = diag->FlatMap<TaggedRecord>(
-      "ksp-copydiag",
-      [&layout, t](const BlockRecord& rec, TaskContext&,
-                   std::vector<TaggedRecord>& out) {
-        CopyDiag(layout, t, rec.second, out);
-      });
-  auto d0 = sparklet::PartitionBy(diag_copies, block_part, "ksp-copydiag-by");
-  auto rowcol = TagOriginals(
-      a->Filter("ksp-rowcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return layout.InCross(rec.first, t);
-                }),
-      "ksp-rowcol-tag");
-  auto paired = GatherLists(ctx.Union("ksp-phase2-union", {d0, rowcol}),
-                                 block_part, "ksp-phase2-combine");
+  // --- Matrix phases 2 and 3. The updated cross is persisted: CopyCol and
+  // the frontier factors below both consume it.
   auto updated_cross =
-      paired
-          ->MapPartitions<BlockRecord>(
-              "ksp-phase2-unpack",
-              [&layout, t](std::vector<ListRecord>&& part, TaskContext& tc) {
-                return Phase2UnpackBatch(layout, t, std::move(part), tc);
-              })
-          ->Persist();  // consumed by CopyCol *and* the frontier factors
+      ShuffleUpdateCross(ctx, layout, a, diag, t, block_part, "ksp")
+          ->Persist();
   updated_cross->EnsureMaterialized();
-
-  // --- Matrix phase 3 (lines 12-15).
-  auto cross_copies = updated_cross->FlatMap<TaggedRecord>(
-      "ksp-copycol",
-      [&layout, t](const BlockRecord& rec, TaskContext& tc,
-                   std::vector<TaggedRecord>& out) {
-        CopyCol(layout, t, rec, out, tc);
-      });
-  auto d = sparklet::PartitionBy(cross_copies, block_part, "ksp-copycol-by");
-  auto rest = TagOriginals(
-      a->Filter("ksp-offcol",
-                [&layout, t](const BlockRecord& rec) {
-                  return !layout.InCross(rec.first, t);
-                }),
-      "ksp-offcol-tag");
-  auto phase3 = GatherLists(ctx.Union("ksp-phase3-union", {rest, d}),
-                                 block_part, "ksp-phase3-combine");
-  auto updated = phase3->MapPartitions<BlockRecord>(
-      "ksp-phase3-unpack",
-      [&layout, t](std::vector<ListRecord>&& part, TaskContext& tc) {
-        return Phase3UnpackBatch(layout, t, std::move(part), tc);
-      });
+  auto rebuilt =
+      ShuffleUpdateRest(ctx, layout, a, updated_cross, t, block_part, "ksp");
 
   // --- Frontier round B: replicate the per-panel left factors A_It (from
   // the phase-2-updated cross) and the pivot panel P_t to every panel, then
@@ -438,14 +294,11 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                   out.push_back({i, {BlockRole::kCol, rec.second}});
                 }
               });
-  auto fa_tagged = f_a->Map(
-      "ksp-fa-tag",
-      [](const PanelRecord& rec, TaskContext&) -> TaggedPanelRecord {
-        return {rec.first, {BlockRole::kOriginal, rec.second}};
-      });
-  auto round_b = GatherLists(
-      ctx.Union("ksp-round-b-union", {fa_tagged, pivot_copies, factor_copies}),
-      panel_part, "ksp-round-b-combine");
+  auto round_b =
+      GatherLists(ctx.Union("ksp-round-b-union",
+                            {TagOriginals(f_a, "ksp-fa-tag"), pivot_copies,
+                             factor_copies}),
+                  panel_part, "ksp-round-b-combine");
   auto f_b =
       round_b
           ->MapPartitions<PanelRecord>(
@@ -489,18 +342,9 @@ void RunShufflePivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                 return out;
               })
           ->Persist();
-  f_b->EnsureMaterialized();
-  auto f_prev = f;
-  f = f_b;
-  f_prev->Unpersist();
+  Advance(f, f_b);
   f_a->Unpersist();
-
-  // --- Rebuild A for the next pivot (line 15's explicit partitionBy).
-  auto a_prev = a;
-  a = sparklet::PartitionBy(updated, block_part, "ksp-repartition")
-          ->Persist();
-  a->EnsureMaterialized();
-  a_prev->Unpersist();
+  Advance(a, rebuilt);
   updated_cross->Unpersist();
 }
 
@@ -512,7 +356,6 @@ RddPtr<BlockRecord> RunRoundsKsource(
     RddPtr<PanelRecord>& f,
     sparklet::PartitionerPtr<std::int64_t> panel_partitioner,
     const ApspOptions& opts, std::int64_t rounds_to_run) {
-  const StagingKeys keys("ks");
   const std::int64_t first = opts.start_round;
   for (std::int64_t t = first; t < first + rounds_to_run; ++t) {
     RoundSpanScope round_span(ctx.cluster(), t);
@@ -522,7 +365,7 @@ RddPtr<BlockRecord> RunRoundsKsource(
       RunShufflePivot(ctx, layout, t, partitioner, panel_partitioner, a, f,
                       skip);
     } else {
-      RunStagedPivot(ctx, layout, t, keys, partitioner, a, f, skip);
+      RunStagedPivot(ctx, layout, t, partitioner, a, f, skip);
     }
     if (opts.checkpoint_every > 0 && (t + 1) % opts.checkpoint_every == 0) {
       SaveCheckpoint(ctx, layout, a->Collect(), t + 1, f->Collect());

@@ -1,18 +1,31 @@
 // Internal: the round loops of the four APSP solvers and of the k-source
-// sweep.
+// sweep, and the per-pivot matrix phases the blocked ones share.
 //
 // SolveBlocks (apsp/api.h) owns everything the solvers share — partitioning,
-// the run plan, checkpoint restarts, assembly — and dispatches on SolverKind
-// (and, for k-source requests, to RunRoundsKsource) to one of these. Each
-// runs `rounds_to_run` rounds of its algorithm starting at opts.start_round
-// from block RDD `a`, returns the final block RDD, and throws SparkletAbort
-// on modelled failures.
+// the failure schedule, checkpoint restarts, assembly — and dispatches on
+// SolverKind (and, for k-source requests, to RunRoundsKsource) to one of
+// these. Each runs `rounds_to_run` rounds of its algorithm starting at
+// opts.start_round from block RDD `a`, returns the final block RDD, and
+// throws SparkletAbort on modelled failures.
+//
+// Each blocked data plane has one per-pivot matrix function, split in two
+// steps so the k-source sweep can run its frontier work in between; the
+// APSP round loop and the sweep both call it:
+//   staged (Alg. 4, solvers/blocked_collect_broadcast.cc) —
+//     StageDiagonal, then StageCrossAndRebuild;
+//   shuffle (Alg. 3, solvers/blocked_inmemory.cc) —
+//     CloseDiagonal, ShuffleUpdateCross, then ShuffleUpdateRest.
+// A `prefix` ("cb"/"ks", "im"/"ksp") names every stage they create and, on
+// the staged plane, the shared-storage keys.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "apsp/api.h"
+#include "apsp/building_blocks.h"
 #include "obs/trace.h"
 #include "sparklet/rdd.h"
 
@@ -46,6 +59,76 @@ class RoundSpanScope {
   bool active_;
 };
 
+/// Materializes the persisted `next` and releases the RDD it replaces.
+template <typename T>
+void Advance(sparklet::RddPtr<T>& current, sparklet::RddPtr<T> next) {
+  next->EnsureMaterialized();
+  current->Unpersist();
+  current = std::move(next);
+}
+
+/// Phase 1 of both blocked planes: pivot t's diagonal block, closed by a
+/// narrow map (lazy).
+inline sparklet::RddPtr<BlockRecord> CloseDiagonal(
+    const sparklet::RddPtr<BlockRecord>& a, std::int64_t t,
+    const std::string& prefix) {
+  return a
+      ->Filter(prefix + "-diag",
+               [t](const BlockRecord& rec) { return OnDiagonal(rec.first, t); })
+      ->Map(prefix + "-fw",
+            [](const BlockRecord& rec, sparklet::TaskContext& tc) {
+              return BlockRecord{rec.first, FloydWarshall(rec.second, tc)};
+            });
+}
+
+/// Staged plane, step 1 (Alg. 4 lines 2-3): closes pivot t's diagonal
+/// block, brings it to the driver and stages it in shared storage. Returns
+/// the lazy closed diagonal; the rebuild union recomputes it, and the model
+/// charges that.
+sparklet::RddPtr<BlockRecord> StageDiagonal(
+    sparklet::SparkletContext& ctx, const sparklet::RddPtr<BlockRecord>& a,
+    std::int64_t t, const std::string& prefix);
+
+/// The rebuilt A of one staged pivot, persisted but not yet materialized,
+/// and the transpose memo its phase-3 tasks share: clear the memo once the
+/// caller has materialized A.
+struct StagedRebuild {
+  sparklet::RddPtr<BlockRecord> a;
+  std::shared_ptr<TransposeMemo> transposes;
+};
+
+/// Staged plane, step 2 (Alg. 4 lines 5-12): phase 2 updates the cross
+/// against the staged diagonal, the driver collects it and stages the
+/// oriented factors (the k-source frontier reads the left ones too), phase 3
+/// updates every other block through them, and `diag`, the cross and the
+/// rest are unioned and repartitioned.
+StagedRebuild StageCrossAndRebuild(
+    sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const sparklet::RddPtr<BlockRecord>& a,
+    const sparklet::RddPtr<BlockRecord>& diag, std::int64_t t,
+    const sparklet::PartitionerPtr<BlockKey>& partitioner,
+    const std::string& prefix);
+
+/// Shuffle plane, step 1 (Alg. 3 lines 2-10): CopyDiag replicas of the
+/// closed diagonal `diag` meet pivot t's cross through the shuffle. Returns
+/// the updated cross, diagonal included (lazy).
+sparklet::RddPtr<BlockRecord> ShuffleUpdateCross(
+    sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const sparklet::RddPtr<BlockRecord>& a,
+    const sparklet::RddPtr<BlockRecord>& diag, std::int64_t t,
+    const sparklet::PartitionerPtr<BlockKey>& partitioner,
+    const std::string& prefix);
+
+/// Shuffle plane, step 2 (lines 12-15): CopyCol replicas of the updated
+/// `cross` meet every other block of `a`. Returns the rebuilt A,
+/// repartitioned and persisted but not yet materialized.
+sparklet::RddPtr<BlockRecord> ShuffleUpdateRest(
+    sparklet::SparkletContext& ctx, const BlockLayout& layout,
+    const sparklet::RddPtr<BlockRecord>& a,
+    const sparklet::RddPtr<BlockRecord>& cross, std::int64_t t,
+    const sparklet::PartitionerPtr<BlockKey>& partitioner,
+    const std::string& prefix);
+
 sparklet::RddPtr<BlockRecord> RunRoundsRepeatedSquaring(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     sparklet::RddPtr<BlockRecord> a,
@@ -72,9 +155,10 @@ sparklet::RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
 
 /// The batched k-source sweep (see solvers/ksource.cc): one round is one
 /// blocked Floyd-Warshall pivot of `a` folded into the frontier panels `f`,
-/// which it replaces with the updated panels. `kind` picks the data plane:
+/// which it replaces with the updated panels. `kind` picks the data plane,
+/// whose pivot functions above run the matrix phases:
 /// kBlockedCollectBroadcast stages pivot data through shared storage like
-/// Alg. 4, kBlockedInMemory shuffles it with Alg. 3's combine steps.
+/// Alg. 4, kBlockedInMemory shuffles it like Alg. 3.
 sparklet::RddPtr<BlockRecord> RunRoundsKsource(
     SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
     sparklet::RddPtr<BlockRecord> a,

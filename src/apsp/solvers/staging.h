@@ -1,24 +1,24 @@
-// Shared staging machinery of the impure solvers.
+// The shared-storage protocol of the staged plane.
 //
-// Blocked Collect/Broadcast (Alg. 4) and the batched k-source solver move
-// pivot data between stages through shared persistent storage rather than
-// the shuffle: the driver collects and stages the closed diagonal block and
-// the updated cross factors of each pivot, and executors read them back
-// inside map tasks (with per-task caching, the way the paper's executors
-// cache deserialized column blocks). This header is the single home of that
-// protocol — key scheme, driver-side writes, executor-side cached reads, and
-// the oriented factor staging with its undirected-transpose derivation — so
-// the two solvers cannot drift apart.
+// Blocked Collect/Broadcast (Alg. 4) moves pivot data between stages through
+// shared persistent storage rather than the shuffle: the driver collects and
+// stages the closed diagonal block and the updated cross factors of each
+// pivot, and executors read them back inside map tasks (with per-task
+// caching, the way the paper's executors cache deserialized column blocks).
+// The staged pivot functions StageDiagonal and StageCrossAndRebuild
+// (solvers/blocked_collect_broadcast.cc, which also holds the oriented
+// factor staging) write and read the matrix data for both the APSP round
+// loop and the staged k-source sweep; the sweep stages its pivot panel and
+// reads the left factors back through the same keys. This header holds
+// what they share: the key scheme, driver-side writes and executor-side
+// cached reads.
 #pragma once
 
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "apsp/block_key.h"
-#include "apsp/building_blocks.h"
-#include "common/serial.h"
 #include "sparklet/rdd.h"
 
 namespace apspark::apsp::staging {
@@ -75,54 +75,6 @@ inline linalg::BlockRef ReadStagedBlock(BlockCache& cache,
   if (!block.ok()) throw sparklet::SparkletAbort(block.status());
   cache.emplace(key, *block);
   return *block;
-}
-
-/// Stages the oriented phase-3 factors of pivot t from the collected,
-/// phase-2-updated cross blocks (diagonal excluded): stored (x, t) provides
-/// the left factor A_xt, stored (t, x) the right factor A_tx. Undirected
-/// storage keeps only the canonical block, so the missing left side is
-/// derived by transposition (driver-side, like the paper's on-demand A_JI)
-/// through the round's `transposes` memo, which thereby already knows the
-/// transpose of that left factor: the canonical block itself.
-inline void StageCrossFactors(sparklet::SparkletContext& ctx,
-                              const StagingKeys& keys, std::int64_t t,
-                              const std::vector<BlockRecord>& cross,
-                              bool directed, TransposeMemo& transposes) {
-  for (const auto& [key, block] : cross) {
-    const std::int64_t x = key.I == t ? key.J : key.I;
-    if (key.J == t) {
-      StageBlock(ctx, keys.Left(t, x), block);
-      if (!directed) continue;
-    } else {
-      StageBlock(ctx, keys.Right(t, x), block);
-      if (!directed) {
-        StageBlock(ctx, keys.Left(t, x), transposes.Get(block));
-      }
-    }
-  }
-}
-
-/// Reads the (left, right) = (A_Ut, A_tV) factor pair a phase-3 update of
-/// target `key` needs. Undirected layouts stage only left factors beyond
-/// the canonical cross, so the right side is reconstructed by transposing
-/// the left factor of key.J (cached under the right key, charged like any
-/// transpose). The host transpose itself is shared by every task of the
-/// round through `transposes`.
-inline std::pair<linalg::BlockRef, linalg::BlockRef> ReadPhase3Factors(
-    const StagingKeys& keys, BlockCache& cache, TransposeMemo& transposes,
-    std::int64_t t, const BlockKey& key, bool directed,
-    sparklet::TaskContext& tc) {
-  linalg::BlockRef left = ReadStagedBlock(cache, keys.Left(t, key.I), tc);
-  if (directed) {
-    return {left, ReadStagedBlock(cache, keys.Right(t, key.J), tc)};
-  }
-  const std::string tkey = keys.Right(t, key.J);
-  auto it = cache.find(tkey);
-  if (it != cache.end()) return {left, it->second};
-  linalg::BlockRef right = Transpose(
-      ReadStagedBlock(cache, keys.Left(t, key.J), tc), tc, transposes);
-  cache.emplace(tkey, right);
-  return {left, right};
 }
 
 }  // namespace apspark::apsp::staging

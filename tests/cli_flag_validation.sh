@@ -46,6 +46,14 @@ expect_usage_error model --n 1000 --autotune
 empty_graph="$(mktemp)"
 printf 'apsp 0 0\n' > "$empty_graph"
 expect_usage_error solve --input "$empty_graph" --block 2
+# A rejected solve prints no "solving ..." banner for the run it refused.
+if "$CLI" solve --input "$empty_graph" --block 2 2> /dev/null |
+    grep -q "solving"; then
+  echo "FAIL: rejected solve --input <empty graph> printed a solving banner"
+  failures=$((failures + 1))
+else
+  echo "ok: rejected solve printed no solving banner"
+fi
 rm -f "$empty_graph"
 expect_usage_error serve --store . --path 3:-1
 # The k-source data plane comes from --ksource-variant, so --solver is a

@@ -256,19 +256,29 @@ TEST(BuildingBlocks, PredicatesFollowSymmetricStorage) {
   EXPECT_FALSE(OnDiagonal({1, 1}, 2));
 }
 
+/// Modelled seconds of one fused update min(base, left ⊗ right) on square
+/// b x b blocks: the MatProd + MatMin pair it fuses.
+double FusedSeconds(const linalg::CostModel& model, std::int64_t b) {
+  return model.MinPlusSeconds(b, b, b) + model.ElementwiseSeconds(b * b);
+}
+
 TEST(BuildingBlocks, KernelWrappersChargeModelTime) {
   TcFixture f;
   auto a = linalg::MakeBlock(RandomSym(8, 1));
   auto b = linalg::MakeBlock(RandomSym(8, 2));
+  auto unreachable = linalg::MakeBlock(DenseBlock(8, 8, kInf));
   EXPECT_EQ(f.tc.task_seconds(), 0.0);
-  auto prod = MatProd(a, b, f.tc);
+  // A batch of one over an all-infinite base is the bare product.
+  auto prod = MinPlusIntoBatch({{unreachable, a, b}}, f.tc);
   const double after_prod = f.tc.task_seconds();
-  EXPECT_NEAR(after_prod, f.model.MinPlusSeconds(8, 8, 8), 1e-12);
+  EXPECT_NEAR(after_prod, FusedSeconds(f.model, 8), 1e-12);
   auto mn = MatMin(a, b, f.tc);
-  EXPECT_GT(f.tc.task_seconds(), after_prod);
+  EXPECT_NEAR(f.tc.task_seconds() - after_prod,
+              f.model.ElementwiseSeconds(64), 1e-12);
   EXPECT_TRUE(
       mn->ApproxEquals(linalg::ElementMin(*a, *b)));
-  EXPECT_TRUE(prod->ApproxEquals(linalg::MinPlusProduct(*a, *b)));
+  ASSERT_EQ(prod.size(), 1u);
+  EXPECT_TRUE(prod[0]->ApproxEquals(linalg::MinPlusProduct(*a, *b), 0.0));
 }
 
 TEST(BuildingBlocks, MinPlusIntoBatchMatchesPerRecordChargesAndValues) {
@@ -280,8 +290,13 @@ TEST(BuildingBlocks, MinPlusIntoBatchMatchesPerRecordChargesAndValues) {
   auto base = linalg::MakeBlock(RandomSym(8, 11));
   auto l = linalg::MakeBlock(RandomSym(8, 12));
   auto r = linalg::MakeBlock(RandomSym(8, 13));
-  auto expected = MinPlusInto(base, l, r, single.tc);
+  auto one = MinPlusIntoBatch({{base, l, r}}, single.tc);
+  ASSERT_EQ(one.size(), 1u);
+  const BlockRef expected = one[0];
+  EXPECT_TRUE(expected->ApproxEquals(
+      linalg::ElementMin(*base, linalg::MinPlusProduct(*l, *r)), 0.0));
   const double one_charge = single.tc.task_seconds();
+  EXPECT_NEAR(one_charge, FusedSeconds(single.model, 8), 1e-15);
   ASSERT_GT(one_charge, 0.0);
 
   TcFixture f;
@@ -301,13 +316,16 @@ TEST(BuildingBlocks, MinPlusIntoBatchMatchesPerRecordChargesAndValues) {
 }
 
 TEST(BuildingBlocks, MinPlusIsProductThenMin) {
+  // Table 1's MinPlus, min(A (min,+) B, A), is a batch of one with base A.
   TcFixture f;
   auto a = linalg::MakeBlock(RandomSym(6, 3));
   auto b = linalg::MakeBlock(RandomSym(6, 4));
-  auto mp = MinPlus(a, b, f.tc);
+  auto mp = MinPlusIntoBatch({{a, a, b}}, f.tc);
   auto expected =
       linalg::ElementMin(*a, linalg::MinPlusProduct(*a, *b));
-  EXPECT_TRUE(mp->ApproxEquals(expected));
+  ASSERT_EQ(mp.size(), 1u);
+  EXPECT_TRUE(mp[0]->ApproxEquals(expected));
+  EXPECT_NEAR(f.tc.task_seconds(), FusedSeconds(f.model, 6), 1e-15);
 }
 
 TEST(BuildingBlocks, FloydWarshallClosesBlock) {
@@ -354,7 +372,12 @@ TEST(BuildingBlocks, FloydWarshallUpdateMatchesScalarRelaxation) {
     column[static_cast<std::size_t>(row_block)] = segment;
   }
   for (const auto& rec : records) {
-    auto [key, updated] = FloydWarshallUpdate(layout, rec, column, f.tc);
+    const double before = f.tc.task_seconds();
+    auto batch = FloydWarshallUpdateBatch({rec}, column, column, f.tc);
+    ASSERT_EQ(batch.size(), 1u);
+    auto [key, updated] = batch[0];
+    EXPECT_NEAR(f.tc.task_seconds() - before,
+                f.model.ElementwiseSeconds(rec.second->size()), 1e-15);
     for (std::int64_t r = 0; r < updated->rows(); ++r) {
       for (std::int64_t c = 0; c < updated->cols(); ++c) {
         const std::int64_t gi = key.I * layout.block_size() + r;
@@ -445,7 +468,9 @@ TEST(BuildingBlocks, Phase2And3UnpackReproduceBlockedFwIteration) {
     }
   }
 
-  // Engine-style: Phase 1 + CopyDiag + Phase2Unpack + CopyCol + Phase3Unpack.
+  // Engine-style: Phase 1 + CopyDiag + Phase-2 unpack + CopyCol + Phase-3
+  // unpack, one record per batch; every update charges one fused kernel and
+  // a passthrough charges nothing.
   BlockRef closed;
   for (const auto& rec : records) {
     if (OnDiagonal(rec.first, i)) closed = FloydWarshall(rec.second, f.tc);
@@ -461,9 +486,19 @@ TEST(BuildingBlocks, Phase2And3UnpackReproduceBlockedFwIteration) {
   for (auto& [key, tagged] : diag_copies) {
     phase2_lists[key].push_back(tagged);
   }
+  // Charge of a one-record unpack batch: one fused update, or nothing for a
+  // record that passes through.
+  auto expect_charge = [&](double before, bool updates) {
+    EXPECT_NEAR(f.tc.task_seconds() - before,
+                updates ? FusedSeconds(f.model, b) : 0.0, 1e-15);
+  };
   std::vector<BlockRecord> cross_updated;
   for (const auto& [key, list] : phase2_lists) {
-    cross_updated.push_back(Phase2Unpack(layout, i, {key, list}, f.tc));
+    const double before = f.tc.task_seconds();
+    auto batch = Phase2UnpackBatch(i, {{key, list}}, f.tc);
+    ASSERT_EQ(batch.size(), 1u);
+    expect_charge(before, !OnDiagonal(key, i));
+    cross_updated.push_back(batch[0]);
   }
   std::map<BlockKey, TaggedList> phase3_lists;
   for (const auto& rec : records) {
@@ -478,7 +513,11 @@ TEST(BuildingBlocks, Phase2And3UnpackReproduceBlockedFwIteration) {
   }
   std::vector<BlockRecord> new_a;
   for (const auto& [key, list] : phase3_lists) {
-    new_a.push_back(Phase3Unpack(layout, i, {key, list}, f.tc));
+    const double before = f.tc.task_seconds();
+    auto batch = Phase3UnpackBatch({{key, list}}, f.tc);
+    ASSERT_EQ(batch.size(), 1u);
+    expect_charge(before, !layout.InCross(key, i));
+    new_a.push_back(batch[0]);
   }
   auto assembled = layout.Assemble(new_a);
   ASSERT_TRUE(assembled.ok());

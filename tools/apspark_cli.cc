@@ -604,15 +604,12 @@ Result<apsp::PartitionerKind> ParsePartitioner(const std::string& name) {
   return InvalidArgumentError("unknown partitioner '" + name + "'");
 }
 
-/// The durability/fault/membership schedule all workloads share — assigned
-/// into ApspOptions through its RunPlan base.
-apsp::RunPlan BuildRunPlan(const Args& args) {
-  apsp::RunPlan plan;
-  plan.checkpoint_every = args.checkpoint_every;
-  plan.fail_nodes = args.fail_nodes;
-  plan.fail_racks = args.fail_racks;
-  plan.add_nodes = args.add_nodes;
-  return plan;
+/// Sets the durability/fault/membership schedule all workloads share.
+void BuildRunPlan(const Args& args, apsp::ApspOptions& options) {
+  options.checkpoint_every = args.checkpoint_every;
+  options.fail_nodes = args.fail_nodes;
+  options.fail_racks = args.fail_racks;
+  options.add_nodes = args.add_nodes;
 }
 
 /// --intra-task-cores spends an executor's own cores on one task; it cannot
@@ -816,7 +813,7 @@ int RunSolve(const Args& args) {
   options.partitioner = *partitioner;
   options.directed = args.directed;
   options.early_exit_infinite = !args.no_early_exit;
-  static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
+  BuildRunPlan(args, options);
   request.sources = PickSources(g.num_vertices(), args.sources);
   auto& cluster = request.cluster;
   cluster.nodes = std::max(1, args.cores.value_or(4) / 2);
@@ -849,6 +846,7 @@ int RunSolve(const Args& args) {
   const HostUsage before = ReadHostUsage();
   auto report = apsp::Solve(g, request);
   const HostUsage after = ReadHostUsage();
+  if (!report.ok()) return Fail(report.status());
   std::printf("solving %s%s with %s (b = %lld%s, %s%s)\n",
               g.Summary().c_str(), KsourceLabel(args, *kind).c_str(),
               report.solver_name.c_str(),
@@ -857,7 +855,6 @@ int RunSolve(const Args& args) {
               linalg::SemiringName(options.semiring),
               PackedLabel(args, options));
   PrintKernelTuning(*kernel);
-  if (!report.ok()) return Fail(report.status());
   std::printf("done: %lld %s, simulated cluster time %s\n",
               static_cast<long long>(report.run.rounds_executed),
               args.sources > 0 ? "pivots" : "rounds",
@@ -922,7 +919,7 @@ int RunModel(const Args& args) {
   }
   apsp::SolveRequest request;
   auto& options = request.options;
-  static_cast<apsp::RunPlan&>(options) = BuildRunPlan(args);
+  BuildRunPlan(args, options);
   options.block_size = args.block > 0 ? args.block : 1024;
   options.semiring = *semiring;
   options.bitpack_boolean = !args.no_bitpack;
