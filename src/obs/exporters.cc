@@ -2,10 +2,9 @@
 
 namespace apspark::obs {
 
-void ExportSimMetrics(const sparklet::SimMetrics& m, const std::string& labels,
-                      Registry& registry) {
-  auto gauge = [&](const char* name, double value) {
-    registry.GetGauge(name, labels).Set(value);
+void ExportSimMetrics(const sparklet::SimMetrics& m) {
+  auto gauge = [](const char* name, double value) {
+    Registry::Global().GetGauge(name).Set(value);
   };
   auto gauge_u = [&](const char* name, std::uint64_t value) {
     gauge(name, static_cast<double>(value));
@@ -42,9 +41,9 @@ void ExportSimMetrics(const sparklet::SimMetrics& m, const std::string& labels,
   gauge_u("sim_node_peak_bytes", m.node_peak_bytes);
 }
 
-void ExportStoreStats(const store::BlockStore::Stats& s, Registry& registry) {
-  auto gauge = [&](const char* name, std::uint64_t value) {
-    registry.GetGauge(name).Set(static_cast<double>(value));
+void ExportStoreStats(const store::BlockStore::Stats& s) {
+  auto gauge = [](const char* name, std::uint64_t value) {
+    Registry::Global().GetGauge(name).Set(static_cast<double>(value));
   };
   gauge("store_cache_hits", s.hits);
   gauge("store_cache_misses", s.misses);

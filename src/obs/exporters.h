@@ -10,8 +10,6 @@
 // (Registry::ToJson / ToPrometheus); repeated calls overwrite the gauges.
 #pragma once
 
-#include <string>
-
 #include "obs/metrics_registry.h"
 #include "sparklet/metrics.h"
 #include "store/block_store.h"
@@ -19,14 +17,12 @@
 namespace apspark::obs {
 
 /// Publishes every SimMetrics field (cost-category seconds, byte volumes,
-/// stage/task/fault counters, accountant peaks) as `sim_*` gauges, with an
-/// optional label body (e.g. `job="solve"`) on every series.
-void ExportSimMetrics(const sparklet::SimMetrics& m,
-                      const std::string& labels = {},
-                      Registry& registry = Registry::Global());
+/// stage/task/fault counters, accountant peaks) as `sim_*` gauges in the
+/// global registry.
+void ExportSimMetrics(const sparklet::SimMetrics& m);
 
-/// Publishes a BlockStore cache snapshot as `store_*` gauges.
-void ExportStoreStats(const store::BlockStore::Stats& s,
-                      Registry& registry = Registry::Global());
+/// Publishes a BlockStore cache snapshot as `store_*` gauges in the global
+/// registry.
+void ExportStoreStats(const store::BlockStore::Stats& s);
 
 }  // namespace apspark::obs

@@ -17,6 +17,13 @@
 // (correctness is bit-for-bit testable); *time* is virtual, advanced by the
 // discrete-event VirtualCluster using the calibrated CostModel plus byte
 // accounting from Serde<T>. See README.md, "Zero-copy data plane".
+//
+// Materialization has one rule: a persisted RDD (parallelized, shuffled, or
+// Persist()ed) runs its stage on its first read and caches every partition;
+// every later read, an action on the RDD itself included, reads that cache.
+// Nothing walks ancestors ahead of time: an uncached narrow chain fuses into
+// whichever stage pulls it, and a persisted ancestor it reaches materializes
+// on that pull.
 #pragma once
 
 #include <cstdint>
@@ -59,16 +66,11 @@ class SparkletAbort : public std::runtime_error {
 
 class SparkletContext;
 
-/// Type-erased lineage node (for DAG bookkeeping and boundary dependencies).
+/// Type-erased RDD, as the context's failure handling reaches every live
+/// RDD's cache.
 class RddBase {
  public:
   virtual ~RddBase() = default;
-  virtual const std::string& name() const noexcept = 0;
-  virtual int id() const noexcept = 0;
-  virtual int num_partitions() const noexcept = 0;
-  virtual void EnsureMaterialized() = 0;
-  virtual bool IsBoundary() const noexcept = 0;
-  virtual std::size_t MaterializedRecordCount() const noexcept = 0;
   /// Executor loss: drops every cached partition hosted on `node` (marking
   /// them lost-by-failure so their recomputation is attributed to recovery).
   /// Returns how many partitions were dropped.
@@ -85,16 +87,6 @@ class Rdd;
 template <typename T>
 using RddPtr = std::shared_ptr<Rdd<T>>;
 
-namespace internal {
-
-/// Collects the stage-boundary dependencies of a new (narrow) RDD: boundary
-/// parents themselves, plus boundaries inherited through non-boundary
-/// parents (whose compute will be fused into the child's stage).
-std::vector<std::shared_ptr<RddBase>> CollectBoundaries(
-    const std::vector<std::shared_ptr<RddBase>>& parents);
-
-}  // namespace internal
-
 template <typename T>
 class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
  public:
@@ -104,26 +96,22 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   using ComputeFn = std::function<Partition(int, TaskContext&)>;
 
   // Constructed via SparkletContext / transformations; use the factory
-  // functions below rather than this constructor.
+  // functions below rather than this constructor. The compute function owns
+  // the lineage: it holds the parent RDDs it pulls from.
   Rdd(SparkletContext* ctx, std::string name, int num_partitions,
-      ComputeFn compute, std::vector<std::shared_ptr<RddBase>> parents,
-      bool cache);
+      ComputeFn compute, bool cache);
 
   /// Cached partitions release their accounted live bytes when the RDD dies
   /// (the context always outlives its RDDs), and the context forgets the
   /// node for failure handling. Defined out of line (needs SparkletContext).
   ~Rdd() override;
 
-  // -- RddBase ----------------------------------------------------------
-  const std::string& name() const noexcept override { return name_; }
-  int id() const noexcept override { return id_; }
-  int num_partitions() const noexcept override { return num_partitions_; }
-  bool IsBoundary() const noexcept override { return cache_; }
-  std::size_t MaterializedRecordCount() const noexcept override;
+  const std::string& name() const noexcept { return name_; }
+  int num_partitions() const noexcept { return num_partitions_; }
 
-  /// Runs the stage(s) needed to cache this RDD's partitions (no-op unless
-  /// the RDD is a caching boundary: parallelized, shuffled, or persisted).
-  void EnsureMaterialized() override;
+  /// Runs this RDD's stage and caches its partitions unless they are all
+  /// cached already; a no-op on an RDD that is not persisted.
+  void EnsureMaterialized();
 
   // -- transformations (lazy) -------------------------------------------
   /// fn: (const T&, TaskContext&) -> U.
@@ -176,10 +164,6 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   Partition ComputeOrRead(int partition, TaskContext& tc);
 
   SparkletContext* ctx() const noexcept { return ctx_; }
-  const std::vector<std::shared_ptr<RddBase>>& parents() const noexcept {
-    return parents_;
-  }
-  bool materialized() const noexcept { return materialized_; }
 
   /// Replaces the compute function (used by shuffle construction).
   void SetComputeForShuffle(ComputeFn compute) { compute_ = std::move(compute); }
@@ -195,11 +179,8 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
 
   SparkletContext* ctx_;
   std::string name_;
-  int id_;
   int num_partitions_;
   ComputeFn compute_;
-  std::vector<std::shared_ptr<RddBase>> parents_;
-  std::vector<std::shared_ptr<RddBase>> boundary_deps_;
   bool cache_;
   bool materialized_ = false;
   std::vector<std::optional<Partition>> store_;
@@ -258,8 +239,6 @@ class SparkletContext {
   TaskContext MakeTaskContext() {
     return TaskContext(&cost_model_, &shared_storage_, &config());
   }
-
-  int NextRddId() noexcept { return next_rdd_id_++; }
 
   /// Creates a pre-materialized RDD by chunking `data` into
   /// `num_partitions` equal ranges (Spark's default slicing).
@@ -402,7 +381,6 @@ class SparkletContext {
   linalg::CostModel cost_model_;
   SharedStorage shared_storage_;
   FaultInjector fault_injector_;
-  int next_rdd_id_ = 0;
   std::vector<RddBase*> live_rdds_;
   std::vector<std::weak_ptr<ShuffleMapState>> shuffles_;
 };
@@ -411,37 +389,18 @@ class SparkletContext {
 // Rdd member implementations
 // ---------------------------------------------------------------------------
 
-namespace internal {
-
-inline std::vector<std::shared_ptr<RddBase>> CollectBoundaries(
-    const std::vector<std::shared_ptr<RddBase>>& parents) {
-  std::vector<std::shared_ptr<RddBase>> out;
-  for (const auto& p : parents) {
-    if (p->IsBoundary()) out.push_back(p);
-    // Non-boundary parents fold their own boundaries in at construction
-    // time; see the Rdd constructor.
-  }
-  return out;
-}
-
-}  // namespace internal
-
 template <typename T>
 Rdd<T>::Rdd(SparkletContext* ctx, std::string name, int num_partitions,
-            ComputeFn compute, std::vector<std::shared_ptr<RddBase>> parents,
-            bool cache)
+            ComputeFn compute, bool cache)
     : ctx_(ctx),
       name_(std::move(name)),
-      id_(ctx->NextRddId()),
       num_partitions_(num_partitions),
       compute_(std::move(compute)),
-      parents_(std::move(parents)),
       cache_(cache),
       store_(static_cast<std::size_t>(num_partitions)),
       store_bytes_(static_cast<std::size_t>(num_partitions), 0),
       store_node_(static_cast<std::size_t>(num_partitions), -1),
       lost_by_failure_(static_cast<std::size_t>(num_partitions), false) {
-  boundary_deps_ = internal::CollectBoundaries(parents_);
   ctx_->RegisterRdd(this);
 }
 
@@ -478,15 +437,6 @@ void Rdd<T>::ReleaseAllCached() {
   for (int p = 0; p < num_partitions_; ++p) {
     if (static_cast<std::size_t>(p) < store_bytes_.size()) ReleaseCached(p);
   }
-}
-
-template <typename T>
-std::size_t Rdd<T>::MaterializedRecordCount() const noexcept {
-  std::size_t count = 0;
-  for (const auto& p : store_) {
-    if (p) count += p->size();
-  }
-  return count;
 }
 
 template <typename T>
@@ -578,15 +528,7 @@ void Rdd<T>::RunStageAndCache() {
 
 template <typename T>
 void Rdd<T>::EnsureMaterialized() {
-  if (materialized_ || !cache_) {
-    if (!cache_) {
-      // Not a boundary: materialize our own boundaries so fused compute
-      // can run (useful when called directly on a narrow RDD).
-      for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
-    }
-    return;
-  }
-  for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
+  if (materialized_ || !cache_) return;
   RunStageAndCache();
   materialized_ = true;
 }
@@ -615,16 +557,8 @@ auto Rdd<T>::Map(std::string op_name, F fn)
     for (const T& record : input) out.push_back(fn(record, tc));
     return out;
   };
-  std::vector<std::shared_ptr<RddBase>> parents{self};
-  auto inherited = self->cache_ ? std::vector<std::shared_ptr<RddBase>>{}
-                                : self->boundary_deps_;
-  auto rdd = std::make_shared<Rdd<U>>(ctx_, std::move(op_name),
-                                      num_partitions_, std::move(compute),
-                                      std::move(parents), /*cache=*/false);
-  rdd->boundary_deps_ = self->cache_
-                            ? std::vector<std::shared_ptr<RddBase>>{self}
-                            : inherited;
-  return rdd;
+  return std::make_shared<Rdd<U>>(ctx_, std::move(op_name), num_partitions_,
+                                  std::move(compute), /*cache=*/false);
 }
 
 template <typename T>
@@ -639,13 +573,8 @@ RddPtr<T> Rdd<T>::Filter(std::string op_name, Pred pred) {
     }
     return out;
   };
-  auto rdd = std::make_shared<Rdd<T>>(
-      ctx_, std::move(op_name), num_partitions_, std::move(compute),
-      std::vector<std::shared_ptr<RddBase>>{self}, /*cache=*/false);
-  rdd->boundary_deps_ = self->cache_
-                            ? std::vector<std::shared_ptr<RddBase>>{self}
-                            : self->boundary_deps_;
-  return rdd;
+  return std::make_shared<Rdd<T>>(ctx_, std::move(op_name), num_partitions_,
+                                  std::move(compute), /*cache=*/false);
 }
 
 template <typename T>
@@ -659,13 +588,8 @@ RddPtr<U> Rdd<T>::FlatMap(std::string op_name, F fn) {
     for (const T& record : input) fn(record, tc, out);
     return out;
   };
-  auto rdd = std::make_shared<Rdd<U>>(
-      ctx_, std::move(op_name), num_partitions_, std::move(compute),
-      std::vector<std::shared_ptr<RddBase>>{self}, /*cache=*/false);
-  rdd->boundary_deps_ = self->cache_
-                            ? std::vector<std::shared_ptr<RddBase>>{self}
-                            : self->boundary_deps_;
-  return rdd;
+  return std::make_shared<Rdd<U>>(ctx_, std::move(op_name), num_partitions_,
+                                  std::move(compute), /*cache=*/false);
 }
 
 template <typename T>
@@ -676,13 +600,8 @@ RddPtr<U> Rdd<T>::MapPartitions(std::string op_name, F fn) {
       [self, fn](int p, TaskContext& tc) -> std::vector<U> {
     return fn(self->ComputeOrRead(p, tc), tc);
   };
-  auto rdd = std::make_shared<Rdd<U>>(
-      ctx_, std::move(op_name), num_partitions_, std::move(compute),
-      std::vector<std::shared_ptr<RddBase>>{self}, /*cache=*/false);
-  rdd->boundary_deps_ = self->cache_
-                            ? std::vector<std::shared_ptr<RddBase>>{self}
-                            : self->boundary_deps_;
-  return rdd;
+  return std::make_shared<Rdd<U>>(ctx_, std::move(op_name), num_partitions_,
+                                  std::move(compute), /*cache=*/false);
 }
 
 template <typename T>
@@ -759,9 +678,7 @@ std::uint64_t Rdd<T>::MigratePartitions(
 
 template <typename T>
 typename Rdd<T>::Partition Rdd<T>::Collect() {
-  for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
-  if (cache_) EnsureMaterialized();
-
+  EnsureMaterialized();
   Partition all;
   std::vector<double> costs;
   costs.reserve(static_cast<std::size_t>(num_partitions_));
@@ -789,8 +706,7 @@ typename Rdd<T>::Partition Rdd<T>::Collect() {
 
 template <typename T>
 std::int64_t Rdd<T>::Count() {
-  for (const auto& dep : boundary_deps_) dep->EnsureMaterialized();
-  if (cache_) EnsureMaterialized();
+  EnsureMaterialized();
   std::int64_t count = 0;
   std::vector<double> costs;
   TaskContext tc = ctx_->MakeTaskContext();
@@ -829,9 +745,7 @@ RddPtr<T> SparkletContext::Parallelize(std::string name, std::vector<T> data,
                           source->begin() + static_cast<std::ptrdiff_t>(hi));
   };
   auto rdd = std::make_shared<Rdd<T>>(this, std::move(name), num_partitions,
-                                      std::move(compute),
-                                      std::vector<std::shared_ptr<RddBase>>{},
-                                      /*cache=*/true);
+                                      std::move(compute), /*cache=*/true);
   rdd->EnsureMaterialized();
   return rdd;
 }
@@ -856,8 +770,7 @@ RddPtr<std::pair<K, V>> SparkletContext::ParallelizePartitioned(
         return (*buckets)[static_cast<std::size_t>(p)];
       };
   auto rdd = std::make_shared<Rdd<std::pair<K, V>>>(
-      this, std::move(name), parts, std::move(compute),
-      std::vector<std::shared_ptr<RddBase>>{}, /*cache=*/true);
+      this, std::move(name), parts, std::move(compute), /*cache=*/true);
   rdd->EnsureMaterialized();
   return rdd;
 }
@@ -866,14 +779,9 @@ template <typename T>
 RddPtr<T> SparkletContext::Union(std::string name,
                                  std::vector<RddPtr<T>> rdds) {
   int total_parts = 0;
-  std::vector<std::shared_ptr<RddBase>> parents;
-  for (const auto& r : rdds) {
-    total_parts += r->num_partitions();
-    parents.push_back(r);
-  }
-  auto sources = rdds;  // captured by the routing closure
+  for (const auto& r : rdds) total_parts += r->num_partitions();
   typename Rdd<T>::ComputeFn compute =
-      [sources](int p, TaskContext& tc) -> std::vector<T> {
+      [sources = std::move(rdds)](int p, TaskContext& tc) -> std::vector<T> {
     int offset = p;
     for (const auto& src : sources) {
       if (offset < src->num_partitions()) return src->ComputeOrRead(offset, tc);
@@ -881,22 +789,8 @@ RddPtr<T> SparkletContext::Union(std::string name,
     }
     throw std::out_of_range("union: partition index out of range");
   };
-  auto rdd = std::make_shared<Rdd<T>>(this, std::move(name), total_parts,
-                                      std::move(compute), std::move(parents),
-                                      /*cache=*/false);
-  // Boundary deps: each cached source, or the sources' own boundaries.
-  std::vector<std::shared_ptr<RddBase>> bounds;
-  for (const auto& r : rdds) {
-    if (r->IsBoundary()) {
-      bounds.push_back(r);
-    } else {
-      for (const auto& b : r->parents()) {
-        if (b->IsBoundary()) bounds.push_back(b);
-      }
-    }
-  }
-  rdd->boundary_deps_ = std::move(bounds);
-  return rdd;
+  return std::make_shared<Rdd<T>>(this, std::move(name), total_parts,
+                                  std::move(compute), /*cache=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,8 +919,7 @@ RddPtr<std::pair<K, C>> CombineByKey(RddPtr<std::pair<K, V>> parent,
   SparkletContext* ctx = parent->ctx();
   auto rdd = std::make_shared<Rdd<std::pair<K, C>>>(
       ctx, op_name, partitioner->num_partitions(),
-      typename Rdd<std::pair<K, C>>::ComputeFn{},
-      std::vector<std::shared_ptr<RddBase>>{parent}, /*cache=*/true);
+      typename Rdd<std::pair<K, C>>::ComputeFn{}, /*cache=*/true);
   // The shuffle runs lazily on first materialization: the compute function
   // installed here performs map side + reduce side in one go, caching all
   // partitions through the store (EnsureMaterialized drives it).
@@ -1099,8 +992,7 @@ RddPtr<std::pair<K, V>> PartitionBy(RddPtr<std::pair<K, V>> parent,
   // Shuffle without combine: every record is emitted to its target bucket.
   auto out = std::make_shared<Rdd<std::pair<K, V>>>(
       ctx, op_name, partitioner->num_partitions(),
-      typename Rdd<std::pair<K, V>>::ComputeFn{},
-      std::vector<std::shared_ptr<RddBase>>{parent}, /*cache=*/true);
+      typename Rdd<std::pair<K, V>>::ComputeFn{}, /*cache=*/true);
   auto state = std::make_shared<internal::ShuffleOutput<K, V>>();
   out->SetComputeForShuffle(
       [parent, partitioner, op_name, state, ctx](int p, TaskContext& tc)

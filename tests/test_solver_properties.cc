@@ -563,7 +563,7 @@ const GoldenRow kGolden[] = {
       0, 0.052001187625000007, 0.012347060120720526,
       0, 0, 0,
       0.15490475265699363},
-     33, 0xa19033a34fad4cfaull},
+     29, 0x7fdf10741f516b48ull},
     {"cb/ks/directed",
      {53312, 24576, 0, 23904, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
@@ -572,7 +572,7 @@ const GoldenRow kGolden[] = {
       0, 0.064001494000000006, 0.012328484963161225,
       0, 0, 0,
       0.19442566933980626},
-     33, 0xa19033a34fad4cfaull},
+     29, 0x7fdf10741f516b48ull},
     {"im/apsp/undirected",
      {200504, 0, 0, 0, 0, 40, 384,
       0, 0, 0, 0, 0, 0, 0,
@@ -689,16 +689,16 @@ const GoldenRow kGolden[] = {
       0, 0.046001034437500005, 0.013836914208074392,
       0, 0, 0,
       0.13641417237357908},
-     32, 0x0f73cf674ac2016bull},
+     28, 0x8e9103e05419caedull},
     {"cb/ks/fail-node",
-     {33320, 52044, 0, 55958, 0, 42, 332,
+     {33320, 52044, 0, 55958, 0, 38, 316,
       0, 0, 6, 1, 0, 0, 4,
-      0, 0, 0, 16642, 8330, 54220},
-     {0.14585103621488035, 0.0096000000000000009, 0.016572484000000002,
-      0, 0.17200349737499995, 0.020115289648388508,
+      0, 0, 0, 16642, 8330, 51040},
+     {0.12062117829048641, 0.0096000000000000009, 0.016572484000000002,
+      0, 0.17200349737499995, 0.019315020368196274,
       0.0014000000000000002, 0, 0,
-      0.36398617523826909},
-     43, 0xf212a435f49b9eeaull},
+      0.3379560480336829},
+     39, 0x87b1b8eb5758862full},
     {"im/ks/early-exit",
      {179688, 96, 0, 0, 0, 60, 520,
       0, 0, 0, 0, 0, 0, 0,

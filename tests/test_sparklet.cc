@@ -154,6 +154,42 @@ TEST(Rdd, UnpersistedChainRecomputesPersistedDoesNot) {
   EXPECT_EQ(calls, 4);  // materialized once
 }
 
+TEST(Rdd, ActionOnPersistedRddReadsItsCacheNotItsUnpersistedParent) {
+  auto ctx = MakeCtx();
+  int prev_calls = 0;
+  auto prev = ctx.Parallelize("data", Iota(4), 2)
+                  ->Map("prev",
+                        [&prev_calls](const std::int64_t& x, TaskContext&) {
+                          ++prev_calls;
+                          return x;
+                        })
+                  ->Persist();
+  auto next = prev->Map("next", [](const std::int64_t& x, TaskContext&) {
+                    return x + 1;
+                  })->Persist();
+  prev->EnsureMaterialized();
+  next->EnsureMaterialized();
+  prev->Unpersist();
+
+  const auto& acct = ctx.cluster().accountant();
+  std::vector<std::uint64_t> ledger;
+  for (int n = 0; n < acct.num_nodes(); ++n) {
+    ledger.push_back(acct.node_live_bytes(n));
+  }
+  prev_calls = 0;
+  const std::uint64_t stages = ctx.metrics().stages;
+
+  EXPECT_EQ(next->Collect(), (std::vector<std::int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(ctx.metrics().stages, stages + 1);  // the collect stage alone
+  EXPECT_EQ(next->Count(), 4);
+  EXPECT_EQ(ctx.metrics().stages, stages + 2);
+  EXPECT_EQ(prev_calls, 0);  // the unpersisted parent is never re-run
+  for (int n = 0; n < acct.num_nodes(); ++n) {
+    EXPECT_EQ(acct.node_live_bytes(n), ledger[static_cast<std::size_t>(n)])
+        << "node " << n;
+  }
+}
+
 // --- shuffles ----------------------------------------------------------
 
 TEST(Shuffle, ReduceByKeyAggregates) {
