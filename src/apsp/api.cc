@@ -101,11 +101,11 @@ Status CheckRequest(const SolveRequest& request, std::int64_t n) {
   return Status::Ok();
 }
 
-/// K-source panels stay dense (see ApspOptions::bitpack_boolean).
+/// Boolean APSP runs bit-packed; k-source panels stay dense (see
+/// ApspOptions::semiring).
 bool Packed(const SolveRequest& request) {
-  const ApspOptions& opts = request.options;
   return request.sources.empty() &&
-         opts.semiring == linalg::SemiringId::kBoolean && opts.bitpack_boolean;
+         request.options.semiring == linalg::SemiringId::kBoolean;
 }
 
 }  // namespace

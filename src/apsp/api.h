@@ -80,12 +80,10 @@ struct ApspOptions {
   /// the canonical min-plus adjacency into this algebra's matrix (boolean
   /// reachability, max-min capacities, max-times reliabilities via 2^-w);
   /// the result matrix is in the semiring's value domain.
+  /// Boolean APSP solves run on the bit-packed block plane (64 vertices
+  /// per word); k-source panels mix with matrix blocks every pivot and stay
+  /// dense.
   linalg::SemiringId semiring = linalg::SemiringId::kMinPlus;
-  /// Boolean solves use the bit-packed block plane (64 vertices per word)
-  /// unless disabled. Ignored for the other semirings and for k-source
-  /// solves, whose rectangular panels mix with matrix blocks every pivot
-  /// and stay dense.
-  bool bitpack_boolean = true;
   PartitionerKind partitioner = PartitionerKind::kMultiDiagonal;
   /// Spark's over-decomposition factor B: RDD partitions per core (§5.3).
   int partitions_per_core = 2;

@@ -18,8 +18,6 @@ const char* StatusCodeName(StatusCode code) noexcept {
       return "NOT_FOUND";
     case StatusCode::kInternal:
       return "INTERNAL";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
     case StatusCode::kAborted:
       return "ABORTED";
     case StatusCode::kDataLoss:

@@ -23,7 +23,6 @@ enum class StatusCode {
   kResourceExhausted,  // e.g. virtual local storage overflow
   kNotFound,
   kInternal,
-  kUnimplemented,
   kAborted,   // e.g. injected task failure that exhausted retries
   kDataLoss,  // executor loss destroyed state the lineage cannot replay
   kStoreCorrupt,  // persisted block store failed validation (bad magic,
@@ -75,9 +74,6 @@ inline Status NotFoundError(std::string msg) {
 }
 inline Status InternalError(std::string msg) {
   return {StatusCode::kInternal, std::move(msg)};
-}
-inline Status UnimplementedError(std::string msg) {
-  return {StatusCode::kUnimplemented, std::move(msg)};
 }
 inline Status AbortedError(std::string msg) {
   return {StatusCode::kAborted, std::move(msg)};

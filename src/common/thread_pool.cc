@@ -143,22 +143,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::ParallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  ParallelForTasks(count, fn);
-}
-
 void ThreadPool::ParallelForTasks(std::size_t count,
                                   const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
@@ -313,33 +297,20 @@ void ThreadPool::WorkerLoop(std::size_t worker_index) {
       RunTask(task);
       continue;
     }
-    std::packaged_task<void()> task;
-    bool should_exit = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else if (shutting_down_ && injected_.empty() &&
-                 pending_.load(std::memory_order_relaxed) <= 0) {
-        should_exit = true;
-      } else if (pending_.load(std::memory_order_relaxed) <= 0 ||
-                 ++failed_takes > 8) {
-        // Park (see `park` above); the failed_takes bound keeps a worker
-        // that is repeatedly losing steal races from spinning hot.
-        const bool woken = cv_.wait_for(lock, park, [this] {
-          return shutting_down_ || !queue_.empty() || !injected_.empty() ||
-                 pending_.load(std::memory_order_relaxed) > 0;
-        });
-        if (!woken) park = std::min(park * 2, std::chrono::milliseconds{64});
-        failed_takes = 0;
-      }
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (shutting_down_ && injected_.empty() &&
+        pending_.load(std::memory_order_relaxed) <= 0) {
+      return;
     }
-    if (should_exit) return;
-    if (task.valid()) {
+    if (pending_.load(std::memory_order_relaxed) <= 0 || ++failed_takes > 8) {
+      // Park (see `park` above); the failed_takes bound keeps a worker that
+      // is repeatedly losing steal races from spinning hot.
+      const bool woken = cv_.wait_for(lock, park, [this] {
+        return shutting_down_ || !injected_.empty() ||
+               pending_.load(std::memory_order_relaxed) > 0;
+      });
+      if (!woken) park = std::min(park * 2, std::chrono::milliseconds{64});
       failed_takes = 0;
-      park = std::chrono::milliseconds{1};
-      task();  // exceptions propagate through the packaged_task future
     }
   }
 }

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -95,25 +94,15 @@ class ThreadPool {
 
   std::size_t num_threads() const noexcept { return workers_.size(); }
 
-  /// Enqueues a task; returns a future for its completion.
-  std::future<void> Submit(std::function<void()> task);
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits for all.
-  /// Exceptions from tasks are rethrown (first one wins; once a task has
-  /// thrown, tasks of the same call that have not started yet are skipped).
-  /// Safe to call from inside one of this pool's own tasks: nested calls
-  /// schedule through the caller's own deque and are stealable by idle
-  /// workers instead of running inline.
-  ///
-  /// This is the degenerate (index-body) case of ParallelForTasks and simply
-  /// forwards to it.
-  void ParallelFor(std::size_t count, const std::function<void(std::size_t)>& fn);
-
   /// Schedules `count` independent tasks — fn(0) .. fn(count-1) — as
   /// stealable units and waits for all of them. The calling thread
   /// participates: it works its own tasks LIFO and steals from workers while
-  /// waiting, so a saturated pool can never deadlock a nested call. Same
-  /// exception contract as ParallelFor.
+  /// waiting, so a saturated pool can never deadlock a nested call. Safe to
+  /// call from inside one of this pool's own tasks: nested calls schedule
+  /// through the caller's own deque and are stealable by idle workers
+  /// instead of running inline. Exceptions from tasks are rethrown (first
+  /// one wins; once a task has thrown, tasks of the same call that have not
+  /// started yet are skipped).
   void ParallelForTasks(std::size_t count,
                         const std::function<void(std::size_t)>& fn);
 
@@ -138,8 +127,6 @@ class ThreadPool {
 
   // Stealable tasks submitted from threads that own no deque (the driver).
   std::deque<internal::RawTask*> injected_;
-  // Legacy one-off submissions (Submit futures).
-  std::deque<std::packaged_task<void()>> queue_;
 
   // Count of stealable tasks sitting in deques or the injection queue; lets
   // parked workers decide whether a steal sweep is worth waking up for.

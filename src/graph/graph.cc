@@ -1,6 +1,5 @@
 #include "graph/graph.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -27,18 +26,6 @@ linalg::DenseBlock Graph::ToDenseAdjacency() const {
     }
   }
   return a;
-}
-
-double Graph::MinWeight() const noexcept {
-  double w = edges_.empty() ? 0.0 : linalg::kInf;
-  for (const Edge& e : edges_) w = std::min(w, e.weight);
-  return w;
-}
-
-double Graph::MaxWeight() const noexcept {
-  double w = 0.0;
-  for (const Edge& e : edges_) w = std::max(w, e.weight);
-  return w;
 }
 
 std::string Graph::Summary() const {

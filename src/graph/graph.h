@@ -44,10 +44,6 @@ class Graph {
   /// +inf elsewhere. Parallel edges collapse to the minimum weight.
   linalg::DenseBlock ToDenseAdjacency() const;
 
-  /// Minimum / maximum edge weight (0 edges -> {0, 0}).
-  double MinWeight() const noexcept;
-  double MaxWeight() const noexcept;
-
   /// Short human-readable summary for logs.
   std::string Summary() const;
 

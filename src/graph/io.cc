@@ -3,14 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/serial.h"
-
 namespace apspark::graph {
-
-namespace {
-constexpr std::uint32_t kBinaryMagic = 0x41505347;  // "APSG"
-constexpr std::uint32_t kBinaryVersion = 1;
-}  // namespace
 
 void WriteEdgeListText(const Graph& g, std::ostream& out) {
   out << "# APSPark edge list\n";
@@ -69,71 +62,6 @@ Result<Graph> ReadEdgeListTextFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return NotFoundError("cannot open: " + path);
   return ReadEdgeListText(in);
-}
-
-std::vector<std::uint8_t> SerializeGraph(const Graph& g) {
-  BinaryWriter writer;
-  writer.Write(kBinaryMagic);
-  writer.Write(kBinaryVersion);
-  writer.Write(g.num_vertices());
-  writer.Write(static_cast<std::uint8_t>(g.directed() ? 1 : 0));
-  writer.Write(static_cast<std::uint64_t>(g.num_edges()));
-  for (const Edge& e : g.edges()) {
-    writer.Write(e.u);
-    writer.Write(e.v);
-    writer.Write(e.weight);
-  }
-  return std::move(writer).TakeBuffer();
-}
-
-Result<Graph> DeserializeGraph(const std::vector<std::uint8_t>& bytes) {
-  BinaryReader reader(bytes);
-  auto magic = reader.Read<std::uint32_t>();
-  if (!magic.ok() || *magic != kBinaryMagic) {
-    return InvalidArgumentError("not an APSPark binary graph (bad magic)");
-  }
-  auto version = reader.Read<std::uint32_t>();
-  if (!version.ok() || *version != kBinaryVersion) {
-    return InvalidArgumentError("unsupported binary graph version");
-  }
-  auto n = reader.Read<VertexId>();
-  if (!n.ok()) return n.status();
-  auto directed = reader.Read<std::uint8_t>();
-  if (!directed.ok()) return directed.status();
-  auto count = reader.Read<std::uint64_t>();
-  if (!count.ok()) return count.status();
-  Graph g(*n, *directed != 0);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    auto u = reader.Read<VertexId>();
-    auto v = reader.Read<VertexId>();
-    auto w = reader.Read<double>();
-    if (!u.ok() || !v.ok() || !w.ok()) {
-      return OutOfRangeError("truncated binary graph");
-    }
-    Status status = g.AddEdge(*u, *v, *w);
-    if (!status.ok()) return status;
-  }
-  if (!reader.AtEnd()) {
-    return InvalidArgumentError("trailing bytes after binary graph");
-  }
-  return g;
-}
-
-Status WriteGraphBinaryFile(const Graph& g, const std::string& path) {
-  const auto bytes = SerializeGraph(g);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return InternalError("cannot open for writing: " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return out ? Status::Ok() : InternalError("write failed: " + path);
-}
-
-Result<Graph> ReadGraphBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return DeserializeGraph(bytes);
 }
 
 }  // namespace apspark::graph

@@ -1,6 +1,6 @@
 // Graph persistence: a line-oriented text edge-list format (easy to produce
-// from any tool) and a compact binary format, so the library can be used on
-// real datasets, not just synthetic generators.
+// from any tool), so the library can be used on real datasets, not just
+// synthetic generators.
 //
 // Text format:
 //   # comments and blank lines ignored
@@ -23,12 +23,5 @@ Result<Graph> ReadEdgeListText(std::istream& in);
 
 Status WriteEdgeListTextFile(const Graph& g, const std::string& path);
 Result<Graph> ReadEdgeListTextFile(const std::string& path);
-
-/// Compact binary format (magic + header + packed edges).
-std::vector<std::uint8_t> SerializeGraph(const Graph& g);
-Result<Graph> DeserializeGraph(const std::vector<std::uint8_t>& bytes);
-
-Status WriteGraphBinaryFile(const Graph& g, const std::string& path);
-Result<Graph> ReadGraphBinaryFile(const std::string& path);
 
 }  // namespace apspark::graph

@@ -79,9 +79,6 @@ struct CostModel {
   /// random blocks). Returns the fitted model. Intended for benchmarks that
   /// want host-faithful absolute numbers; tests use the paper defaults.
   static CostModel Calibrate(std::int64_t b = 512, std::uint64_t seed = 42);
-
-  /// The paper-calibrated default (also what CostModel{} gives you).
-  static CostModel PaperDefaults() { return CostModel{}; }
 };
 
 }  // namespace apspark::linalg

@@ -6,23 +6,32 @@
 #include <cstring>
 
 #include "linalg/block_pool.h"
+#include "obs/metrics_registry.h"
 
 namespace apspark::linalg {
 
 namespace {
 
-std::atomic<std::uint64_t> g_total_copies{0};
-std::atomic<std::uint64_t> g_sanctioned_copies{0};
 thread_local int g_cow_depth = 0;
+
+struct CopyCounters {
+  obs::Counter& total =
+      obs::Registry::Global().GetCounter("block_copies_total");
+  obs::Counter& sanctioned =
+      obs::Registry::Global().GetCounter("block_copies_sanctioned_total");
+};
+
+CopyCounters& Copies() {
+  static CopyCounters counters;
+  return counters;
+}
 
 /// Counts one deep copy of a materialized payload (phantom and empty blocks
 /// carry nothing, so duplicating them is free and uncounted).
 void CountCopy(bool phantom, std::size_t payload_elems) noexcept {
   if (phantom || payload_elems == 0) return;
-  g_total_copies.fetch_add(1, std::memory_order_relaxed);
-  if (g_cow_depth > 0) {
-    g_sanctioned_copies.fetch_add(1, std::memory_order_relaxed);
-  }
+  Copies().total.Add();
+  if (g_cow_depth > 0) Copies().sanctioned.Add();
 }
 
 std::int64_t WordsPerRow(std::int64_t cols) noexcept {
@@ -50,20 +59,15 @@ std::vector<double> CopiedPayload(const std::vector<double>& src) {
 }  // namespace
 
 std::uint64_t BlockCopyStats::TotalCopies() noexcept {
-  return g_total_copies.load(std::memory_order_relaxed);
+  return Copies().total.value();
 }
 
 std::uint64_t BlockCopyStats::SanctionedCopies() noexcept {
-  return g_sanctioned_copies.load(std::memory_order_relaxed);
+  return Copies().sanctioned.value();
 }
 
 std::uint64_t BlockCopyStats::UnsanctionedCopies() noexcept {
   return TotalCopies() - SanctionedCopies();
-}
-
-void BlockCopyStats::Reset() noexcept {
-  g_total_copies.store(0, std::memory_order_relaxed);
-  g_sanctioned_copies.store(0, std::memory_order_relaxed);
 }
 
 CowScope::CowScope() noexcept { ++g_cow_depth; }

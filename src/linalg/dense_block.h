@@ -27,7 +27,6 @@
 // and phantom accounting identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -49,25 +48,24 @@ using BlockPtr = std::shared_ptr<const DenseBlock>;
 // ---------------------------------------------------------------------------
 //
 // Every duplication of a materialized block payload — copy construction,
-// copy assignment, or a Deserialize() materialization — increments a
-// process-wide counter. Copies made under a CowScope are *sanctioned*: the
+// copy assignment, or a Deserialize() materialization — increments the
+// registry counter `block_copies_total`; copies made under a CowScope also
+// increment `block_copies_sanctioned_total`. Sanctioned copies are the
 // explicit copy-on-write mutation sites (a kernel taking a private copy of
 // its base block before updating it in place, a checkpoint re-materializing
 // durable bytes). The data-plane regression tests assert that the
 // unsanctioned count stays at zero across whole solves: shuffle buckets,
 // cached partitions, staged reads, and driver collects move refs, never
-// payloads. Counting is two relaxed atomic increments per O(b^2) copy, so it
-// stays enabled in release builds too.
+// payloads. Counting is two sharded counter increments per O(b^2) copy, so
+// it stays enabled in release builds too.
 
 struct BlockCopyStats {
-  /// Deep copies of materialized payloads since process start / Reset().
+  /// Deep copies of materialized payloads since process start.
   static std::uint64_t TotalCopies() noexcept;
   /// Copies made under a CowScope (explicit copy-on-write mutation sites).
   static std::uint64_t SanctionedCopies() noexcept;
   /// TotalCopies() - SanctionedCopies(): must stay flat across a solve.
   static std::uint64_t UnsanctionedCopies() noexcept;
-  /// Test hook: zeroes both counters.
-  static void Reset() noexcept;
 };
 
 /// RAII marker: block copies on *this thread* inside the scope are explicit

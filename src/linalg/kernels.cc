@@ -376,7 +376,7 @@ void AccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
     return;
   }
   const std::int64_t rows_per_stripe = (m + stripes - 1) / stripes;
-  KernelThreadPool().ParallelFor(
+  KernelThreadPool().ParallelForTasks(
       static_cast<std::size_t>(stripes), [&](std::size_t s) {
         const std::int64_t i0 =
             static_cast<std::int64_t>(s) * rows_per_stripe;
@@ -412,7 +412,7 @@ void PanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
     return;
   }
   const std::int64_t rows_per_stripe = (m + stripes - 1) / stripes;
-  KernelThreadPool().ParallelFor(
+  KernelThreadPool().ParallelForTasks(
       static_cast<std::size_t>(stripes), [&](std::size_t s) {
         const std::int64_t i0 =
             static_cast<std::int64_t>(s) * rows_per_stripe;

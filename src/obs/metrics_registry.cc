@@ -54,14 +54,6 @@ std::uint64_t Histogram::sum() const noexcept {
   return total;
 }
 
-std::vector<std::uint64_t> Histogram::BucketCounts() const {
-  std::vector<std::uint64_t> out(kNumBuckets, 0);
-  for (const auto& shard : shards_)
-    for (std::size_t b = 0; b < kNumBuckets; ++b)
-      out[b] += shard.counts[b].load(std::memory_order_relaxed);
-  return out;
-}
-
 double Histogram::Quantile(double q) const noexcept {
   if (q < 0) q = 0;
   if (q > 1) q = 1;
@@ -266,23 +258,6 @@ std::string Registry::ToPrometheus() const {
     }
   }
   return out;
-}
-
-void Registry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : entries_) {
-    switch (entry->kind) {
-      case Kind::kCounter:
-        entry->counter->Reset();
-        break;
-      case Kind::kGauge:
-        entry->gauge->Reset();
-        break;
-      case Kind::kHistogram:
-        entry->histogram->Reset();
-        break;
-    }
-  }
 }
 
 }  // namespace apspark::obs

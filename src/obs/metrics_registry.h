@@ -1,11 +1,11 @@
 // Typed metrics registry: the repo-wide counter/gauge/histogram surface.
 //
-// The repository grew one ad-hoc metrics struct per subsystem — SimMetrics
-// for the virtual cluster, MemoryAccountant peaks for the data plane,
-// BlockStore::Stats for the serving cache, kernel-invocation tallies nowhere
-// at all. This registry unifies them behind one named-metric surface with
-// two exporters (JSON lines and Prometheus text), so a solve, a bench, or a
-// long-lived serve process can be scraped the same way.
+// One named-metric surface with two renderings (JSON lines and Prometheus
+// text), so a solve, a bench, or a long-lived serve process can be scraped
+// the same way. This layer depends only on std: the subsystems publish into
+// it — SimMetrics::Publish() (`sim_*`), BlockStore::Stats::Publish()
+// (`store_*`) — or count straight into it (block copies, the block buffer
+// pool, kernel invocations, serve latencies).
 //
 // Metric types:
 //   Counter   — monotonically increasing u64. Add() is per-thread sharded
@@ -31,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace apspark::obs {
 
@@ -62,10 +61,6 @@ class Counter {
     return total;
   }
 
-  void Reset() noexcept {
-    for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::array<internal::PaddedAtomicU64, kMetricShards> shards_;
 };
@@ -78,7 +73,6 @@ class Gauge {
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void Reset() noexcept { Set(0); }
 
  private:
   std::atomic<double> value_{0};
@@ -109,12 +103,6 @@ class Histogram {
     shard.sum.fetch_add(ticks, std::memory_order_relaxed);
   }
 
-  /// Records a duration in seconds as nanosecond ticks.
-  void RecordSeconds(double seconds) noexcept {
-    if (seconds < 0) seconds = 0;
-    Record(static_cast<std::uint64_t>(seconds * 1e9));
-  }
-
   std::uint64_t count() const noexcept;
   std::uint64_t sum() const noexcept;
 
@@ -127,9 +115,6 @@ class Histogram {
   double QuantileSeconds(double q) const noexcept {
     return Quantile(q) * 1e-9;
   }
-
-  /// Aggregated per-bucket counts (tests and exporters).
-  std::vector<std::uint64_t> BucketCounts() const;
 
   void Reset() noexcept;
 
@@ -162,9 +147,6 @@ class Registry {
   /// Prometheus text exposition format (histograms as summary-style
   /// quantile series plus _count/_sum).
   std::string ToPrometheus() const;
-
-  /// Zeroes every registered metric (tests; the registry itself persists).
-  void ResetAll();
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -25,9 +25,7 @@ void MemoryAccountant::Reset(int nodes) {
   driver_peak_ = 0;
   node_peak_ = 0;
   node_live_.assign(static_cast<std::size_t>(nodes < 0 ? 0 : nodes), 0);
-  window_driver_peak_ = 0;
   window_node_peak_ = 0;
-  stage_peaks_.clear();
 }
 
 void MemoryAccountant::ResetPeaks() {
@@ -36,9 +34,7 @@ void MemoryAccountant::ResetPeaks() {
   for (const std::uint64_t live : node_live_) {
     node_peak_ = std::max(node_peak_, live);
   }
-  window_driver_peak_ = 0;
   window_node_peak_ = 0;
-  stage_peaks_.clear();
   if (mirror_ != nullptr) {
     mirror_->driver_peak_bytes = driver_peak_;
     mirror_->node_peak_bytes = node_peak_;
@@ -47,7 +43,6 @@ void MemoryAccountant::ResetPeaks() {
 
 void MemoryAccountant::NoteDriver(std::uint64_t resident) {
   driver_peak_ = std::max(driver_peak_, resident);
-  window_driver_peak_ = std::max(window_driver_peak_, resident);
   if (mirror_ != nullptr) {
     mirror_->driver_peak_bytes =
         std::max(mirror_->driver_peak_bytes, driver_peak_);
@@ -93,14 +88,6 @@ void MemoryAccountant::ReleaseNode(int node, std::uint64_t bytes) {
 std::uint64_t MemoryAccountant::node_live_bytes(int node) const {
   if (node_live_.empty()) return 0;
   return node_live_[static_cast<std::size_t>(node) % node_live_.size()];
-}
-
-void MemoryAccountant::EndStage(const std::string& stage) {
-  if (window_driver_peak_ != 0 || window_node_peak_ != 0) {
-    stage_peaks_.push_back({stage, window_driver_peak_, window_node_peak_});
-  }
-  window_driver_peak_ = 0;
-  window_node_peak_ = 0;
 }
 
 }  // namespace apspark::sparklet

@@ -17,13 +17,12 @@
 //    spikes (TouchDriver) for data that funnels through the driver NIC —
 //    collect results, broadcast sources. A transient touch raises the peak
 //    without changing the live set.
-//  * Stage windows: RunStage closes a window; the accountant records each
-//    window's driver/node peaks under the stage name (per-stage peaks,
-//    surfaced by apspark_cli).
+//  * Stage windows: RunStage closes a window; the stage trace tags each
+//    traced stage with its window's node peak
+//    (StageRecord::node_peak_bytes).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace apspark::sparklet {
@@ -62,14 +61,8 @@ class MemoryAccountant {
   void ReleaseNode(int node, std::uint64_t bytes);
 
   // -- stage windows -----------------------------------------------------
-  struct StagePeak {
-    std::string stage;
-    std::uint64_t driver_peak_bytes = 0;
-    std::uint64_t node_peak_bytes = 0;
-  };
-  /// Closes the current window under `stage` (called by RunStage). Windows
-  /// with zero peaks are not recorded.
-  void EndStage(const std::string& stage);
+  /// Closes the current stage window (called by RunStage).
+  void EndStage() noexcept { window_node_peak_ = 0; }
 
   // -- accessors ---------------------------------------------------------
   std::uint64_t driver_live_bytes() const noexcept { return driver_live_; }
@@ -83,9 +76,6 @@ class MemoryAccountant {
   std::uint64_t window_node_peak_bytes() const noexcept {
     return window_node_peak_;
   }
-  const std::vector<StagePeak>& stage_peaks() const noexcept {
-    return stage_peaks_;
-  }
 
  private:
   void NoteDriver(std::uint64_t resident);
@@ -96,10 +86,8 @@ class MemoryAccountant {
   std::uint64_t driver_peak_ = 0;
   std::uint64_t node_peak_ = 0;
   std::vector<std::uint64_t> node_live_;
-  // Current stage window's peaks (reset by EndStage).
-  std::uint64_t window_driver_peak_ = 0;
+  // Current stage window's node peak (reset by EndStage).
   std::uint64_t window_node_peak_ = 0;
-  std::vector<StagePeak> stage_peaks_;
 };
 
 }  // namespace apspark::sparklet

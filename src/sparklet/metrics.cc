@@ -4,42 +4,9 @@
 
 #include "common/bytes.h"
 #include "common/time_utils.h"
+#include "obs/metrics_registry.h"
 
 namespace apspark::sparklet {
-
-SimMetrics& SimMetrics::operator+=(const SimMetrics& other) noexcept {
-  compute_seconds += other.compute_seconds;
-  shuffle_seconds += other.shuffle_seconds;
-  collect_seconds += other.collect_seconds;
-  broadcast_seconds += other.broadcast_seconds;
-  shared_fs_seconds += other.shared_fs_seconds;
-  scheduling_seconds += other.scheduling_seconds;
-  shuffle_bytes += other.shuffle_bytes;
-  collect_bytes += other.collect_bytes;
-  broadcast_bytes += other.broadcast_bytes;
-  shared_fs_written_bytes += other.shared_fs_written_bytes;
-  shared_fs_read_bytes += other.shared_fs_read_bytes;
-  stages += other.stages;
-  tasks += other.tasks;
-  task_failures += other.task_failures;
-  task_retries += other.task_retries;
-  recovery_seconds += other.recovery_seconds;
-  recomputed_tasks += other.recomputed_tasks;
-  executor_failures += other.executor_failures;
-  job_restarts += other.job_restarts;
-  speculative_tasks += other.speculative_tasks;
-  rebalance_seconds += other.rebalance_seconds;
-  migrated_partitions += other.migrated_partitions;
-  migration_bytes += other.migration_bytes;
-  node_joins += other.node_joins;
-  admission_wait_seconds += other.admission_wait_seconds;
-  spilled_bytes += other.spilled_bytes;
-  local_storage_peak_bytes =
-      std::max(local_storage_peak_bytes, other.local_storage_peak_bytes);
-  driver_peak_bytes = std::max(driver_peak_bytes, other.driver_peak_bytes);
-  node_peak_bytes = std::max(node_peak_bytes, other.node_peak_bytes);
-  return *this;
-}
 
 std::string SimMetrics::Summary() const {
   std::ostringstream out;
@@ -78,6 +45,45 @@ std::string SimMetrics::Summary() const {
   out << " tenancy[admission-wait=" << FormatDuration(admission_wait_seconds)
       << " spilled=" << FormatBytes(spilled_bytes) << "]";
   return out.str();
+}
+
+void SimMetrics::Publish() const {
+  auto gauge = [](const char* name, double value) {
+    obs::Registry::Global().GetGauge(name).Set(value);
+  };
+  auto gauge_u = [&](const char* name, std::uint64_t value) {
+    gauge(name, static_cast<double>(value));
+  };
+  gauge("sim_seconds", sim_seconds());
+  gauge("sim_compute_seconds", compute_seconds);
+  gauge("sim_shuffle_seconds", shuffle_seconds);
+  gauge("sim_collect_seconds", collect_seconds);
+  gauge("sim_broadcast_seconds", broadcast_seconds);
+  gauge("sim_shared_fs_seconds", shared_fs_seconds);
+  gauge("sim_scheduling_seconds", scheduling_seconds);
+  gauge("sim_rebalance_seconds", rebalance_seconds);
+  gauge("sim_recovery_seconds", recovery_seconds);
+  gauge("sim_admission_wait_seconds", admission_wait_seconds);
+  gauge_u("sim_shuffle_bytes", shuffle_bytes);
+  gauge_u("sim_collect_bytes", collect_bytes);
+  gauge_u("sim_broadcast_bytes", broadcast_bytes);
+  gauge_u("sim_shared_fs_written_bytes", shared_fs_written_bytes);
+  gauge_u("sim_shared_fs_read_bytes", shared_fs_read_bytes);
+  gauge_u("sim_spilled_bytes", spilled_bytes);
+  gauge_u("sim_migration_bytes", migration_bytes);
+  gauge_u("sim_stages", stages);
+  gauge_u("sim_tasks", tasks);
+  gauge_u("sim_task_failures", task_failures);
+  gauge_u("sim_task_retries", task_retries);
+  gauge_u("sim_recomputed_tasks", recomputed_tasks);
+  gauge_u("sim_executor_failures", executor_failures);
+  gauge_u("sim_job_restarts", job_restarts);
+  gauge_u("sim_speculative_tasks", speculative_tasks);
+  gauge_u("sim_migrated_partitions", migrated_partitions);
+  gauge_u("sim_node_joins", node_joins);
+  gauge_u("sim_local_storage_peak_bytes", local_storage_peak_bytes);
+  gauge_u("sim_driver_peak_bytes", driver_peak_bytes);
+  gauge_u("sim_node_peak_bytes", node_peak_bytes);
 }
 
 }  // namespace apspark::sparklet

@@ -84,12 +84,14 @@ struct SimMetrics {
            rebalance_seconds;
   }
 
-  SimMetrics& operator+=(const SimMetrics& other) noexcept;
   /// Field-wise exact equality (tests: host-side changes must leave every
   /// modelled number bitwise unchanged).
   bool operator==(const SimMetrics&) const = default;
 
   std::string Summary() const;
+  /// Publishes every field (and sim_seconds()) as a `sim_*` gauge in the
+  /// global metrics registry; repeated calls overwrite the gauges.
+  void Publish() const;
 };
 
 }  // namespace apspark::sparklet

@@ -500,8 +500,8 @@ void Rdd<T>::RunStageAndCache() {
       }
       ChargeCached(p);
     }
-    // Re-runs get a distinct stage key so stage metrics and the
-    // accountant's per-stage peak windows never collide with the original.
+    // Re-runs get a distinct stage key so their stage-trace records and
+    // spans never collide with the original.
     std::string stage_name = name_;
     if (run_attempts_ > 0) stage_name += "#r" + std::to_string(run_attempts_);
     ++run_attempts_;

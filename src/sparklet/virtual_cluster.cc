@@ -181,7 +181,7 @@ void VirtualCluster::RunStage(const std::vector<double>& task_seconds,
   }
   metrics_.stages += 1;
   metrics_.tasks += task_seconds.size();
-  accountant_.EndStage(stage_name);
+  accountant_.EndStage();
   trace_last_clock_ = clock_seconds_;
 
   if (span_tracing) EmitStageSpans(stage_name, kind, stage_start, task_spans);

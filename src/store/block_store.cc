@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/serial.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
 namespace apspark::store {
@@ -659,6 +660,18 @@ BlockStore::Stats BlockStore::stats() const noexcept {
   s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   s.peak_resident_bytes = peak_resident_bytes_.load(std::memory_order_relaxed);
   return s;
+}
+
+void BlockStore::Stats::Publish() const {
+  auto gauge = [](const char* name, std::uint64_t value) {
+    obs::Registry::Global().GetGauge(name).Set(static_cast<double>(value));
+  };
+  gauge("store_cache_hits", hits);
+  gauge("store_cache_misses", misses);
+  gauge("store_cache_evictions", evictions);
+  gauge("store_bytes_loaded", bytes_loaded);
+  gauge("store_resident_bytes", resident_bytes);
+  gauge("store_peak_resident_bytes", peak_resident_bytes);
 }
 
 std::uint64_t BlockStore::total_payload_bytes() const noexcept {

@@ -198,6 +198,10 @@ class BlockStore {
     std::uint64_t resident_bytes = 0;
     /// High water of resident_bytes.
     std::uint64_t peak_resident_bytes = 0;
+
+    /// Publishes the snapshot as `store_*` gauges in the global metrics
+    /// registry; repeated calls overwrite the gauges.
+    void Publish() const;
   };
 
   ~BlockStore();

@@ -134,7 +134,7 @@ TEST(BlockPool, ConcurrentTakeAndReleaseFromPoolThreads) {
   linalg::TrimBlockPool();
   ThreadPool pool(4);
   std::vector<int> bad(64, 0);
-  pool.ParallelFor(64, [&](std::size_t task) {
+  pool.ParallelForTasks(64, [&](std::size_t task) {
     for (int round = 0; round < 8; ++round) {
       const double fill = static_cast<double>(task * 8 + round);
       // Two sizes so the per-size idle lists interleave.

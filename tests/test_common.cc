@@ -204,16 +204,18 @@ TEST(Result, HoldsValueOrStatus) {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.ParallelFor(100, [&](std::size_t) { ++counter; });
+  pool.ParallelForTasks(100, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(4,
-                                [](std::size_t i) {
-                                  if (i == 2) throw std::runtime_error("boom");
-                                }),
+  EXPECT_THROW(pool.ParallelForTasks(4,
+                                     [](std::size_t i) {
+                                       if (i == 2) {
+                                         throw std::runtime_error("boom");
+                                       }
+                                     }),
                std::runtime_error);
 }
 
@@ -236,7 +238,7 @@ TEST(WorkStealing, NestedParallelForInsideStolenTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   pool.ParallelForTasks(8, [&](std::size_t) {
-    pool.ParallelFor(16, [&](std::size_t) { ++counter; });
+    pool.ParallelForTasks(16, [&](std::size_t) { ++counter; });
   });
   EXPECT_EQ(counter.load(), 8 * 16);
 }
@@ -302,11 +304,12 @@ TEST(WorkStealing, NestedExceptionPropagatesThroughOuterJoin) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.ParallelForTasks(8,
                                      [&](std::size_t) {
-                                       pool.ParallelFor(8, [](std::size_t j) {
-                                         if (j == 3) {
-                                           throw std::logic_error("inner");
-                                         }
-                                       });
+                                       pool.ParallelForTasks(
+                                           8, [](std::size_t j) {
+                                             if (j == 3) {
+                                               throw std::logic_error("inner");
+                                             }
+                                           });
                                      }),
                std::logic_error);
 }

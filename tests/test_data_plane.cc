@@ -190,20 +190,6 @@ TEST(MemoryAccountantTest, TracksLiveAndPeakPerSite) {
   EXPECT_EQ(acct.node_live_bytes(0), 0u);
 }
 
-TEST(MemoryAccountantTest, StageWindowsRecordPerStagePeaks) {
-  MemoryAccountant acct(1);
-  acct.ChargeNode(0, 10);
-  acct.EndStage("alpha");
-  acct.EndStage("idle");  // no activity: not recorded
-  acct.TouchDriver(25);
-  acct.EndStage("beta");
-  ASSERT_EQ(acct.stage_peaks().size(), 2u);
-  EXPECT_EQ(acct.stage_peaks()[0].stage, "alpha");
-  EXPECT_EQ(acct.stage_peaks()[0].node_peak_bytes, 10u);
-  EXPECT_EQ(acct.stage_peaks()[1].stage, "beta");
-  EXPECT_EQ(acct.stage_peaks()[1].driver_peak_bytes, 25u);
-}
-
 TEST(MemoryAccountantTest, ResetPeaksRestartsFromTheLiveSet) {
   MemoryAccountant acct(1);
   acct.ChargeDriver(70);

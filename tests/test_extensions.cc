@@ -181,38 +181,14 @@ TEST(GraphIo, TextToleratesCommentsAndBlankLines) {
   EXPECT_EQ(g->edges()[0].weight, 1.5);
 }
 
-TEST(GraphIo, BinaryRoundTrip) {
-  const graph::Graph g =
-      graph::ErdosRenyi(128, 0.1, {0.5, 2.0}, 41, /*directed=*/true);
-  auto loaded = graph::DeserializeGraph(graph::SerializeGraph(g));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->edges(), g.edges());
-  EXPECT_TRUE(loaded->directed());
-}
-
-TEST(GraphIo, BinaryRejectsCorruption) {
-  auto bytes = graph::SerializeGraph(graph::PathGraph(5));
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 4);
-  EXPECT_FALSE(graph::DeserializeGraph(truncated).ok());
-  bytes[0] ^= 0xFF;  // break the magic
-  EXPECT_FALSE(graph::DeserializeGraph(bytes).ok());
-}
-
 TEST(GraphIo, FileRoundTrip) {
   const graph::Graph g = graph::CycleGraph(10, 2.5);
   const std::string text_path = "/tmp/apspark_io_test.txt";
-  const std::string bin_path = "/tmp/apspark_io_test.bin";
   ASSERT_TRUE(graph::WriteEdgeListTextFile(g, text_path).ok());
-  ASSERT_TRUE(graph::WriteGraphBinaryFile(g, bin_path).ok());
   auto text = graph::ReadEdgeListTextFile(text_path);
-  auto bin = graph::ReadGraphBinaryFile(bin_path);
   ASSERT_TRUE(text.ok());
-  ASSERT_TRUE(bin.ok());
   EXPECT_EQ(text->edges(), g.edges());
-  EXPECT_EQ(bin->edges(), g.edges());
   std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
   EXPECT_FALSE(graph::ReadEdgeListTextFile("/tmp/apspark_nope").ok());
 }
 

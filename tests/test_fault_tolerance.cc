@@ -329,6 +329,7 @@ TEST(NodeLoss, PreservedShuffleBucketsAccountedToOwningNode) {
 
 TEST(StageKeys, RecoveryRerunsGetDistinctStageKeys) {
   SparkletContext ctx(TestCluster());
+  ctx.cluster().EnableStageTrace();
   auto rdd = ctx.Parallelize("data", Iota(24), 4)
                  ->Map("stamp",
                        [](const std::int64_t& x, sparklet::TaskContext& tc) {
@@ -342,16 +343,12 @@ TEST(StageKeys, RecoveryRerunsGetDistinctStageKeys) {
   rdd->DropPartition(2);
   rdd->EnsureMaterialized();
   // Each re-materialization suffixes the retry attempt, so per-stage
-  // metrics and the accountant's peak windows never collide.
-  std::vector<std::string> names;
-  for (const auto& peak : ctx.cluster().accountant().stage_peaks()) {
-    names.push_back(peak.stage);
-  }
+  // records of the stage trace never collide.
   int base = 0, r1 = 0, r2 = 0;
-  for (const auto& name : names) {
-    if (name == "stamp") ++base;
-    if (name == "stamp#r1") ++r1;
-    if (name == "stamp#r2") ++r2;
+  for (const auto& stage : ctx.cluster().stage_trace()) {
+    if (stage.name == "stamp") ++base;
+    if (stage.name == "stamp#r1") ++r1;
+    if (stage.name == "stamp#r2") ++r2;
   }
   EXPECT_EQ(base, 1) << "original stage key must appear exactly once";
   EXPECT_EQ(r1, 1) << "first re-run must be suffixed #r1";

@@ -1,12 +1,14 @@
-// Observability layer: histogram bucket math, registry thread-safety,
-// trace JSON well-formedness, virtual-span determinism, and the core
-// guarantee that tracing never changes a solve.
+// Observability layer: histogram bucket math, registry thread-safety, the
+// published sim_*/store_* gauge names, trace JSON well-formedness,
+// virtual-span determinism, and the core guarantee that tracing never
+// changes a solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apsp/api.h"
@@ -14,6 +16,8 @@
 #include "graph/generators.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "sparklet/metrics.h"
+#include "store/block_store.h"
 #include "test_support.h"
 
 namespace apspark {
@@ -165,6 +169,100 @@ TEST(ObsRegistry, ExportersRenderEveryMetric) {
   const std::string prom = registry.ToPrometheus();
   EXPECT_NE(prom.find("exp_total{kind=\"a\"} 7"), std::string::npos);
   EXPECT_NE(prom.find("exp_latency_ns_count 100"), std::string::npos);
+}
+
+TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
+  // Every field gets a distinct value, so a dropped, renamed or swapped
+  // gauge reads back wrong.
+  sparklet::SimMetrics m;
+  m.compute_seconds = 1.5;
+  m.shuffle_seconds = 2.5;
+  m.collect_seconds = 3.5;
+  m.broadcast_seconds = 4.5;
+  m.shared_fs_seconds = 5.5;
+  m.scheduling_seconds = 6.5;
+  m.rebalance_seconds = 7.5;
+  m.recovery_seconds = 8.5;
+  m.admission_wait_seconds = 9.5;
+  m.shuffle_bytes = 101;
+  m.collect_bytes = 102;
+  m.broadcast_bytes = 103;
+  m.shared_fs_written_bytes = 104;
+  m.shared_fs_read_bytes = 105;
+  m.spilled_bytes = 106;
+  m.migration_bytes = 107;
+  m.stages = 108;
+  m.tasks = 109;
+  m.task_failures = 110;
+  m.task_retries = 111;
+  m.recomputed_tasks = 112;
+  m.executor_failures = 113;
+  m.job_restarts = 114;
+  m.speculative_tasks = 115;
+  m.migrated_partitions = 116;
+  m.node_joins = 117;
+  m.local_storage_peak_bytes = 118;
+  m.driver_peak_bytes = 119;
+  m.node_peak_bytes = 120;
+  m.Publish();
+  const std::vector<std::pair<const char*, double>> sim_gauges = {
+      {"sim_seconds", m.sim_seconds()},
+      {"sim_compute_seconds", 1.5},
+      {"sim_shuffle_seconds", 2.5},
+      {"sim_collect_seconds", 3.5},
+      {"sim_broadcast_seconds", 4.5},
+      {"sim_shared_fs_seconds", 5.5},
+      {"sim_scheduling_seconds", 6.5},
+      {"sim_rebalance_seconds", 7.5},
+      {"sim_recovery_seconds", 8.5},
+      {"sim_admission_wait_seconds", 9.5},
+      {"sim_shuffle_bytes", 101},
+      {"sim_collect_bytes", 102},
+      {"sim_broadcast_bytes", 103},
+      {"sim_shared_fs_written_bytes", 104},
+      {"sim_shared_fs_read_bytes", 105},
+      {"sim_spilled_bytes", 106},
+      {"sim_migration_bytes", 107},
+      {"sim_stages", 108},
+      {"sim_tasks", 109},
+      {"sim_task_failures", 110},
+      {"sim_task_retries", 111},
+      {"sim_recomputed_tasks", 112},
+      {"sim_executor_failures", 113},
+      {"sim_job_restarts", 114},
+      {"sim_speculative_tasks", 115},
+      {"sim_migrated_partitions", 116},
+      {"sim_node_joins", 117},
+      {"sim_local_storage_peak_bytes", 118},
+      {"sim_driver_peak_bytes", 119},
+      {"sim_node_peak_bytes", 120},
+  };
+  ASSERT_EQ(sim_gauges.size(), 30u);
+  EXPECT_DOUBLE_EQ(m.sim_seconds(), 1.5 + 2.5 + 3.5 + 4.5 + 5.5 + 6.5 + 7.5);
+  obs::Registry& global = obs::Registry::Global();
+  for (const auto& [name, value] : sim_gauges) {
+    EXPECT_EQ(global.GetGauge(name).value(), value) << name;
+  }
+
+  store::BlockStore::Stats stats;
+  stats.hits = 201;
+  stats.misses = 202;
+  stats.evictions = 203;
+  stats.bytes_loaded = 204;
+  stats.resident_bytes = 205;
+  stats.peak_resident_bytes = 206;
+  stats.Publish();
+  const std::vector<std::pair<const char*, double>> store_gauges = {
+      {"store_cache_hits", 201},
+      {"store_cache_misses", 202},
+      {"store_cache_evictions", 203},
+      {"store_bytes_loaded", 204},
+      {"store_resident_bytes", 205},
+      {"store_peak_resident_bytes", 206},
+  };
+  for (const auto& [name, value] : store_gauges) {
+    EXPECT_EQ(global.GetGauge(name).value(), value) << name;
+  }
 }
 
 // -------------------------------------------------------------------- trace

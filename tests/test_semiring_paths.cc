@@ -766,19 +766,12 @@ TEST(BitpackedBoolean, SolverPackedMatchesDenseAndOracle) {
     opts.block_size = 24;
     opts.semiring = SemiringId::kBoolean;
     const auto kind = apsp::SolverKind::kBlockedCollectBroadcast;
-    opts.bitpack_boolean = true;
     auto packed = apsp::Solve(g, {.solver = kind, .options = opts,
                                   .cluster = test::TestCluster()})
                       .run;
-    opts.bitpack_boolean = false;
-    auto dense = apsp::Solve(g, {.solver = kind, .options = opts,
-                                 .cluster = test::TestCluster()})
-                     .run;
     ASSERT_TRUE(packed.status.ok());
-    ASSERT_TRUE(dense.status.ok());
     EXPECT_TRUE(packed.distances->is_packed());
     test::ExpectBitwiseEqual(*packed.distances, expected, "packed vs oracle");
-    test::ExpectBitwiseEqual(*dense.distances, expected, "dense vs oracle");
   }
 }
 
@@ -796,7 +789,6 @@ TEST(BitpackedBoolean, ModelRunAccountsAtLeast8xLessMemory) {
                                        .cluster = test::TestCluster()})
                    .run;
   opts.semiring = SemiringId::kBoolean;
-  opts.bitpack_boolean = true;
   auto packed = apsp::SolveModel(8192, {.solver = kind, .options = opts,
                                         .cluster = test::TestCluster()})
                     .run;

@@ -34,7 +34,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "linalg/kernel_registry.h"
-#include "obs/exporters.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "store/distance_service.h"
@@ -85,7 +84,6 @@ constexpr FlagSpec kFlags[] = {
     {"--kernel", true, kSolve},
     {"--isa", true, kSolve | kPlan | kModel},
     {"--semiring", true, kSolve | kModel},
-    {"--no-bitpack", false, kSolve | kModel},
     {"--ksource-variant", true, kSolve | kModel},
     {"--no-early-exit", false, kSolve | kModel},
     {"--fail-node", true, kSolve | kModel},
@@ -136,7 +134,6 @@ struct Args {
   /// or APSPARK_FORCE_ISA). Pin `--isa scalar` when bisecting a kernel bug.
   std::string isa = "auto";
   std::string semiring = "minplus";
-  bool no_bitpack = false;
   std::string ksource_variant = "staged";
   bool no_early_exit = false;
   /// Injected executor losses: --fail-node N@S (repeatable).
@@ -196,7 +193,6 @@ void UsageSolve() {
       "  [--semiring minplus|boolean|maxmin|maxtimes]\n"
       "          algebra the solve evaluates: shortest path,\n"
       "          reachability, bottleneck capacity, or widest path\n"
-      "  [--no-bitpack]  keep boolean solves on dense doubles\n"
       "  [--intra-task-cores C]  modelled cores per task\n"
       "  [--fail-node N@S] [--fail-rack R@S] [--add-node @S] [--racks R]\n"
       "          injected failures / elastic membership (repeatable)\n"
@@ -220,7 +216,7 @@ void UsageModel() {
       stderr,
       "usage: apspark model --n N [--cores C] [--solver rs|fw2d|im|cb]\n"
       "  [--block B] [--rounds R] [--sources K] [--ksource-variant V]\n"
-      "  [--semiring S] [--no-bitpack] [--intra-task-cores C]\n"
+      "  [--semiring S] [--intra-task-cores C]\n"
       "  [--isa scalar|avx2|avx512|auto]\n"
       "  [--fail-node N@S] [--fail-rack R@S] [--add-node @S] [--racks R]\n"
       "  [--checkpoint-every K] [--straggler-factor F]\n"
@@ -335,7 +331,7 @@ bool WriteMetricsFile(const std::string& path) {
 /// --metrics-out. Returns false only on a write failure.
 bool EmitRunMetrics(const Args& args, const sparklet::SimMetrics& metrics) {
   if (args.metrics_out.empty()) return true;
-  obs::ExportSimMetrics(metrics);
+  metrics.Publish();
   return WriteMetricsFile(args.metrics_out);
 }
 
@@ -488,8 +484,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       args.isa = v;
     } else if (flag == "--semiring") {
       args.semiring = v;
-    } else if (flag == "--no-bitpack") {
-      args.no_bitpack = true;
     } else if (flag == "--ksource-variant") {
       args.ksource_variant = v;
     } else if (flag == "--no-early-exit") {
@@ -746,9 +740,7 @@ Result<apsp::SolverKind> ResolveSolver(const Args& args, std::int64_t n,
 /// The banner's note that a boolean APSP solve runs on the bit-packed plane
 /// (k-source panels stay dense).
 const char* PackedLabel(const Args& args, const apsp::ApspOptions& options) {
-  return args.sources == 0 &&
-                 options.semiring == linalg::SemiringId::kBoolean &&
-                 options.bitpack_boolean
+  return args.sources == 0 && options.semiring == linalg::SemiringId::kBoolean
              ? " bit-packed"
              : "";
 }
@@ -806,7 +798,6 @@ int RunSolve(const Args& args) {
   apsp::SolveRequest request;
   auto& options = request.options;
   options.semiring = *semiring;
-  options.bitpack_boolean = !args.no_bitpack;
   options.block_size =
       args.block > 0 ? args.block
                      : std::max<std::int64_t>(1, g.num_vertices() / 4);
@@ -922,7 +913,6 @@ int RunModel(const Args& args) {
   BuildRunPlan(args, options);
   options.block_size = args.block > 0 ? args.block : 1024;
   options.semiring = *semiring;
-  options.bitpack_boolean = !args.no_bitpack;
   options.max_rounds = args.rounds > 0 ? args.rounds : 1;
   options.directed = args.directed;
   options.early_exit_infinite = !args.no_early_exit;
@@ -1123,7 +1113,7 @@ int RunServe(const Args& args) {
   }
   PrintServeLatency(svc);
   if (!args.metrics_out.empty()) {
-    obs::ExportStoreStats(svc.store().stats());
+    svc.store().stats().Publish();
     if (!WriteMetricsFile(args.metrics_out)) return 1;
   }
   return 0;
