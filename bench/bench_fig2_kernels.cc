@@ -8,14 +8,17 @@
 // L3 knee around b = 1810). The paper's shape to reproduce: ~b^3 growth,
 // fast below the cache knee, rapidly growing past it.
 //
-// Section 2 races the kernel variants (naive scalar loops vs tiled+fused vs
-// tiled+parallel) on the MinPlus and FloydWarshall building blocks and checks
-// the min-plus results are bitwise-identical to the scalar reference.
+// Section 2 races the kernel variants (tiled+fused, tiled+parallel) against
+// the paper's naive baseline — the scalar per-semiring oracle of
+// linalg/semiring.h, recorded as variant "naive" — on the MinPlus and
+// FloydWarshall building blocks, and checks the min-plus results are
+// bitwise-identical to the oracle.
 // Section 3 races the work-stealing block-task scheduler on one task
 // batch's worth of independent block updates (q^2 updates at b = 128, the
 // small-block layout that row striping alone cannot scale).
 // Section 4 races the semiring engine: the fused closure in each algebra
-// (one generic engine, four instantiations), and the headline bit-packed
+// (one generic engine, four instantiations) against that algebra's scalar
+// oracle, and the headline bit-packed
 // boolean record — word-parallel or/and closure vs the dense-double boolean
 // closure at the same b.
 // Section 5 races the SIMD backends against forced-scalar dispatch.
@@ -31,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -67,13 +71,23 @@ bool BitwiseEqual(const linalg::DenseBlock& a, const linalg::DenseBlock& b) {
 
 struct KernelResult {
   std::string kernel;   // "minplus" or "floyd_warshall"
-  std::string variant;  // registry variant name
+  std::string variant;  // registry variant name, or "naive" (see kRaceRows)
   std::int64_t b = 0;
   double seconds = 0;
   double gops = 0;          // b^3 / seconds / 1e9
-  double speedup = 1.0;     // vs the naive variant at the same b
+  double speedup = 1.0;     // vs the naive row at the same b
   bool bitwise_equal = true;  // vs the scalar reference result
 };
+
+/// The rows of a variant race: the scalar oracle (no registry variant),
+/// recorded as "naive" — the paper's baseline — then the registry variants.
+constexpr std::optional<linalg::KernelVariant> kRaceRows[] = {
+    std::nullopt, linalg::KernelVariant::kTiled,
+    linalg::KernelVariant::kTiledParallel};
+
+const char* RowName(std::optional<linalg::KernelVariant> row) {
+  return row ? linalg::KernelVariantName(*row) : "naive";
+}
 
 /// Times fn() `reps` times and returns the best (minimum) wall time.
 template <typename Fn>
@@ -174,16 +188,13 @@ bool WriteJson(const std::vector<KernelResult>& results) {
 std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
   bench::PrintHeader(
       "Kernel engine — naive scalar vs tiled+fused vs tiled+parallel\n"
-      "(MinPlus = min(A, A \xe2\x8a\x97 B); naive is the seed's "
+      "(MinPlus = min(A, A \xe2\x8a\x97 B); naive is the scalar oracle's "
       "product+element-min path)");
   std::vector<KernelResult> results;
   // This section races *variants* (loop structure), so the micro-kernel ISA
   // is pinned to scalar: the tiled/naive/parallel records keep meaning what
   // they always meant. Section 5 races the ISAs against each other.
   linalg::ScopedSimdIsa isa_scope(linalg::SimdIsa::kScalar);
-  const linalg::KernelVariant variants[] = {
-      linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled,
-      linalg::KernelVariant::kTiledParallel};
 
   std::printf("%16s %8s %16s %16s %10s %10s  %s\n", "kernel", "b", "variant",
               "time", "Gops", "speedup", "exact");
@@ -197,18 +208,21 @@ std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
     // --- MinPlus building block -------------------------------------
     linalg::DenseBlock reference(0, 0);
     double naive_seconds = 0;
-    for (linalg::KernelVariant v : variants) {
-      linalg::ScopedKernelVariant scope(v);
+    for (const auto row : kRaceRows) {
+      std::optional<linalg::ScopedKernelVariant> scope;
+      if (row) scope.emplace(*row);
       KernelResult r;
       r.kernel = "minplus";
-      r.variant = linalg::KernelVariantName(v);
+      r.variant = RowName(row);
       r.b = b;
       linalg::DenseBlock out(0, 0);
-      if (v == linalg::KernelVariant::kNaive) {
-        // The seed's unfused path: materialize the product, then a second
-        // element-min pass against the resident block.
+      if (!row) {
+        // The paper's unfused path on the scalar oracle: materialize the
+        // product, then a second element-min pass against the resident
+        // block.
         r.seconds = BestOf(reps, [&] {
-          linalg::DenseBlock prod = linalg::MinPlusProduct(lhs, rhs);
+          linalg::DenseBlock prod =
+              linalg::SemiringProduct<linalg::MinPlusSemiring>(lhs, rhs);
           linalg::ElementMinInPlace(prod, lhs);
           out = std::move(prod);
         });
@@ -239,21 +253,26 @@ std::vector<KernelResult> RunKernelComparison(std::int64_t max_b) {
       return m;
     }();
     linalg::DenseBlock fw_reference = adj;
-    linalg::ReferenceFloydWarshall(fw_reference);
+    linalg::SemiringClosure<linalg::MinPlusSemiring>(fw_reference);
     double fw_naive_seconds = 0;
-    for (linalg::KernelVariant v : variants) {
-      linalg::ScopedKernelVariant scope(v);
+    for (const auto row : kRaceRows) {
+      std::optional<linalg::ScopedKernelVariant> scope;
+      if (row) scope.emplace(*row);
       KernelResult r;
       r.kernel = "floyd_warshall";
-      r.variant = linalg::KernelVariantName(v);
+      r.variant = RowName(row);
       r.b = b;
       linalg::DenseBlock out(0, 0);
       r.seconds = BestOf(reps, [&] {
         linalg::DenseBlock m = adj;
-        linalg::FloydWarshallInPlace(m);
+        if (row) {
+          linalg::FloydWarshallInPlace(m);
+        } else {
+          linalg::SemiringClosure<linalg::MinPlusSemiring>(m);
+        }
         out = std::move(m);
       });
-      if (v == linalg::KernelVariant::kNaive) fw_naive_seconds = r.seconds;
+      if (!row) fw_naive_seconds = r.seconds;
       r.gops = ops / r.seconds / 1e9;
       r.speedup = fw_naive_seconds / r.seconds;
       // Blocked FW reorders relaxations; allow last-ulp differences but
@@ -302,10 +321,10 @@ std::vector<KernelResult> RunSchedulerComparison() {
   // Scalar oracle, sequential.
   std::vector<linalg::DenseBlock> reference = base;
   for (std::int64_t u = 0; u < kQ * kQ; ++u) {
-    linalg::MinPlusAccumulateRawNaive(
-        kB, kB, kB, lhs[static_cast<std::size_t>(u / kQ)].data(), kB,
-        rhs[static_cast<std::size_t>(u % kQ)].data(), kB,
-        reference[static_cast<std::size_t>(u)].mutable_data(), kB);
+    linalg::SemiringProductAccumulate<linalg::MinPlusSemiring>(
+        lhs[static_cast<std::size_t>(u / kQ)],
+        rhs[static_cast<std::size_t>(u % kQ)],
+        reference[static_cast<std::size_t>(u)]);
   }
 
   const double ops = static_cast<double>(kQ) * kQ * kB * kB * kB;
@@ -358,7 +377,7 @@ std::vector<KernelResult> RunSchedulerComparison() {
 }
 
 /// Section 4: the semiring engine. One record per semiring (fused tiled
-/// closure vs the naive variant of the same algebra), plus the headline
+/// closure vs the naive row, that algebra's scalar oracle), plus the headline
 /// "boolean_packed"/"bitpacked" record: the word-parallel bit plane against
 /// the dense-double boolean closure. Bitwise equality is against the scalar
 /// oracle of each semiring (SemiringClosureDispatch).
@@ -406,23 +425,27 @@ std::vector<KernelResult> RunSemiringComparison(std::int64_t max_b) {
     const std::string name = std::string("semiring_") +
                              linalg::SemiringName(id);
     double naive_seconds = 0;
-    for (const linalg::KernelVariant v :
-         {linalg::KernelVariant::kNaive, linalg::KernelVariant::kTiled}) {
-      linalg::ScopedKernelVariant kernel_scope(v);
+    // The oracle and the single-thread tiled closure: the first two rows.
+    for (const auto row : std::span(kRaceRows).first(2)) {
+      std::optional<linalg::ScopedKernelVariant> kernel_scope;
+      if (row) kernel_scope.emplace(*row);
       linalg::ScopedSemiring semiring_scope(id);
       KernelResult r;
       r.kernel = name;
-      r.variant = linalg::KernelVariantName(v);
+      r.variant = RowName(row);
       r.b = kB;
       linalg::DenseBlock out(0, 0);
       r.seconds = BestOf(1, [&] {
         linalg::DenseBlock m = base;
-        linalg::FloydWarshallInPlace(m);
+        if (row) {
+          linalg::FloydWarshallInPlace(m);
+        } else {
+          linalg::SemiringClosureDispatch(id, m);
+        }
         out = std::move(m);
       });
-      if (v == linalg::KernelVariant::kNaive) naive_seconds = r.seconds;
-      if (id == linalg::SemiringId::kBoolean &&
-          v == linalg::KernelVariant::kTiled) {
+      if (!row) naive_seconds = r.seconds;
+      if (id == linalg::SemiringId::kBoolean && row) {
         boolean_dense_seconds = r.seconds;
       }
       r.gops = ops / r.seconds / 1e9;
@@ -560,9 +583,8 @@ int main() {
   std::printf("%8s %16s %16s %16s %16s\n", "b", "FW measured", "FW model",
               "MinPlus measured", "MinPlus model");
   // The model columns are calibrated against the sequential *scalar* kernels
-  // (0.762 Gops, L3 knee at b = 1810): pin the naive variant so measured and
-  // model compare like with like. Section 2 below races the tiled engine.
-  linalg::ScopedKernelVariant figure_scope(linalg::KernelVariant::kNaive);
+  // (0.762 Gops, L3 knee at b = 1810): time the scalar oracles so measured
+  // and model compare like with like. Section 2 below races the tiled engine.
   const std::int64_t sizes[] = {128,  256,  384,  512,  768, 1024,
                                 1536, 2048, 3072, 4096, 6144, 8192, 10000};
   for (std::int64_t b : sizes) {
@@ -575,14 +597,15 @@ int main() {
     if (b <= max_measured) {
       linalg::DenseBlock fw = RandomBlock(b, 1);
       WallTimer t1;
-      linalg::FloydWarshallInPlace(fw);
+      linalg::SemiringClosure<linalg::MinPlusSemiring>(fw);
       fw_meas = FormatSeconds(t1.ElapsedSeconds(), 3);
 
       const linalg::DenseBlock lhs = RandomBlock(b, 2);
       const linalg::DenseBlock rhs = RandomBlock(b, 3);
       WallTimer t2;
       linalg::DenseBlock prod = lhs;
-      linalg::MinPlusUpdate(lhs, rhs, prod);
+      linalg::SemiringProductAccumulate<linalg::MinPlusSemiring>(lhs, rhs,
+                                                                 prod);
       mp_meas = FormatSeconds(t2.ElapsedSeconds(), 3);
     }
     std::printf("%8lld %16s %16s %16s %16s\n",

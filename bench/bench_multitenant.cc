@@ -29,7 +29,7 @@
 #include "common/time_utils.h"
 #include "graph/generators.h"
 #include "linalg/dense_block.h"
-#include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "sparklet/fair_scheduler.h"
 #include "sparklet/rdd.h"
 
@@ -127,7 +127,7 @@ int main() {
     sources.push_back(j * kN / kSources);
   }
   DenseBlock all = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(all);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(all);
   DenseBlock oracle(kN, kSources, linalg::kInf);
   for (std::int64_t v = 0; v < kN; ++v) {
     for (std::int64_t j = 0; j < kSources; ++j) {

@@ -43,7 +43,7 @@
 #include "common/time_utils.h"
 #include "graph/generators.h"
 #include "graph/path_reconstruction.h"
-#include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "store/distance_service.h"
 
 namespace {
@@ -129,7 +129,7 @@ int main() {
   }
   const linalg::DenseBlock adjacency = g.ToDenseAdjacency();
   linalg::DenseBlock oracle = adjacency;
-  linalg::ReferenceFloydWarshall(oracle);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
 
   apsp::SolveRequest request;
   request.options.block_size = kSolveBlock;

@@ -66,8 +66,8 @@ struct FusedTriple {
 /// then runs the independent numeric updates through
 /// linalg::ForEachByHostWork: grouped by their host m·n·k into units of at
 /// least KernelTuning::parallel_grain_ops and stolen from the kernel pool
-/// under kTiledParallel (the default), inline under the naive/tiled
-/// single-thread baselines. Host threads never touch the charge. Returns
+/// under kTiledParallel (the default), inline under the kTiled
+/// single-thread baseline. Host threads never touch the charge. Returns
 /// the updated blocks in input order.
 std::vector<linalg::BlockRef> MinPlusIntoBatch(
     std::vector<FusedTriple>&& updates, sparklet::TaskContext& tc);

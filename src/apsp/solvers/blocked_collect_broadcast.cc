@@ -43,12 +43,12 @@ void StageCrossFactors(sparklet::SparkletContext& ctx, const StagingKeys& keys,
   for (const auto& [key, block] : cross) {
     const std::int64_t x = key.I == t ? key.J : key.I;
     if (key.J == t) {
-      staging::StageBlock(ctx, keys.Left(t, x), block);
+      ctx.DriverWriteSharedBlock(keys.Left(t, x), block);
       if (!directed) continue;
     } else {
-      staging::StageBlock(ctx, keys.Right(t, x), block);
+      ctx.DriverWriteSharedBlock(keys.Right(t, x), block);
       if (!directed) {
-        staging::StageBlock(ctx, keys.Left(t, x), transposes.Get(block));
+        ctx.DriverWriteSharedBlock(keys.Left(t, x), transposes.Get(block));
       }
     }
   }
@@ -100,7 +100,7 @@ RddPtr<BlockRecord> StageDiagonal(sparklet::SparkletContext& ctx,
                                   const std::string& prefix) {
   auto diag = CloseDiagonal(a, t, prefix);
   for (const auto& [key, block] : diag->Collect()) {
-    staging::StageBlock(ctx, StagingKeys(prefix).Diag(t), block);
+    ctx.DriverWriteSharedBlock(StagingKeys(prefix).Diag(t), block);
   }
   return diag;
 }

@@ -139,7 +139,7 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
                       rec.first, MinPlusRect(rec.second, d, rec.second, tc)};
                 });
   for (const auto& [idx, panel] : pivot_panel->Collect()) {
-    staging::StageBlock(ctx, keys.Panel(t), panel);
+    ctx.DriverWriteSharedBlock(keys.Panel(t), panel);
   }
 
   if (skip) {

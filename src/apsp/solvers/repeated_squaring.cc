@@ -20,6 +20,7 @@
 
 #include "apsp/building_blocks.h"
 #include "apsp/checkpoint.h"
+#include "apsp/solvers/staging.h"
 #include "common/math_utils.h"
 #include "linalg/kernels.h"
 
@@ -28,7 +29,6 @@ namespace apspark::apsp {
 using linalg::BlockRef;
 using linalg::DenseBlock;
 using sparklet::RddPtr;
-using sparklet::SparkletAbort;
 using sparklet::TaskContext;
 
 namespace {
@@ -37,20 +37,6 @@ std::string ColumnKey(std::int64_t squaring, std::int64_t j,
                       std::int64_t k) {
   return "rs/" + std::to_string(squaring) + "/" + std::to_string(j) + "/" +
          std::to_string(k);
-}
-
-/// Reads a staged column segment B_KJ, caching per task (the paper's
-/// executors deserialize each needed block once; here the ref is shared, so
-/// the cache saves the modelled re-read charge only).
-BlockRef FetchSegment(std::unordered_map<std::int64_t, BlockRef>& cache,
-                      std::int64_t squaring, std::int64_t j, std::int64_t k,
-                      TaskContext& tc) {
-  auto it = cache.find(k);
-  if (it != cache.end()) return it->second;
-  auto block = tc.ReadSharedBlock(ColumnKey(squaring, j, k));
-  if (!block.ok()) throw SparkletAbort(block.status());
-  cache.emplace(k, *block);
-  return *block;
 }
 
 }  // namespace
@@ -115,7 +101,7 @@ RddPtr<BlockRecord> RunRoundsRepeatedSquaring(
           "rs-matprod",
           [squaring, j, directed](std::vector<BlockRecord>&& part,
                                   TaskContext& tc) {
-            std::unordered_map<std::int64_t, BlockRef> cache;
+            staging::BlockCache cache;
             std::unordered_map<std::int64_t, DenseBlock> acc;
             std::vector<std::int64_t> order;  // deterministic output order
             auto contribute = [&](std::int64_t row, const BlockRef& lhs,
@@ -134,22 +120,22 @@ RddPtr<BlockRecord> RunRoundsRepeatedSquaring(
                                    it->second.size()));
               linalg::MinPlusUpdate(*lhs, *seg, it->second);
             };
+            // The staged column segment B_KJ, read once per task.
+            auto segment = [&](std::int64_t k) {
+              return staging::ReadStagedBlock(cache, ColumnKey(squaring, j, k),
+                                              tc);
+            };
             for (const auto& [key, block] : part) {
               if (directed) {
                 // A_XY (min,+) B_YJ contributes to (X, J).
-                contribute(key.I,
-                           block, FetchSegment(cache, squaring, j, key.J, tc));
+                contribute(key.I, block, segment(key.J));
                 continue;
               }
               // Upper-triangular storage: the stored block serves both
               // A_XY and (for X != Y) its transpose A_YX.
-              if (key.I <= j) {
-                contribute(key.I,
-                           block, FetchSegment(cache, squaring, j, key.J, tc));
-              }
+              if (key.I <= j) contribute(key.I, block, segment(key.J));
               if (key.I != key.J && key.J <= j) {
-                contribute(key.J, Transpose(block, tc),
-                           FetchSegment(cache, squaring, j, key.I, tc));
+                contribute(key.J, Transpose(block, tc), segment(key.I));
               }
             }
             std::vector<BlockRecord> out;

@@ -1,4 +1,4 @@
-// The shared-storage protocol of the staged plane.
+// The shared-storage protocol of the impure solvers.
 //
 // Blocked Collect/Broadcast (Alg. 4) moves pivot data between stages through
 // shared persistent storage rather than the shuffle: the driver collects and
@@ -9,9 +9,14 @@
 // (solvers/blocked_collect_broadcast.cc, which also holds the oriented
 // factor staging) write and read the matrix data for both the APSP round
 // loop and the staged k-source sweep; the sweep stages its pivot panel and
-// reads the left factors back through the same keys. This header holds
-// what they share: the key scheme, driver-side writes and executor-side
-// cached reads.
+// reads the left factors back through the same keys. Repeated Squaring
+// (Alg. 1) stages its column segments under its own keys and reads them
+// back the same way. Every driver-side write is one
+// SparkletContext::DriverWriteSharedBlock: it charges shared-FS time for
+// the full logical bytes but stores the immutable ref itself (zero-copy;
+// phantom blocks carry no payload yet still account full size). This
+// header holds what the solvers share: the pivot key scheme and the
+// executor-side cached reads.
 #pragma once
 
 #include <string>
@@ -48,15 +53,6 @@ class StagingKeys {
  private:
   std::string prefix_;
 };
-
-/// Driver-side write of a block ref to shared persistent storage: charges
-/// shared-FS time for the full logical bytes, but stores the immutable ref
-/// itself — the zero-copy path (no host-side serialization; phantom blocks
-/// carry no payload yet still account full size).
-inline void StageBlock(sparklet::SparkletContext& ctx, const std::string& key,
-                       linalg::BlockRef block) {
-  ctx.DriverWriteSharedBlock(key, std::move(block));
-}
 
 /// Per-task cache of staged block refs (models the paper's executors
 /// caching deserialized column blocks; here the cache saves the modelled

@@ -179,8 +179,6 @@ void ForEachByHostWork(const std::vector<std::int64_t>& work,
 
 const char* KernelVariantName(KernelVariant variant) noexcept {
   switch (variant) {
-    case KernelVariant::kNaive:
-      return "naive";
     case KernelVariant::kTiled:
       return "tiled";
     case KernelVariant::kTiledParallel:
@@ -190,7 +188,6 @@ const char* KernelVariantName(KernelVariant variant) noexcept {
 }
 
 std::optional<KernelVariant> ParseKernelVariant(std::string_view name) {
-  if (name == "naive") return KernelVariant::kNaive;
   if (name == "tiled") return KernelVariant::kTiled;
   if (name == "tiled_parallel" || name == "parallel") {
     return KernelVariant::kTiledParallel;

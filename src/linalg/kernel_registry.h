@@ -1,11 +1,8 @@
 // Kernel variant registry.
 //
-// The linalg layer ships three interchangeable implementations of every hot
-// kernel (min-plus product/update, Floyd-Warshall):
+// The linalg layer runs every hot kernel (min-plus product/update,
+// Floyd-Warshall) in one of two host variants:
 //
-//   kNaive         — the scalar triple loops the seed shipped with; kept as
-//                    a measured baseline and as the dispatch target when a
-//                    caller wants zero tiling machinery.
 //   kTiled         — cache-tiled, fused, vectorizable loops on the calling
 //                    thread: the single-thread baseline.
 //   kTiledParallel — kTiled with independent block updates scheduled as
@@ -17,6 +14,10 @@
 //                    Only host wall time changes: virtual cluster accounting
 //                    always charges the calibrated cost model, never host
 //                    threads.
+//
+// The scalar per-semiring oracles of linalg/semiring.h are the one scalar
+// reference: the property suites lock both variants to them bitwise, and
+// the kernel benches time them as the paper's naive baseline.
 //
 // The active variant and its tuning parameters are process-global: the
 // engine executes all record processing from the driver thread (see
@@ -40,7 +41,6 @@ class ThreadPool;
 namespace apspark::linalg {
 
 enum class KernelVariant {
-  kNaive,
   kTiled,
   kTiledParallel,
 };
@@ -142,8 +142,8 @@ ThreadPool& KernelThreadPool();
 /// (or their equivalent). Under kTiledParallel, contiguous runs of units
 /// are merged until each group carries KernelTuning::parallel_grain_ops
 /// (a trailing light run joins the last group) and the groups run as
-/// stealable tasks on KernelThreadPool(); a single group — and every naive
-/// or tiled run — executes inline in index order. Units must be
+/// stealable tasks on KernelThreadPool(); a single group — and every kTiled
+/// run — executes inline in index order. Units must be
 /// independent; their results are then identical however they are grouped.
 void ForEachByHostWork(const std::vector<std::int64_t>& work,
                        const std::function<void(std::size_t)>& run_one);

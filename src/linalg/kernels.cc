@@ -114,13 +114,14 @@ std::int64_t ParallelStripes(std::int64_t m, std::int64_t n, std::int64_t k,
 // ---------------------------------------------------------------------------
 //
 // Every worker is a template over a semiring struct S (linalg/semiring.h).
-// The tiled variants reorder only the (+) reduction — candidates
+// The tiled kernels reorder only the (+) reduction — candidates
 // S::Multiply(a_ik, b_kj) are computed identically, Add is a keep-on-tie
-// selection applied in ascending-k order — so every variant produces
+// selection applied in ascending-k order — so both variants produce
 // bitwise-identical results under every semiring, and every instantiation
 // locks against the scalar oracle in semiring.h.
 
-/// Fixed scalar k-i-j Floyd-Warshall closure on a raw tile (textbook loop).
+/// Scalar k-i-j Floyd-Warshall closure on a raw tile: the closure of a tile
+/// no wider than kFwBlock and phase 1 of the blocked decomposition.
 template <typename S>
 void FloydWarshallRawScalar(std::int64_t n, double* a, std::int64_t lda) {
   for (std::int64_t k = 0; k < n; ++k) {
@@ -131,28 +132,6 @@ void FloydWarshallRawScalar(std::int64_t n, double* a, std::int64_t lda) {
       if (S::IsZero(aik)) continue;  // annihilator: no path through k
       for (std::int64_t j = 0; j < n; ++j) {
         ai[j] = S::Add(ai[j], S::Multiply(aik, ak[j]));
-      }
-    }
-  }
-}
-
-/// Fixed scalar i-k-j accumulate (the seed's original loop shape).
-template <typename S>
-void AccumulateRawNaive(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const double* a, std::int64_t lda, const double* b,
-                        std::int64_t ldb, double* c, std::int64_t ldc) {
-  // i-k-j order: the inner loop streams rows of B and C, the semiring
-  // analogue of the classic GEMM loop ordering — but unblocked: every row
-  // of C streams the whole of B through the cache hierarchy.
-  for (std::int64_t i = 0; i < m; ++i) {
-    double* ci = c + i * ldc;
-    const double* ai = a + i * lda;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const double aik = ai[kk];
-      if (S::IsZero(aik)) continue;  // no path through kk
-      const double* bk = b + kk * ldb;
-      for (std::int64_t j = 0; j < n; ++j) {
-        ci[j] = S::Add(ci[j], S::Multiply(aik, bk[j]));
       }
     }
   }
@@ -429,7 +408,7 @@ void PanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
 /// disjoint output, so the phases are race-free).
 template <typename S>
 void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
-                             std::int64_t block, bool tiled, bool parallel) {
+                             std::int64_t block, bool parallel) {
   const std::int64_t q = (n + block - 1) / block;
   auto tile = [&](std::int64_t bi, std::int64_t bj) {
     return a + bi * block * lda + bj * block;
@@ -437,12 +416,8 @@ void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
   auto dim = [&](std::int64_t bi) { return std::min(block, n - bi * block); };
   auto update = [&](std::int64_t m2, std::int64_t n2, std::int64_t k2,
                     const double* ta, const double* tb, double* tc) {
-    if (tiled) {
-      AccumulateRawTiled<S>(m2, n2, k2, ta, lda, tb, lda, tc, lda,
-                            /*parallel=*/false);
-    } else {
-      AccumulateRawNaive<S>(m2, n2, k2, ta, lda, tb, lda, tc, lda);
-    }
+    AccumulateRawTiled<S>(m2, n2, k2, ta, lda, tb, lda, tc, lda,
+                          /*parallel=*/false);
   };
   for (std::int64_t t = 0; t < q; ++t) {
     const std::int64_t bt = dim(t);
@@ -520,7 +495,7 @@ void BlockedFloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda,
 // bits of A's row — exactly the scalar kernel's "skip the annihilator"
 // guard, 64 lanes at a time. Or is idempotent and commutative, so candidate
 // order cannot matter: equivalence with the dense boolean path is exact by
-// construction, which is why one sequential implementation serves all
+// construction, which is why one sequential implementation serves both
 // registry variants.
 
 /// c |= a (or,and) b over packed blocks.
@@ -587,52 +562,14 @@ void BitOuterOrUpdate(DenseBlock& a, const DenseBlock& u,
 
 }  // namespace
 
-void MinPlusAccumulateRawNaive(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const double* a, std::int64_t lda,
-                               const double* b, std::int64_t ldb, double* c,
-                               std::int64_t ldc) {
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
-    using S = decltype(s);
-    AccumulateRawNaive<S>(m, n, k, a, lda, b, ldb, c, ldc);
-  });
-}
-
-void MinPlusAccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const double* a, std::int64_t lda,
-                               const double* b, std::int64_t ldb, double* c,
-                               std::int64_t ldc, bool parallel) {
+void MinPlusAccumulateRaw(std::int64_t m, std::int64_t n, std::int64_t k,
+                          const double* a, std::int64_t lda, const double* b,
+                          std::int64_t ldb, double* c, std::int64_t ldc) {
+  const bool parallel = GetKernelVariant() == KernelVariant::kTiledParallel;
   WithSemiring(GetActiveSemiring(), [&](auto s) {
     using S = decltype(s);
     AccumulateRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, parallel);
   });
-}
-
-void MinPlusPanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
-                          const double* a, std::int64_t lda, const double* b,
-                          std::int64_t ldb, double* c, std::int64_t ldc,
-                          bool parallel) {
-  WithSemiring(GetActiveSemiring(), [&](auto s) {
-    using S = decltype(s);
-    PanelRawTiled<S>(m, n, k, a, lda, b, ldb, c, ldc, parallel);
-  });
-}
-
-void MinPlusAccumulateRaw(std::int64_t m, std::int64_t n, std::int64_t k,
-                          const double* a, std::int64_t lda, const double* b,
-                          std::int64_t ldb, double* c, std::int64_t ldc) {
-  switch (GetKernelVariant()) {
-    case KernelVariant::kNaive:
-      MinPlusAccumulateRawNaive(m, n, k, a, lda, b, ldb, c, ldc);
-      return;
-    case KernelVariant::kTiled:
-      MinPlusAccumulateRawTiled(m, n, k, a, lda, b, ldb, c, ldc,
-                                /*parallel=*/false);
-      return;
-    case KernelVariant::kTiledParallel:
-      MinPlusAccumulateRawTiled(m, n, k, a, lda, b, ldb, c, ldc,
-                                /*parallel=*/true);
-      return;
-  }
 }
 
 DenseBlock MinPlusProduct(const DenseBlock& a, const DenseBlock& b) {
@@ -692,23 +629,12 @@ void MinPlusUpdateRect(const DenseBlock& a, const DenseBlock& p,
     BitAccumulate(a, p, c);
     return;
   }
-  switch (GetKernelVariant()) {
-    case KernelVariant::kNaive:
-      MinPlusAccumulateRawNaive(a.rows(), p.cols(), a.cols(), a.data(),
-                                a.cols(), p.data(), p.cols(),
-                                c.mutable_data(), c.cols());
-      return;
-    case KernelVariant::kTiled:
-      MinPlusPanelRawTiled(a.rows(), p.cols(), a.cols(), a.data(), a.cols(),
-                           p.data(), p.cols(), c.mutable_data(), c.cols(),
-                           /*parallel=*/false);
-      return;
-    case KernelVariant::kTiledParallel:
-      MinPlusPanelRawTiled(a.rows(), p.cols(), a.cols(), a.data(), a.cols(),
-                           p.data(), p.cols(), c.mutable_data(), c.cols(),
-                           /*parallel=*/true);
-      return;
-  }
+  const bool parallel = GetKernelVariant() == KernelVariant::kTiledParallel;
+  WithSemiring(GetActiveSemiring(), [&](auto s) {
+    using S = decltype(s);
+    PanelRawTiled<S>(a.rows(), p.cols(), a.cols(), a.data(), a.cols(),
+                     p.data(), p.cols(), c.mutable_data(), c.cols(), parallel);
+  });
 }
 
 DenseBlock ElementMin(const DenseBlock& a, const DenseBlock& b) {
@@ -752,21 +678,12 @@ void FloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda) {
       .Add();
   WithSemiring(tuning.semiring, [&](auto s) {
     using S = decltype(s);
-    switch (tuning.variant) {
-      case KernelVariant::kNaive:
-        FloydWarshallRawScalar<S>(n, a, lda);
-        return;
-      case KernelVariant::kTiled:
-      case KernelVariant::kTiledParallel:
-        if (n <= kFwBlock) {
-          FloydWarshallRawScalar<S>(n, a, lda);
-          return;
-        }
-        BlockedFloydWarshallRaw<S>(
-            n, a, lda, kFwBlock, /*tiled=*/true,
-            tuning.variant == KernelVariant::kTiledParallel);
-        return;
+    if (n <= kFwBlock) {
+      FloydWarshallRawScalar<S>(n, a, lda);
+      return;
     }
+    BlockedFloydWarshallRaw<S>(n, a, lda, kFwBlock,
+                               tuning.variant == KernelVariant::kTiledParallel);
   });
 }
 
@@ -781,15 +698,6 @@ void FloydWarshallInPlace(DenseBlock& a) {
     return;
   }
   FloydWarshallRaw(a.rows(), a.mutable_data(), a.cols());
-}
-
-void ReferenceFloydWarshall(DenseBlock& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("Floyd-Warshall: block must be square");
-  }
-  if (a.is_phantom()) return;
-  FloydWarshallRawScalar<MinPlusSemiring>(a.rows(), a.mutable_data(),
-                                          a.cols());
 }
 
 void OuterSumMinUpdate(DenseBlock& a, const DenseBlock& u,
@@ -840,12 +748,11 @@ void BlockedFloydWarshall(DenseBlock& a, std::int64_t block_size) {
     BitClosureRaw(a);
     return;
   }
-  const KernelVariant variant = GetKernelVariant();
+  const bool parallel = GetKernelVariant() == KernelVariant::kTiledParallel;
   WithSemiring(GetActiveSemiring(), [&](auto s) {
     using S = decltype(s);
     BlockedFloydWarshallRaw<S>(a.rows(), a.mutable_data(), a.cols(),
-                               block_size, variant != KernelVariant::kNaive,
-                               variant == KernelVariant::kTiledParallel);
+                               block_size, parallel);
   });
 }
 

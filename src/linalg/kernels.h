@@ -8,19 +8,19 @@
 // solver and as the single-core reference (T1) for weak-scaling efficiency.
 //
 // Every entry point dispatches through the process-global kernel registry
-// (linalg/kernel_registry.h) twice over: on the kernel *variant* — the naive
-// scalar loops, the cache-tiled fused loops, or the tiled loops fanned out
-// on the host ThreadPool — and on the active *semiring* (SemiringId). The
-// entry points keep their historical min-plus names (MinPlusProduct,
+// (linalg/kernel_registry.h) twice over: on the kernel *variant* — the
+// cache-tiled fused loops on the calling thread, or the same loops fanned
+// out on the host ThreadPool — and on the active *semiring* (SemiringId).
+// The entry points keep their historical min-plus names (MinPlusProduct,
 // MinPlusUpdate, ...) from when the engine was hardwired to (min, +); under
 // ScopedSemiring the same functions evaluate (or, and), (max, min) or
-// (max, x) — see linalg/semiring.h for the algebra structs and the scalar
-// oracles. The tiled variants reorder only the (+) reduction — candidates
+// (max, x). The tiled kernels reorder only the (+) reduction — candidates
 // S::Multiply(a_ik, b_kj) are computed identically, Add is a keep-on-tie
-// selection applied in ascending-k order — so every variant produces
-// bitwise-identical products under every semiring. ReferenceFloydWarshall
-// is a fixed scalar min-plus implementation that never dispatches; the
-// per-semiring oracles are SemiringClosure / SemiringProductAccumulate.
+// selection applied in ascending-k order — so both variants produce
+// bitwise-identical products under every semiring. The one scalar reference
+// is the per-semiring oracles of linalg/semiring.h (SemiringClosure,
+// SemiringProductAccumulate): tests lock every kernel against them and the
+// benches time them as the paper's naive baseline.
 //
 // Bit-packed boolean blocks (DenseBlock::PackedBoolean) route to dedicated
 // word-parallel or/and kernels: a product walks the set bits of A's rows
@@ -53,14 +53,16 @@ void MinPlusUpdate(const DenseBlock& a, const DenseBlock& b, DenseBlock& c);
 /// Rectangular frontier update: c[m x w] = min(c, A[m x k] (min,+) P[k x w])
 /// where w — the panel width, i.e. the source count of a batched k-source
 /// solve — is typically far smaller than the block size. Dispatches through
-/// the registry like MinPlusUpdate; the tiled variants switch to a panel
-/// micro-kernel that keeps each C row segment register-resident across the
-/// whole (min, +) reduction when the panel is narrow. All variants apply
-/// candidates in the same ascending-k order, so results are bitwise
-/// identical across the registry — provided c does not alias a or p: the
-/// panel kernel defers C-row writes to an accumulator, so an in-place
-/// c == p call would observe different intermediate values per variant
-/// (compute into a copy instead, as apsp::MinPlusRect does).
+/// the registry like MinPlusUpdate. A narrow panel (at most 64 columns)
+/// takes a panel micro-kernel that holds each C row segment in a local
+/// accumulator across the whole (min, +) reduction (one load + one store of
+/// C per row); wider panels take the square-tiled kernel. Under
+/// kTiledParallel the m rows stripe over the host pool. Candidates are
+/// applied in the oracle's ascending-k order, so results are bitwise
+/// identical to SemiringProductAccumulate — provided c does not alias a or
+/// p: the deferred C-row writes would observe different intermediate values
+/// on an in-place c == p call (compute into a copy instead, as
+/// apsp::MinPlusRect does).
 void MinPlusUpdateRect(const DenseBlock& a, const DenseBlock& p, DenseBlock& c);
 
 /// Element-wise semiring Add (the paper's MatMin under min-plus).
@@ -68,9 +70,9 @@ DenseBlock ElementMin(const DenseBlock& a, const DenseBlock& b);
 void ElementMinInPlace(DenseBlock& a, const DenseBlock& b);
 
 /// In-place Floyd-Warshall over a square block: closes paths through the
-/// block's own vertices (the paper's FloydWarshall building block). Tiled
-/// variants run the 3-phase blocked decomposition on the fixed 128-wide
-/// tile (BlockedFloydWarshall takes the tile as an argument).
+/// block's own vertices (the paper's FloydWarshall building block). Blocks
+/// wider than the fixed 128-wide tile run the 3-phase blocked decomposition
+/// on it (BlockedFloydWarshall takes the tile as an argument).
 void FloydWarshallInPlace(DenseBlock& a);
 
 /// a_ij = a_ij (+) (u_i (x) v_j) where u is a rows x 1 and v a cols x 1
@@ -84,48 +86,19 @@ void OuterSumMinUpdate(DenseBlock& a, const DenseBlock& u, const DenseBlock& v);
 /// kTiledParallel the phase-2/phase-3 tile updates fan out on the host pool.
 void BlockedFloydWarshall(DenseBlock& a, std::int64_t block_size);
 
-/// Plain textbook k-i-j Floyd-Warshall, always (min, +). Never dispatches
-/// through the registry — this is the fixed scalar oracle tests compare
-/// against. The per-semiring oracle is linalg::SemiringClosureDispatch.
-void ReferenceFloydWarshall(DenseBlock& a);
-
 // --- Raw strided kernels (used by the blocked solvers; exposed for tests) --
 
 /// C[mxn] = C (+) (A[mxk] (x) B[kxn]) with leading dimensions lda/ldb/ldc,
-/// under the active semiring. Dispatches on the registry variant. In-place
-/// aliasing of C with A or B rows is supported (the blocked Floyd-Warshall
-/// phases rely on it). Raw kernels take dense double payloads only.
+/// under the active semiring: the register/cache-tiled micro-kernel (k and
+/// j are tiled so one B panel stays L2-resident and one C/B row segment
+/// L1-resident; the annihilator guard S::IsZero is hoisted out of the
+/// vectorizable inner loop). kTiledParallel additionally splits the m rows
+/// into stripes on the host pool. In-place aliasing of C with A or B rows
+/// is supported (the blocked Floyd-Warshall phases rely on it). Raw kernels
+/// take dense double payloads only.
 void MinPlusAccumulateRaw(std::int64_t m, std::int64_t n, std::int64_t k,
                           const double* a, std::int64_t lda, const double* b,
                           std::int64_t ldb, double* c, std::int64_t ldc);
-
-/// Scalar i-k-j implementation (the seed's original loop shape): baseline
-/// for benchmarks. Fixed in variant (never reads the registry variant) but
-/// honors the active semiring.
-void MinPlusAccumulateRawNaive(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const double* a, std::int64_t lda,
-                               const double* b, std::int64_t ldb, double* c,
-                               std::int64_t ldc);
-
-/// Register/cache-tiled micro-kernel: k and j are tiled so one B panel stays
-/// L2-resident and one C/B row segment L1-resident; the annihilator guard
-/// (S::IsZero) is hoisted out of the vectorizable inner loop. `parallel`
-/// additionally splits the m rows into stripes on the host pool.
-void MinPlusAccumulateRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const double* a, std::int64_t lda,
-                               const double* b, std::int64_t ldb, double* c,
-                               std::int64_t ldc, bool parallel = false);
-
-/// Panel kernel behind MinPlusUpdateRect: C[m x n] = min(C, A (min,+) B)
-/// where n is a narrow panel width. Each C row segment is held in a local
-/// accumulator across the entire k reduction (one load + one store of C per
-/// row instead of one per k tile), and the k x n B panel stays cache-hot.
-/// Falls back to the square-tiled kernel when n is wide. `parallel` stripes
-/// the m rows over the host pool.
-void MinPlusPanelRawTiled(std::int64_t m, std::int64_t n, std::int64_t k,
-                          const double* a, std::int64_t lda, const double* b,
-                          std::int64_t ldb, double* c, std::int64_t ldc,
-                          bool parallel = false);
 
 /// In-place FW on an n x n tile with leading dimension lda (dispatches).
 void FloydWarshallRaw(std::int64_t n, double* a, std::int64_t lda);

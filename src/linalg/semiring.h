@@ -16,7 +16,8 @@
 //
 // The engine kernels in kernels.{h,cc} are templates over these structs and
 // dispatch on the registry's active SemiringId; the scalar loops here are the
-// *oracles* the property suites lock every instantiation against, bitwise.
+// *oracles* the property suites lock every instantiation against, bitwise,
+// and the naive baseline the kernel benches time the tiled engine against.
 //
 // Contracts the bitwise locks rely on:
 //  - Add is a *selection* (min / max / or): it returns one of its operands
@@ -152,7 +153,9 @@ DenseBlock SemiringProduct(const DenseBlock& a, const DenseBlock& b) {
 }
 
 /// In-place Floyd-Warshall-style closure over semiring S:
-/// a_ij = a_ij (+) a_ik (x) a_kj for every k.
+/// a_ij = a_ij (+) a_ik (x) a_kj for every k. A non-square block throws
+/// std::invalid_argument (before the phantom branch, like the product's
+/// shape checks); a phantom block stays phantom.
 ///
 /// Pivot row k is updated in place while later i iterations read it through
 /// `ak` — sound only when Add is idempotent (re-applying an already-folded
@@ -164,6 +167,9 @@ void SemiringClosure(DenseBlock& a) {
   static_assert(S::kIdempotentAdd,
                 "SemiringClosure updates the pivot row in place; only "
                 "idempotent-Add semirings are supported");
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("semiring closure: block must be square");
+  }
   if (a.is_phantom()) return;
   const std::int64_t n = a.rows();
   for (std::int64_t k = 0; k < n; ++k) {

@@ -139,28 +139,24 @@ Histogram& Registry::GetHistogram(const std::string& name,
   return *FindOrCreate(Kind::kHistogram, name, labels).histogram;
 }
 
-namespace {
-
-void AppendJsonEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
+void AppendJsonEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
+    } else {
+      out += c;
     }
   }
 }
+
+namespace {
 
 std::string FormatDouble(double v) {
   std::ostringstream os;

@@ -31,8 +31,15 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace apspark::obs {
+
+/// Appends `s` to `out` as the body of a JSON string: `"` and `\` are
+/// backslash-escaped and every control character below 0x20 becomes
+/// \u00XX. The one escaper of both JSON renderings in this layer
+/// (Registry::ToJson and Tracer::ToChromeJson).
+void AppendJsonEscaped(std::string& out, std::string_view s);
 
 /// Threads hash onto this many independent atomic cells per sharded metric.
 inline constexpr std::size_t kMetricShards = 16;

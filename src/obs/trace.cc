@@ -8,6 +8,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics_registry.h"
+
 namespace apspark::obs {
 
 namespace internal {
@@ -40,24 +42,6 @@ struct EventBuffer {
 std::uint64_t SimSecondsToUs(double seconds) {
   if (seconds < 0) seconds = 0;
   return static_cast<std::uint64_t>(seconds * 1e6);
-}
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -223,7 +207,7 @@ std::string Tracer::ToChromeJson() const {
     out += "\",\"ph\":\"M\",\"pid\":" + std::to_string(pid);
     if (tid >= 0) out += ",\"tid\":" + std::to_string(tid);
     out += ",\"args\":{\"name\":\"";
-    AppendEscaped(out, name);
+    AppendJsonEscaped(out, name);
     out += "\"}}";
   };
   meta(kRealPid, -1, "process_name", "host (wall clock)", true);
@@ -235,7 +219,7 @@ std::string Tracer::ToChromeJson() const {
   }
   for (const Event& ev : events) {
     out += ",\n{\"name\":\"";
-    AppendEscaped(out, ev.name);
+    AppendJsonEscaped(out, ev.name);
     out += "\",\"ph\":\"";
     out += ev.phase;
     out += "\",\"pid\":" + std::to_string(ev.pid);

@@ -8,9 +8,7 @@ namespace apspark::sparklet {
 ClusterConfig ClusterConfig::PaperWithCores(int cores) {
   ClusterConfig cfg;
   cfg.nodes = std::max(1, cores / cfg.cores_per_node);
-  if (cfg.nodes * cfg.cores_per_node < cores) {
-    cfg.cores_per_node = cores / cfg.nodes;
-  }
+  cfg.cores_per_node = cores / cfg.nodes;
   return cfg;
 }
 

@@ -61,7 +61,7 @@ struct ClusterConfig {
   /// Which linalg kernel implementation the solvers select before running
   /// (see linalg/kernel_registry.h). The default, kTiledParallel, runs the
   /// solve's block updates, closure tiles and assembly on every host core;
-  /// kTiled and kNaive are the single-thread baselines. Host-side only:
+  /// kTiled is the single-thread baseline. Host-side only:
   /// virtual-cluster time is always charged from the calibrated cost model,
   /// so changing the variant changes how fast real blocks are crunched on
   /// this machine, never the modelled cluster seconds.
@@ -119,7 +119,10 @@ struct ClusterConfig {
   static ClusterConfig Paper() { return ClusterConfig{}; }
 
   /// Paper cluster scaled to `cores` total cores (for weak-scaling sweeps:
-  /// the paper uses whole 32-core nodes, so nodes = cores / 32, minimum 1).
+  /// the paper uses whole 32-core nodes, so nodes = cores / 32, minimum 1)
+  /// with cores_per_node = cores / nodes: fewer than 64 cores is one node
+  /// of exactly `cores` cores, and a count that does not split evenly
+  /// rounds down (100 cores model 3 nodes x 33). Requires cores >= 1.
   static ClusterConfig PaperWithCores(int cores);
 
   /// Small cluster for unit tests: 2 nodes x 2 cores, tiny storage so

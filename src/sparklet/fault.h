@@ -63,7 +63,6 @@ class FaultInjector {
     auto it = plan_.find({rdd_name, partition});
     if (it == plan_.end() || it->second <= 0) return false;
     if (--it->second == 0) plan_.erase(it);
-    ++injected_;
     return true;
   }
 
@@ -135,18 +134,8 @@ class FaultInjector {
     return fired;
   }
 
-  std::uint64_t injected_count() const noexcept { return injected_; }
   std::uint64_t injected_node_count() const noexcept {
     return injected_nodes_;
-  }
-  const std::vector<NodeFailurePlan>& pending_node_plans() const noexcept {
-    return node_plan_;
-  }
-  const std::vector<RackFailurePlan>& pending_rack_plans() const noexcept {
-    return rack_plan_;
-  }
-  const std::vector<NodeJoinPlan>& pending_join_plans() const noexcept {
-    return join_plan_;
   }
   bool empty() const noexcept {
     return plan_.empty() && node_plan_.empty() && rack_plan_.empty() &&
@@ -164,7 +153,6 @@ class FaultInjector {
   std::vector<NodeFailurePlan> node_plan_;
   std::vector<RackFailurePlan> rack_plan_;
   std::vector<NodeJoinPlan> join_plan_;
-  std::uint64_t injected_ = 0;
   std::uint64_t injected_nodes_ = 0;
 };
 

@@ -19,7 +19,7 @@
 #include "apsp/api.h"
 #include "apsp/tuner.h"
 #include "graph/generators.h"
-#include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "sparklet/rdd.h"
 #include "test_support.h"
 
@@ -61,7 +61,7 @@ Graph IntegerGraph(Xoshiro256& rng) {
 
 DenseBlock Oracle(const Graph& g) {
   DenseBlock d = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(d);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(d);
   return d;
 }
 

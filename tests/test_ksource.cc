@@ -1,10 +1,10 @@
 // Batched k-source shortest paths: every kernel variant's n x k panel is
-// locked to the scalar oracle (columns of ReferenceFloydWarshall).
+// locked to the scalar oracle (columns of SemiringClosure<MinPlusSemiring>).
 //
 // Oracle strategy: the randomized sweeps draw graphs with *integer* weights,
 // where every path sum is exact in double precision — so the blocked frontier
 // sweep must agree with the textbook Floyd-Warshall not just approximately
-// but bit for bit, in all three registry variants. A separate suite with
+// but bit for bit, in both registry variants. A separate suite with
 // fractional weights checks the registry's cross-variant bitwise guarantee
 // plus tolerance-level agreement with the oracle (different algorithms may
 // associate FP sums differently in the last ulp).
@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "graph/shortest_paths.h"
 #include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "test_support.h"
 
 namespace apspark {
@@ -36,15 +37,14 @@ using test::RandomGraphOptions;
 using test::RandomTestGraph;
 using test::TestCluster;
 
-constexpr KernelVariant kVariants[] = {KernelVariant::kNaive,
-                                       KernelVariant::kTiled,
+constexpr KernelVariant kVariants[] = {KernelVariant::kTiled,
                                        KernelVariant::kTiledParallel};
 
 /// Scalar oracle: full textbook Floyd-Warshall, then the k-source panel is
 /// read off as oracle(v, j) = dist(sources[j] -> v).
 DenseBlock OraclePanel(const Graph& g, const std::vector<VertexId>& sources) {
   DenseBlock d = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(d);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(d);
   DenseBlock out(g.num_vertices(), static_cast<std::int64_t>(sources.size()),
                  kInf);
   for (std::int64_t v = 0; v < g.num_vertices(); ++v) {
@@ -95,8 +95,8 @@ TEST(KsourceKernel, RectUpdateBitwiseAcrossVariantsRandomized) {
     }
 
     DenseBlock reference = base;
-    linalg::MinPlusAccumulateRawNaive(m, w, kk, a.data(), kk, p.data(), w,
-                                      reference.mutable_data(), w);
+    linalg::SemiringProductAccumulate<linalg::MinPlusSemiring>(a, p,
+                                                               reference);
     for (KernelVariant variant : kVariants) {
       linalg::ScopedKernelVariant scope(variant);
       DenseBlock c = base;
@@ -123,7 +123,7 @@ TEST(KsourceKernel, RectUpdatePropagatesPhantoms) {
 // --- solver vs scalar oracle, randomized ----------------------------------
 
 TEST(KsourceSolver, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
-  // >= 20 randomized graph/k combinations x all three variants, bitwise.
+  // >= 20 randomized graph/k combinations x both variants, bitwise.
   RandomGraphOptions graph_opts;
   graph_opts.integer_weights = true;
   graph_opts.max_vertices = 72;
@@ -168,7 +168,7 @@ TEST(KsourceSolver, MatchesOracleBitwiseOnRandomizedIntegerGraphs) {
 
 TEST(KsourceSolver, FractionalWeightsVariantsAgreeBitwiseAndMatchOracle) {
   // With fractional weights different algorithms may differ in the last ulp
-  // from the oracle, but the three registry variants must still be bitwise
+  // from the oracle, but the two registry variants must still be bitwise
   // identical to each other (block_size <= fw_block keeps the diagonal close
   // on the identical scalar path in every variant).
   RandomGraphOptions graph_opts;
@@ -190,7 +190,7 @@ TEST(KsourceSolver, FractionalWeightsVariantsAgreeBitwiseAndMatchOracle) {
     const std::int64_t block_size =
         1 + static_cast<std::int64_t>(rng.NextBounded(24));
     const DenseBlock oracle = OraclePanel(g, sources);
-    std::optional<DenseBlock> naive_panel;
+    std::optional<DenseBlock> first_panel;
     for (KernelVariant variant : kVariants) {
       auto result = RunKsource(g, sources, block_size, variant);
       ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -198,10 +198,10 @@ TEST(KsourceSolver, FractionalWeightsVariantsAgreeBitwiseAndMatchOracle) {
       EXPECT_TRUE(result.distances->ApproxEquals(oracle, 1e-9))
           << linalg::KernelVariantName(variant) << ": max diff "
           << result.distances->MaxAbsDiff(oracle);
-      if (!naive_panel.has_value()) {
-        naive_panel = *result.distances;
+      if (!first_panel.has_value()) {
+        first_panel = *result.distances;
       } else {
-        ExpectBitwiseEqual(*result.distances, *naive_panel,
+        ExpectBitwiseEqual(*result.distances, *first_panel,
                            linalg::KernelVariantName(variant));
       }
     }

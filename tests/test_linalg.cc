@@ -9,6 +9,7 @@
 #include "linalg/cost_model.h"
 #include "linalg/dense_block.h"
 #include "linalg/kernels.h"
+#include "linalg/semiring.h"
 
 namespace apspark::linalg {
 namespace {
@@ -213,21 +214,26 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Kernels, FloydWarshallRequiresSquare) {
   DenseBlock rect(3, 4, 1.0);
   EXPECT_THROW(FloydWarshallInPlace(rect), std::invalid_argument);
-  EXPECT_THROW(ReferenceFloydWarshall(rect), std::invalid_argument);
+  EXPECT_THROW(SemiringClosure<MinPlusSemiring>(rect), std::invalid_argument);
+  EXPECT_THROW(SemiringClosureDispatch(SemiringId::kMaxMin, rect),
+               std::invalid_argument);
+  // A tall block would read a_ik for k >= cols, past the end of each row.
+  DenseBlock tall(4, 3, 1.0);
+  EXPECT_THROW(SemiringClosure<MinPlusSemiring>(tall), std::invalid_argument);
 }
 
 // --- kernel variant properties ------------------------------------------
 //
-// Every registry variant must agree with the fixed scalar reference. The
-// min-plus kernels must agree *bitwise*: tiling and striping only reorder
-// the (min) reduction, candidates a_ik + b_kj are computed identically.
+// Every registry variant must agree with the scalar min-plus oracles of
+// linalg/semiring.h. The min-plus kernels must agree *bitwise*: tiling and
+// striping only reorder the (min) reduction, candidates a_ik + b_kj are
+// computed identically.
 
 // Pins a kernel variant for one test, restoring the previous tuning
 // afterwards so test order cannot leak configuration.
 using ScopedVariant = ScopedKernelVariant;
 
-const KernelVariant kAllVariants[] = {KernelVariant::kNaive,
-                                      KernelVariant::kTiled,
+const KernelVariant kAllVariants[] = {KernelVariant::kTiled,
                                       KernelVariant::kTiledParallel};
 
 bool BitwiseEqual(const DenseBlock& a, const DenseBlock& b) {
@@ -270,8 +276,7 @@ TEST(KernelVariants, MinPlusUpdateBitwiseEqualAcrossVariants) {
           RandomBlock(s.m, s.n, 3000 + static_cast<std::uint64_t>(s.k),
                       inf_fraction);
       DenseBlock expected = c0;
-      MinPlusAccumulateRawNaive(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                                expected.mutable_data(), s.n);
+      SemiringProductAccumulate<MinPlusSemiring>(a, b, expected);
       for (KernelVariant v : kAllVariants) {
         ScopedVariant scope(v);
         DenseBlock c = c0;
@@ -298,10 +303,7 @@ TEST(KernelVariants, MinPlusUpdateBitwiseEqualAcrossVariants) {
 TEST(KernelVariants, MinPlusProductBitwiseEqualAcrossVariants) {
   const DenseBlock a = RandomBlock(150, 90, 41, 0.25);
   const DenseBlock b = RandomBlock(90, 170, 42, 0.25);
-  const DenseBlock expected = [&] {
-    ScopedVariant scope(KernelVariant::kNaive);
-    return MinPlusProduct(a, b);
-  }();
+  const DenseBlock expected = SemiringProduct<MinPlusSemiring>(a, b);
   EXPECT_TRUE(expected.ApproxEquals(NaiveMinPlus(a, b)));
   for (KernelVariant v : kAllVariants) {
     ScopedVariant scope(v);
@@ -330,7 +332,7 @@ TEST(KernelVariants, FloydWarshallMatchesReferenceOracle) {
       const DenseBlock adj = RandomGraphMatrix(
           261, directed ? 61u : 62u, directed, inf_fraction);
       DenseBlock expected = adj;
-      ReferenceFloydWarshall(expected);
+      SemiringClosure<MinPlusSemiring>(expected);
       for (KernelVariant v : kAllVariants) {
         ScopedVariant scope(v);
         DenseBlock fw = adj;
@@ -351,7 +353,7 @@ TEST(KernelVariants, FloydWarshallMatchesReferenceOracle) {
 TEST(KernelVariants, BlockedFloydWarshallAllVariantsAllTiles) {
   const DenseBlock adj = RandomGraphMatrix(53, 77, /*directed=*/true, 0.5);
   DenseBlock expected = adj;
-  ReferenceFloydWarshall(expected);
+  SemiringClosure<MinPlusSemiring>(expected);
   for (KernelVariant v : kAllVariants) {
     for (std::int64_t tile : {1, 7, 16, 53, 64}) {
       ScopedVariant scope(v);

@@ -18,7 +18,7 @@
 
 #include "apsp/api.h"
 #include "graph/generators.h"
-#include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "sparklet/block_manager.h"
 #include "sparklet/fair_scheduler.h"
 #include "sparklet/rdd.h"
@@ -357,7 +357,7 @@ Graph IntegerGraph(std::uint64_t seed) {
 
 DenseBlock Oracle(const Graph& g) {
   DenseBlock d = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(d);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(d);
   return d;
 }
 

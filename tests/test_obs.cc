@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -407,6 +409,150 @@ TEST(ObsTrace, TracingIsBitwiseNeutral) {
     }
   }
   EXPECT_EQ(traced, plain);
+}
+
+// --------------------------------------------------------------------- json
+
+/// Minimal RFC 8259 check: true when `text` is exactly one JSON value,
+/// whitespace around it allowed. Strings may hold no raw control character
+/// and only the standard escapes; numbers are checked loosely.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : s_(text) {}
+
+  bool Valid() {
+    SkipWs();
+    if (!Value()) return false;
+    SkipWs();
+    return pos_ == s_.size();
+  }
+
+ private:
+  bool Value() {
+    if (pos_ >= s_.size()) return false;
+    switch (s_[pos_]) {
+      case '{':
+        return Members('}', /*keyed=*/true);
+      case '[':
+        return Members(']', /*keyed=*/false);
+      case '"':
+        return String();
+      case 't':
+        return Literal("true");
+      case 'f':
+        return Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        return Number();
+    }
+  }
+
+  bool Members(char close, bool keyed) {
+    ++pos_;
+    SkipWs();
+    if (Eat(close)) return true;
+    do {
+      SkipWs();
+      if (keyed) {
+        if (pos_ >= s_.size() || s_[pos_] != '"' || !String()) return false;
+        SkipWs();
+        if (!Eat(':')) return false;
+        SkipWs();
+      }
+      if (!Value()) return false;
+      SkipWs();
+    } while (Eat(','));
+    return Eat(close);
+  }
+
+  bool String() {
+    ++pos_;  // opening quote
+    while (pos_ < s_.size()) {
+      const auto c = static_cast<unsigned char>(s_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (pos_ >= s_.size()) return false;
+      const char e = s_[pos_++];
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_) {
+          if (pos_ >= s_.size() ||
+              !std::isxdigit(static_cast<unsigned char>(s_[pos_]))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                 std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;  // unterminated
+  }
+
+  bool Number() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() &&
+           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
+            std::string_view("+-.eE").find(s_[pos_]) !=
+                std::string_view::npos)) {
+      ++pos_;
+    }
+    return pos_ > start &&
+           std::isdigit(static_cast<unsigned char>(s_[pos_ - 1]));
+  }
+
+  bool Literal(std::string_view word) {
+    if (s_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  bool Eat(char c) {
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  void SkipWs() {
+    while (pos_ < s_.size() && std::string_view(" \t\r\n").find(s_[pos_]) !=
+                                   std::string_view::npos) {
+      ++pos_;
+    }
+  }
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
+
+TEST(ObsJson, CheckerAcceptsJsonAndRejectsRawControlCharacters) {
+  EXPECT_TRUE(JsonChecker(R"({"a":[1,-2.5e3,true,null,"x\u0009y"]})").Valid());
+  EXPECT_FALSE(JsonChecker("{\"a\":\"tab\there\"}").Valid());
+  EXPECT_FALSE(JsonChecker(R"({"a":"\q"})").Valid());
+  EXPECT_FALSE(JsonChecker(R"({"a":1,})").Valid());
+}
+
+TEST(ObsJson, ControlCharactersInSpanNamesAndLabelsAreEscaped) {
+  // Tab, carriage return and SOH: each must leave as \u00XX, or the
+  // document is not JSON.
+  const std::string odd = "tab\there\rcr\x01soh";
+  const std::string escaped = "tab\\u0009here\\u000dcr\\u0001soh";
+
+  obs::Registry registry;
+  registry.GetCounter("odd_total", "label=\"" + odd + "\"").Add(1);
+  const std::string metrics = registry.ToJson();
+  EXPECT_TRUE(JsonChecker(metrics).Valid()) << metrics;
+  EXPECT_NE(metrics.find(escaped), std::string::npos) << metrics;
+
+  auto& tracer = obs::Tracer::Get();
+  tracer.Start();
+  tracer.VirtualSpan(odd.c_str(), obs::kDriverLane, 0.0, 1.0);
+  tracer.Stop();
+  const std::string trace = tracer.ToChromeJson();
+  EXPECT_TRUE(JsonChecker(trace).Valid()) << trace;
+  EXPECT_NE(trace.find(escaped), std::string::npos) << trace;
 }
 
 TEST(ObsTrace, StartClearsPriorCapture) {

@@ -22,6 +22,7 @@
 #include "linalg/dense_block.h"
 #include "linalg/kernel_registry.h"
 #include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "obs/trace.h"
 #include "test_support.h"
 
@@ -35,9 +36,8 @@ using linalg::DenseBlock;
 using linalg::KernelVariant;
 using linalg::ScopedKernelVariant;
 
-constexpr KernelVariant kAllVariants[] = {
-    KernelVariant::kNaive, KernelVariant::kTiled,
-    KernelVariant::kTiledParallel};
+constexpr KernelVariant kAllVariants[] = {KernelVariant::kTiled,
+                                          KernelVariant::kTiledParallel};
 
 /// Block sizes the suite sweeps: both ISSUE sizes in optimized builds, the
 /// smaller one only under unoptimized/sanitized builds (the b = 128 oracle
@@ -86,7 +86,7 @@ TEST(SchedulerScaling, BlockedFloydWarshallBitwiseAtSmallBlocks) {
     const DenseBlock m = RandomIntMatrix(n, 1234 + static_cast<std::uint64_t>(b),
                                          /*inf_density=*/0.25);
     DenseBlock oracle = m;
-    linalg::ReferenceFloydWarshall(oracle);
+    linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
     for (KernelVariant v : kAllVariants) {
       ScopedKernelVariant scope(v);
       DenseBlock out = m;
@@ -122,14 +122,13 @@ TEST(SchedulerScaling, IndependentBlockUpdateBatchBitwise) {
                                      0.3));
     }
 
-    // Oracle: the fixed scalar kernel, sequentially.
+    // Oracle: the scalar min-plus product, sequentially.
     std::vector<DenseBlock> expected = base;
     for (std::int64_t u = 0; u < q * q; ++u) {
-      const DenseBlock& a = lhs[static_cast<std::size_t>(u / q)];
-      const DenseBlock& p = rhs[static_cast<std::size_t>(u % q)];
-      linalg::MinPlusAccumulateRawNaive(
-          b, b, b, a.data(), b, p.data(), b,
-          expected[static_cast<std::size_t>(u)].mutable_data(), b);
+      linalg::SemiringProductAccumulate<linalg::MinPlusSemiring>(
+          lhs[static_cast<std::size_t>(u / q)],
+          rhs[static_cast<std::size_t>(u % q)],
+          expected[static_cast<std::size_t>(u)]);
     }
 
     for (KernelVariant v : kAllVariants) {
@@ -178,8 +177,8 @@ TEST(SchedulerScaling, TinyBlockBatchMergesGrainsAndStaysBitwise) {
     DenseBlock rhs = RandomIntMatrix(b, 920 + static_cast<std::uint64_t>(u),
                                      0.3);
     DenseBlock oracle = base;
-    linalg::MinPlusAccumulateRawNaive(b, b, b, lhs.data(), b, rhs.data(), b,
-                                      oracle.mutable_data(), b);
+    linalg::SemiringProductAccumulate<linalg::MinPlusSemiring>(lhs, rhs,
+                                                               oracle);
     expected.push_back(std::move(oracle));
     updates.push_back({linalg::MakeRef(std::move(base)),
                        linalg::MakeRef(std::move(lhs)),
@@ -259,7 +258,7 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
   const graph::Graph g = IntegerWeights(
       graph::ErdosRenyi(64, 0.15, {1.0, 10.0}, /*seed=*/5150));
   DenseBlock oracle = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(oracle);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
   for (KernelVariant v : kAllVariants) {
     auto cluster = test::TestCluster();
     cluster.kernel_variant = v;
@@ -288,7 +287,7 @@ TEST(SchedulerScaling, SolversTinyBlocksUnderGrainMerging) {
 /// modelled seconds and SimMetrics must equal the kTiled run's.
 void ExpectSolversMatchOracle(const graph::Graph& g, const std::string& label) {
   DenseBlock oracle = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(oracle);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
   for (SolverKind kind : apsp::AllSolverKinds()) {
     ApspOptions opts;
     opts.block_size = 8;
@@ -361,7 +360,7 @@ TEST(SchedulerScaling, KsourceSmallBlocksMatchesOracleColumns) {
   const std::int64_t n = g.num_vertices();
   const std::vector<graph::VertexId> sources = {0, 17, 45, 79};
   DenseBlock oracle = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(oracle);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
   DenseBlock expected(n, static_cast<std::int64_t>(sources.size()),
                       linalg::kInf);
   for (std::int64_t v = 0; v < n; ++v) {

@@ -33,8 +33,7 @@ constexpr SemiringId kAllSemirings[] = {SemiringId::kMinPlus,
                                         SemiringId::kBoolean,
                                         SemiringId::kMaxMin,
                                         SemiringId::kMaxTimes};
-constexpr KernelVariant kAllVariants[] = {KernelVariant::kNaive,
-                                          KernelVariant::kTiled,
+constexpr KernelVariant kAllVariants[] = {KernelVariant::kTiled,
                                           KernelVariant::kTiledParallel};
 
 /// Scalar per-semiring oracle: ingest the min-plus adjacency into the
@@ -535,7 +534,12 @@ TEST(SemiringEngine, FusedProductMatchesOracleAcrossVariants) {
   test::RandomGraphOptions gopts;
   gopts.max_vertices = 60;
   gopts.integer_weights = true;
-  for (int round = 0; round < 6; ++round) {
+  for (int round = 0; round < 7; ++round) {
+    if (round == 6) {
+      // Crosses the tiled kernels' 128-deep k tile.
+      gopts.min_vertices = 129;
+      gopts.max_vertices = 160;
+    }
     const graph::Graph g = test::RandomTestGraph(rng, gopts);
     const DenseBlock adj = g.ToDenseAdjacency();
     for (const SemiringId id : kAllSemirings) {
@@ -560,7 +564,12 @@ TEST(SemiringEngine, FusedClosureMatchesOracleAcrossVariants) {
   test::RandomGraphOptions gopts;
   gopts.max_vertices = 72;  // crosses fw_block-free and non-divisible sizes
   gopts.integer_weights = true;
-  for (int round = 0; round < 6; ++round) {
+  for (int round = 0; round < 7; ++round) {
+    if (round == 6) {
+      // Crosses the 128-wide closure tile: the blocked 3-phase path.
+      gopts.min_vertices = 129;
+      gopts.max_vertices = 200;
+    }
     const graph::Graph g = test::RandomTestGraph(rng, gopts);
     const DenseBlock adj = g.ToDenseAdjacency();
     for (const SemiringId id : kAllSemirings) {

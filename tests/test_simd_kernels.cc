@@ -6,7 +6,7 @@
 // bitwise-identical output under all four semirings, across ragged shapes,
 // single-row/column blocks, all-annihilator guards and aliasing-heavy
 // blocked Floyd-Warshall runs. "In-domain" matches the existing
-// tiled-vs-naive contract: no -inf entries under min-plus, canonical {0,1}
+// tiled-vs-oracle contract: no -inf entries under min-plus, canonical {0,1}
 // under boolean — the annihilator-skip fold is only bitwise-neutral there.
 #include <gtest/gtest.h>
 
@@ -134,24 +134,26 @@ TEST(SimdDispatch, DescribeKernelTuningMentionsIsaAndTiles) {
   EXPECT_NE(text.find("tiles j=1024 k=128 fw=128"), std::string::npos);
 }
 
-/// Runs MinPlusAccumulateRawTiled on copies of (a, b, c0) under `isa` and
-/// returns the accumulated C.
+/// Runs the square-tiled kernel (MinPlusUpdate) on a copy of c0 under `isa`
+/// and returns the accumulated C.
 DenseBlock RunTiled(SimdIsa isa, const DenseBlock& a, const DenseBlock& b,
                     const DenseBlock& c0, bool parallel = false) {
+  ScopedKernelVariant variant(parallel ? KernelVariant::kTiledParallel
+                                       : KernelVariant::kTiled);
   ScopedSimdIsa pin(isa);
   DenseBlock c = c0;
-  MinPlusAccumulateRawTiled(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                            b.data(), b.cols(), c.mutable_data(), c.cols(),
-                            parallel);
+  MinPlusUpdate(a, b, c);
   return c;
 }
 
+/// Runs the narrow-panel kernel (MinPlusUpdateRect) on a copy of c0 under
+/// `isa` and returns the accumulated C.
 DenseBlock RunPanel(SimdIsa isa, const DenseBlock& a, const DenseBlock& b,
                     const DenseBlock& c0) {
+  ScopedKernelVariant variant(KernelVariant::kTiled);
   ScopedSimdIsa pin(isa);
   DenseBlock c = c0;
-  MinPlusPanelRawTiled(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
-                       b.data(), b.cols(), c.mutable_data(), c.cols());
+  MinPlusUpdateRect(a, b, c);
   return c;
 }
 
@@ -202,18 +204,19 @@ TEST(SimdKernels, TiledBitwiseWithStridedLeadingDimensions) {
     FillInDomain(id, b.data(), static_cast<std::int64_t>(b.size()), ++seed);
     FillInDomain(id, c0.data(), static_cast<std::int64_t>(c0.size()), ++seed);
 
+    ScopedKernelVariant variant(KernelVariant::kTiled);
     std::vector<double> scalar = c0;
     {
       ScopedSimdIsa pin(SimdIsa::kScalar);
-      MinPlusAccumulateRawTiled(m, n, k, a.data(), lda, b.data(), ldb,
-                                scalar.data(), ldc);
+      MinPlusAccumulateRaw(m, n, k, a.data(), lda, b.data(), ldb,
+                           scalar.data(), ldc);
     }
     for (const SimdIsa isa : isas) {
       std::vector<double> c = c0;
       {
         ScopedSimdIsa pin(isa);
-        MinPlusAccumulateRawTiled(m, n, k, a.data(), lda, b.data(), ldb,
-                                  c.data(), ldc);
+        MinPlusAccumulateRaw(m, n, k, a.data(), lda, b.data(), ldb, c.data(),
+                             ldc);
       }
       ASSERT_EQ(std::memcmp(c.data(), scalar.data(),
                             c.size() * sizeof(double)),
@@ -340,7 +343,7 @@ TEST(SimdKernels, BlockedFloydWarshallBitwiseAcrossIsas) {
     for (std::int64_t i = 0; i < n; ++i) init.Set(i, i, 0.0);
 
     DenseBlock ref = init;
-    ReferenceFloydWarshall(ref);
+    SemiringClosure<MinPlusSemiring>(ref);
 
     DenseBlock blocked_scalar = init;
     DenseBlock in_place_scalar = init;

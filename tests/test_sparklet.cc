@@ -459,5 +459,21 @@ TEST(Cluster, ConfigSummaries) {
   EXPECT_FALSE(m.Summary().empty());
 }
 
+TEST(Cluster, PaperWithCoresModelsTheRequestedCores) {
+  // Whole 32-core nodes once there are two of them; below that, one node
+  // with exactly the requested cores, never a rounded-up full node.
+  const struct {
+    int cores;
+    int nodes;
+    int cores_per_node;
+  } cases[] = {{2, 1, 2},    {4, 1, 4},    {31, 1, 31},
+               {32, 1, 32},  {64, 2, 32},  {100, 3, 33}};
+  for (const auto& c : cases) {
+    const ClusterConfig cfg = ClusterConfig::PaperWithCores(c.cores);
+    EXPECT_EQ(cfg.nodes, c.nodes) << c.cores << " cores";
+    EXPECT_EQ(cfg.cores_per_node, c.cores_per_node) << c.cores << " cores";
+  }
+}
+
 }  // namespace
 }  // namespace apspark::sparklet

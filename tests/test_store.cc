@@ -27,7 +27,7 @@
 #include "common/thread_pool.h"
 #include "graph/path_reconstruction.h"
 #include "linalg/kernel_registry.h"
-#include "linalg/kernels.h"
+#include "linalg/semiring.h"
 #include "sparklet/memory_accountant.h"
 #include "store/block_store.h"
 #include "store/distance_service.h"
@@ -840,7 +840,7 @@ TEST(DistanceService, EndToEndSolvePersistQueryMatchesOracle) {
     const std::int64_t n = g.num_vertices();
 
     linalg::DenseBlock oracle = g.ToDenseAdjacency();
-    linalg::ReferenceFloydWarshall(oracle);
+    linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
 
     // Solve through the public API, persist, serve.
     apsp::SolveRequest request;
@@ -989,7 +989,7 @@ linalg::DenseBlock PersistDistances(const graph::Graph& g,
                                     std::int64_t store_b,
                                     const std::string& dir) {
   linalg::DenseBlock oracle = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(oracle);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
   apsp::SolveRequest request;
   request.options.block_size = 16;
   request.options.directed = g.directed();
@@ -1205,7 +1205,7 @@ TEST(DistanceService, ConcurrentPathsAndBatchUnderATwoWindowCap) {
   constexpr std::int64_t kStoreB = 8;
   const graph::Graph g = IntegerGraph(n, /*directed=*/true, seed);
   linalg::DenseBlock oracle = g.ToDenseAdjacency();
-  linalg::ReferenceFloydWarshall(oracle);
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(oracle);
   const linalg::DenseBlock adjacency = g.ToDenseAdjacency();
 
   apsp::SolveRequest request;

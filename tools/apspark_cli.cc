@@ -184,9 +184,9 @@ void UsageSolve() {
       "          pure shuffle, or the modelled cheaper of the two\n"
       "  [--no-early-exit]  disable the all-infinite pivot\n"
       "          early-exit sweep (k-source mode)\n"
-      "  [--kernel naive|tiled|tiled_parallel]  host kernels (default\n"
-      "          tiled_parallel: every core; tiled and naive are\n"
-      "          single-thread baselines)\n"
+      "  [--kernel tiled|tiled_parallel]  host kernels (default\n"
+      "          tiled_parallel: every core; tiled is the\n"
+      "          single-thread baseline)\n"
       "  [--isa scalar|avx2|avx512|auto]  micro-kernel instruction set\n"
       "          (auto = CPUID-detected best; all choices are bitwise-\n"
       "          identical — pin scalar when bisecting a kernel bug)\n"
