@@ -98,7 +98,7 @@ std::vector<BlockRecord> UpdateEach(std::vector<BlockRecord>&& part,
 RddPtr<BlockRecord> StageDiagonal(sparklet::SparkletContext& ctx,
                                   const RddPtr<BlockRecord>& a, std::int64_t t,
                                   const std::string& prefix) {
-  auto diag = CloseDiagonal(a, t, prefix);
+  auto diag = CloseDiagonal(a, t, prefix)->Persist();
   for (const auto& [key, block] : diag->Collect()) {
     ctx.DriverWriteSharedBlock(StagingKeys(prefix).Diag(t), block);
   }
@@ -131,7 +131,8 @@ StagedRebuild StageCrossAndRebuild(
                       return key.J == t ? FusedTriple{block, block, d}
                                         : FusedTriple{block, d, block};
                     });
-              });
+              })
+          ->Persist();
 
   // Lines 6-7: collect the updated cross and stage the oriented factors.
   // The pivot owns one transpose memo: its phase-3 tasks re-derive the
@@ -165,7 +166,7 @@ StagedRebuild StageCrossAndRebuild(
               ctx.Union(prefix + "-union", {diag, rowcol, offcol}),
               partitioner, prefix + "-repartition")
               ->Persist(),
-          std::move(transposes)};
+          std::move(rowcol), std::move(transposes)};
 }
 
 RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
@@ -179,6 +180,8 @@ RddPtr<BlockRecord> RunRoundsBlockedCollectBroadcast(
     StagedRebuild rebuilt =
         StageCrossAndRebuild(ctx, layout, a, diag, i, partitioner, "cb");
     Advance(a, rebuilt.a);
+    diag->Unpersist();
+    rebuilt.cross->Unpersist();
     // The lineage keeps the phase-3 closure (and with it the memo) alive;
     // a later recomputation simply transposes again.
     rebuilt.transposes->Clear();

@@ -104,6 +104,7 @@ bool PivotCrossAllZero(RddPtr<BlockRecord>& a, const BlockLayout& layout,
 }
 
 /// Rebuilds A after a skipped pivot: only the closed diagonal changed.
+/// Releases `diag` (cached on the staged plane) once A is materialized.
 void RebuildSkipped(sparklet::SparkletContext& ctx, RddPtr<BlockRecord>& a,
                     const RddPtr<BlockRecord>& diag,
                     const sparklet::PartitionerPtr<BlockKey>& part,
@@ -115,6 +116,7 @@ void RebuildSkipped(sparklet::SparkletContext& ctx, RddPtr<BlockRecord>& a,
                  ctx.Union(prefix + "-skip-union", {diag, rest}), part,
                  prefix + "-skip-repartition")
                  ->Persist());
+  diag->Unpersist();
 }
 
 /// One pivot of the staged-storage (impure) sweep. `skip` = early exit.
@@ -196,6 +198,8 @@ void RunStagedPivot(sparklet::SparkletContext& ctx, const BlockLayout& layout,
           ->Persist());
 
   Advance(a, rebuilt.a);
+  diag->Unpersist();
+  rebuilt.cross->Unpersist();
   rebuilt.transposes->Clear();
 }
 

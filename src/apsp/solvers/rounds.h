@@ -83,17 +83,20 @@ inline sparklet::RddPtr<BlockRecord> CloseDiagonal(
 
 /// Staged plane, step 1 (Alg. 4 lines 2-3): closes pivot t's diagonal
 /// block, brings it to the driver and stages it in shared storage. Returns
-/// the lazy closed diagonal; the rebuild union recomputes it, and the model
-/// charges that.
+/// the closed diagonal, persisted and cached by that collect, so the
+/// rebuild union reads it back instead of closing it again; unpersist it
+/// once the rebuilt A is materialized.
 sparklet::RddPtr<BlockRecord> StageDiagonal(
     sparklet::SparkletContext& ctx, const sparklet::RddPtr<BlockRecord>& a,
     std::int64_t t, const std::string& prefix);
 
-/// The rebuilt A of one staged pivot, persisted but not yet materialized,
-/// and the transpose memo its phase-3 tasks share: clear the memo once the
-/// caller has materialized A.
+/// The rebuilt A of one staged pivot, persisted but not yet materialized;
+/// the phase-2-updated cross, persisted and cached by its collect; and the
+/// transpose memo the phase-3 tasks share. Once the caller has materialized
+/// A, it unpersists the cross (and the diagonal) and clears the memo.
 struct StagedRebuild {
   sparklet::RddPtr<BlockRecord> a;
+  sparklet::RddPtr<BlockRecord> cross;
   std::shared_ptr<TransposeMemo> transposes;
 };
 
@@ -101,7 +104,9 @@ struct StagedRebuild {
 /// against the staged diagonal, the driver collects it and stages the
 /// oriented factors (the k-source frontier reads the left ones too), phase 3
 /// updates every other block through them, and `diag`, the cross and the
-/// rest are unioned and repartitioned.
+/// rest are unioned and repartitioned. The union reads `diag` and the cross
+/// from their caches, so each pivot closes its diagonal and updates its
+/// cross once.
 StagedRebuild StageCrossAndRebuild(
     sparklet::SparkletContext& ctx, const BlockLayout& layout,
     const sparklet::RddPtr<BlockRecord>& a,

@@ -21,9 +21,12 @@
 // Materialization has one rule: a persisted RDD (parallelized, shuffled, or
 // Persist()ed) runs its stage on its first read and caches every partition;
 // every later read, an action on the RDD itself included, reads that cache.
-// Nothing walks ancestors ahead of time: an uncached narrow chain fuses into
-// whichever stage pulls it, and a persisted ancestor it reaches materializes
-// on that pull.
+// When that first read is an action on the RDD itself, the action's one
+// stage computes, caches and returns the partitions, as Spark's collect of a
+// persisted RDD does. Nothing walks ancestors ahead of time: an uncached narrow chain
+// fuses into whichever stage pulls it, and a persisted ancestor it reaches
+// materializes on that pull. Unpersist() makes the RDD a plain lineage node
+// again: a later read fuses the partition it needs into the reader's task.
 #pragma once
 
 #include <cstdint>
@@ -138,7 +141,8 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   /// downstream stages read them instead of recomputing the lineage.
   RddPtr<T> Persist();
 
-  /// Drops cached data (lineage remains; a later access recomputes).
+  /// Drops cached data and stops caching (lineage remains; a later access
+  /// recomputes the partition it reads inside the reader's task).
   void Unpersist();
 
   /// Simulates loss of one cached partition (executor failure). The next
@@ -154,9 +158,12 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
 
   // -- actions -----------------------------------------------------------
   /// Gathers every record on the driver (charges network + driver deserde).
+  /// One stage, `<name>-collect`; on a persisted RDD not yet cached it also
+  /// caches what it computes.
   Partition Collect();
 
-  /// Number of records (cheap driver action).
+  /// Number of records (cheap driver action); one stage, `<name>-count`,
+  /// which caches like Collect's.
   std::int64_t Count();
 
   // -- engine internals (public: used by free-function transformations) --
@@ -169,7 +176,14 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   void SetComputeForShuffle(ComputeFn compute) { compute_ = std::move(compute); }
 
  private:
-  void RunStageAndCache();
+  /// Runs stage `stage` over this persisted RDD: every partition missing
+  /// from the store is computed through its lineage and cached, a cached one
+  /// costs nothing. Returns with every slot filled and marks the RDD
+  /// materialized.
+  void RunStageAndCache(const std::string& stage);
+  /// An action's one stage: hands every partition, in order, to `take`.
+  template <typename Take>
+  void RunActionStage(const std::string& stage, Take take);
   Partition RunTaskWithRetries(int partition, TaskContext& tc);
   /// Memory accounting of the partition cache: a stored partition's
   /// serialized bytes are live on its node until dropped.
@@ -461,7 +475,7 @@ typename Rdd<T>::Partition Rdd<T>::RunTaskWithRetries(int partition,
 }
 
 template <typename T>
-void Rdd<T>::RunStageAndCache() {
+void Rdd<T>::RunStageAndCache(const std::string& stage) {
   TaskContext tc = ctx_->MakeTaskContext();
   tc.SetStageConcurrency(
       std::min(num_partitions_, ctx_->config().concurrent_task_slots()));
@@ -502,7 +516,7 @@ void Rdd<T>::RunStageAndCache() {
     }
     // Re-runs get a distinct stage key so their stage-trace records and
     // spans never collide with the original.
-    std::string stage_name = name_;
+    std::string stage_name = stage;
     if (run_attempts_ > 0) stage_name += "#r" + std::to_string(run_attempts_);
     ++run_attempts_;
     ctx_->cluster().RunStage(costs, stage_name,
@@ -516,7 +530,10 @@ void Rdd<T>::RunStageAndCache() {
         break;
       }
     }
-    if (complete) return;
+    if (complete) {
+      materialized_ = true;
+      return;
+    }
     if (attempt >= ctx_->config().max_task_failures) {
       throw SparkletAbort(AbortedError(
           "stage for RDD '" + name_ +
@@ -529,8 +546,7 @@ void Rdd<T>::RunStageAndCache() {
 template <typename T>
 void Rdd<T>::EnsureMaterialized() {
   if (materialized_ || !cache_) return;
-  RunStageAndCache();
-  materialized_ = true;
+  RunStageAndCache(name_);
 }
 
 template <typename T>
@@ -620,6 +636,7 @@ template <typename T>
 void Rdd<T>::Unpersist() {
   ReleaseAllCached();
   for (auto& p : store_) p.reset();
+  cache_ = false;
   materialized_ = false;
 }
 
@@ -677,12 +694,17 @@ std::uint64_t Rdd<T>::MigratePartitions(
 }
 
 template <typename T>
-typename Rdd<T>::Partition Rdd<T>::Collect() {
-  EnsureMaterialized();
-  Partition all;
+template <typename Take>
+void Rdd<T>::RunActionStage(const std::string& stage, Take take) {
+  if (cache_ && !materialized_) {
+    // The action's stage is the materialization: it computes and caches the
+    // missing partitions, and the driver receives them from the cache.
+    RunStageAndCache(stage);
+    for (const auto& slot : store_) take(Partition(*slot));
+    return;
+  }
   std::vector<double> costs;
   costs.reserve(static_cast<std::size_t>(num_partitions_));
-  std::uint64_t bytes = 0;
   TaskContext tc = ctx_->MakeTaskContext();
   tc.SetStageConcurrency(
       std::min(num_partitions_, ctx_->config().concurrent_task_slots()));
@@ -690,12 +712,21 @@ typename Rdd<T>::Partition Rdd<T>::Collect() {
     tc.ResetForTask();
     Partition part = ComputeOrRead(p, tc);
     costs.push_back(tc.task_seconds());
+    take(std::move(part));
+  }
+  ctx_->cluster().RunStage(costs, stage);
+}
+
+template <typename T>
+typename Rdd<T>::Partition Rdd<T>::Collect() {
+  Partition all;
+  std::uint64_t bytes = 0;
+  RunActionStage(name_ + "-collect", [&](Partition&& part) {
     for (T& record : part) {
       bytes += SerializedSizeOf(record);
       all.push_back(std::move(record));
     }
-  }
-  ctx_->cluster().RunStage(costs, name_ + "-collect");
+  });
   ctx_->cluster().ChargeCollect(bytes, num_partitions_);
   // Driver deserializes the whole result single-threaded (pySpark pickle).
   const double deser =
@@ -706,16 +737,10 @@ typename Rdd<T>::Partition Rdd<T>::Collect() {
 
 template <typename T>
 std::int64_t Rdd<T>::Count() {
-  EnsureMaterialized();
   std::int64_t count = 0;
-  std::vector<double> costs;
-  TaskContext tc = ctx_->MakeTaskContext();
-  for (int p = 0; p < num_partitions_; ++p) {
-    tc.ResetForTask();
-    count += static_cast<std::int64_t>(ComputeOrRead(p, tc).size());
-    costs.push_back(tc.task_seconds());
-  }
-  ctx_->cluster().RunStage(costs, name_ + "-count");
+  RunActionStage(name_ + "-count", [&count](Partition&& part) {
+    count += static_cast<std::int64_t>(part.size());
+  });
   ctx_->cluster().ChargeCollect(8ULL * static_cast<std::uint64_t>(
                                            num_partitions_),
                                 num_partitions_);

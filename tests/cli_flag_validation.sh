@@ -36,6 +36,12 @@ expect_usage_error solve --er 40 --straggler-factor 2x
 expect_usage_error solve --er 40 --straggler-factor nan
 expect_usage_error solve --er 64 --block 16 --straggler-factor inf
 expect_usage_error serve --store . --random 10 --zipf inf
+# From 64 cores on, plan and model run whole 32-core nodes: a count that
+# does not split into them is refused, never modelled as fewer cores.
+expect_usage_error model --n 1000 --cores 100
+expect_usage_error model --n 1000 --cores 1000
+expect_usage_error plan --n 1000 --cores 100
+expect_usage_error plan --n 1000 --cores 65
 # --intra-task-cores spends a node's own cores: at most cores_per_node.
 expect_usage_error model --n 1000 --intra-task-cores 64
 # The kernels run one fixed tile geometry; there is nothing to auto-tune.
@@ -95,7 +101,9 @@ model_cluster() {
 }
 if [ "$(model_cluster)" != "on 32 nodes x 32 cores" ] ||
     [ "$(model_cluster --cores 2)" != "on 1 nodes x 2 cores" ] ||
-    [ "$(model_cluster --cores 64)" != "on 2 nodes x 32 cores" ]; then
+    [ "$(model_cluster --cores 63)" != "on 1 nodes x 63 cores" ] ||
+    [ "$(model_cluster --cores 64)" != "on 2 nodes x 32 cores" ] ||
+    [ "$(model_cluster --cores 96)" != "on 3 nodes x 32 cores" ]; then
   echo "FAIL: model --cores does not model the cores it was given"
   failures=$((failures + 1))
 else

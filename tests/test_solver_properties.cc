@@ -13,7 +13,9 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "linalg/kernel_registry.h"
 #include "linalg/semiring.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "test_support.h"
 
@@ -329,6 +331,54 @@ TEST(SolverStructured, KnownDistancesOnFamilies) {
 }
 
 
+// --- pivot work: each blocked plane closes and updates every block once ----
+
+/// kernel_invocations_total of one (min, +) kernel kind over every ISA.
+std::uint64_t MinPlusKernelCalls(const std::string& kernel) {
+  std::uint64_t calls = 0;
+  for (const linalg::SimdIsa isa :
+       {linalg::SimdIsa::kScalar, linalg::SimdIsa::kAvx2,
+        linalg::SimdIsa::kAvx512}) {
+    calls += obs::Registry::Global()
+                 .GetCounter("kernel_invocations_total",
+                             "kernel=\"" + kernel + "\",isa=\"" +
+                                 linalg::SimdIsaName(isa) +
+                                 "\",semiring=\"minplus\"")
+                 .value();
+  }
+  return calls;
+}
+
+TEST(PivotWork, CollectBroadcastRunsTheKernelsOfInMemory) {
+  // Alg. 4 reuses the diagonal and cross it collects; the rebuild must not
+  // close the diagonal or update the cross a second time, so both planes
+  // make the same closure and accumulate calls for the same solve.
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    const graph::Graph g = graph::ErdosRenyi(
+        64, graph::PaperEdgeProbability(64), {1.0, 10.0}, 13, directed);
+    ApspOptions opts;
+    opts.block_size = 16;
+    opts.directed = directed;
+    std::array<std::array<std::uint64_t, 2>, 2> calls{};
+    for (const SolverKind kind : {SolverKind::kBlockedCollectBroadcast,
+                                  SolverKind::kBlockedInMemory}) {
+      const std::uint64_t closure = MinPlusKernelCalls("closure");
+      const std::uint64_t accumulate = MinPlusKernelCalls("accumulate");
+      const auto report =
+          Solve(g, {.solver = kind, .options = opts, .cluster = TestCluster()});
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      auto& row = calls[kind == SolverKind::kBlockedInMemory ? 1 : 0];
+      row = {MinPlusKernelCalls("closure") - closure,
+             MinPlusKernelCalls("accumulate") - accumulate};
+    }
+    EXPECT_GT(calls[1][0], 0u);
+    EXPECT_GT(calls[1][1], 0u);
+    EXPECT_EQ(calls[0][0], calls[1][0]) << "closure calls, CB vs IM";
+    EXPECT_EQ(calls[0][1], calls[1][1]) << "accumulate calls, CB vs IM";
+  }
+}
+
 // --- golden: the modelled cluster of the two blocked data planes ----------
 //
 // Pins every modelled number of Blocked-CB and Blocked-IM runs — APSP and
@@ -540,38 +590,38 @@ const GoldenRow kGolden[] = {
     {"cb/apsp/undirected",
      {33320, 13328, 0, 17974, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8321, 2499, 24990},
-     {0.039501831367920549, 0.0096333200000000008, 0.0065466080000000024,
+      0, 0, 0, 8321, 2499, 26656},
+     {0.037520076464246321, 0.0096333200000000008, 0.0065466080000000024,
       0, 0.044001123375000013, 0.0079475612176008598,
       0, 0, 0,
-      0.10759045996052138},
+      0.10560870505684714},
      17, 0xcaa6e721ee0c6dc9ull},
     {"cb/apsp/directed",
      {53312, 23324, 0, 22876, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 13320, 4998, 39984},
-     {0.066189018017745377, 0.0096533120000000007, 0.006656564000000002,
+      0, 0, 0, 13320, 4998, 44149},
+     {0.061555495533902112, 0.0096533120000000007, 0.006656564000000002,
       0, 0.056001429750000019, 0.0079287863857110744,
       0, 0, 0,
-      0.14635913815345639},
+      0.14172561566961311},
      17, 0xcaa6e721ee0c6dc9ull},
     {"cb/ks/undirected",
      {33320, 14484, 0, 19002, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8321, 2499, 25520},
-     {0.069607312911273075, 0.0096333200000000008, 0.011359324000000002,
+      0, 0, 0, 8321, 2499, 27186},
+     {0.066795487212251176, 0.0096333200000000008, 0.011359324000000002,
       0, 0.052001187625000007, 0.012347060120720526,
       0, 0, 0,
-      0.15490475265699363},
+      0.15209292695797172},
      29, 0x7fdf10741f516b48ull},
     {"cb/ks/directed",
      {53312, 24576, 0, 23904, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 13320, 4998, 40514},
-     {0.097045770376644969, 0.0096533120000000007, 0.011470336000000003,
+      0, 0, 0, 13320, 4998, 44679},
+     {0.090081959770434525, 0.0096533120000000007, 0.011470336000000003,
       0, 0.064001494000000006, 0.012328484963161225,
       0, 0, 0,
-      0.19442566933980626},
+      0.1874618587335958},
      29, 0x7fdf10741f516b48ull},
     {"im/apsp/undirected",
      {200504, 0, 0, 0, 0, 40, 384,
@@ -612,38 +662,38 @@ const GoldenRow kGolden[] = {
     {"cb/apsp/undirected/model",
      {335545640, 134218256, 0, 184549750, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 83886401, 25165923, 251659230},
-     {30.881114681482092, 0.34514563999999998, 1.4828008160000001,
+      0, 0, 0, 83886401, 25165923, 268436512},
+     {25.223290843996576, 0.34514563999999998, 1.4828008160000001,
       0, 0.055534359374999981, 0.0016000000000000005,
       0, 0, 0,
-      32.363540728857089},
+      26.705716891371573},
      16, 0xdd2959d27776b653ull},
     {"cb/apsp/directed/model",
      {536873024, 234881948, 0, 234881500, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 134218248, 50331846, 402654768},
-     {42.884550371145892, 0.54647302400000008, 2.5901014280000005,
+      0, 0, 0, 134218248, 50331846, 444597973},
+     {35.415399946117546, 0.54647302400000008, 2.5901014280000005,
       0, 0.070680093749999992, 0.0016000000000000005,
       0, 0, 0,
-      45.388759072895873},
+      37.919608647867548},
      16, 0xdd2959d27776b653ull},
     {"cb/ks/undirected/model",
      {335545640, 134316756, 0, 184648122, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 83886401, 25165923, 251708432},
-     {30.344776351511541, 0.34514563999999998, 1.4886843160000001,
+      0, 0, 0, 83886401, 25165923, 268485714},
+     {24.505055011385842, 0.34514563999999998, 1.4886843160000001,
       0, 0.063540507624999978, 0.0039346362474228834,
       0, 0, 0,
-      31.843131183383949},
+      26.003409843258254},
      28, 0x1454be53b5a29c6full},
     {"cb/ks/directed/model",
      {536873024, 234980544, 0, 234979872, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 134218248, 50331846, 402703970},
-     {42.21635171234616, 0.54647302400000008, 2.5959859839999999,
+      0, 0, 0, 134218248, 50331846, 444647175},
+     {34.329426028377412, 0.54647302400000008, 2.5959859839999999,
       0, 0.078686242000000003, 0.0027999999999999991,
       0, 0, 0,
-      44.735355330346152},
+      36.848429646377419},
      28, 0x1454be53b5a29c6full},
     {"im/apsp/undirected/model",
      {2013274424, 0, 0, 0, 0, 40, 384,
@@ -684,21 +734,21 @@ const GoldenRow kGolden[] = {
     {"cb/ks/early-exit",
      {33320, 11985, 0, 16551, 0, 27, 240,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8322, 2499, 25520},
-     {0.057247023728004713, 0.0088333200000000004, 0.010531835000000002,
-      0, 0.046001034437500005, 0.013836914208074392,
+      0, 0, 0, 8322, 2499, 26353},
+     {0.055365628027543391, 0.0088333200000000004, 0.010531835000000002,
+      0, 0.046001034437500005, 0.013837038086908221,
       0, 0, 0,
-      0.13641417237357908},
+      0.13453290055195158},
      28, 0x8e9103e05419caedull},
     {"cb/ks/fail-node",
-     {33320, 52044, 0, 55958, 0, 38, 316,
-      0, 0, 6, 1, 0, 0, 4,
-      0, 0, 0, 16642, 8330, 51040},
-     {0.12062117829048641, 0.0096000000000000009, 0.016572484000000002,
-      0, 0.17200349737499995, 0.019315020368196274,
-      0.0014000000000000002, 0, 0,
-      0.3379560480336829},
-     39, 0x87b1b8eb5758862full},
+     {33320, 53166, 0, 57032, 0, 43, 352,
+      0, 0, 48, 1, 1, 0, 4,
+      0, 0, 0, 16642, 8330, 54372},
+     {0.11236069183733763, 0.0096000000000000009, 0.018584825999999995,
+      0, 0.17600356449999993, 0.022211440520801862,
+      0.015000169467004438, 0, 0,
+      0.33860102485813975},
+     44, 0x5750f3eeb940552eull},
     {"im/ks/early-exit",
      {179688, 96, 0, 0, 0, 60, 520,
       0, 0, 0, 0, 0, 0, 0,
@@ -720,20 +770,20 @@ const GoldenRow kGolden[] = {
     {"cb/apsp/checkpoint",
      {33320, 46648, 0, 50818, 0, 20, 224,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8321, 8330, 24990},
-     {0.040729959690289391, 0.0096333200000000008, 0.010113128000000002,
+      0, 0, 0, 8321, 8330, 26656},
+     {0.038904082750375567, 0.0096333200000000008, 0.010113128000000002,
       0, 0.13200317612499987, 0.011548987298527717,
       0, 0, 0,
-      0.20388862711381725},
+      0.20206275017390346},
      21, 0x39afe202fd1c9bc5ull},
     {"cb/apsp/fail-node",
      {41650, 49980, 0, 56537, 0, 25, 280,
       0, 0, 56, 1, 1, 0, 12,
-      0, 0, 0, 18722, 8330, 49980},
-     {0.086580464639012894, 0.012008330000000001, 0.011749780000000005,
+      0, 0, 0, 18722, 8330, 53312},
+     {0.073171977155965545, 0.012008330000000001, 0.011749780000000005,
       0, 0.14600353356249993, 0.014400535149197391,
-      0.031103617157592342, 0, 0,
-      0.27059270335071062},
+      0.030855908701971781, 0, 0,
+      0.25718421586766321},
      26, 0x6097dee4bf662a66ull},
 };
 

@@ -190,6 +190,94 @@ TEST(Rdd, ActionOnPersistedRddReadsItsCacheNotItsUnpersistedParent) {
   }
 }
 
+TEST(Rdd, FirstActionOnPersistedRddCachesInItsOwnStage) {
+  // Spark's collect (or count) of a persisted RDD computes and caches the
+  // partitions in the action's job: one stage, not a materialization stage
+  // and then the action's.
+  for (const bool count : {false, true}) {
+    SCOPED_TRACE(count ? "Count" : "Collect");
+    auto ctx = MakeCtx();
+    ctx.cluster().EnableStageTrace();
+    int computes = 0;
+    auto rdd = ctx.Parallelize("data", Iota(8), 4)
+                   ->MapPartitions<std::int64_t>(
+                       "double",
+                       [&computes](std::vector<std::int64_t>&& part,
+                                   TaskContext&) {
+                         ++computes;
+                         for (auto& x : part) x *= 2;
+                         return std::move(part);
+                       })
+                   ->Persist();
+    const std::uint64_t stages = ctx.metrics().stages;
+    const std::size_t traced = ctx.cluster().stage_trace().size();
+    if (count) {
+      EXPECT_EQ(rdd->Count(), 8);
+    } else {
+      EXPECT_EQ(rdd->Collect(),
+                (std::vector<std::int64_t>{0, 2, 4, 6, 8, 10, 12, 14}));
+    }
+    EXPECT_EQ(ctx.metrics().stages, stages + 1);
+    ASSERT_EQ(ctx.cluster().stage_trace().size(), traced + 1);
+    EXPECT_EQ(ctx.cluster().stage_trace().back().name,
+              count ? "double-count" : "double-collect");
+    EXPECT_EQ(computes, 4);  // once per partition
+
+    // The action left the partitions cached: reads cost no compute and no
+    // stage.
+    TaskContext tc = ctx.MakeTaskContext();
+    for (int p = 0; p < rdd->num_partitions(); ++p) {
+      EXPECT_EQ(rdd->ComputeOrRead(p, tc).size(), 2u);
+    }
+    EXPECT_EQ(computes, 4);
+    EXPECT_EQ(ctx.metrics().stages, stages + 1);
+  }
+}
+
+TEST(Rdd, UnpersistedRddFusesIntoItsReaderWithoutRerunningItsStage) {
+  auto ctx = MakeCtx();
+  ctx.cluster().EnableStageTrace();
+  int computes = 0;
+  auto prev = ctx.Parallelize("data", Iota(8), 4)
+                  ->MapPartitions<std::int64_t>(
+                      "prev",
+                      [&computes](std::vector<std::int64_t>&& part,
+                                  TaskContext&) {
+                        ++computes;
+                        return std::move(part);
+                      })
+                  ->Persist();
+  const auto& acct = ctx.cluster().accountant();
+  std::vector<std::uint64_t> ledger;
+  for (int n = 0; n < acct.num_nodes(); ++n) {
+    ledger.push_back(acct.node_live_bytes(n));
+  }
+  prev->EnsureMaterialized();
+  prev->Unpersist();
+  computes = 0;
+
+  // A read of one partition recomputes that partition inside the reader's
+  // task; an action downstream fuses each partition once into its stage.
+  TaskContext tc = ctx.MakeTaskContext();
+  EXPECT_EQ(prev->ComputeOrRead(2, tc),
+            (std::vector<std::int64_t>{4, 5}));
+  EXPECT_EQ(computes, 1);
+  auto next = prev->Map("next", [](const std::int64_t& x, TaskContext&) {
+    return x + 1;
+  });
+  EXPECT_EQ(next->Collect(),
+            (std::vector<std::int64_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(computes, 5);
+  for (const auto& stage : ctx.cluster().stage_trace()) {
+    EXPECT_EQ(stage.name.find("#r"), std::string::npos) << stage.name;
+  }
+  // Nothing was cached again.
+  for (int n = 0; n < acct.num_nodes(); ++n) {
+    EXPECT_EQ(acct.node_live_bytes(n), ledger[static_cast<std::size_t>(n)])
+        << "node " << n;
+  }
+}
+
 // --- shuffles ----------------------------------------------------------
 
 TEST(Shuffle, ReduceByKeyAggregates) {

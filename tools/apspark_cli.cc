@@ -617,6 +617,24 @@ bool ValidateIntraTaskCores(const sparklet::ClusterConfig& cluster) {
   return false;
 }
 
+/// The paper cluster plan and model run: `--cores`, or `fallback` without
+/// it, through PaperWithCores. From two nodes' worth of cores on that
+/// models whole paper nodes, so a count that does not split into them is
+/// rejected here instead of being modelled as a smaller cluster.
+std::optional<sparklet::ClusterConfig> PaperCluster(const Args& args,
+                                                    int fallback) {
+  const int cores = args.cores.value_or(fallback);
+  const int node_cores = sparklet::ClusterConfig{}.cores_per_node;
+  if (cores >= 2 * node_cores && cores % node_cores != 0) {
+    std::fprintf(stderr,
+                 "--cores %d: from %d cores on the cluster is whole %d-core "
+                 "nodes; give a multiple of %d\n",
+                 cores, 2 * node_cores, node_cores, node_cores);
+    return std::nullopt;
+  }
+  return sparklet::ClusterConfig::PaperWithCores(cores);
+}
+
 /// Membership plans that parse fine can still be nonsense for the actual
 /// cluster: a node or rack id past the config, or the same plan armed twice
 /// at one stage boundary (it would silently be a no-op — the second loss
@@ -887,8 +905,9 @@ int RunPlan(const Args& args) {
   if (args.n <= 1) return Usage(args);
   apsp::TuneRequest request;
   request.n = args.n;
-  request.cluster =
-      sparklet::ClusterConfig::PaperWithCores(args.cores.value_or(4));
+  const auto cluster = PaperCluster(args, 4);
+  if (!cluster.has_value()) return 2;
+  request.cluster = *cluster;
   request.require_fault_tolerance = args.fault_tolerant;
   auto choice = apsp::TuneConfiguration(request);
   if (!choice.ok()) return Fail(choice.status());
@@ -917,8 +936,9 @@ int RunModel(const Args& args) {
   options.directed = args.directed;
   options.early_exit_infinite = !args.no_early_exit;
   request.sources = PickSources(args.n, args.sources);
-  request.cluster =
-      sparklet::ClusterConfig::PaperWithCores(args.cores.value_or(1024));
+  const auto paper_cluster = PaperCluster(args, 1024);
+  if (!paper_cluster.has_value()) return 2;
+  request.cluster = *paper_cluster;
   auto& cluster = request.cluster;
   cluster.intra_task_cores = args.intra_task_cores;
   cluster.straggler_factor = args.straggler_factor;
