@@ -208,6 +208,9 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   /// Partitions whose cached copy an executor failure destroyed: their
   /// recomputation counts into recovery_seconds / recomputed_tasks.
   std::vector<bool> lost_by_failure_;
+  /// Generations of the shared-storage blocks each cached partition's task
+  /// read: a replay that reads the same ones reproduces the partition.
+  std::vector<std::vector<std::uint64_t>> read_generations_;
   /// Materialization attempts so far: re-runs suffix the stage key
   /// ("name#r2") so per-stage metrics and peak windows never collide with
   /// the original run.
@@ -414,7 +417,8 @@ Rdd<T>::Rdd(SparkletContext* ctx, std::string name, int num_partitions,
       store_(static_cast<std::size_t>(num_partitions)),
       store_bytes_(static_cast<std::size_t>(num_partitions), 0),
       store_node_(static_cast<std::size_t>(num_partitions), -1),
-      lost_by_failure_(static_cast<std::size_t>(num_partitions), false) {
+      lost_by_failure_(static_cast<std::size_t>(num_partitions), false),
+      read_generations_(static_cast<std::size_t>(num_partitions)) {
   ctx_->RegisterRdd(this);
 }
 
@@ -491,15 +495,18 @@ void Rdd<T>::RunStageAndCache(const std::string& stage) {
         costs.push_back(0.0);  // partition survived (or predates the loss)
         continue;
       }
-      const bool was_lost = lost_by_failure_[static_cast<std::size_t>(p)];
+      const auto idx = static_cast<std::size_t>(p);
+      const bool was_lost = lost_by_failure_[idx];
       tc.ResetForTask();
-      store_[static_cast<std::size_t>(p)] = RunTaskWithRetries(p, tc);
-      if (was_lost && tc.shared_read_bytes() > 0) {
-        // Replaying a task that reads the shared-storage side channel is
-        // not sound: the channel lives outside the RDD lineage, so the
-        // engine cannot guarantee the replay sees the bytes the original
-        // task saw (the paper's §3 impurity). Route the solver to its
-        // checkpoint-restart path instead.
+      store_[idx] = RunTaskWithRetries(p, tc);
+      if (was_lost && tc.shared_read_bytes() > 0 &&
+          (tc.read_byte_object() ||
+           tc.block_generations() != read_generations_[idx])) {
+        // The shared-storage side channel lives outside the RDD lineage
+        // (the paper's §3 impurity). A replay that read exactly the blocks
+        // the original task read reproduces it; one that read a byte
+        // object, which has no generation, or a block rewritten since is
+        // not sound. Route the solver to its checkpoint-restart path.
         throw SparkletAbort(DataLossError(
             "executor loss destroyed cached partition " + std::to_string(p) +
             " of RDD '" + name_ +
@@ -507,9 +514,10 @@ void Rdd<T>::RunStageAndCache(const std::string& stage) {
             "lineage; replay cannot be guaranteed to reproduce it — restart "
             "from the last checkpoint"));
       }
+      read_generations_[idx] = tc.block_generations();
       costs.push_back(tc.task_seconds());
       if (was_lost) {
-        lost_by_failure_[static_cast<std::size_t>(p)] = false;
+        lost_by_failure_[idx] = false;
         ++recomputed;
       }
       ChargeCached(p);
@@ -628,6 +636,7 @@ RddPtr<T> Rdd<T>::Persist() {
     store_bytes_.resize(static_cast<std::size_t>(num_partitions_), 0);
     store_node_.resize(static_cast<std::size_t>(num_partitions_), -1);
     lost_by_failure_.resize(static_cast<std::size_t>(num_partitions_), false);
+    read_generations_.resize(static_cast<std::size_t>(num_partitions_));
   }
   return this->shared_from_this();
 }

@@ -27,6 +27,7 @@ void SharedStorage::PutBlock(const std::string& key, linalg::BlockRef block) {
   Entry entry;
   entry.object.logical_bytes = block.serialized_bytes();
   entry.block = std::move(block);
+  entry.generation = ++generations_;
   total_bytes_ += entry.object.logical_bytes;
   objects_.emplace(key, std::move(entry));
 }
@@ -55,6 +56,11 @@ Result<linalg::BlockRef> SharedStorage::GetBlock(const std::string& key) const {
                                    "' is a byte object, not a block");
   }
   return it->second.block;
+}
+
+std::uint64_t SharedStorage::BlockGeneration(const std::string& key) const {
+  auto it = objects_.find(key);
+  return it == objects_.end() ? 0 : it->second.generation;
 }
 
 bool SharedStorage::Contains(const std::string& key) const {

@@ -15,7 +15,9 @@
 //
 // Because writes happen outside the RDD lineage they are side effects, which
 // is precisely what makes those solvers non-fault-tolerant; the engine tags
-// reads so tests can demonstrate the hazard.
+// reads so tests can demonstrate the hazard. Each block write is stamped
+// with a fresh generation, so the engine can tell a task that reads the very
+// blocks an earlier run of it read from one whose inputs were rewritten.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +55,10 @@ class SharedStorage {
   /// holds a byte object.
   Result<linalg::BlockRef> GetBlock(const std::string& key) const;
 
+  /// Generation of the block stored under `key`: unique to the PutBlock
+  /// that stored it (0 for a byte object or a missing key).
+  std::uint64_t BlockGeneration(const std::string& key) const;
+
   bool Contains(const std::string& key) const;
 
   /// Removes every object (e.g. between solver iterations/tests). Models an
@@ -69,9 +75,11 @@ class SharedStorage {
   struct Entry {
     Object object;
     linalg::BlockRef block;
+    std::uint64_t generation = 0;
   };
   std::unordered_map<std::string, Entry> objects_;
   std::uint64_t total_bytes_ = 0;
+  std::uint64_t generations_ = 0;
 };
 
 }  // namespace apspark::sparklet

@@ -21,6 +21,7 @@ Result<SharedStorage::Object> TaskContext::ReadShared(const std::string& key) {
   auto obj = storage_->Get(key);
   if (!obj.ok()) return obj.status();
   ChargeSharedRead(obj->logical_bytes);
+  read_byte_object_ = true;
   return obj;
 }
 
@@ -28,6 +29,7 @@ Result<linalg::BlockRef> TaskContext::ReadSharedBlock(const std::string& key) {
   auto block = storage_->GetBlock(key);
   if (!block.ok()) return block.status();
   ChargeSharedRead(block->serialized_bytes());
+  block_generations_.push_back(storage_->BlockGeneration(key));
   return block;
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "linalg/cost_model.h"
@@ -45,10 +46,19 @@ class TaskContext {
     return shared_read_bytes_;
   }
 
+  /// Generations of the blocks this task read, in read order.
+  const std::vector<std::uint64_t>& block_generations() const noexcept {
+    return block_generations_;
+  }
+  /// Whether this task read a byte object, which carries no generation.
+  bool read_byte_object() const noexcept { return read_byte_object_; }
+
   /// Engine-internal: resets per-task accumulation between tasks.
   void ResetForTask() noexcept {
     task_seconds_ = 0;
     shared_read_bytes_ = 0;
+    block_generations_.clear();
+    read_byte_object_ = false;
   }
 
   /// Engine-internal: number of tasks of the current stage that can run
@@ -66,6 +76,8 @@ class TaskContext {
   const ClusterConfig* config_;
   double task_seconds_ = 0;
   std::uint64_t shared_read_bytes_ = 0;
+  std::vector<std::uint64_t> block_generations_;
+  bool read_byte_object_ = false;
   int stage_concurrency_ = 1;
 };
 

@@ -36,8 +36,9 @@ expect_usage_error solve --er 40 --straggler-factor 2x
 expect_usage_error solve --er 40 --straggler-factor nan
 expect_usage_error solve --er 64 --block 16 --straggler-factor inf
 expect_usage_error serve --store . --random 10 --zipf inf
-# From 64 cores on, plan and model run whole 32-core nodes: a count that
-# does not split into them is refused, never modelled as fewer cores.
+# plan and model split --cores into equal nodes (whole 32-core nodes from
+# 64 cores on): a count that does not split is refused, never modelled as
+# fewer cores.
 expect_usage_error model --n 1000 --cores 100
 expect_usage_error model --n 1000 --cores 1000
 expect_usage_error plan --n 1000 --cores 100

@@ -304,6 +304,38 @@ TEST(NodeLoss, LostCachedPartitionWithSideChannelReadsAbortsWithDataLoss) {
   }
 }
 
+TEST(NodeLoss, LostCachedPartitionReplaysWhileItsStagedBlocksAreUnchanged) {
+  // Every staged block carries the generation of the write that stored it.
+  // A replay that reads the generations the original task read reads the
+  // very same blocks, so the lost partition recomputes in place; a block
+  // rewritten between the loss and the replay makes it unsound again.
+  for (const bool rewrite : {false, true}) {
+    SCOPED_TRACE(rewrite ? "rewritten" : "unchanged");
+    SparkletContext ctx(TestCluster());
+    ctx.DriverWriteSharedBlock("staged", DenseBlock(2, 2, 1.0));
+    auto rdd = ctx.Parallelize("data", Iota(20), 4)
+                   ->Map("read-staged",
+                         [](const std::int64_t& x, sparklet::TaskContext& tc) {
+                           EXPECT_TRUE(tc.ReadSharedBlock("staged").ok());
+                           return x + 1;
+                         })
+                   ->Persist();
+    const auto before = rdd->Collect();
+    ctx.fault_injector().FailNode(1, ctx.metrics().stages);
+    ctx.cluster().RunStage({0.0}, "tick");
+    ASSERT_EQ(ctx.metrics().executor_failures, 1u);
+    if (rewrite) ctx.DriverWriteSharedBlock("staged", DenseBlock(2, 2, 1.0));
+    try {
+      EXPECT_EQ(rdd->Collect(), before);
+      EXPECT_FALSE(rewrite) << "expected SparkletAbort(DATA_LOSS)";
+      EXPECT_GT(ctx.metrics().recomputed_tasks, 0u);
+    } catch (const SparkletAbort& abort) {
+      EXPECT_TRUE(rewrite) << abort.status().ToString();
+      EXPECT_EQ(abort.status().code(), StatusCode::kDataLoss);
+    }
+  }
+}
+
 TEST(NodeLoss, PreservedShuffleBucketsAccountedToOwningNode) {
   SparkletContext ctx(TestCluster());
   std::vector<IntPair> data;

@@ -741,14 +741,14 @@ const GoldenRow kGolden[] = {
       0.13453290055195158},
      28, 0x8e9103e05419caedull},
     {"cb/ks/fail-node",
-     {33320, 53166, 0, 57032, 0, 43, 352,
-      0, 0, 48, 1, 1, 0, 4,
+     {33320, 52044, 0, 55958, 0, 40, 332,
+      0, 0, 14, 1, 0, 0, 4,
       0, 0, 0, 16642, 8330, 54372},
-     {0.11236069183733763, 0.0096000000000000009, 0.018584825999999995,
-      0, 0.17600356449999993, 0.022211440520801862,
-      0.015000169467004438, 0, 0,
-      0.33860102485813975},
-     44, 0x5750f3eeb940552eull},
+     {0.10931926758552214, 0.0096000000000000009, 0.016572484000000002,
+      0, 0.17200349737499995, 0.020315631905791526,
+      0.0045124371458641474, 0, 0,
+      0.32765474886631396},
+     41, 0xc36be65ac0290b88ull},
     {"im/ks/early-exit",
      {179688, 96, 0, 0, 0, 60, 520,
       0, 0, 0, 0, 0, 0, 0,

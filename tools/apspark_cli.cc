@@ -618,21 +618,20 @@ bool ValidateIntraTaskCores(const sparklet::ClusterConfig& cluster) {
 }
 
 /// The paper cluster plan and model run: `--cores`, or `fallback` without
-/// it, through PaperWithCores. From two nodes' worth of cores on that
-/// models whole paper nodes, so a count that does not split into them is
-/// rejected here instead of being modelled as a smaller cluster.
+/// it, through PaperWithCores. A count it cannot split into equal nodes
+/// would be modelled as a smaller cluster, so it is rejected here.
 std::optional<sparklet::ClusterConfig> PaperCluster(const Args& args,
                                                     int fallback) {
   const int cores = args.cores.value_or(fallback);
-  const int node_cores = sparklet::ClusterConfig{}.cores_per_node;
-  if (cores >= 2 * node_cores && cores % node_cores != 0) {
-    std::fprintf(stderr,
-                 "--cores %d: from %d cores on the cluster is whole %d-core "
-                 "nodes; give a multiple of %d\n",
-                 cores, 2 * node_cores, node_cores, node_cores);
-    return std::nullopt;
-  }
-  return sparklet::ClusterConfig::PaperWithCores(cores);
+  const auto cfg = sparklet::ClusterConfig::PaperWithCores(cores);
+  if (cfg.nodes * cfg.cores_per_node == cores) return cfg;
+  std::fprintf(stderr,
+               "--cores %d: does not split into whole nodes (it would model "
+               "%d nodes x %d cores); give a multiple of the %d-core paper "
+               "node\n",
+               cores, cfg.nodes, cfg.cores_per_node,
+               sparklet::ClusterConfig{}.cores_per_node);
+  return std::nullopt;
 }
 
 /// Membership plans that parse fine can still be nonsense for the actual
