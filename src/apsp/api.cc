@@ -1,7 +1,9 @@
 #include "apsp/api.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "apsp/checkpoint.h"
 #include "apsp/solvers/rounds.h"
@@ -49,6 +51,23 @@ std::int64_t TotalRounds(SolverKind kind, const BlockLayout& layout) {
 }
 
 namespace {
+
+/// A min-plus closure with a negative diagonal entry has no shortest paths:
+/// the entry is a negative-weight closed walk through its vertex. Like the
+/// Bellman-Ford reference, the solve fails with kAborted instead of
+/// returning the walk's weights as distances.
+Status CheckNoNegativeCycle(const linalg::DenseBlock& distances) {
+  for (std::int64_t v = 0; v < distances.rows(); ++v) {
+    if (distances.At(v, v) < 0) {
+      char weight[32];
+      std::snprintf(weight, sizeof(weight), "%g", distances.At(v, v));
+      return AbortedError("negative cycle through vertex " +
+                          std::to_string(v) + " (a closed walk through it "
+                          "weighs " + weight + ")");
+    }
+  }
+  return Status::Ok();
+}
 
 sparklet::RddPtr<BlockRecord> RunRounds(
     SolverKind kind, sparklet::SparkletContext& ctx, const BlockLayout& layout,
@@ -299,6 +318,9 @@ ApspRunResult SolveBlocks(sparklet::SparkletContext& ctx,
       auto matrix = layout.Assemble(assembled);
       if (!matrix.ok()) {
         result.status = matrix.status();
+      } else if (opts.semiring == linalg::SemiringId::kMinPlus) {
+        result.status = CheckNoNegativeCycle(*matrix);
+        if (result.status.ok()) result.distances = std::move(matrix).value();
       } else {
         result.distances = std::move(matrix).value();
       }

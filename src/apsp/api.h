@@ -122,7 +122,9 @@ struct ApspOptions {
 };
 
 struct ApspRunResult {
-  Status status;  // OK, or why the run stopped (e.g. storage exhausted)
+  /// OK, or why the run stopped (e.g. storage exhausted; kAborted for a
+  /// min-plus APSP graph with a negative cycle).
+  Status status;
 
   /// Full distance matrix, or for a k-source run the n x k panel with
   /// distances->At(v, j) = dist(sources[j] -> v) (only for completed

@@ -127,14 +127,50 @@ BlockRef Transpose(const BlockRef& a, sparklet::TaskContext& tc) {
 }
 
 BlockRef TransposeMemo::Get(const BlockRef& source) {
-  auto it = entries_.find(source.get());
-  if (it != entries_.end()) return it->second.transposed;
-  BlockRef transposed = linalg::MakeBlock(source->Transposed());
-  entries_.emplace(source.get(), Entry{source, transposed});
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(source.get());
+    if (it != entries_.end()) return it->second.transposed;
+  }
+  // Transposed outside the lock, so a miss never blocks the other tasks.
+  return Insert(source, linalg::MakeBlock(source->Transposed()));
+}
+
+void TransposeMemo::Prefill(const std::vector<BlockRef>& sources) {
+  std::vector<BlockRef> missing;
+  std::vector<std::int64_t> work;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const BlockRef& source : sources) {
+      if (entries_.contains(source.get())) continue;
+      missing.push_back(source);
+      // A transposed element crosses two cache tiles: about the host time
+      // of 64 multiply-adds, so a b = 256 transpose is one host grain.
+      work.push_back(source->is_phantom() ? 0 : 64 * source->size());
+    }
+  }
+  std::vector<BlockRef> transposed(missing.size());
+  linalg::ForEachByHostWork(work, [&](std::size_t i) {
+    transposed[i] = linalg::MakeBlock(missing[i]->Transposed());
+  });
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    Insert(missing[i], std::move(transposed[i]));
+  }
+}
+
+void TransposeMemo::Clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
+}
+
+BlockRef TransposeMemo::Insert(const BlockRef& source, BlockRef transposed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto [it, inserted] =
+      entries_.emplace(source.get(), Entry{source, transposed});
   // Transposition is an exact permutation, so the source is also the
   // transpose of the result: a later request for it costs nothing.
-  entries_.emplace(transposed.get(), Entry{transposed, source});
-  return transposed;
+  if (inserted) entries_.emplace(transposed.get(), Entry{transposed, source});
+  return it->second.transposed;
 }
 
 BlockRef Transpose(const BlockRef& a, sparklet::TaskContext& tc,

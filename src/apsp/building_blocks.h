@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -91,20 +92,29 @@ linalg::BlockRef Transpose(const linalg::BlockRef& a,
 /// the host work is done once per payload and shared. Keyed by payload
 /// identity, and each entry holds its source, so a key cannot be reused by
 /// another block while it is memoized. Pure host state — it never charges
-/// the cost model. Used from the driver thread only, like TaskContext.
+/// the cost model. Thread-safe: a stage's tasks read it concurrently.
 class TransposeMemo {
  public:
   /// The transpose of `source`, computed on the first request for this
   /// payload (or for its own transpose) and shared afterwards.
   linalg::BlockRef Get(const linalg::BlockRef& source);
+  /// Memoizes the transposes of `sources` that are not memoized yet,
+  /// computed as one batch of independent units (linalg::ForEachByHostWork).
+  void Prefill(const std::vector<linalg::BlockRef>& sources);
   /// Drops every entry (the owning round ends).
-  void Clear() { entries_.clear(); }
+  void Clear();
 
  private:
   struct Entry {
     linalg::BlockRef source;
     linalg::BlockRef transposed;
   };
+  /// Memoizes the pair unless another thread got there first; returns the
+  /// memoized transpose of `source`.
+  linalg::BlockRef Insert(const linalg::BlockRef& source,
+                          linalg::BlockRef transposed);
+
+  std::mutex mutex_;
   std::unordered_map<const linalg::DenseBlock*, Entry> entries_;
 };
 

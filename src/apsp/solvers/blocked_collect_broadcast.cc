@@ -34,12 +34,19 @@ namespace {
 /// phase-2-updated cross blocks (diagonal excluded): stored (x, t) provides
 /// the left factor A_xt, stored (t, x) the right factor A_tx. Undirected
 /// storage keeps only the canonical block, so the missing left side is
-/// derived by transposition (driver-side, like the paper's on-demand A_JI)
-/// through the round's `transposes` memo, which thereby already knows the
-/// transpose of that left factor: the canonical block itself.
+/// derived by transposition (driver-side, like the paper's on-demand A_JI).
+/// Phase 3 needs the transpose of every undirected cross block (of a left
+/// factor, or the left factor itself), so the round's `transposes` memo
+/// computes them all here as one host batch; phase-3 tasks only read it.
 void StageCrossFactors(sparklet::SparkletContext& ctx, const StagingKeys& keys,
                        std::int64_t t, const std::vector<BlockRecord>& cross,
                        bool directed, TransposeMemo& transposes) {
+  if (!directed) {
+    std::vector<BlockRef> blocks;
+    blocks.reserve(cross.size());
+    for (const auto& record : cross) blocks.push_back(record.second);
+    transposes.Prefill(blocks);
+  }
   for (const auto& [key, block] : cross) {
     const std::int64_t x = key.I == t ? key.J : key.I;
     if (key.J == t) {
@@ -58,8 +65,8 @@ void StageCrossFactors(sparklet::SparkletContext& ctx, const StagingKeys& keys,
 /// target `key` needs. Undirected layouts stage only left factors beyond
 /// the canonical cross, so the right side is reconstructed by transposing
 /// the left factor of key.J (cached under the right key, charged like any
-/// transpose). The host transpose itself is shared by every task of the
-/// round through `transposes`.
+/// transpose). The host transpose itself comes from the round's
+/// `transposes` memo, which StageCrossFactors filled.
 std::pair<BlockRef, BlockRef> ReadPhase3Factors(
     const StagingKeys& keys, BlockCache& cache, TransposeMemo& transposes,
     std::int64_t t, const BlockKey& key, bool directed, TaskContext& tc) {
@@ -77,9 +84,8 @@ std::pair<BlockRef, BlockRef> ReadPhase3Factors(
 }
 
 /// One task's block updates: `plan(key, block)` gives each record's fused
-/// update (its staged reads and charges stay sequential — TaskContext is
-/// driver-thread state), then the independent updates run as one stealable
-/// batch and keep their records' keys.
+/// update, then the independent updates run as one stealable batch and keep
+/// their records' keys.
 template <typename Plan>
 std::vector<BlockRecord> UpdateEach(std::vector<BlockRecord>&& part,
                                     TaskContext& tc, Plan plan) {

@@ -66,6 +66,13 @@ class FaultInjector {
     return true;
   }
 
+  /// Whether a failure is armed for this task, without consuming it (a
+  /// concurrent task leaves it to the driver, see TaskContext::RequireDriver).
+  bool Armed(const std::string& rdd_name, int partition) const {
+    auto it = plan_.find({rdd_name, partition});
+    return it != plan_.end() && it->second > 0;
+  }
+
   /// Arms the loss of executor `node` at the completion of stage ordinal
   /// `at_stage` (see NodeFailurePlan). Multiple plans — even for the same
   /// node — are allowed; each fires exactly once.

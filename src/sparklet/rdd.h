@@ -13,10 +13,13 @@
 //  * driver actions: collect (funnelled through the driver NIC) and count;
 //  * torrent-style broadcast and a shared-persistent-storage side channel.
 //
-// Execution model: record processing is real and runs in the driver thread
-// (correctness is bit-for-bit testable); *time* is virtual, advanced by the
-// discrete-event VirtualCluster using the calibrated CostModel plus byte
-// accounting from Serde<T>. See README.md, "Zero-copy data plane".
+// Execution model: record processing is real (correctness is bit-for-bit
+// testable), and a stage's tasks run concurrently on the host's kernel pool,
+// each with its own TaskContext, while the driver takes their outputs in
+// partition order (SparkletContext::RunTasks), so every modelled number is
+// that of one serial pass; *time* is virtual, advanced by the discrete-event
+// VirtualCluster using the calibrated CostModel plus byte accounting from
+// Serde<T>. See README.md, "Zero-copy data plane".
 //
 // Materialization has one rule: a persisted RDD (parallelized, shuffled, or
 // Persist()ed) runs its stage on its first read and caches every partition;
@@ -29,6 +32,8 @@
 // again: a later read fuses the partition it needs into the reader's task.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,7 +46,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "linalg/cost_model.h"
+#include "linalg/kernel_registry.h"
 #include "sparklet/config.h"
 #include "sparklet/fault.h"
 #include "sparklet/metrics.h"
@@ -96,6 +103,8 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   using Element = T;
   using Partition = std::vector<T>;
   /// Computes one partition; may recursively pull (fused) parent partitions.
+  /// The tasks of a stage run concurrently, so compute functions and the
+  /// user functions they call must be safe to call from several threads.
   using ComputeFn = std::function<Partition(int, TaskContext&)>;
 
   // Constructed via SparkletContext / transformations; use the factory
@@ -257,6 +266,25 @@ class SparkletContext {
     return TaskContext(&cost_model_, &shared_storage_, &config());
   }
 
+  /// The one task runner: runs a stage's tasks over partitions
+  /// [0, num_partitions). `pending(p)` says whether partition p needs its
+  /// task, `run(p, tc)` is the task body and returns its output, and
+  /// `accept(p, output, tc)` takes that output on the driver, in partition
+  /// order; only `accept` touches engine state (cache, ledger, costs,
+  /// shuffle buckets).
+  ///
+  /// The first pending task runs on the driver. The pending tasks after it
+  /// run concurrently: min(pending, pool threads) loops on the kernel pool
+  /// pull them from one atomic index, each task with its own TaskContext. A
+  /// concurrent task stops before a step only the driver may take (starting
+  /// a stage, consuming an armed failure: TaskContext::RequireDriver); the
+  /// earliest stopped task then runs on the driver, and every output after
+  /// it is discarded and recomputed. Stage order, fault behaviour and every
+  /// modelled number are thus those of one serial pass. Under kTiled the
+  /// whole stage runs on the driver.
+  template <typename Pending, typename Run, typename Accept>
+  void RunTasks(int num_partitions, Pending pending, Run run, Accept accept);
+
   /// Creates a pre-materialized RDD by chunking `data` into
   /// `num_partitions` equal ranges (Spark's default slicing).
   template <typename T>
@@ -403,6 +431,74 @@ class SparkletContext {
 };
 
 // ---------------------------------------------------------------------------
+// Task runner
+// ---------------------------------------------------------------------------
+
+template <typename Pending, typename Run, typename Accept>
+void SparkletContext::RunTasks(int num_partitions, Pending pending, Run run,
+                               Accept accept) {
+  using Output = std::invoke_result_t<Run&, int, TaskContext&>;
+  const int stage_concurrency =
+      std::min(num_partitions, config().concurrent_task_slots());
+  auto make_task_context = [&] {
+    TaskContext tc = MakeTaskContext();
+    tc.SetStageConcurrency(stage_concurrency);
+    return tc;
+  };
+  const std::size_t threads =
+      linalg::GetKernelVariant() == linalg::KernelVariant::kTiledParallel
+          ? linalg::KernelThreadPool().num_threads()
+          : 1;
+  int next = 0;
+  for (;;) {
+    while (next < num_partitions && !pending(next)) ++next;
+    if (next == num_partitions) return;
+    {
+      TaskContext tc = make_task_context();
+      Output out = run(next, tc);
+      accept(next, std::move(out), tc);
+    }
+    ++next;
+    if (threads <= 1) continue;
+    // The driver task may have started stages whose boundaries dropped
+    // cached partitions, so pending-ness is read only now.
+    std::vector<int> batch;
+    for (int p = next; p < num_partitions; ++p) {
+      if (pending(p)) batch.push_back(p);
+    }
+    if (batch.size() < 2) continue;
+    TaskContext concurrent = make_task_context();
+    concurrent.SetConcurrent();
+    std::vector<TaskContext> tcs(batch.size(), concurrent);
+    std::vector<std::optional<Output>> outs(batch.size());
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<std::size_t> stopped{batch.size()};
+    linalg::KernelThreadPool().ParallelForTasks(
+        std::min(batch.size(), threads), [&](std::size_t) {
+          for (;;) {
+            const std::size_t i = cursor.fetch_add(1);
+            // Outputs after the earliest stop are discarded anyway.
+            if (i >= batch.size() || i > stopped.load()) return;
+            try {
+              outs[i].emplace(run(batch[i], tcs[i]));
+            } catch (...) {
+              // NeedsDriver, or an error the driver re-raises in order.
+              std::size_t s = stopped.load();
+              while (i < s && !stopped.compare_exchange_weak(s, i)) {
+              }
+              return;
+            }
+          }
+        });
+    const std::size_t stop = stopped.load();
+    for (std::size_t i = 0; i < stop; ++i) {
+      accept(batch[i], std::move(*outs[i]), tcs[i]);
+    }
+    next = stop < batch.size() ? batch[stop] : num_partitions;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rdd member implementations
 // ---------------------------------------------------------------------------
 
@@ -462,6 +558,9 @@ typename Rdd<T>::Partition Rdd<T>::RunTaskWithRetries(int partition,
                                                       TaskContext& tc) {
   int failures = 0;
   for (;;) {
+    if (tc.concurrent() && ctx_->fault_injector().Armed(name_, partition)) {
+      tc.RequireDriver();
+    }
     if (ctx_->fault_injector().ShouldFail(name_, partition)) {
       auto& metrics = ctx_->cluster().mutable_metrics();
       metrics.task_failures += 1;
@@ -480,48 +579,45 @@ typename Rdd<T>::Partition Rdd<T>::RunTaskWithRetries(int partition,
 
 template <typename T>
 void Rdd<T>::RunStageAndCache(const std::string& stage) {
-  TaskContext tc = ctx_->MakeTaskContext();
-  tc.SetStageConcurrency(
-      std::min(num_partitions_, ctx_->config().concurrent_task_slots()));
   // An executor loss can fire at a (possibly nested) stage boundary while
-  // this loop runs, dropping partitions this very pass already cached; the
+  // this stage runs, dropping partitions this very pass already cached; the
   // outer loop re-runs until the store is complete.
   for (int attempt = 0;; ++attempt) {
-    std::vector<double> costs;
-    costs.reserve(static_cast<std::size_t>(num_partitions_));
+    // A partition that survived (or predates the loss) costs nothing.
+    std::vector<double> costs(static_cast<std::size_t>(num_partitions_), 0.0);
     std::uint64_t recomputed = 0;
-    for (int p = 0; p < num_partitions_; ++p) {
-      if (store_[static_cast<std::size_t>(p)]) {
-        costs.push_back(0.0);  // partition survived (or predates the loss)
-        continue;
-      }
-      const auto idx = static_cast<std::size_t>(p);
-      const bool was_lost = lost_by_failure_[idx];
-      tc.ResetForTask();
-      store_[idx] = RunTaskWithRetries(p, tc);
-      if (was_lost && tc.shared_read_bytes() > 0 &&
-          (tc.read_byte_object() ||
-           tc.block_generations() != read_generations_[idx])) {
-        // The shared-storage side channel lives outside the RDD lineage
-        // (the paper's §3 impurity). A replay that read exactly the blocks
-        // the original task read reproduces it; one that read a byte
-        // object, which has no generation, or a block rewritten since is
-        // not sound. Route the solver to its checkpoint-restart path.
-        throw SparkletAbort(DataLossError(
-            "executor loss destroyed cached partition " + std::to_string(p) +
-            " of RDD '" + name_ +
-            "', whose tasks read shared persistent storage outside the RDD "
-            "lineage; replay cannot be guaranteed to reproduce it — restart "
-            "from the last checkpoint"));
-      }
-      read_generations_[idx] = tc.block_generations();
-      costs.push_back(tc.task_seconds());
-      if (was_lost) {
-        lost_by_failure_[idx] = false;
-        ++recomputed;
-      }
-      ChargeCached(p);
-    }
+    ctx_->RunTasks(
+        num_partitions_,
+        [this](int p) { return !store_[static_cast<std::size_t>(p)]; },
+        [this](int p, TaskContext& tc) { return RunTaskWithRetries(p, tc); },
+        [&](int p, Partition&& part, const TaskContext& tc) {
+          const auto idx = static_cast<std::size_t>(p);
+          const bool was_lost = lost_by_failure_[idx];
+          store_[idx] = std::move(part);
+          if (was_lost && tc.shared_read_bytes() > 0 &&
+              (tc.read_byte_object() ||
+               tc.block_generations() != read_generations_[idx])) {
+            // The shared-storage side channel lives outside the RDD lineage
+            // (the paper's §3 impurity). A replay that read exactly the
+            // blocks the original task read reproduces it; one that read a
+            // byte object, which has no generation, or a block rewritten
+            // since is not sound. Route the solver to its checkpoint-restart
+            // path.
+            throw SparkletAbort(DataLossError(
+                "executor loss destroyed cached partition " +
+                std::to_string(p) + " of RDD '" + name_ +
+                "', whose tasks read shared persistent storage outside the "
+                "RDD lineage; replay cannot be guaranteed to reproduce it — "
+                "restart from the last checkpoint"));
+          }
+          read_generations_[idx] = tc.block_generations();
+          costs[idx] = tc.task_seconds();
+          if (was_lost) {
+            lost_by_failure_[idx] = false;
+            ++recomputed;
+          }
+          ChargeCached(p);
+        });
     // Re-runs get a distinct stage key so their stage-trace records and
     // spans never collide with the original.
     std::string stage_name = stage;
@@ -561,7 +657,11 @@ template <typename T>
 typename Rdd<T>::Partition Rdd<T>::ComputeOrRead(int partition,
                                                  TaskContext& tc) {
   if (cache_) {
-    EnsureMaterialized();
+    // The first read of a persisted RDD runs its stage.
+    if (!materialized_) {
+      tc.RequireDriver();
+      RunStageAndCache(name_);
+    }
     return *store_[static_cast<std::size_t>(partition)];
   }
   return RunTaskWithRetries(partition, tc);
@@ -712,17 +812,14 @@ void Rdd<T>::RunActionStage(const std::string& stage, Take take) {
     for (const auto& slot : store_) take(Partition(*slot));
     return;
   }
-  std::vector<double> costs;
-  costs.reserve(static_cast<std::size_t>(num_partitions_));
-  TaskContext tc = ctx_->MakeTaskContext();
-  tc.SetStageConcurrency(
-      std::min(num_partitions_, ctx_->config().concurrent_task_slots()));
-  for (int p = 0; p < num_partitions_; ++p) {
-    tc.ResetForTask();
-    Partition part = ComputeOrRead(p, tc);
-    costs.push_back(tc.task_seconds());
-    take(std::move(part));
-  }
+  std::vector<double> costs(static_cast<std::size_t>(num_partitions_));
+  ctx_->RunTasks(
+      num_partitions_, [](int) { return true; },
+      [this](int p, TaskContext& tc) { return ComputeOrRead(p, tc); },
+      [&](int p, Partition&& part, const TaskContext& tc) {
+        costs[static_cast<std::size_t>(p)] = tc.task_seconds();
+        take(std::move(part));
+      });
   ctx_->cluster().RunStage(costs, stage);
 }
 
@@ -866,57 +963,57 @@ ShuffleOutput<K, C> ShuffleMapSide(Rdd<std::pair<K, V>>& parent,
                                    bool map_side_combine, CombineInit init,
                                    CombineMerge merge) {
   SparkletContext* ctx = parent.ctx();
-  const int reducers = partitioner.num_partitions();
+  const int maps = parent.num_partitions();
   std::vector<std::vector<std::pair<K, C>>> buckets(
-      static_cast<std::size_t>(reducers));
-  std::vector<double> costs;
-  std::vector<std::uint64_t> spill_bytes(
-      static_cast<std::size_t>(parent.num_partitions()), 0);
+      static_cast<std::size_t>(partitioner.num_partitions()));
+  std::vector<double> costs(static_cast<std::size_t>(maps));
+  std::vector<std::uint64_t> spill_bytes(static_cast<std::size_t>(maps), 0);
   bool map_side_impure = false;
-  TaskContext tc = ctx->MakeTaskContext();
-  tc.SetStageConcurrency(
-      std::min(parent.num_partitions(), ctx->config().concurrent_task_slots()));
-  for (int p = 0; p < parent.num_partitions(); ++p) {
-    tc.ResetForTask();
-    std::vector<std::pair<K, V>> records = parent.ComputeOrRead(p, tc);
-    // Side-channel reads make the map side non-replayable (see
-    // SparkletContext::RecoverLostMapOutputs). Detect them here so the
-    // replay state can refuse later.
-    if (tc.shared_read_bytes() > 0) map_side_impure = true;
-    // Map-side combine into a per-task table (Spark's ExternalAppendOnlyMap).
-    std::unordered_map<K, C> combined;
-    std::vector<std::pair<K, C>> passthrough;
-    for (auto& [key, value] : records) {
-      if (map_side_combine) {
-        auto it = combined.find(key);
-        if (it == combined.end()) {
-          combined.emplace(key, init(std::move(value)));
-        } else {
-          merge(it->second, std::move(value), tc);
+  ctx->RunTasks(
+      maps, [](int) { return true; },
+      [&](int p, TaskContext& tc) {
+        std::vector<std::pair<K, V>> records = parent.ComputeOrRead(p, tc);
+        // Map-side combine into a per-task table (Spark's
+        // ExternalAppendOnlyMap); the task's output in emission order.
+        std::unordered_map<K, C> combined;
+        std::vector<std::pair<K, C>> out;
+        for (auto& [key, value] : records) {
+          if (map_side_combine) {
+            auto it = combined.find(key);
+            if (it == combined.end()) {
+              combined.emplace(key, init(std::move(value)));
+            } else {
+              merge(it->second, std::move(value), tc);
+            }
+          } else {
+            out.emplace_back(key, init(std::move(value)));
+          }
         }
-      } else {
-        passthrough.emplace_back(key, init(std::move(value)));
-      }
-    }
-    std::uint64_t bytes = 0;
-    auto emit = [&](std::pair<K, C>&& rec) {
-      bytes += SerializedSizeOf(rec);
-      const int r = partitioner.PartitionOf(rec.first);
-      buckets[static_cast<std::size_t>(r)].push_back(std::move(rec));
-    };
-    for (auto& rec : passthrough) emit(std::move(rec));
-    for (auto& [key, comb] : combined) {
-      emit(std::make_pair(key, std::move(comb)));
-    }
-    spill_bytes[static_cast<std::size_t>(p)] = bytes;
-    // The task pays for serializing its map output and writing the
-    // compressed spill to the node-local SSD.
-    costs.push_back(
-        tc.task_seconds() +
-        static_cast<double>(bytes) * ctx->config().serde_seconds_per_byte +
-        static_cast<double>(bytes) * ctx->config().shuffle_compression /
-            ctx->config().local_storage_bandwidth_bytes_per_sec);
-  }
+        for (auto& [key, comb] : combined) {
+          out.emplace_back(key, std::move(comb));
+        }
+        return out;
+      },
+      [&](int p, std::vector<std::pair<K, C>>&& out, const TaskContext& tc) {
+        // Side-channel reads make the map side non-replayable (see
+        // SparkletContext::RecoverLostMapOutputs). Detect them here so the
+        // replay state can refuse later.
+        if (tc.shared_read_bytes() > 0) map_side_impure = true;
+        std::uint64_t bytes = 0;
+        for (auto& rec : out) {
+          bytes += SerializedSizeOf(rec);
+          const int r = partitioner.PartitionOf(rec.first);
+          buckets[static_cast<std::size_t>(r)].push_back(std::move(rec));
+        }
+        spill_bytes[static_cast<std::size_t>(p)] = bytes;
+        // The task pays for serializing its map output and writing the
+        // compressed spill to the node-local SSD.
+        costs[static_cast<std::size_t>(p)] =
+            tc.task_seconds() +
+            static_cast<double>(bytes) * ctx->config().serde_seconds_per_byte +
+            static_cast<double>(bytes) * ctx->config().shuffle_compression /
+                ctx->config().local_storage_bandwidth_bytes_per_sec;
+      });
   // Preserve the output and register the replay state BEFORE the map
   // stage's boundary runs: a node loss firing at exactly that boundary must
   // see the just-written outputs (the tasks wrote their spill during the
@@ -935,6 +1032,40 @@ ShuffleOutput<K, C> ShuffleMapSide(Rdd<std::pair<K, V>>& parent,
   if (!status.ok()) throw SparkletAbort(status);
   ctx->cluster().RunStage(costs, op_name + "-map");
   return out;
+}
+
+/// A reduce task's read of bucket `p`. The first read runs the map side
+/// (`map_side()`), and a read after an executor loss replays the lost map
+/// outputs (or aborts with DATA_LOSS, if the map side is impure); both are
+/// stages, which only the driver starts.
+template <typename K, typename C, typename MapSide>
+const std::vector<std::pair<K, C>>& FetchBucket(SparkletContext* ctx,
+                                                ShuffleOutput<K, C>& state,
+                                                int p, TaskContext& tc,
+                                                MapSide map_side) {
+  if (state.files == nullptr) {
+    tc.RequireDriver();
+    state = map_side();
+  }
+  if (state.map_state->any_lost()) {
+    tc.RequireDriver();
+    ctx->RecoverLostMapOutputs(*state.map_state);
+  }
+  return (*state.files)[static_cast<std::size_t>(p)];
+}
+
+/// Charges a reduce task for fetching `bucket` from the map side's
+/// compressed spill and deserializing it.
+template <typename K, typename C>
+void ChargeFetch(const SparkletContext& ctx,
+                 const std::vector<std::pair<K, C>>& bucket, TaskContext& tc) {
+  std::uint64_t fetch_bytes = 0;
+  for (const auto& rec : bucket) fetch_bytes += SerializedSizeOf(rec);
+  tc.ChargeCompute(static_cast<double>(fetch_bytes) *
+                       ctx.config().serde_seconds_per_byte +
+                   static_cast<double>(fetch_bytes) *
+                       ctx.config().shuffle_compression /
+                       ctx.config().local_storage_bandwidth_bytes_per_sec);
 }
 
 }  // namespace internal
@@ -961,25 +1092,18 @@ RddPtr<std::pair<K, C>> CombineByKey(RddPtr<std::pair<K, V>> parent,
   rdd->SetComputeForShuffle(
       [parent, partitioner, op_name, init, merge_value, merge_comb, state,
        ctx](int p, TaskContext& tc) -> std::vector<std::pair<K, C>> {
-        if (state->files == nullptr) {
-          *state = internal::ShuffleMapSide<K, V, C>(
-              *parent, *partitioner, op_name, /*map_side_combine=*/true, init,
-              merge_value);
-        }
-        // An executor loss may have destroyed part of the preserved map
-        // output; replay it (or abort, if the map side is impure) before
-        // reading the bucket.
-        ctx->RecoverLostMapOutputs(*state->map_state);
         // Reduce side for partition p: read the preserved bucket through the
         // shared ref and merge combiners. Records hold refs, so the combiner
         // seeds below share payloads with the shuffle files — the "copy" is
         // a ref-count bump, never block data (the files stay pristine for
         // recomputation either way).
-        const auto& bucket = (*state->files)[static_cast<std::size_t>(p)];
-        std::uint64_t fetch_bytes = 0;
+        const auto& bucket = internal::FetchBucket(ctx, *state, p, tc, [&] {
+          return internal::ShuffleMapSide<K, V, C>(
+              *parent, *partitioner, op_name, /*map_side_combine=*/true, init,
+              merge_value);
+        });
         std::unordered_map<K, C> table;
         for (const auto& rec : bucket) {
-          fetch_bytes += SerializedSizeOf(rec);
           auto it = table.find(rec.first);
           if (it == table.end()) {
             table.emplace(rec.first, rec.second);
@@ -988,11 +1112,7 @@ RddPtr<std::pair<K, C>> CombineByKey(RddPtr<std::pair<K, V>> parent,
             merge_comb(it->second, std::move(seed), tc);
           }
         }
-        tc.ChargeCompute(static_cast<double>(fetch_bytes) *
-                             ctx->config().serde_seconds_per_byte +
-                         static_cast<double>(fetch_bytes) *
-                             ctx->config().shuffle_compression /
-                             ctx->config().local_storage_bandwidth_bytes_per_sec);
+        internal::ChargeFetch(*ctx, bucket, tc);
         std::vector<std::pair<K, C>> out;
         out.reserve(table.size());
         for (auto& [key, comb] : table) {
@@ -1031,26 +1151,16 @@ RddPtr<std::pair<K, V>> PartitionBy(RddPtr<std::pair<K, V>> parent,
   out->SetComputeForShuffle(
       [parent, partitioner, op_name, state, ctx](int p, TaskContext& tc)
           -> std::vector<std::pair<K, V>> {
-        if (state->files == nullptr) {
-          *state = internal::ShuffleMapSide<K, V, V>(
-              *parent, *partitioner, op_name, /*map_side_combine=*/false,
-              [](V&& v) { return std::move(v); },
-              [](V&, V&&, TaskContext&) {});
-        }
-        // Replay any map outputs an executor loss destroyed (aborting with
-        // DATA_LOSS when the map side is impure) before touching the files.
-        ctx->RecoverLostMapOutputs(*state->map_state);
         // The reduce output shares the preserved bucket's records (ref-count
         // bumps, not payload copies); the files stay intact so a lost reduce
         // partition can be recomputed from them.
-        const auto& bucket = (*state->files)[static_cast<std::size_t>(p)];
-        std::uint64_t fetch_bytes = 0;
-        for (const auto& rec : bucket) fetch_bytes += SerializedSizeOf(rec);
-        tc.ChargeCompute(static_cast<double>(fetch_bytes) *
-                             ctx->config().serde_seconds_per_byte +
-                         static_cast<double>(fetch_bytes) *
-                             ctx->config().shuffle_compression /
-                             ctx->config().local_storage_bandwidth_bytes_per_sec);
+        const auto& bucket = internal::FetchBucket(ctx, *state, p, tc, [&] {
+          return internal::ShuffleMapSide<K, V, V>(
+              *parent, *partitioner, op_name, /*map_side_combine=*/false,
+              [](V&& v) { return std::move(v); },
+              [](V&, V&&, TaskContext&) {});
+        });
+        internal::ChargeFetch(*ctx, bucket, tc);
         return bucket;
       });
   return out;

@@ -7,6 +7,10 @@
 // and (b) reaches the shared-storage side channel, with read traffic added
 // to the task's modelled duration (the paper's executors deserialize column
 // blocks from GPFS inside map tasks).
+//
+// Each task has its own context, so the tasks of one stage may run
+// concurrently on the host (SparkletContext::RunTasks); a context itself is
+// used by one thread at a time.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,10 @@
 #include "sparklet/shared_storage.h"
 
 namespace apspark::sparklet {
+
+/// Thrown by TaskContext::RequireDriver: the task reached a step only the
+/// driver may take. The task runner catches it and re-runs the task there.
+struct NeedsDriver {};
 
 class TaskContext {
  public:
@@ -53,18 +61,22 @@ class TaskContext {
   /// Whether this task read a byte object, which carries no generation.
   bool read_byte_object() const noexcept { return read_byte_object_; }
 
-  /// Engine-internal: resets per-task accumulation between tasks.
-  void ResetForTask() noexcept {
-    task_seconds_ = 0;
-    shared_read_bytes_ = 0;
-    block_generations_.clear();
-    read_byte_object_ = false;
-  }
-
   /// Engine-internal: number of tasks of the current stage that can run
   /// concurrently, used to split shared-FS bandwidth fairly.
   void SetStageConcurrency(int concurrency) noexcept {
     stage_concurrency_ = concurrency < 1 ? 1 : concurrency;
+  }
+
+  /// Engine-internal: marks a task the runner runs beside other tasks of
+  /// its stage, off the driver's serial path.
+  void SetConcurrent() noexcept { concurrent_ = true; }
+  bool concurrent() const noexcept { return concurrent_; }
+
+  /// Engine-internal: guards a step with effects outside the task — starting
+  /// a stage, consuming an armed failure. A concurrent task stops here,
+  /// before the step, by throwing NeedsDriver; a driver task goes on.
+  void RequireDriver() const {
+    if (concurrent_) throw NeedsDriver{};
   }
 
  private:
@@ -79,6 +91,7 @@ class TaskContext {
   std::vector<std::uint64_t> block_generations_;
   bool read_byte_object_ = false;
   int stage_concurrency_ = 1;
+  bool concurrent_ = false;
 };
 
 }  // namespace apspark::sparklet

@@ -43,6 +43,10 @@ expect_usage_error model --n 1000 --cores 100
 expect_usage_error model --n 1000 --cores 1000
 expect_usage_error plan --n 1000 --cores 100
 expect_usage_error plan --n 1000 --cores 65
+# solve models --cores C as nodes of two cores (one node below 4): a count
+# that does not split into equal nodes is refused too.
+expect_usage_error solve --er 32 --block 8 --cores 5
+expect_usage_error solve --er 32 --block 8 --cores 7
 # --intra-task-cores spends a node's own cores: at most cores_per_node.
 expect_usage_error model --n 1000 --intra-task-cores 64
 # The kernels run one fixed tile geometry; there is nothing to auto-tune.
@@ -85,6 +89,8 @@ expect_run() {
 }
 
 expect_run model --n 1000 --block 250 --rounds 1
+expect_run solve --er 32 --block 8 --cores 1
+expect_run solve --er 32 --block 8 --cores 3
 expect_run model --n 1000 --intra-task-cores 32
 expect_run solve --er 64 --sources 4 --block 16 --ksource-variant shuffle
 expect_run model --n 16384 --sources 64 --block 1024 --ksource-variant auto
@@ -110,11 +116,27 @@ if [ "$(model_cluster)" != "on 32 nodes x 32 cores" ] ||
 else
   echo "ok: model --cores models the cores it was given"
 fi
-# A solve reports what the host paid beside the modelled memory peaks.
+# A solve reports what the host paid beside the modelled memory peaks, and
+# its CPU time over its wall time.
 if ! "$CLI" solve --er 64 --block 16 2> /dev/null |
-    grep -Eq "^host: solve minor-faults=[0-9]+ peak-rss=[0-9.]+[KMG]?i?B$"; then
+    grep -Eq "^host: solve minor-faults=[0-9]+ peak-rss=[0-9.]+[KMG]?i?B cpu/wall=[0-9]+\.[0-9]{2}$"; then
   echo "FAIL: solve printed no host: line"
   failures=$((failures + 1))
 fi
+# A negative cycle has no shortest paths: the solve fails, and writes
+# neither distances nor a store.
+negative="$(mktemp -d)"
+printf 'apsp 3 3\n0 1 1\n1 2 -2\n2 0 -2\n' > "$negative/g.txt"
+"$CLI" solve --input "$negative/g.txt" --block 2 --output "$negative/d.txt" \
+    --persist "$negative/store" > /dev/null 2>&1
+rc=$?
+if [ "$rc" -eq 0 ] || [ "$rc" -ge 128 ] || [ -e "$negative/d.txt" ] ||
+    [ -e "$negative/store" ]; then
+  echo "FAIL: solve of a negative cycle exited $rc or wrote output"
+  failures=$((failures + 1))
+else
+  echo "ok: solve of a negative cycle failed and wrote nothing"
+fi
+rm -rf "$negative"
 
 exit "$failures"

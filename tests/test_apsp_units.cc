@@ -309,7 +309,7 @@ TEST(BuildingBlocks, MinPlusIntoBatchMatchesPerRecordChargesAndValues) {
   EXPECT_NEAR(f.tc.task_seconds(), 4 * one_charge, 1e-15);
 
   f.model.intra_task_cores = 2;
-  f.tc.ResetForTask();
+  f.tc = MakeTc(&f.model, &f.storage, &f.cfg);
   std::vector<FusedTriple> again(4, FusedTriple{base, l, r});
   MinPlusIntoBatch(std::move(again), f.tc);
   EXPECT_NEAR(f.tc.task_seconds(), 2 * one_charge, 1e-15);

@@ -297,6 +297,29 @@ TEST(SolverDegenerate, SingleVertexAndSingleBlock) {
   }
 }
 
+TEST(SolverDegenerate, NegativeCycleAbortsAndNamesAVertexOnIt) {
+  // The undirected triangle 0-1-2 weighs 1 - 2 - 2 = -3 around, and each
+  // negative edge is a negative cycle on its own: no shortest paths exist,
+  // so no solver may return distances.
+  graph::Graph g(3);
+  ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
+  ASSERT_TRUE(g.AddEdge(1, 2, -2.0).ok());
+  ASSERT_TRUE(g.AddEdge(2, 0, -2.0).ok());
+  for (SolverKind kind : apsp::AllSolverKinds()) {
+    ApspOptions opts;
+    opts.block_size = 2;
+    auto result =
+        Solve(g, {.solver = kind, .options = opts, .cluster = TestCluster()})
+            .run;
+    EXPECT_EQ(result.status.code(), StatusCode::kAborted)
+        << SolverKindName(kind) << ": " << result.status.ToString();
+    EXPECT_NE(result.status.message().find("negative cycle through vertex "),
+              std::string::npos)
+        << SolverKindName(kind) << ": " << result.status.ToString();
+    EXPECT_FALSE(result.distances.has_value()) << SolverKindName(kind);
+  }
+}
+
 TEST(SolverDegenerate, BlockSizeLargerThanMatrix) {
   const graph::Graph g = graph::PathGraph(10, 3.0);
   for (SolverKind kind : apsp::AllSolverKinds()) {

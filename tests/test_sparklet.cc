@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
+#include "common/thread_pool.h"
+#include "linalg/kernel_registry.h"
 #include "sparklet/rdd.h"
 
 namespace apspark::sparklet {
@@ -198,7 +201,8 @@ TEST(Rdd, FirstActionOnPersistedRddCachesInItsOwnStage) {
     SCOPED_TRACE(count ? "Count" : "Collect");
     auto ctx = MakeCtx();
     ctx.cluster().EnableStageTrace();
-    int computes = 0;
+    // A stage's tasks run concurrently: the counter they share is atomic.
+    std::atomic<int> computes = 0;
     auto rdd = ctx.Parallelize("data", Iota(8), 4)
                    ->MapPartitions<std::int64_t>(
                        "double",
@@ -221,7 +225,7 @@ TEST(Rdd, FirstActionOnPersistedRddCachesInItsOwnStage) {
     ASSERT_EQ(ctx.cluster().stage_trace().size(), traced + 1);
     EXPECT_EQ(ctx.cluster().stage_trace().back().name,
               count ? "double-count" : "double-collect");
-    EXPECT_EQ(computes, 4);  // once per partition
+    EXPECT_EQ(computes.load(), 4);  // once per partition
 
     // The action left the partitions cached: reads cost no compute and no
     // stage.
@@ -229,7 +233,7 @@ TEST(Rdd, FirstActionOnPersistedRddCachesInItsOwnStage) {
     for (int p = 0; p < rdd->num_partitions(); ++p) {
       EXPECT_EQ(rdd->ComputeOrRead(p, tc).size(), 2u);
     }
-    EXPECT_EQ(computes, 4);
+    EXPECT_EQ(computes.load(), 4);
     EXPECT_EQ(ctx.metrics().stages, stages + 1);
   }
 }
@@ -237,7 +241,8 @@ TEST(Rdd, FirstActionOnPersistedRddCachesInItsOwnStage) {
 TEST(Rdd, UnpersistedRddFusesIntoItsReaderWithoutRerunningItsStage) {
   auto ctx = MakeCtx();
   ctx.cluster().EnableStageTrace();
-  int computes = 0;
+  // A stage's tasks run concurrently: the counter they share is atomic.
+  std::atomic<int> computes = 0;
   auto prev = ctx.Parallelize("data", Iota(8), 4)
                   ->MapPartitions<std::int64_t>(
                       "prev",
@@ -261,13 +266,13 @@ TEST(Rdd, UnpersistedRddFusesIntoItsReaderWithoutRerunningItsStage) {
   TaskContext tc = ctx.MakeTaskContext();
   EXPECT_EQ(prev->ComputeOrRead(2, tc),
             (std::vector<std::int64_t>{4, 5}));
-  EXPECT_EQ(computes, 1);
+  EXPECT_EQ(computes.load(), 1);
   auto next = prev->Map("next", [](const std::int64_t& x, TaskContext&) {
     return x + 1;
   });
   EXPECT_EQ(next->Collect(),
             (std::vector<std::int64_t>{1, 2, 3, 4, 5, 6, 7, 8}));
-  EXPECT_EQ(computes, 5);
+  EXPECT_EQ(computes.load(), 5);
   for (const auto& stage : ctx.cluster().stage_trace()) {
     EXPECT_EQ(stage.name.find("#r"), std::string::npos) << stage.name;
   }
@@ -415,6 +420,81 @@ TEST(Fault, DroppedShufflePartitionRecomputesFromShuffleFiles) {
     return v;
   };
   EXPECT_EQ(key_sorted(before), key_sorted(after));
+}
+
+// --- task runner ---------------------------------------------------------
+
+TEST(TaskRunner, ConcurrentTasksKeepTheSerialStagesFaultsAndOutputs) {
+  // One pipeline under the serial runner (kTiled) and the concurrent one
+  // (kTiledParallel, on a 4-thread pool). The union's concurrent tasks stop
+  // twice: at partition 4, the first read of the uncached persisted right
+  // side (a stage start), and at partition 6, an armed task failure. Both
+  // runs must produce the same stages, model and records — or, with more
+  // armed failures than the retry budget, the same abort.
+  struct Run {
+    std::vector<IntPair> records;
+    std::string error;
+    std::vector<std::string> stages;
+    SimMetrics metrics;
+  };
+  auto run = [](linalg::KernelVariant variant, int failures) {
+    linalg::ScopedKernelVariant scope(variant);
+    auto ctx = MakeCtx();
+    ctx.cluster().EnableStageTrace();
+    auto side = [&ctx](const std::string& name, std::int64_t offset) {
+      return ctx.Parallelize(name, Iota(16), 4)
+          ->Map(name + "-pair",
+                [offset](const std::int64_t& x, TaskContext& tc) {
+                  tc.ChargeCompute(1e-3 * static_cast<double>(x));
+                  return IntPair{x + offset, x * x};
+                })
+          ->Persist();
+    };
+    auto joined = ctx.Union("u", {side("left", 0), side("right", 100)});
+    ctx.fault_injector().FailTask("u", 6, failures);
+    auto shuffled =
+        PartitionBy(joined, MakePortableHash<std::int64_t>(4), "pb");
+    Run out;
+    try {
+      out.records = shuffled->Collect();
+    } catch (const SparkletAbort& abort) {
+      out.error = abort.status().ToString();
+    }
+    for (const auto& stage : ctx.cluster().stage_trace()) {
+      out.stages.push_back(stage.name);
+    }
+    out.metrics = ctx.metrics();
+    return out;
+  };
+  ThreadPool pool(4);
+  linalg::SetKernelThreadPool(&pool);
+  const int budget = ClusterConfig::TinyTest().max_task_failures;
+  for (const int failures : {2, budget}) {
+    SCOPED_TRACE("armed failures: " + std::to_string(failures));
+    const Run serial = run(linalg::KernelVariant::kTiled, failures);
+    const Run concurrent =
+        run(linalg::KernelVariant::kTiledParallel, failures);
+    if (failures < budget) {
+      EXPECT_EQ(serial.stages,
+                (std::vector<std::string>{"left", "right", "left-pair",
+                                          "right-pair", "pb-map",
+                                          "pb-collect"}));
+      EXPECT_EQ(serial.records.size(), 32u);
+      EXPECT_EQ(serial.metrics.task_retries, 2u);
+    } else {
+      EXPECT_NE(serial.error.find("exceeded max failures"), std::string::npos)
+          << serial.error;
+    }
+    EXPECT_EQ(serial.metrics.task_failures,
+              static_cast<std::uint64_t>(failures));
+    EXPECT_EQ(concurrent.stages, serial.stages);
+    EXPECT_TRUE(concurrent.metrics == serial.metrics)
+        << "concurrent: " << concurrent.metrics.Summary()
+        << "\nserial:     " << serial.metrics.Summary();
+    EXPECT_EQ(concurrent.records, serial.records);
+    EXPECT_EQ(concurrent.error, serial.error);
+  }
+  linalg::SetKernelThreadPool(nullptr);
 }
 
 // --- shared storage ----------------------------------------------------

@@ -617,21 +617,29 @@ bool ValidateIntraTaskCores(const sparklet::ClusterConfig& cluster) {
   return false;
 }
 
+/// Whether `cluster` models exactly `cores` cores. A count that does not
+/// split into equal nodes of about `node_cores` cores would be modelled as a
+/// different cluster, so it is rejected here.
+bool CheckWholeNodes(int cores, const sparklet::ClusterConfig& cluster,
+                     int node_cores) {
+  if (cluster.nodes * cluster.cores_per_node == cores) return true;
+  std::fprintf(stderr,
+               "--cores %d: does not split into whole nodes (it would model "
+               "%d nodes x %d cores); give a multiple of the %d-core node\n",
+               cores, cluster.nodes, cluster.cores_per_node, node_cores);
+  return false;
+}
+
 /// The paper cluster plan and model run: `--cores`, or `fallback` without
-/// it, through PaperWithCores. A count it cannot split into equal nodes
-/// would be modelled as a smaller cluster, so it is rejected here.
+/// it, through PaperWithCores.
 std::optional<sparklet::ClusterConfig> PaperCluster(const Args& args,
                                                     int fallback) {
   const int cores = args.cores.value_or(fallback);
   const auto cfg = sparklet::ClusterConfig::PaperWithCores(cores);
-  if (cfg.nodes * cfg.cores_per_node == cores) return cfg;
-  std::fprintf(stderr,
-               "--cores %d: does not split into whole nodes (it would model "
-               "%d nodes x %d cores); give a multiple of the %d-core paper "
-               "node\n",
-               cores, cfg.nodes, cfg.cores_per_node,
-               sparklet::ClusterConfig{}.cores_per_node);
-  return std::nullopt;
+  if (!CheckWholeNodes(cores, cfg, sparklet::ClusterConfig{}.cores_per_node)) {
+    return std::nullopt;
+  }
+  return cfg;
 }
 
 /// Membership plans that parse fine can still be nonsense for the actual
@@ -778,18 +786,28 @@ void PrintKsourceMemory(const Args& args, const sparklet::SimMetrics& m) {
               FormatBytes(m.node_peak_bytes).c_str());
 }
 
-/// The process's minor page faults so far and its peak RSS in bytes, from
-/// getrusage: what the host actually paid next to the modelled mem-peak.
+/// The process's minor page faults so far, its peak RSS in bytes and its
+/// user+sys CPU seconds, from getrusage, with the wall clock beside them:
+/// what the host actually paid next to the modelled mem-peak, and how many
+/// cores it kept busy.
 struct HostUsage {
   std::uint64_t minor_faults = 0;
   std::uint64_t peak_rss_bytes = 0;
+  double cpu_seconds = 0;
+  std::chrono::steady_clock::time_point wall;
 };
 
 HostUsage ReadHostUsage() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
   return {static_cast<std::uint64_t>(ru.ru_minflt),
-          static_cast<std::uint64_t>(ru.ru_maxrss) * 1024};  // KiB on Linux
+          static_cast<std::uint64_t>(ru.ru_maxrss) * 1024,  // KiB on Linux
+          seconds(ru.ru_utime) + seconds(ru.ru_stime),
+          std::chrono::steady_clock::now()};
 }
 
 int RunSolve(const Args& args) {
@@ -824,8 +842,10 @@ int RunSolve(const Args& args) {
   BuildRunPlan(args, options);
   request.sources = PickSources(g.num_vertices(), args.sources);
   auto& cluster = request.cluster;
-  cluster.nodes = std::max(1, args.cores.value_or(4) / 2);
-  cluster.cores_per_node = 2;
+  const int cores = args.cores.value_or(4);
+  cluster.nodes = std::max(1, cores / 2);
+  cluster.cores_per_node = cores / cluster.nodes;
+  if (!CheckWholeNodes(cores, cluster, 2)) return 2;
   cluster.local_storage_bytes = 64ULL * kGiB;
   const auto kernel = linalg::ParseKernelVariant(args.kernel);
   if (!kernel.has_value()) {
@@ -868,10 +888,13 @@ int RunSolve(const Args& args) {
               args.sources > 0 ? "pivots" : "rounds",
               FormatDuration(report.run.sim_seconds).c_str());
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
-  std::printf("host: solve minor-faults=%llu peak-rss=%s\n",
+  const double wall =
+      std::chrono::duration<double>(after.wall - before.wall).count();
+  std::printf("host: solve minor-faults=%llu peak-rss=%s cpu/wall=%.2f\n",
               static_cast<unsigned long long>(after.minor_faults -
                                               before.minor_faults),
-              FormatBytes(after.peak_rss_bytes).c_str());
+              FormatBytes(after.peak_rss_bytes).c_str(),
+              wall > 0 ? (after.cpu_seconds - before.cpu_seconds) / wall : 0.0);
   PrintKsourceMemory(args, report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
