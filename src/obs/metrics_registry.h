@@ -104,10 +104,14 @@ class Histogram {
   /// Exclusive upper bound of bucket `b` in ticks.
   static std::uint64_t BucketUpperBound(std::size_t b) noexcept;
 
-  void Record(std::uint64_t ticks) noexcept {
+  void Record(std::uint64_t ticks) noexcept { Record(ticks, 1); }
+  /// `count` samples of `ticks` each, in two atomic adds; count 0 is a
+  /// no-op.
+  void Record(std::uint64_t ticks, std::uint64_t count) noexcept {
+    if (count == 0) return;
     auto& shard = shards_[ThreadMetricShard()];
-    shard.counts[BucketOf(ticks)].fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(ticks, std::memory_order_relaxed);
+    shard.counts[BucketOf(ticks)].fetch_add(count, std::memory_order_relaxed);
+    shard.sum.fetch_add(ticks * count, std::memory_order_relaxed);
   }
 
   std::uint64_t count() const noexcept;

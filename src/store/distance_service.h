@@ -14,19 +14,27 @@
 //
 // Batches are block-major multigets, the serving-side form of the paper's
 // rule that a per-block cost must pay for b^2 elements of work. A batch is
-// validated whole, then its queries are grouped by canonical stored block
-// (two stable counting passes, over J and then over I: O(batch + q)). The
-// block runs are laid out coldest first — ascending query count, ties in
-// (I, J) order — so the batch's hottest blocks are admitted last and stay
-// resident for the traffic that follows. The run sequence is cut into a
-// few equal chunks per pool worker; a chunk fetches each run's block once
-// and reads every query of the run out of it, so a batch touching D blocks
-// makes at most D + chunks - 1 fetches. Answers land at their input
-// positions, bitwise equal to point queries.
+// validated whole on the service pool, which also records each query's
+// stored block and its element inside the block, once. The queries are
+// then grouped by canonical stored block (two stable counting passes, over
+// J and then over I: O(batch + q)). The block runs are laid out coldest
+// first — ascending query count, ties in (I, J) order — so the batch's
+// hottest blocks are admitted last and stay resident for the traffic that
+// follows. The run sequence is cut into a few equal chunks per pool worker;
+// a chunk fetches each run's block once and reads every query of the run
+// out of it in a tight loop, so a batch touching D blocks makes at most
+// D + chunks - 1 fetches. Answers land at their input positions, bitwise
+// equal to point queries.
+//
+// Latency samples follow the same per-run rule: a run's first query (in its
+// chunk) is timed together with the run's fetch, and the rest of the run
+// each record the run's mean read time, rounded to the nearest ns, in one
+// bulk Histogram::Record — no clock read or histogram atomic per query.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,10 +75,12 @@ class DistanceService {
   /// block, fanning the block runs out across the service's thread pool (see
   /// the file comment). Every query is validated before the store is
   /// touched: a batch with an invalid query fails kInvalidArgument naming
-  /// the lowest-index one and moves no cache counter. A store error fails
-  /// the whole batch. Each answered query adds one PointLatency() sample;
-  /// the fetch of a run's block is charged to the run's first query in its
-  /// chunk, the rest of the run pays only its element read.
+  /// the lowest-index one and moves no cache counter, and so does a batch of
+  /// more than 2^32 - 1 queries. A store error fails the whole batch. Each
+  /// answered query adds one PointLatency() sample: the run's first query in
+  /// its chunk is timed with the fetch of the run's block, and the rest of
+  /// the run each record the run's mean element-read time. The service keeps
+  /// the largest batch's index scratch (12 bytes a query) for the next one.
   Result<std::vector<double>> DistanceBatch(const std::vector<Query>& queries);
 
   /// The vertex sequence of a shortest s->t path (endpoints inclusive).
@@ -93,9 +103,13 @@ class DistanceService {
     double p99_seconds = 0;
     double p999_seconds = 0;
   };
-  /// Per-query latency, every query answered (single-shot and batched).
+  /// Per-query latency, one sample per query answered: a Distance() call
+  /// that returns a distance, or a batched query, where the rest of a block
+  /// run after its first query share the run's mean read time (see
+  /// DistanceBatch). Rejected queries and failed fetches add none.
   LatencySnapshot PointLatency() const { return Snapshot(*point_latency_); }
-  /// Whole-batch latency, one sample per DistanceBatch call.
+  /// Whole-batch latency, one sample per DistanceBatch call that passes
+  /// validation.
   LatencySnapshot BatchLatency() const { return Snapshot(*batch_latency_); }
   /// Per-call Path() reconstruction latency.
   LatencySnapshot PathLatency() const { return Snapshot(*path_latency_); }
@@ -154,6 +168,10 @@ class DistanceService {
   obs::Histogram* point_latency_;
   obs::Histogram* batch_latency_;
   obs::Histogram* path_latency_;
+  // DistanceBatch's index scratch, kept at the largest batch's size so a
+  // steady stream of batches page-faults none of it.
+  std::mutex scratch_mu_;
+  std::vector<std::uint32_t> scratch_;
 };
 
 }  // namespace apspark::store

@@ -106,6 +106,43 @@ TEST(ObsHistogram, EmptyAndResetBehave) {
   EXPECT_EQ(h.sum(), 0u);
 }
 
+TEST(ObsHistogram, BulkRecordEqualsThatManySingleRecords) {
+  // Record(ticks, count) is `count` samples in ticks' bucket: count,
+  // sum and every quantile match a histogram fed one sample at a time, and
+  // count 0 changes nothing.
+  Histogram bulk;
+  Histogram singles;
+  bulk.Record(1000, 1);
+  singles.Record(1000);
+  EXPECT_EQ(bulk.count(), 1u);
+  EXPECT_EQ(bulk.sum(), 1000u);
+  const std::size_t b = Histogram::BucketOf(1000);
+  EXPECT_GE(bulk.Quantile(1.0),
+            static_cast<double>(Histogram::BucketLowerBound(b)));
+  EXPECT_LT(bulk.Quantile(1.0),
+            static_cast<double>(Histogram::BucketUpperBound(b)));
+
+  const std::uint64_t k = 7;
+  bulk.Record(50000, k);
+  for (std::uint64_t i = 0; i < k; ++i) singles.Record(50000);
+  EXPECT_EQ(bulk.count(), 1 + k);
+  EXPECT_EQ(bulk.sum(), 1000 + k * 50000);
+  for (const double q : {0.0, 0.1, 0.125, 0.2, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(bulk.Quantile(q), singles.Quantile(q)) << "q = " << q;
+  }
+  // Seven of eight samples sit in 50000's bucket, so the median does too.
+  const std::size_t hot = Histogram::BucketOf(50000);
+  EXPECT_GE(bulk.Quantile(0.5),
+            static_cast<double>(Histogram::BucketLowerBound(hot)));
+  EXPECT_LT(bulk.Quantile(0.5),
+            static_cast<double>(Histogram::BucketUpperBound(hot)));
+
+  bulk.Record(123456, 0);
+  EXPECT_EQ(bulk.count(), 1 + k);
+  EXPECT_EQ(bulk.sum(), 1000 + k * 50000);
+  EXPECT_EQ(bulk.Quantile(1.0), singles.Quantile(1.0));
+}
+
 // ----------------------------------------------------------------- registry
 
 TEST(ObsRegistry, SameNameAndLabelsReturnsSameMetric) {

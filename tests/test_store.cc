@@ -11,6 +11,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -1195,10 +1196,101 @@ TEST(DistanceService, BatchRejectsLowestIndexBadQueryBeforeAnyFetch) {
   EXPECT_EQ(after.resident_bytes, before.resident_bytes);
 }
 
+TEST(DistanceService, BatchAnswersLikePointQueriesWithOneSampleEach) {
+  // An undirected store whose n is not a multiple of b, and a batch of
+  // 3000 queries over 16 chunks, about half of them mirrored (s/b > t/b).
+  // Every answer is bitwise Distance()'s, the batch adds exactly one point
+  // sample per query and one batch sample, and a batch with two bad queries
+  // far apart names the lower one and moves no store counter.
+  const std::uint64_t seed = 0x5a3;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  const std::int64_t n = 45;
+  const std::int64_t b = 8;
+  TempStoreDir dir("samples");
+  PersistDistances(IntegerGraph(n, false, seed), b, dir.path());
+
+  store::DistanceService::Options sopts;
+  sopts.num_threads = 4;
+  sopts.store_options.cache_capacity_bytes =
+      4 * linalg::DenseBlock(b, b).SerializedBytes();
+  auto service = store::DistanceService::Open(dir.path(), sopts);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  store::DistanceService& svc = **service;
+
+  const auto queries = UniformQueries(rng, n, 3000);
+  const auto mirrored = std::count_if(
+      queries.begin(), queries.end(),
+      [&](const auto& query) { return query.s / b > query.t / b; });
+  EXPECT_GT(mirrored, 1000);
+
+  const std::uint64_t points_before = svc.PointLatency().count;
+  const std::uint64_t batches_before = svc.BatchLatency().count;
+  auto answers = svc.DistanceBatch(queries);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(svc.PointLatency().count - points_before, queries.size());
+  EXPECT_EQ(svc.BatchLatency().count - batches_before, 1u);
+  ASSERT_EQ(answers->size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto point = svc.Distance(queries[i].s, queries[i].t);
+    ASSERT_TRUE(point.ok()) << point.status().ToString();
+    ASSERT_EQ(std::memcmp(&(*answers)[i], &*point, sizeof(double)), 0)
+        << "answer " << i << " for (" << queries[i].s << ", "
+        << queries[i].t << ")";
+  }
+
+  // 3000 queries in 16 chunks of 188: indices 150 and 2900 fall in chunks 0
+  // and 15.
+  auto bad = queries;
+  bad[2900] = {3, n};
+  bad[150] = {-1, 4};
+  const auto stats_before = svc.store().stats();
+  const std::uint64_t points_at_reject = svc.PointLatency().count;
+  auto rejected = svc.DistanceBatch(bad);
+  ASSERT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = rejected.status().message();
+  EXPECT_NE(message.find("batch query 150: query (-1, 4)"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("2900"), std::string::npos) << message;
+  const auto stats_after = svc.store().stats();
+  EXPECT_EQ(stats_after.hits, stats_before.hits);
+  EXPECT_EQ(stats_after.misses, stats_before.misses);
+  EXPECT_EQ(stats_after.evictions, stats_before.evictions);
+  EXPECT_EQ(stats_after.bytes_loaded, stats_before.bytes_loaded);
+  EXPECT_EQ(stats_after.resident_bytes, stats_before.resident_bytes);
+  EXPECT_EQ(stats_after.peak_resident_bytes, stats_before.peak_resident_bytes);
+  EXPECT_EQ(svc.PointLatency().count, points_at_reject);
+}
+
+TEST(DistanceService, OnlyAnsweredPointQueriesAddLatencySamples) {
+  // PointLatency() holds every query answered: a rejected query and a failed
+  // fetch add no sample.
+  const std::uint64_t seed = 0x5a4;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  TempStoreDir dir("point_samples");
+  WriteTinyStore(dir.path(), {{{0, 0}, RandomDense(rng, 4, 4)},
+                              {{1, 1}, RandomDense(rng, 4, 4)}});
+  // Flip one payload byte of window (0, 0): its fetch fails the checksum.
+  FlipByte(fs::path(dir.path()) / "BLOCKS.bin", 40, 0x40);
+  auto service = store::DistanceService::Open(dir.path());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  store::DistanceService& svc = **service;
+
+  const std::uint64_t before = svc.PointLatency().count;
+  EXPECT_EQ(svc.Distance(-1, 0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.Distance(0, 8).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.Distance(1, 2).status().code(), StatusCode::kStoreCorrupt);
+  EXPECT_EQ(svc.PointLatency().count, before);
+  EXPECT_TRUE(svc.Distance(5, 6).ok());
+  EXPECT_EQ(svc.PointLatency().count, before + 1);
+}
+
 TEST(DistanceService, ConcurrentPathsAndBatchUnderATwoWindowCap) {
-  // Four Path() walkers and one DistanceBatch client share a store whose cap
-  // holds two windows, so nearly every hop admits a window and evicts
-  // another while other threads hold pins on the same plane.
+  // Four Path() walkers and two DistanceBatch clients share a store whose
+  // cap holds two windows, so nearly every hop admits a window and evicts
+  // another while other threads hold pins on the same plane. With two batch
+  // clients, a batch can find the service's scratch in use by the other.
   const std::uint64_t seed = 0x9a7f;
   APSPARK_SEEDED_CASE(seed);
   const std::int64_t n = 48;
@@ -1259,23 +1351,25 @@ TEST(DistanceService, ConcurrentPathsAndBatchUnderATwoWindowCap) {
       }
     });
   }
-  threads.emplace_back([&] {
-    Xoshiro256 rng(seed);
-    for (int round = 0; round < 6; ++round) {
-      const auto queries = UniformQueries(rng, n, 2000);
-      auto answers = svc.DistanceBatch(queries);
-      if (!answers.ok()) {
-        ++bad_answers;
-        continue;
-      }
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const double want = oracle.At(queries[i].s, queries[i].t);
-        if (std::memcmp(&(*answers)[i], &want, sizeof want) != 0) {
+  for (int client = 0; client < 2; ++client) {
+    threads.emplace_back([&, client] {
+      Xoshiro256 rng(seed + 0x100 * static_cast<std::uint64_t>(client));
+      for (int round = 0; round < 6; ++round) {
+        const auto queries = UniformQueries(rng, n, 2000);
+        auto answers = svc.DistanceBatch(queries);
+        if (!answers.ok()) {
           ++bad_answers;
+          continue;
+        }
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const double want = oracle.At(queries[i].s, queries[i].t);
+          if (std::memcmp(&(*answers)[i], &want, sizeof want) != 0) {
+            ++bad_answers;
+          }
         }
       }
-    }
-  });
+    });
+  }
   for (auto& t : threads) t.join();
   EXPECT_EQ(bad_paths.load(), 0) << "every path is an oracle-length walk";
   EXPECT_EQ(bad_answers.load(), 0) << "every answer is bitwise the oracle";
