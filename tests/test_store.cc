@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -814,6 +815,123 @@ TEST(Checksum64, KnownAnswersPinTheDefinition) {
                              (std::uint64_t{3} << 31) ^ std::uint64_t{5};
   EXPECT_EQ(store::Checksum64(window.data(), window.size(), seed),
             0x0c25c87eb7221ae7ULL);
+}
+
+/// A graph on n vertices with three random arcs per vertex and integer
+/// weights in [1, 9], or in [0, 2] when `zero_weights` is set, so every
+/// path sum is exact.
+graph::Graph GoldenGraph(std::int64_t n, bool directed, bool zero_weights,
+                         std::uint64_t seed) {
+  graph::Graph g(n, directed);
+  Xoshiro256 rng(seed);
+  for (std::int64_t u = 0; u < n; ++u) {
+    for (int e = 0; e < 3; ++e) {
+      const auto v = static_cast<graph::VertexId>(
+          rng.NextBounded(static_cast<std::uint64_t>(n)));
+      if (v == u) continue;
+      const double w = zero_weights
+                           ? static_cast<double>(rng.NextBounded(3))
+                           : 1.0 + static_cast<double>(rng.NextBounded(9));
+      g.AddEdge(u, v, w).CheckOk();
+    }
+  }
+  return g;
+}
+
+TEST(PersistSolve, GoldenStoreBytesMatchBlockByBlockPuts) {
+  // Locks the on-disk bytes of PersistSolve: each store must equal one
+  // written window by window through Put(Decompose(...)), and the checksums
+  // of both files are pinned. A change of window order, offsets, padding,
+  // window checksums or manifest layout fails here.
+  struct Case {
+    const char* name;
+    std::int64_t n;
+    std::int64_t b;
+    bool directed;
+    linalg::SemiringId semiring;
+    bool paths;
+    bool zero_weights;
+    std::uint64_t blocks_checksum;
+    std::uint64_t manifest_checksum;
+  };
+  using linalg::SemiringId;
+  const Case cases[] = {
+      {"undirected_paths", 45, 8, false, SemiringId::kMinPlus, true, false,
+       0x082c23c88094b1fdULL, 0xca788f24dc256930ULL},
+      {"directed_paths", 45, 8, true, SemiringId::kMinPlus, true, false,
+       0x03a9f27198fa4272ULL, 0xe74dd6481d3cf41aULL},
+      {"boolean_packed", 150, 40, false, SemiringId::kBoolean, false, false,
+       0x1dbbea2771709cb1ULL, 0xc80b26c619ef905eULL},
+      {"no_paths", 45, 8, false, SemiringId::kMinPlus, false, false,
+       0x827a0561182719f1ULL, 0x7c9b8e1f23c62bb6ULL},
+      {"zero_weights", 45, 8, false, SemiringId::kMinPlus, true, true,
+       0x6498eef722daef8aULL, 0x0e397a02775c072aULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const graph::Graph g =
+        GoldenGraph(c.n, c.directed, c.zero_weights, 0x901d + c.n);
+    linalg::DenseBlock distances = g.ToDenseAdjacency();
+    if (c.semiring == SemiringId::kBoolean) {
+      for (std::int64_t i = 0; i < c.n; ++i) {
+        for (std::int64_t j = 0; j < c.n; ++j) {
+          distances.Set(i, j, std::isinf(distances.At(i, j)) ? 0.0 : 1.0);
+        }
+      }
+      linalg::SemiringClosure<linalg::BooleanSemiring>(distances);
+      distances = distances.BitPacked();
+    } else {
+      linalg::SemiringClosure<linalg::MinPlusSemiring>(distances);
+    }
+
+    TempStoreDir persisted(std::string("golden_") + c.name);
+    apsp::PersistOptions popts;
+    popts.block_size = c.b;
+    ASSERT_TRUE(apsp::PersistSolve(persisted.path(), distances,
+                                   c.paths ? &g : nullptr, c.directed,
+                                   c.semiring, popts)
+                    .ok());
+
+    TempStoreDir by_put(std::string("golden_put_") + c.name);
+    store::StoreManifest manifest;
+    manifest.n = c.n;
+    manifest.block_size = c.b;
+    manifest.directed = c.directed;
+    manifest.semiring = c.semiring;
+    manifest.has_paths = c.paths;
+    auto writer = store::BlockStore::Create(by_put.path(), manifest);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const auto& [key, block] :
+         apsp::BlockLayout(c.n, c.b, c.directed).Decompose(distances)) {
+      ASSERT_TRUE(
+          (*writer)->Put(store::Plane::kDistance, key.I, key.J, *block).ok());
+    }
+    if (c.paths) {
+      const linalg::DenseBlock next =
+          graph::SuccessorsFromDistances(g, distances);
+      for (const auto& [key, block] :
+           apsp::BlockLayout(c.n, c.b, true).Decompose(next)) {
+        ASSERT_TRUE(
+            (*writer)->Put(store::Plane::kNext, key.I, key.J, *block).ok());
+      }
+    }
+    ASSERT_TRUE((*writer)->Seal().ok());
+
+    auto checksum = [](const std::vector<char>& bytes) {
+      return store::Checksum64(
+          reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size(),
+          0);
+    };
+    for (const char* file : {"BLOCKS.bin", "MANIFEST.bin"}) {
+      EXPECT_EQ(ReadAll(fs::path(persisted.path()) / file),
+                ReadAll(fs::path(by_put.path()) / file))
+          << file;
+    }
+    EXPECT_EQ(checksum(ReadAll(fs::path(persisted.path()) / "BLOCKS.bin")),
+              c.blocks_checksum);
+    EXPECT_EQ(checksum(ReadAll(fs::path(persisted.path()) / "MANIFEST.bin")),
+              c.manifest_checksum);
+  }
 }
 
 TEST(DistanceService, EndToEndSolvePersistQueryMatchesOracle) {
