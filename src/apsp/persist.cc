@@ -1,7 +1,5 @@
 #include "apsp/persist.h"
 
-#include <utility>
-
 #include "graph/path_reconstruction.h"
 
 namespace apspark::apsp {
@@ -38,27 +36,24 @@ Status PersistSolve(const std::string& dir,
   if (!created.ok()) return created.status();
   store::BlockStore& bs = **created;
 
-  // Distance plane: the layout's canonical storage (upper triangle when
-  // undirected, all q^2 blocks when directed).
-  BlockLayout layout(n, options.block_size, directed);
-  for (const auto& [key, block] : layout.Decompose(distances)) {
-    auto status = bs.Put(store::Plane::kDistance, key.I, key.J, *block);
-    if (!status.ok()) return status;
-  }
-
-  if (with_paths) {
-    // Successors are not symmetric, so the next plane is always full q^2:
-    // decompose through a directed layout regardless of graph orientation.
-    linalg::DenseBlock next =
-        graph::SuccessorsFromDistances(*graph, distances);
-    BlockLayout next_layout(n, options.block_size, /*directed=*/true);
-    for (const auto& [key, block] : next_layout.Decompose(next)) {
-      auto status = bs.Put(store::Plane::kNext, key.I, key.J, *block);
-      if (!status.ok()) return status;
+  // The successor plane and the distance plane's write are independent, so
+  // they run side by side on the kernel pool when each is worth a task: one
+  // unit of host work per relaxation, eight per persisted element.
+  Status status;
+  linalg::DenseBlock next;
+  const std::int64_t relaxations =
+      with_paths ? (2 * std::ssize(graph->edges()) + n) * n : 0;
+  linalg::ForEachByHostWork({relaxations, 8 * n * n}, [&](std::size_t unit) {
+    if (unit == 1) {
+      status = bs.PutMatrix(store::Plane::kDistance, distances);
+    } else if (with_paths) {
+      next = graph::SuccessorsFromDistances(*graph, distances);
     }
+  });
+  if (status.ok() && with_paths) {
+    status = bs.PutMatrix(store::Plane::kNext, next);
   }
-
-  return bs.Seal();
+  return status.ok() ? bs.Seal() : status;
 }
 
 }  // namespace apspark::apsp

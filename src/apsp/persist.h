@@ -1,14 +1,14 @@
 // Bridge from a completed solve to the disk-backed serving layer: takes the
-// collected distance matrix of a real-data run, decomposes it through the
-// same BlockLayout geometry the solvers use, optionally derives a successor
-// plane for path reconstruction, and writes everything into a sealed
-// store::BlockStore that store::DistanceService can answer queries from.
+// collected distance matrix of a real-data run, optionally derives a
+// successor plane for path reconstruction, and writes both planes into a
+// sealed store::BlockStore that store::DistanceService can answer queries
+// from. Each plane is written in one pass over its matrix
+// (BlockStore::PutMatrix), cut into the store's b x b windows.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "apsp/block_layout.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "linalg/dense_block.h"
@@ -27,7 +27,7 @@ struct PersistOptions {
   store::BlockStore::Options store_options;
 };
 
-/// Decomposes `distances` (an n x n solved matrix) into `dir` as a sealed
+/// Writes `distances` (an n x n solved matrix) into `dir` as a sealed
 /// block store. Undirected layouts persist the canonical upper triangle of
 /// the distance plane; the successor plane — derived from `graph` via
 /// graph::SuccessorsFromDistances — is always stored full q^2, because

@@ -140,8 +140,10 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
     throw std::invalid_argument(
         "SuccessorsFromDistances: needs the dense n x n distance matrix");
   }
-  // Per-vertex out-neighbor list from the edge list; parallel edges stay as
-  // written — the argmin naturally selects the cheapest copy.
+  // Per-vertex out-neighbor list from the edge list, sorted by neighbor:
+  // sweeping k in ascending order, the first k to reach a minimum is the
+  // smallest, so a strict `via < best` keeps the smallest-k tie-break.
+  // Parallel edges stay; the argmin selects the cheapest copy.
   Adjacency adj(static_cast<std::size_t>(n));
   bool zero_weight = false;
   for (const Edge& e : g.edges()) {
@@ -151,6 +153,7 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
       adj[static_cast<std::size_t>(e.v)].emplace_back(e.u, e.weight);
     }
   }
+  for (auto& neighbors : adj) std::sort(neighbors.begin(), neighbors.end());
   // Rows are independent (row i reads dist and writes only next row i), so
   // they fan out on the kernel pool, grouped by their relaxation count.
   std::vector<std::int64_t> work(static_cast<std::size_t>(n));
@@ -169,18 +172,17 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
                              std::numeric_limits<double>::infinity());
     double* hop = next.MutableRow(i);
     std::fill(hop, hop + n, -1.0);
-    // Sweeping neighbors in the outer loop reads dist(k, .) row-wise.
+    // Sweeping neighbors in the outer loop reads dist(k, .) row-wise; the
+    // select form of the update lets the compiler vectorize over j.
     for (const auto& [k, w] : adj[row]) {
       const double* dk = dist.Row(k);
       const double kd = static_cast<double>(k);
       for (std::int64_t j = 0; j < n; ++j) {
         const double via = w + dk[j];
         double& b = best[static_cast<std::size_t>(j)];
-        double& h = hop[j];
-        if (via < b || (via == b && h >= 0 && kd < h)) {
-          b = via;
-          h = kd;
-        }
+        const bool better = via < b;
+        b = better ? via : b;
+        hop[j] = better ? kd : hop[j];
       }
     }
     hop[i] = static_cast<double>(i);

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/serial.h"
+#include "linalg/block_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
@@ -27,6 +28,15 @@ constexpr char kDataFile[] = "BLOCKS.bin";
 constexpr std::uint64_t kManifestSeed = 0;
 constexpr std::uint64_t kWindowAlign = 64;
 constexpr std::int64_t kMaxBlocksPerSide = 4096;
+// Host work of serializing and checksumming one element, in the
+// multiply-add units ForEachByHostWork groups by: 2-3 ns an element on the
+// reference host, against 0.05-0.2 ns a multiply-add.
+constexpr std::int64_t kOpsPerWindowElement = 16;
+// Bytes a write stages at once (more only for a larger window): four tasks
+// of encoding. A bounded buffer stays in the block pool without crowding the
+// solvers' buffers out of its idle cap; a whole n = 2048 plane (34 MB) did,
+// and the next solve page-faulted its n x n assembly.
+constexpr std::uint64_t kStagingBytes = std::uint64_t{8} << 20;
 // Bounds b so a block's element count cannot overflow.
 constexpr std::int64_t kMaxBlockSize = std::int64_t{1} << 24;
 // plane u8 + I i64 + J i64 + offset u64 + payload_bytes u64 + checksum u64.
@@ -95,14 +105,59 @@ std::int64_t BlockDim(const StoreManifest& m, std::int64_t index) noexcept {
   return std::min(m.block_size, m.n - index * m.block_size);
 }
 
+/// DenseBlock::SerializedBytes of a rows x cols block, dense or bit-packed.
+std::uint64_t SerializedWindowBytes(std::int64_t rows, std::int64_t cols,
+                                    bool packed) noexcept {
+  const std::int64_t row_words = packed ? (cols + 63) / 64 : cols;
+  return linalg::DenseBlock::kSerializedHeaderBytes +
+         static_cast<std::uint64_t>(rows * row_words) * 8;
+}
+
+/// A window's size with the zero padding that keeps the next one aligned.
+std::uint64_t PaddedWindowBytes(std::uint64_t payload_bytes) noexcept {
+  return (payload_bytes + kWindowAlign - 1) / kWindowAlign * kWindowAlign;
+}
+
 /// Serialized size of the layout's (I, J) block, dense or bit-packed.
 std::uint64_t WindowBytes(const StoreManifest& m, std::int64_t I,
                           std::int64_t J, bool packed) {
-  const std::int64_t rows = BlockDim(m, I);
-  const std::int64_t cols = BlockDim(m, J);
-  return (packed ? linalg::DenseBlock::PackedPhantom(rows, cols)
-                 : linalg::DenseBlock::Phantom(rows, cols))
-      .SerializedBytes();
+  return SerializedWindowBytes(BlockDim(m, I), BlockDim(m, J), packed);
+}
+
+/// Writes the DenseBlock::Serialize bytes of the rows x cols block of `src`
+/// at (r0, c0), then zero padding up to the next 64-byte boundary, to `out`,
+/// and returns the window's checksum under `seed`.
+std::uint64_t EncodeWindow(const linalg::DenseBlock& src, std::int64_t r0,
+                           std::int64_t c0, std::int64_t rows,
+                           std::int64_t cols, std::uint64_t seed,
+                           std::uint8_t* out) {
+  const bool packed = src.is_packed();
+  std::memcpy(out, &rows, sizeof rows);
+  std::memcpy(out + sizeof rows, &cols, sizeof cols);
+  out[2 * sizeof(std::int64_t)] =
+      packed ? linalg::DenseBlock::kSerializedPackedFlag : 0;
+  std::uint8_t* payload = out + linalg::DenseBlock::kSerializedHeaderBytes;
+  const auto row_bytes = static_cast<std::size_t>(cols) * sizeof(double);
+  if (packed && rows > 0) {
+    // A packed window's words start at a word boundary of its own, so a
+    // window not at the block origin is re-packed through SubBlock.
+    const bool whole =
+        r0 == 0 && c0 == 0 && rows == src.rows() && cols == src.cols();
+    linalg::DenseBlock sub;
+    if (!whole) sub = src.SubBlock(r0, c0, rows, cols);
+    const linalg::DenseBlock& window = whole ? src : sub;
+    std::memcpy(payload, window.WordRow(0),
+                static_cast<std::size_t>(rows * window.words_per_row()) *
+                    sizeof(std::uint64_t));
+  } else if (!packed) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      std::memcpy(payload + static_cast<std::size_t>(r) * row_bytes,
+                  src.Row(r0 + r) + c0, row_bytes);
+    }
+  }
+  const std::uint64_t size = SerializedWindowBytes(rows, cols, packed);
+  std::memset(out + size, 0, PaddedWindowBytes(size) - size);
+  return Checksum64(out, static_cast<std::size_t>(size), seed);
 }
 
 /// Decodes MANIFEST.bin v3, checking every field as if hostile; window
@@ -372,13 +427,6 @@ Result<std::unique_ptr<BlockStore>> BlockStore::Create(
 
 Status BlockStore::Put(Plane plane, std::int64_t I, std::int64_t J,
                        const linalg::DenseBlock& block) {
-  if (!writable_ || sealed_) {
-    return FailedPreconditionError("Put on a sealed or read-only store");
-  }
-  if (block.is_phantom()) {
-    return FailedPreconditionError(
-        "phantom blocks carry no payload to persist");
-  }
   const std::int64_t q = manifest_.q();
   if (I < 0 || J < 0 || I >= q || J >= q) {
     return OutOfRangeError("block (" + std::to_string(I) + "," +
@@ -386,35 +434,104 @@ Status BlockStore::Put(Plane plane, std::int64_t I, std::int64_t J,
                            std::to_string(q) + "x" + std::to_string(q) +
                            " layout");
   }
-  if (Contains(plane, I, J)) {
-    return FailedPreconditionError(EntryDescription(plane, I, J) +
-                                   " already persisted");
+  return AppendWindows(plane, block,
+                       {{I, J, 0, 0, block.rows(), block.cols()}});
+}
+
+Status BlockStore::PutMatrix(Plane plane, const linalg::DenseBlock& matrix) {
+  const std::int64_t n = manifest_.n;
+  if (matrix.rows() != n || matrix.cols() != n) {
+    return InvalidArgumentError("PutMatrix needs the manifest's " +
+                                std::to_string(n) + " x " +
+                                std::to_string(n) + " matrix");
   }
+  // The distance plane of an undirected store holds the canonical upper
+  // triangle; every other plane holds all q^2 blocks.
+  const bool triangle = plane == Plane::kDistance && !manifest_.directed;
+  const std::int64_t q = manifest_.q();
+  const std::int64_t b = manifest_.block_size;
+  std::vector<WindowSource> windows;
+  windows.reserve(static_cast<std::size_t>(q * q));
+  for (std::int64_t I = 0; I < q; ++I) {
+    for (std::int64_t J = triangle ? I : 0; J < q; ++J) {
+      windows.push_back(
+          {I, J, I * b, J * b, BlockDim(manifest_, I), BlockDim(manifest_, J)});
+    }
+  }
+  return AppendWindows(plane, matrix, windows);
+}
 
-  BinaryWriter window;
-  block.Serialize(window);
-  StoreManifest::Entry meta;
-  meta.plane = plane;
-  meta.I = I;
-  meta.J = J;
-  meta.offset = data_bytes_;
-  meta.payload_bytes = window.size();
-  meta.checksum =
-      Checksum64(window.buffer().data(), window.size(), KeySeed(meta));
-  // Zero padding keeps the next window 64-byte aligned.
-  static constexpr std::uint8_t kZeros[kWindowAlign] = {};
-  window.WriteRaw(kZeros, (kWindowAlign - window.size() % kWindowAlign) %
-                              kWindowAlign);
-
-  data_out_.write(reinterpret_cast<const char*>(window.buffer().data()),
-                  static_cast<std::streamsize>(window.size()));
-  if (!data_out_) {
+Status BlockStore::AppendWindows(Plane plane, const linalg::DenseBlock& src,
+                                 const std::vector<WindowSource>& windows) {
+  if (!writable_ || sealed_) {
+    return FailedPreconditionError("Put on a sealed or read-only store");
+  }
+  if (src.is_phantom()) {
+    return FailedPreconditionError(
+        "phantom blocks carry no payload to persist");
+  }
+  for (const WindowSource& w : windows) {
+    if (Contains(plane, w.I, w.J)) {
+      return FailedPreconditionError(EntryDescription(plane, w.I, w.J) +
+                                     " already persisted");
+    }
+  }
+  // Window sizes follow from the shapes alone, so every offset is known
+  // before any byte is encoded and the windows encode independently.
+  std::vector<StoreManifest::Entry> entries(windows.size());
+  std::uint64_t end = data_bytes_;
+  std::uint64_t largest = 0;
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const WindowSource& w = windows[k];
+    entries[k] = {plane, w.I, w.J, end,
+                  SerializedWindowBytes(w.rows, w.cols, src.is_packed()), 0};
+    const std::uint64_t padded = PaddedWindowBytes(entries[k].payload_bytes);
+    end += padded;
+    largest = std::max(largest, padded);
+  }
+  // Runs of windows are staged, encoded on the kernel pool and appended
+  // with one write each. Every run of a large plane stages kStagingBytes,
+  // so the block pool keeps one buffer for all of them (padded windows are
+  // whole 8-byte words).
+  const std::uint64_t capacity =
+      std::max(largest, std::min(kStagingBytes, end - data_bytes_));
+  std::vector<double> staging = linalg::TakeBlockBuffer(capacity / 8);
+  if (staging.empty()) staging.resize(capacity / 8);
+  auto* bytes = reinterpret_cast<std::uint8_t*>(staging.data());
+  bool written = true;
+  for (std::size_t first = 0, last = 0; first < windows.size() && written;
+       first = last) {
+    const std::uint64_t base = entries[first].offset;
+    std::uint64_t run_end = base;
+    std::vector<std::int64_t> work;
+    for (; last < windows.size(); ++last) {
+      const std::uint64_t window_end =
+          entries[last].offset + PaddedWindowBytes(entries[last].payload_bytes);
+      if (window_end - base > capacity) break;
+      run_end = window_end;
+      work.push_back(windows[last].rows * windows[last].cols *
+                     kOpsPerWindowElement);
+    }
+    linalg::ForEachByHostWork(work, [&](std::size_t i) {
+      StoreManifest::Entry& e = entries[first + i];
+      const WindowSource& w = windows[first + i];
+      e.checksum = EncodeWindow(src, w.r0, w.c0, w.rows, w.cols, KeySeed(e),
+                                bytes + (e.offset - base));
+    });
+    written = static_cast<bool>(
+        data_out_.write(reinterpret_cast<const char*>(bytes),
+                        static_cast<std::streamsize>(run_end - base)));
+  }
+  linalg::ReleaseBlockBuffer(staging);
+  if (!written) {
     return InternalError("short write to " +
                          (fs::path(dir_) / kDataFile).string());
   }
-  data_bytes_ += window.size();
-  manifest_.entries.push_back(meta);
-  IndexEntry(manifest_.entries.size() - 1);
+  data_bytes_ = end;
+  for (const StoreManifest::Entry& e : entries) {
+    manifest_.entries.push_back(e);
+    IndexEntry(manifest_.entries.size() - 1);
+  }
   return Status::Ok();
 }
 

@@ -76,8 +76,17 @@
 // to admitting, so concurrent misses on one window verify it once, and the
 // verification runs without a lock. Admitting a verified window and the
 // CLOCK sweep are serialized by one mutex the hit path never takes; a miss
-// makes no system call. The writer protocol (Create/Put/Seal) is
-// single-threaded.
+// makes no system call.
+//
+// Writer protocol: Create, then Put / PutMatrix, then Seal, from one thread
+// at a time. Window sizes follow from the layout, so a write knows every
+// window's offset before it encodes one. PutMatrix cuts a whole plane's
+// windows straight from the matrix rows: each window is serialized and
+// checksummed into a staging buffer as a stealable unit on the kernel pool
+// (linalg::ForEachByHostWork), and the windows are appended in file order,
+// one sequential write per 8 MiB run. The staging buffer comes from the
+// block buffer pool, so repeated persists reuse its pages. Put is the
+// one-window case of the same encoder, so both write the same bytes.
 #pragma once
 
 #include <atomic>
@@ -226,6 +235,12 @@ class BlockStore {
   Status Put(Plane plane, std::int64_t I, std::int64_t J,
              const linalg::DenseBlock& block);
 
+  /// Appends every stored block of `plane`, cut from the manifest's n x n
+  /// `matrix` (dense or bit-packed): the canonical upper triangle for an
+  /// undirected distance plane, all q^2 blocks otherwise, in row-major key
+  /// order. The bytes equal those of one Put per block in that order.
+  Status PutMatrix(Plane plane, const linalg::DenseBlock& matrix);
+
   /// Closes the data file and writes the MANIFEST; the store is complete
   /// and ready to Open.
   Status Seal();
@@ -294,6 +309,20 @@ class BlockStore {
   /// Index of the window holding (plane, I, J), or -1.
   std::int64_t Find(Plane plane, std::int64_t I,
                     std::int64_t J) const noexcept;
+  /// Block (I, J) of a Put or PutMatrix: rows x cols of the source matrix
+  /// at (r0, c0).
+  struct WindowSource {
+    std::int64_t I = 0;
+    std::int64_t J = 0;
+    std::int64_t r0 = 0;
+    std::int64_t c0 = 0;
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+  };
+  /// Encodes `windows` of `src` on the kernel pool into one staging buffer,
+  /// appends it to the data file and indexes the windows in order.
+  Status AppendWindows(Plane plane, const linalg::DenseBlock& src,
+                       const std::vector<WindowSource>& windows);
   /// Indexes manifest_.entries[window]; false on a duplicate key.
   bool IndexEntry(std::size_t window);
   /// Pins `window` if it is admitted; the hit path's only synchronization.

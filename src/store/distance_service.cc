@@ -259,8 +259,12 @@ Result<std::vector<graph::VertexId>> DistanceService::Path(
   };
   const std::uint64_t t0 = NowNs();
   auto path = graph::ExtractPathWithLookup(n(), s, t, next_of);
-  path_latency_->Record(NowNs() - t0);
+  const std::uint64_t elapsed = NowNs() - t0;
   if (!walk_error.ok()) return walk_error;
+  // Only answered queries are sampled: a path, or no path at all.
+  if (path.ok() || path.status().code() == StatusCode::kNotFound) {
+    path_latency_->Record(elapsed);
+  }
   return path;
 }
 

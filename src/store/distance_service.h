@@ -111,7 +111,9 @@ class DistanceService {
   /// Whole-batch latency, one sample per DistanceBatch call that passes
   /// validation.
   LatencySnapshot BatchLatency() const { return Snapshot(*batch_latency_); }
-  /// Per-call Path() reconstruction latency.
+  /// Path() reconstruction latency, one sample per answered call: a
+  /// returned path or kNotFound. Rejected endpoints and walks whose fetch
+  /// fails add none.
   LatencySnapshot PathLatency() const { return Snapshot(*path_latency_); }
 
  private:

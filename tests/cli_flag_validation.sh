@@ -123,6 +123,14 @@ if ! "$CLI" solve --er 64 --block 16 2> /dev/null |
   echo "FAIL: solve printed no host: line"
   failures=$((failures + 1))
 fi
+# A persisted solve reports the persist's own wall time, faults and CPU.
+persisted="$(mktemp -d)"
+if ! "$CLI" solve --er 64 --block 16 --persist "$persisted/store" 2> /dev/null |
+    grep -Eq "^host: persist wall=[0-9]+\.[0-9]ms minor-faults=[0-9]+ cpu/wall=[0-9]+\.[0-9]{2}$"; then
+  echo "FAIL: solve --persist printed no host: persist line"
+  failures=$((failures + 1))
+fi
+rm -rf "$persisted"
 # A negative cycle has no shortest paths: the solve fails, and writes
 # neither distances nor a store.
 negative="$(mktemp -d)"

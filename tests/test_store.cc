@@ -204,6 +204,14 @@ TEST(BlockStore, WriterProtocolRejectsMisuse) {
   const auto phantom = linalg::DenseBlock::Phantom(4, 4);
   EXPECT_EQ(bs.Put(store::Plane::kDistance, 0, 0, phantom).code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bs.PutMatrix(store::Plane::kDistance,
+                         linalg::DenseBlock::Phantom(8, 8))
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bs.PutMatrix(store::Plane::kDistance, linalg::DenseBlock(4, 4))
+                .code(),
+            StatusCode::kInvalidArgument)
+      << "a matrix that is not the manifest's n x n";
 
   linalg::DenseBlock block(4, 4, 1.0);
   EXPECT_EQ(bs.Put(store::Plane::kDistance, 7, 0, block).code(),
@@ -224,6 +232,46 @@ TEST(BlockStore, WriterProtocolRejectsMisuse) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(BlockStore, PutMatrixEqualsOnePutPerBlock) {
+  // A directed n = 1100, b = 64 plane (324 windows, ragged last row and
+  // column) is about 10 MB, more than one 8 MiB staging run; PutMatrix must
+  // write the bytes and the index of one Put per block in row-major order.
+  const std::uint64_t seed = 0x9e7;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  const std::int64_t n = 1100;
+  const std::int64_t b = 64;
+  const linalg::DenseBlock matrix = RandomDense(rng, n, n);
+  store::StoreManifest manifest = TinyManifest(n, b);
+  manifest.directed = true;
+  TempStoreDir whole("put_matrix");
+  TempStoreDir by_block("put_blocks");
+  {
+    auto writer = store::BlockStore::Create(whole.path(), manifest);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->PutMatrix(store::Plane::kDistance, matrix).ok());
+    EXPECT_EQ((*writer)->PutMatrix(store::Plane::kDistance, matrix).code(),
+              StatusCode::kFailedPrecondition)
+        << "second write of one plane";
+    ASSERT_TRUE((*writer)->Seal().ok());
+  }
+  {
+    auto writer = store::BlockStore::Create(by_block.path(), manifest);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const auto& [key, block] :
+         apsp::BlockLayout(n, b, true).Decompose(matrix)) {
+      ASSERT_TRUE(
+          (*writer)->Put(store::Plane::kDistance, key.I, key.J, *block).ok());
+    }
+    ASSERT_TRUE((*writer)->Seal().ok());
+  }
+  for (const char* file : {"BLOCKS.bin", "MANIFEST.bin"}) {
+    EXPECT_EQ(ReadAll(fs::path(whole.path()) / file),
+              ReadAll(fs::path(by_block.path()) / file))
+        << file;
+  }
 }
 
 TEST(BlockStore, MissingBlockIsNotFound) {
@@ -934,6 +982,35 @@ TEST(PersistSolve, GoldenStoreBytesMatchBlockByBlockPuts) {
   }
 }
 
+TEST(PersistSolve, FannedOutWriteEqualsInlineWrite) {
+  // At the finest grain every window encodes as its own stealable task and
+  // the successor plane runs beside the distance plane's write; the files
+  // must equal those of an inline (kTiled) persist byte for byte.
+  const graph::Graph g = GoldenGraph(90, false, true, 0xfa17);
+  linalg::DenseBlock distances = g.ToDenseAdjacency();
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(distances);
+  apsp::PersistOptions popts;
+  popts.block_size = 16;
+  auto persist = [&](const std::string& dir, linalg::KernelVariant variant) {
+    linalg::ScopedKernelVariant scope(variant);
+    linalg::KernelTuning tuning = linalg::GetKernelTuning();
+    tuning.parallel_grain_ops = 1;
+    linalg::SetKernelTuning(tuning);
+    ASSERT_TRUE(apsp::PersistSolve(dir, distances, &g, false,
+                                   linalg::SemiringId::kMinPlus, popts)
+                    .ok());
+  };
+  TempStoreDir inline_dir("fanout_inline");
+  TempStoreDir fanned_dir("fanout_pool");
+  persist(inline_dir.path(), linalg::KernelVariant::kTiled);
+  persist(fanned_dir.path(), linalg::KernelVariant::kTiledParallel);
+  for (const char* file : {"BLOCKS.bin", "MANIFEST.bin"}) {
+    EXPECT_EQ(ReadAll(fs::path(fanned_dir.path()) / file),
+              ReadAll(fs::path(inline_dir.path()) / file))
+        << file;
+  }
+}
+
 TEST(DistanceService, EndToEndSolvePersistQueryMatchesOracle) {
   // Integer weights: every path sum is exact, so the persisted answers must
   // equal the reference Floyd-Warshall *bitwise* for every pair — both
@@ -1404,6 +1481,52 @@ TEST(DistanceService, OnlyAnsweredPointQueriesAddLatencySamples) {
   EXPECT_EQ(svc.PointLatency().count, before + 1);
 }
 
+TEST(DistanceService, OnlyAnsweredPathsAddLatencySamples) {
+  // PathLatency() holds every Path() answered, a path or kNotFound: rejected
+  // endpoints and a walk whose fetch fails add no sample. Two components,
+  // 0-1-2-3 and 4-5-6-7, one per block at b = 4.
+  graph::Graph g(8);
+  for (const graph::VertexId u : {0, 1, 2, 4, 5, 6}) {
+    ASSERT_TRUE(g.AddEdge(u, u + 1, 1.0).ok());
+  }
+  linalg::DenseBlock distances = g.ToDenseAdjacency();
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(distances);
+  TempStoreDir dir("path_samples");
+  apsp::PersistOptions popts;
+  popts.block_size = 4;
+  ASSERT_TRUE(apsp::PersistSolve(dir.path(), distances, &g, false,
+                                 linalg::SemiringId::kMinPlus, popts)
+                  .ok());
+  std::uint64_t next_11 = 0;
+  {
+    auto reader = store::BlockStore::Open(dir.path());
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (const auto& e : (*reader)->manifest().entries) {
+      if (e.plane == store::Plane::kNext && e.I == 1 && e.J == 1) {
+        next_11 = e.offset;
+      }
+    }
+  }
+  ASSERT_GT(next_11, 0u);
+  // Flip one payload byte of next window (1, 1): its fetch fails.
+  FlipByte(fs::path(dir.path()) / "BLOCKS.bin", next_11 + 40, 0x40);
+  auto service = store::DistanceService::Open(dir.path());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  store::DistanceService& svc = **service;
+
+  const std::uint64_t before = svc.PathLatency().count;
+  EXPECT_EQ(svc.Path(-1, 0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.Path(0, 8).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.Path(4, 7).status().code(), StatusCode::kStoreCorrupt);
+  EXPECT_EQ(svc.PathLatency().count, before);
+  auto path = svc.Path(0, 3);
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(*path, (std::vector<graph::VertexId>{0, 1, 2, 3}));
+  EXPECT_EQ(svc.PathLatency().count, before + 1);
+  EXPECT_EQ(svc.Path(0, 5).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(svc.PathLatency().count, before + 2);
+}
+
 TEST(DistanceService, ConcurrentPathsAndBatchUnderATwoWindowCap) {
   // Four Path() walkers and two DistanceBatch clients share a store whose
   // cap holds two windows, so nearly every hop admits a window and evicts
@@ -1582,6 +1705,68 @@ TEST(SuccessorsFromDistances, AgreesWithTrackedFloydWarshall) {
       }
     }
   }
+}
+
+TEST(SuccessorsFromDistances, ShuffledEdgeListsGiveTheSamePlane) {
+  // The plane is a function of the graph, not of its edge order: among the
+  // neighbors k of i that reach j at the least w(i, k) + dist(k, j) the
+  // smallest k wins, with parallel edges and zero-weight edges (the
+  // hop-count tie pass) in play.
+  const std::uint64_t seed = 0x71eb;
+  APSPARK_SEEDED_CASE(seed);
+  Xoshiro256 rng(seed);
+  for (const bool directed : {false, true}) {
+    const std::int64_t n = 60;
+    std::vector<graph::Edge> edges;
+    for (std::int64_t u = 0; u < n; ++u) {
+      for (int e = 0; e < 3; ++e) {
+        const auto v = static_cast<graph::VertexId>(rng.NextBounded(n));
+        if (v == u) continue;
+        const double w = static_cast<double>(rng.NextBounded(3));
+        edges.push_back({u, v, w});
+        if (e == 0) edges.push_back({u, v, w + 1.0});  // heavier copy
+        if (e == 1) edges.push_back({u, v, w});        // equal copy
+      }
+    }
+    auto build = [&](const std::vector<graph::Edge>& list) {
+      graph::Graph g(n, directed);
+      for (const auto& e : list) g.AddEdge(e.u, e.v, e.weight).CheckOk();
+      return g;
+    };
+    const graph::Graph g = build(edges);
+    linalg::DenseBlock distances = g.ToDenseAdjacency();
+    linalg::SemiringClosure<linalg::MinPlusSemiring>(distances);
+    const linalg::DenseBlock next =
+        graph::SuccessorsFromDistances(g, distances);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<graph::Edge> shuffled = edges;
+      for (std::size_t k = shuffled.size(); k > 1; --k) {
+        std::swap(shuffled[k - 1], shuffled[rng.NextBounded(k)]);
+      }
+      if (!directed) {
+        for (auto& e : shuffled) {
+          if (rng.NextBounded(2) == 1) std::swap(e.u, e.v);
+        }
+      }
+      test::ExpectBitwiseEqual(
+          graph::SuccessorsFromDistances(build(shuffled), distances), next,
+          std::string(directed ? "directed" : "undirected") + " shuffle " +
+              std::to_string(round));
+    }
+  }
+
+  // Hand-checked: 0 reaches 4 through 3 and through 1 at equal length, and
+  // the edge to 3 comes first; the smaller hop, 1, wins.
+  graph::Graph diamond(5, true);
+  const std::pair<graph::VertexId, graph::VertexId> arcs[] = {
+      {0, 3}, {0, 1}, {3, 4}, {1, 4}};
+  for (const auto& [u, v] : arcs) {
+    ASSERT_TRUE(diamond.AddEdge(u, v, 1.0).ok());
+  }
+  linalg::DenseBlock diamond_dist = diamond.ToDenseAdjacency();
+  linalg::SemiringClosure<linalg::MinPlusSemiring>(diamond_dist);
+  EXPECT_EQ(graph::SuccessorsFromDistances(diamond, diamond_dist).At(0, 4),
+            1.0);
 }
 
 TEST(ZipfSampler, IsSkewedAndInRange) {

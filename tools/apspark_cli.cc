@@ -810,6 +810,13 @@ HostUsage ReadHostUsage() {
           std::chrono::steady_clock::now()};
 }
 
+/// CPU seconds over wall seconds between two snapshots: the cores kept busy.
+double CpuPerWall(const HostUsage& before, const HostUsage& after) {
+  const double wall =
+      std::chrono::duration<double>(after.wall - before.wall).count();
+  return wall > 0 ? (after.cpu_seconds - before.cpu_seconds) / wall : 0.0;
+}
+
 int RunSolve(const Args& args) {
   graph::Graph g(0);
   if (!args.input.empty()) {
@@ -888,13 +895,11 @@ int RunSolve(const Args& args) {
               args.sources > 0 ? "pivots" : "rounds",
               FormatDuration(report.run.sim_seconds).c_str());
   std::printf("engine: %s\n", report.metrics().Summary().c_str());
-  const double wall =
-      std::chrono::duration<double>(after.wall - before.wall).count();
   std::printf("host: solve minor-faults=%llu peak-rss=%s cpu/wall=%.2f\n",
               static_cast<unsigned long long>(after.minor_faults -
                                               before.minor_faults),
               FormatBytes(after.peak_rss_bytes).c_str(),
-              wall > 0 ? (after.cpu_seconds - before.cpu_seconds) / wall : 0.0);
+              CpuPerWall(before, after));
   PrintKsourceMemory(args, report.metrics());
   PrintRecovery(report.metrics());
   if (!EmitRunMetrics(args, report.metrics())) return 1;
@@ -908,8 +913,10 @@ int RunSolve(const Args& args) {
     apsp::PersistOptions popts;
     popts.block_size = options.block_size;
     popts.with_paths = !args.no_paths;
+    const HostUsage persist_before = ReadHostUsage();
     auto status = apsp::PersistSolve(args.persist, *report.distances(), &g,
                                      args.directed, options.semiring, popts);
+    const HostUsage persist_after = ReadHostUsage();
     if (!status.ok()) return Fail(status);
     auto opened = store::BlockStore::Open(args.persist);
     if (!opened.ok()) return Fail(opened.status());
@@ -919,6 +926,14 @@ int RunSolve(const Args& args) {
                 args.persist.c_str(),
                 (*opened)->manifest().has_paths ? " with successor plane"
                                                 : "");
+    const double persist_wall =
+        std::chrono::duration<double>(persist_after.wall - persist_before.wall)
+            .count();
+    std::printf("host: persist wall=%.1fms minor-faults=%llu cpu/wall=%.2f\n",
+                persist_wall * 1e3,
+                static_cast<unsigned long long>(persist_after.minor_faults -
+                                                persist_before.minor_faults),
+                CpuPerWall(persist_before, persist_after));
   }
   return 0;
 }
