@@ -38,12 +38,13 @@ Status PersistSolve(const std::string& dir,
 
   // The successor plane and the distance plane's write are independent, so
   // they run side by side on the kernel pool when each is worth a task: one
-  // unit of host work per relaxation, eight per persisted element.
+  // unit of host work per relaxation, 16 per persisted element (as the
+  // store's encoder counts).
   Status status;
   linalg::DenseBlock next;
   const std::int64_t relaxations =
       with_paths ? (2 * std::ssize(graph->edges()) + n) * n : 0;
-  linalg::ForEachByHostWork({relaxations, 8 * n * n}, [&](std::size_t unit) {
+  linalg::ForEachByHostWork({relaxations, 16 * n * n}, [&](std::size_t unit) {
     if (unit == 1) {
       status = bs.PutMatrix(store::Plane::kDistance, distances);
     } else if (with_paths) {

@@ -319,8 +319,9 @@ class BlockStore {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
   };
-  /// Encodes `windows` of `src` on the kernel pool into one staging buffer,
-  /// appends it to the data file and indexes the windows in order.
+  /// Encodes `windows` of `src` on the kernel pool into a staging buffer,
+  /// one run at a time, appends the runs to the data file in order and
+  /// indexes the windows.
   Status AppendWindows(Plane plane, const linalg::DenseBlock& src,
                        const std::vector<WindowSource>& windows);
   /// Indexes manifest_.entries[window]; false on a duplicate key.
