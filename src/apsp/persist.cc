@@ -23,6 +23,12 @@ Status PersistSolve(const std::string& dir,
     return InvalidArgumentError(
         "PersistSolve: graph and distance matrix sizes differ");
   }
+  // Checked before the store exists, so a rejected call leaves no files.
+  if (with_paths && distances.is_packed()) {
+    return InvalidArgumentError(
+        "PersistSolve: successors need a dense distance matrix, not a "
+        "bit-packed one");
+  }
 
   store::StoreManifest manifest;
   manifest.n = n;

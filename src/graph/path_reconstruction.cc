@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/block_pool.h"
 #include "linalg/kernel_registry.h"
+#include "linalg/simd.h"
 
 namespace apspark::graph {
 
@@ -130,6 +132,32 @@ void BreakZeroWeightTies(const Adjacency& adj, const linalg::DenseBlock& dist,
   });
 }
 
+/// Scalar body of the successor argmin over one row (the SIMD bodies are
+/// linalg::SimdArgminRow*): hop[j] = the first neighbour k, in adj order,
+/// minimizing w + dist(k, j) under a strict `<`, or -1 when none is below
+/// +inf. Columns go in chunks whose best distances stay in a local array.
+void ArgminRowScalar(const std::vector<std::pair<VertexId, double>>& terms,
+                     const linalg::DenseBlock& dist, double* hop) {
+  constexpr std::int64_t kChunk = 32;
+  const std::int64_t n = dist.cols();
+  double best[kChunk];
+  for (std::int64_t j0 = 0; j0 < n; j0 += kChunk) {
+    const std::int64_t jn = std::min(kChunk, n - j0);
+    std::fill(best, best + jn, std::numeric_limits<double>::infinity());
+    std::fill(hop + j0, hop + j0 + jn, -1.0);
+    for (const auto& [k, w] : terms) {
+      const double* dk = dist.Row(k) + j0;
+      for (std::int64_t j = 0; j < jn; ++j) {
+        const double via = w + dk[j];
+        if (via < best[j]) {
+          best[j] = via;
+          hop[j0 + j] = static_cast<double>(k);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
@@ -163,27 +191,29 @@ linalg::DenseBlock SuccessorsFromDistances(const Graph& g,
          1) *
         n;
   }
-  linalg::DenseBlock next(n, n);
+  // The argmin writes every element, so next needs no fill.
+  const auto count = static_cast<std::size_t>(n * n);
+  std::vector<double> payload = linalg::TakeBlockBuffer(count);
+  if (payload.empty()) payload.resize(count);
+  linalg::DenseBlock next(n, n, std::move(payload));
+  const linalg::SimdIsa isa =
+      linalg::ResolveSimdIsa(linalg::GetKernelTuning().isa);
   linalg::ForEachByHostWork(work, [&](std::size_t row) {
     const auto i = static_cast<std::int64_t>(row);
-    // Per-row scratch: best holds the current minimum, and the hop is
-    // written straight into next's row i.
-    std::vector<double> best(static_cast<std::size_t>(n),
-                             std::numeric_limits<double>::infinity());
+    const auto& terms = adj[row];
     double* hop = next.MutableRow(i);
-    std::fill(hop, hop + n, -1.0);
-    // Sweeping neighbors in the outer loop reads dist(k, .) row-wise; the
-    // select form of the update lets the compiler vectorize over j.
-    for (const auto& [k, w] : adj[row]) {
-      const double* dk = dist.Row(k);
-      const double kd = static_cast<double>(k);
-      for (std::int64_t j = 0; j < n; ++j) {
-        const double via = w + dk[j];
-        double& b = best[static_cast<std::size_t>(j)];
-        const bool better = via < b;
-        b = better ? via : b;
-        hop[j] = better ? kd : hop[j];
-      }
+    switch (isa) {
+      case linalg::SimdIsa::kAvx512:
+        linalg::SimdArgminRowAvx512(terms.data(), terms.size(), dist.data(),
+                                    n, n, hop);
+        break;
+      case linalg::SimdIsa::kAvx2:
+        linalg::SimdArgminRowAvx2(terms.data(), terms.size(), dist.data(), n,
+                                  n, hop);
+        break;
+      case linalg::SimdIsa::kScalar:
+        ArgminRowScalar(terms, dist, hop);
+        break;
     }
     hop[i] = static_cast<double>(i);
   });

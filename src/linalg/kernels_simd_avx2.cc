@@ -41,6 +41,12 @@ struct Avx2Ops {
   static Vec Max(Vec x, Vec y) { return _mm256_max_pd(x, y); }
   static Vec AddPd(Vec x, Vec y) { return _mm256_add_pd(x, y); }
   static Vec MulPd(Vec x, Vec y) { return _mm256_mul_pd(x, y); }
+  static Mask LessMask(Vec x, Vec y) {
+    return _mm256_castpd_si256(_mm256_cmp_pd(x, y, _CMP_LT_OQ));
+  }
+  static Vec Blend(Mask m, Vec x, Vec y) {
+    return _mm256_blendv_pd(x, y, _mm256_castsi256_pd(m));
+  }
   static Vec BoolOr(Vec x, Vec y) {
     const Vec z = _mm256_setzero_pd();
     const Vec m = _mm256_or_pd(_mm256_cmp_pd(x, z, _CMP_NEQ_UQ),
@@ -71,6 +77,12 @@ void SimdTiledRowsAvx2(SemiringId id, std::int64_t i0, std::int64_t i1,
   });
 }
 
+void SimdArgminRowAvx2(const std::pair<std::int64_t, double>* terms,
+                       std::size_t count, const double* d, std::int64_t ldd,
+                       std::int64_t n, double* out) {
+  simd_detail::ArgminRowImpl<Avx2Ops>(terms, count, d, ldd, n, out);
+}
+
 }  // namespace apspark::linalg
 
 #else  // stub: flag rejected or non-x86 target
@@ -86,6 +98,11 @@ void SimdTiledRowsAvx2(SemiringId, std::int64_t, std::int64_t, std::int64_t,
                        const double*, std::int64_t, double*, std::int64_t,
                        std::int64_t, std::int64_t) {
   std::abort();  // dispatch never routes here when the backend is absent
+}
+
+void SimdArgminRowAvx2(const std::pair<std::int64_t, double>*, std::size_t,
+                       const double*, std::int64_t, std::int64_t, double*) {
+  std::abort();
 }
 
 }  // namespace apspark::linalg

@@ -38,6 +38,12 @@ struct Avx512Ops {
   static Vec Max(Vec x, Vec y) { return _mm512_max_pd(x, y); }
   static Vec AddPd(Vec x, Vec y) { return _mm512_add_pd(x, y); }
   static Vec MulPd(Vec x, Vec y) { return _mm512_mul_pd(x, y); }
+  static Mask LessMask(Vec x, Vec y) {
+    return _mm512_cmp_pd_mask(x, y, _CMP_LT_OQ);
+  }
+  static Vec Blend(Mask m, Vec x, Vec y) {
+    return _mm512_mask_blend_pd(m, x, y);
+  }
   static Vec BoolOr(Vec x, Vec y) {
     const Vec z = _mm512_setzero_pd();
     const Mask m = static_cast<Mask>(_mm512_cmp_pd_mask(x, z, _CMP_NEQ_UQ) |
@@ -68,6 +74,12 @@ void SimdTiledRowsAvx512(SemiringId id, std::int64_t i0, std::int64_t i1,
   });
 }
 
+void SimdArgminRowAvx512(const std::pair<std::int64_t, double>* terms,
+                         std::size_t count, const double* d, std::int64_t ldd,
+                         std::int64_t n, double* out) {
+  simd_detail::ArgminRowImpl<Avx512Ops>(terms, count, d, ldd, n, out);
+}
+
 }  // namespace apspark::linalg
 
 #else  // stub: flag rejected or non-x86 target
@@ -83,6 +95,11 @@ void SimdTiledRowsAvx512(SemiringId, std::int64_t, std::int64_t, std::int64_t,
                          const double*, std::int64_t, double*, std::int64_t,
                          std::int64_t, std::int64_t) {
   std::abort();  // dispatch never routes here when the backend is absent
+}
+
+void SimdArgminRowAvx512(const std::pair<std::int64_t, double>*, std::size_t,
+                         const double*, std::int64_t, std::int64_t, double*) {
+  std::abort();
 }
 
 }  // namespace apspark::linalg

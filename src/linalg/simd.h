@@ -1,10 +1,11 @@
 // Explicit-SIMD micro-kernel backends with runtime ISA dispatch.
 //
-// The tiled and panel kernels in kernels.cc route their inner loops through
-// one of three backends, chosen per call from KernelTuning::isa (clamped by
+// The tiled and panel kernels in kernels.cc, and the successor argmin of
+// graph/path_reconstruction.cc, route their inner loops through one of three
+// backends, chosen per call from KernelTuning::isa (clamped by
 // ResolveSimdIsa in kernel_registry.h):
 //
-//   scalar  — the portable tiled loops in kernels.cc (always available).
+//   scalar  — the portable loops beside each caller (always available).
 //   avx2    — 4-lane __m256d micro-tile, kernels_simd_avx2.cc.
 //   avx512  — 8-lane __m512d micro-tile, kernels_simd_avx512.cc.
 //
@@ -27,7 +28,9 @@
 // four semirings' domains, so the branchless form is the same function.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "linalg/kernel_registry.h"
 
@@ -66,5 +69,18 @@ void SimdTiledRowsAvx512(SemiringId id, std::int64_t i0, std::int64_t i1,
                          std::int64_t lda, const double* b, std::int64_t ldb,
                          double* c, std::int64_t ldc, std::int64_t tile_j,
                          std::int64_t tile_k);
+
+/// SIMD argmin of one successor row: out[j] = k of the first (k, w) term,
+/// in the order given, that minimizes w + d[k * ldd + j] under a strict
+/// ordered `<`, stored as a double; -1.0 when no term is below +inf. Every
+/// out[j], j < n, is written. Bitwise equal to the scalar fold of the same
+/// terms in the same order (graph::SuccessorsFromDistances' scalar body).
+/// Same availability rule as the tiled entry points.
+void SimdArgminRowAvx2(const std::pair<std::int64_t, double>* terms,
+                       std::size_t count, const double* d, std::int64_t ldd,
+                       std::int64_t n, double* out);
+void SimdArgminRowAvx512(const std::pair<std::int64_t, double>* terms,
+                         std::size_t count, const double* d, std::int64_t ldd,
+                         std::int64_t n, double* out);
 
 }  // namespace apspark::linalg

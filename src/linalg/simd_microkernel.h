@@ -22,6 +22,8 @@
 //   BoolOr / BoolAnd        lane-wise (x!=0 || y!=0) ? 1.0 : 0.0 and the &&
 //                           twin, built from NEQ_UQ compare masks so NaN
 //                           counts as "true" exactly like scalar x != 0.0
+//   LessMask(x, y)          lanes where x < y (ordered: false on NaN)
+//   Blend(m, x, y)          lane-wise m ? y : x
 //
 // Shape: a 2x4 (rows x vectors) register micro-tile — eight accumulators
 // live in registers across each k chunk, so C traffic is one load + one
@@ -52,11 +54,20 @@
 // semirings' domains, so folding it is the identity — same function, no
 // branch. Aliasing of C with A/B is the caller's problem (kernels.cc routes
 // aliased calls to the scalar path).
+//
+// The same wrappers also instantiate ArgminRowImpl, the successor plane's
+// relaxation (graph::SuccessorsFromDistances): a column chunk of best
+// distances and hops stays in registers while the row's neighbours fold in
+// ascending order through add, ordered less-than and two blends. A select
+// written as `hop[j] = via < best[j] ? k : hop[j]` over memory compiles to
+// a masked store behind a test-and-jump on every vector instead.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "linalg/block_pool.h"
 #include "linalg/semiring.h"
@@ -274,6 +285,95 @@ void SimdTiledRowsImpl(std::int64_t i0, std::int64_t i1, std::int64_t n,
         }
       }
     }
+  }
+}
+
+/// One column chunk of ArgminRowImpl: 4 vectors of best distances and 4 of
+/// hops stay in registers while every term folds in, then the hops are
+/// stored. When kMasked only the first `live` columns are real: dist lanes
+/// past them load as 0.0 and their hops are never written.
+template <typename V, bool kMasked>
+inline void ArgminChunk(const std::pair<std::int64_t, double>* terms,
+                        std::size_t count, const double* d, std::int64_t ldd,
+                        std::int64_t live, double* out) {
+  using Vec = typename V::Vec;
+  using Mask = typename V::Mask;
+  constexpr std::int64_t W = V::kWidth;
+  Mask m0{}, m1{}, m2{}, m3{};
+  if constexpr (kMasked) {
+    m0 = V::TailMask(std::clamp<std::int64_t>(live - 0 * W, 0, W));
+    m1 = V::TailMask(std::clamp<std::int64_t>(live - 1 * W, 0, W));
+    m2 = V::TailMask(std::clamp<std::int64_t>(live - 2 * W, 0, W));
+    m3 = V::TailMask(std::clamp<std::int64_t>(live - 3 * W, 0, W));
+  }
+  const Vec inf = V::Broadcast(std::numeric_limits<double>::infinity());
+  const Vec none = V::Broadcast(-1.0);
+  Vec b0 = inf, b1 = inf, b2 = inf, b3 = inf;
+  Vec h0 = none, h1 = none, h2 = none, h3 = none;
+  for (std::size_t t = 0; t < count; ++t) {
+    const double* dk = d + terms[t].first * ldd;
+    const Vec w = V::Broadcast(terms[t].second);
+    const Vec k = V::Broadcast(static_cast<double>(terms[t].first));
+    Vec x0, x1, x2, x3;
+    if constexpr (kMasked) {
+      x0 = V::MaskLoad(dk + 0 * W, m0);
+      x1 = V::MaskLoad(dk + 1 * W, m1);
+      x2 = V::MaskLoad(dk + 2 * W, m2);
+      x3 = V::MaskLoad(dk + 3 * W, m3);
+    } else {
+      x0 = V::Load(dk + 0 * W);
+      x1 = V::Load(dk + 1 * W);
+      x2 = V::Load(dk + 2 * W);
+      x3 = V::Load(dk + 3 * W);
+    }
+    // via = w + dist(k, j); a lane takes k only when via < best (ordered:
+    // a NaN via never wins), so the first k to reach a minimum keeps it.
+    const Vec v0 = V::AddPd(w, x0);
+    const Vec v1 = V::AddPd(w, x1);
+    const Vec v2 = V::AddPd(w, x2);
+    const Vec v3 = V::AddPd(w, x3);
+    const Mask l0 = V::LessMask(v0, b0);
+    const Mask l1 = V::LessMask(v1, b1);
+    const Mask l2 = V::LessMask(v2, b2);
+    const Mask l3 = V::LessMask(v3, b3);
+    b0 = V::Blend(l0, b0, v0);
+    b1 = V::Blend(l1, b1, v1);
+    b2 = V::Blend(l2, b2, v2);
+    b3 = V::Blend(l3, b3, v3);
+    h0 = V::Blend(l0, h0, k);
+    h1 = V::Blend(l1, h1, k);
+    h2 = V::Blend(l2, h2, k);
+    h3 = V::Blend(l3, h3, k);
+  }
+  if constexpr (kMasked) {
+    V::MaskStore(out + 0 * W, m0, h0);
+    V::MaskStore(out + 1 * W, m1, h1);
+    V::MaskStore(out + 2 * W, m2, h2);
+    V::MaskStore(out + 3 * W, m3, h3);
+  } else {
+    V::Store(out + 0 * W, h0);
+    V::Store(out + 1 * W, h1);
+    V::Store(out + 2 * W, h2);
+    V::Store(out + 3 * W, h3);
+  }
+}
+
+/// SIMD body of the successor argmin over one row: out[j] = the k of the
+/// first term (in the given order) minimizing w + d[k * ldd + j] by strict
+/// `<`, as a double, or -1.0 when no term is below +inf. Columns go in
+/// chunks of 4 vectors, each folded over every term without a branch, so
+/// every out[j] is written.
+template <typename V>
+void ArgminRowImpl(const std::pair<std::int64_t, double>* terms,
+                   std::size_t count, const double* d, std::int64_t ldd,
+                   std::int64_t n, double* out) {
+  constexpr std::int64_t CW = 4 * V::kWidth;
+  std::int64_t j0 = 0;
+  for (; j0 + CW <= n; j0 += CW) {
+    ArgminChunk<V, false>(terms, count, d + j0, ldd, CW, out + j0);
+  }
+  if (j0 < n) {
+    ArgminChunk<V, true>(terms, count, d + j0, ldd, n - j0, out + j0);
   }
 }
 

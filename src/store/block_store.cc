@@ -32,10 +32,12 @@ constexpr std::int64_t kMaxBlocksPerSide = 4096;
 // multiply-add units ForEachByHostWork groups by: 2-3 ns an element on the
 // reference host, against 0.05-0.2 ns a multiply-add.
 constexpr std::int64_t kOpsPerWindowElement = 16;
-// Bytes a write stages at once (more only for a larger window): four tasks
-// of encoding. A bounded buffer stays in the block pool without crowding the
-// solvers' buffers out of its idle cap; a whole n = 2048 plane (34 MB) did,
-// and the next solve page-faulted its n x n assembly.
+// Bytes a plane's write stages at once, split over two buffers that
+// alternate between encoding one run and writing the previous one (a run
+// grows past half of this only for a larger window). A bounded staging
+// stays in the block pool without crowding the solvers' buffers out of its
+// idle cap; a whole n = 2048 plane (34 MB) did, and the next solve
+// page-faulted its n x n assembly.
 constexpr std::uint64_t kStagingBytes = std::uint64_t{8} << 20;
 // Bounds b so a block's element count cannot overflow.
 constexpr std::int64_t kMaxBlockSize = std::int64_t{1} << 24;
@@ -490,39 +492,73 @@ Status BlockStore::AppendWindows(Plane plane, const linalg::DenseBlock& src,
     largest = std::max(largest, padded);
   }
   // Runs of windows are staged, encoded on the kernel pool and appended
-  // with one write each. Every run of a large plane stages kStagingBytes,
-  // so the block pool keeps one buffer for all of them (padded windows are
-  // whole 8-byte words).
+  // with one write each. A run fills at most half of kStagingBytes; padded
+  // windows are whole 8-byte words.
   const std::uint64_t capacity =
-      std::max(largest, std::min(kStagingBytes, end - data_bytes_));
-  std::vector<double> staging = linalg::TakeBlockBuffer(capacity / 8);
-  if (staging.empty()) staging.resize(capacity / 8);
-  auto* bytes = reinterpret_cast<std::uint8_t*>(staging.data());
-  bool written = true;
-  for (std::size_t first = 0, last = 0; first < windows.size() && written;
-       first = last) {
+      std::max(largest, std::min(kStagingBytes / 2, end - data_bytes_));
+  struct Run {
+    std::size_t first = 0;
+    std::size_t last = 0;
+    std::uint64_t bytes = 0;
+  };
+  std::vector<Run> runs;
+  for (std::size_t first = 0, last = 0; first < windows.size(); first = last) {
     const std::uint64_t base = entries[first].offset;
     std::uint64_t run_end = base;
-    std::vector<std::int64_t> work;
     for (; last < windows.size(); ++last) {
       const std::uint64_t window_end =
           entries[last].offset + PaddedWindowBytes(entries[last].payload_bytes);
       if (window_end - base > capacity) break;
       run_end = window_end;
-      work.push_back(windows[last].rows * windows[last].cols *
-                     kOpsPerWindowElement);
     }
-    linalg::ForEachByHostWork(work, [&](std::size_t i) {
-      StoreManifest::Entry& e = entries[first + i];
-      const WindowSource& w = windows[first + i];
+    runs.push_back({first, last, run_end - base});
+  }
+  // Runs alternate between two staging buffers, and run r's write is unit 0
+  // of run r + 1's encode batch, so the file write overlaps the next run's
+  // encoding on the pool. Under kTiled the units run in order: run r is
+  // written before run r + 1 is encoded. A single run takes one buffer.
+  std::vector<double> staging[2];
+  auto staged = [&](std::size_t r) {
+    return reinterpret_cast<std::uint8_t*>(staging[r % 2].data());
+  };
+  bool written = true;
+  auto write_run = [&](std::size_t r) {
+    written = static_cast<bool>(
+        data_out_.write(reinterpret_cast<const char*>(staged(r)),
+                        static_cast<std::streamsize>(runs[r].bytes)));
+  };
+  for (std::size_t r = 0; r < runs.size() && written; ++r) {
+    std::vector<double>& buffer = staging[r % 2];
+    if (buffer.empty()) {
+      buffer = linalg::TakeBlockBuffer(capacity / 8);
+      if (buffer.empty()) buffer.resize(capacity / 8);
+    }
+    const Run& run = runs[r];
+    const std::uint64_t base = entries[run.first].offset;
+    // A write is weighed as the encoding of as many bytes.
+    std::vector<std::int64_t> work{
+        r == 0 ? 0
+               : static_cast<std::int64_t>(runs[r - 1].bytes / 8) *
+                     kOpsPerWindowElement};
+    for (std::size_t k = run.first; k < run.last; ++k) {
+      work.push_back(windows[k].rows * windows[k].cols * kOpsPerWindowElement);
+    }
+    std::uint8_t* const bytes = staged(r);
+    linalg::ForEachByHostWork(work, [&](std::size_t unit) {
+      if (unit == 0) {
+        if (r > 0) write_run(r - 1);
+        return;
+      }
+      StoreManifest::Entry& e = entries[run.first + unit - 1];
+      const WindowSource& w = windows[run.first + unit - 1];
       e.checksum = EncodeWindow(src, w.r0, w.c0, w.rows, w.cols, KeySeed(e),
                                 bytes + (e.offset - base));
     });
-    written = static_cast<bool>(
-        data_out_.write(reinterpret_cast<const char*>(bytes),
-                        static_cast<std::streamsize>(run_end - base)));
   }
-  linalg::ReleaseBlockBuffer(staging);
+  if (written && !runs.empty()) write_run(runs.size() - 1);
+  for (std::vector<double>& buffer : staging) {
+    linalg::ReleaseBlockBuffer(buffer);
+  }
   if (!written) {
     return InternalError("short write to " +
                          (fs::path(dir_) / kDataFile).string());

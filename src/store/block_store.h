@@ -84,9 +84,12 @@
 // windows straight from the matrix rows: each window is serialized and
 // checksummed into a staging buffer as a stealable unit on the kernel pool
 // (linalg::ForEachByHostWork), and the windows are appended in file order,
-// one sequential write per 8 MiB run. The staging buffer comes from the
-// block buffer pool, so repeated persists reuse its pages. Put is the
-// one-window case of the same encoder, so both write the same bytes.
+// one sequential write per 4 MiB run. Two staging buffers alternate: run
+// r's write is one more unit of run r + 1's encode batch, so the file
+// write overlaps the next run's encoding. Both buffers come from the block
+// buffer pool (8 MiB in all), so repeated persists reuse their pages. Put
+// is the one-window case of the same encoder, so both write the same
+// bytes.
 #pragma once
 
 #include <atomic>
@@ -319,9 +322,10 @@ class BlockStore {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
   };
-  /// Encodes `windows` of `src` on the kernel pool into a staging buffer,
-  /// one run at a time, appends the runs to the data file in order and
-  /// indexes the windows.
+  /// Encodes `windows` of `src` on the kernel pool into two alternating
+  /// staging buffers, one run at a time, appends the runs to the data file
+  /// in order (each write beside the next run's encoding) and indexes the
+  /// windows.
   Status AppendWindows(Plane plane, const linalg::DenseBlock& src,
                        const std::vector<WindowSource>& windows);
   /// Indexes manifest_.entries[window]; false on a duplicate key.

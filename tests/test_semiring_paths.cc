@@ -352,6 +352,104 @@ TEST(Paths, PositiveWeightSuccessorsKeepSmallestNeighbourTieBreak) {
   ExpectSuccessorWalksRealizeOracle(g, dist);
 }
 
+/// The successor plane's first pass by definition, one element at a time:
+/// over k ascending and every edge (i, k, w), the first strict improvement
+/// of w + dist(k, j) wins; -1 where none is below +inf, i on the diagonal.
+DenseBlock NaiveArgminSuccessors(const graph::Graph& g, const DenseBlock& dist) {
+  const std::int64_t n = g.num_vertices();
+  // weights[i][k] lists every edge weight from i to k (parallel edges too).
+  std::vector<std::vector<std::vector<double>>> weights(
+      static_cast<std::size_t>(n),
+      std::vector<std::vector<double>>(static_cast<std::size_t>(n)));
+  for (const graph::Edge& e : g.edges()) {
+    weights[static_cast<std::size_t>(e.u)][static_cast<std::size_t>(e.v)]
+        .push_back(e.weight);
+    if (!g.directed()) {
+      weights[static_cast<std::size_t>(e.v)][static_cast<std::size_t>(e.u)]
+          .push_back(e.weight);
+    }
+  }
+  DenseBlock next(n, n, -1.0);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      double best = kInf;
+      for (std::int64_t k = 0; k < n; ++k) {
+        for (const double w :
+             weights[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)]) {
+          const double via = w + dist.At(k, j);
+          if (via < best) {
+            best = via;
+            next.Set(i, j, static_cast<double>(k));
+          }
+        }
+      }
+    }
+    next.Set(i, i, static_cast<double>(i));
+  }
+  return next;
+}
+
+TEST(Paths, SuccessorKernelIsBitwiseEqualUnderEveryIsa) {
+  // n is ragged against both SIMD chunk widths (16 columns on AVX2, 32 on
+  // AVX-512). The graphs carry parallel edges of different weights,
+  // unreachable vertices (the last quarter has no edges) and, with integer
+  // weights, many equal-cost ties. Positive-weight planes must equal the
+  // naive argmin; a zero-weight graph adds the second pass, whose input is
+  // the first pass, so its plane must equal the scalar body's under every
+  // ISA and every walk must realize the oracle distance.
+  struct Kind {
+    const char* name;
+    bool directed;
+    bool integer_weights;
+    bool zero_weights;
+  };
+  const Kind kinds[] = {{"undirected", false, false, false},
+                        {"directed", true, false, false},
+                        {"undirected_ties", false, true, false},
+                        {"directed_ties", true, true, false},
+                        {"zero_weight", false, true, true},
+                        {"zero_weight_directed", true, true, true}};
+  for (const std::int64_t n : {1, 5, 15, 16, 17, 31, 32, 33, 45, 97}) {
+    for (const Kind& kind : kinds) {
+      SCOPED_TRACE(std::string(kind.name) + " n=" + std::to_string(n));
+      Xoshiro256 rng(0x5ecc + static_cast<std::uint64_t>(n));
+      auto weight = [&] {
+        if (kind.zero_weights) return static_cast<double>(rng.NextBounded(3));
+        if (kind.integer_weights) {
+          return 1.0 + static_cast<double>(rng.NextBounded(2));
+        }
+        return rng.NextDouble(0.5, 10.0);
+      };
+      graph::Graph g(n, kind.directed);
+      const std::int64_t linked = std::max<std::int64_t>(1, n - n / 4);
+      for (std::int64_t e = 0; e < 3 * linked; ++e) {
+        const auto u = static_cast<graph::VertexId>(
+            rng.NextBounded(static_cast<std::uint64_t>(linked)));
+        const auto v = static_cast<graph::VertexId>(
+            rng.NextBounded(static_cast<std::uint64_t>(linked)));
+        if (u == v) continue;
+        g.AddEdge(u, v, weight()).CheckOk();
+        // A parallel copy with a different weight.
+        if (e % 4 == 0) g.AddEdge(u, v, weight() + 0.5).CheckOk();
+      }
+      const DenseBlock dist = graph::DijkstraAllPairs(g);
+      DenseBlock expected;
+      if (kind.zero_weights) {
+        linalg::ScopedSimdIsa scalar(linalg::SimdIsa::kScalar);
+        expected = graph::SuccessorsFromDistances(g, dist);
+        ExpectSuccessorWalksRealizeOracle(g, dist);
+      } else {
+        expected = NaiveArgminSuccessors(g, dist);
+      }
+      for (const linalg::SimdIsa isa : test::AvailableIsas()) {
+        linalg::ScopedSimdIsa scope(isa);
+        test::ExpectBitwiseEqual(graph::SuccessorsFromDistances(g, dist),
+                                 expected, linalg::SimdIsaName(isa));
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Oracle bug regressions (dimension checks, annihilators, aliasing).
 // ---------------------------------------------------------------------------

@@ -20,23 +20,16 @@
 #include "linalg/kernel_registry.h"
 #include "linalg/kernels.h"
 #include "linalg/semiring.h"
+#include "test_support.h"
 
 namespace apspark::linalg {
 namespace {
 
+using test::AvailableIsas;
+
 constexpr SemiringId kAllSemirings[] = {
     SemiringId::kMinPlus, SemiringId::kBoolean, SemiringId::kMaxMin,
     SemiringId::kMaxTimes};
-
-/// ISAs executable on this host (kScalar always; SIMD when compiled in and
-/// the CPU supports it). On a non-x86 host the suite degrades to checking
-/// scalar-vs-scalar, which keeps it green rather than vacuously skipped.
-std::vector<SimdIsa> AvailableIsas() {
-  std::vector<SimdIsa> isas = {SimdIsa::kScalar};
-  if (SimdIsaAvailable(SimdIsa::kAvx2)) isas.push_back(SimdIsa::kAvx2);
-  if (SimdIsaAvailable(SimdIsa::kAvx512)) isas.push_back(SimdIsa::kAvx512);
-  return isas;
-}
 
 /// In-domain random fill for a semiring: finite candidates from the
 /// semiring's natural value range plus a sprinkle of *its own* annihilator

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <set>
 #include <thread>
 #include <utility>
@@ -27,7 +26,9 @@
 #include "apsp/persist.h"
 #include "common/serial.h"
 #include "common/thread_pool.h"
+#include "graph/generators.h"
 #include "graph/path_reconstruction.h"
+#include "graph/shortest_paths.h"
 #include "linalg/kernel_registry.h"
 #include "linalg/semiring.h"
 #include "sparklet/memory_accountant.h"
@@ -92,8 +93,12 @@ void ExpectViewMatches(const store::BlockView& view,
 }
 
 std::vector<char> ReadAll(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return {};
+  std::vector<char> bytes(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return bytes;
 }
 
 void WriteAll(const fs::path& path, const std::vector<char>& bytes) {
@@ -886,6 +891,39 @@ graph::Graph GoldenGraph(std::int64_t n, bool directed, bool zero_weights,
   return g;
 }
 
+/// Writes the store PersistSolve should write, one window at a time through
+/// Put(Decompose(...)): the distance plane, then (when `paths` is given) the
+/// successor plane derived from it.
+void PutWindowByWindow(const std::string& dir,
+                       const linalg::DenseBlock& distances, std::int64_t b,
+                       bool directed, linalg::SemiringId semiring,
+                       const graph::Graph* paths) {
+  const std::int64_t n = distances.rows();
+  store::StoreManifest manifest;
+  manifest.n = n;
+  manifest.block_size = b;
+  manifest.directed = directed;
+  manifest.semiring = semiring;
+  manifest.has_paths = paths != nullptr;
+  auto writer = store::BlockStore::Create(dir, manifest);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const auto& [key, block] :
+       apsp::BlockLayout(n, b, directed).Decompose(distances)) {
+    ASSERT_TRUE(
+        (*writer)->Put(store::Plane::kDistance, key.I, key.J, *block).ok());
+  }
+  if (paths != nullptr) {
+    const linalg::DenseBlock next =
+        graph::SuccessorsFromDistances(*paths, distances);
+    for (const auto& [key, block] :
+         apsp::BlockLayout(n, b, true).Decompose(next)) {
+      ASSERT_TRUE(
+          (*writer)->Put(store::Plane::kNext, key.I, key.J, *block).ok());
+    }
+  }
+  ASSERT_TRUE((*writer)->Seal().ok());
+}
+
 TEST(PersistSolve, GoldenStoreBytesMatchBlockByBlockPuts) {
   // Locks the on-disk bytes of PersistSolve: each store must equal one
   // written window by window through Put(Decompose(...)), and the checksums
@@ -941,29 +979,9 @@ TEST(PersistSolve, GoldenStoreBytesMatchBlockByBlockPuts) {
                     .ok());
 
     TempStoreDir by_put(std::string("golden_put_") + c.name);
-    store::StoreManifest manifest;
-    manifest.n = c.n;
-    manifest.block_size = c.b;
-    manifest.directed = c.directed;
-    manifest.semiring = c.semiring;
-    manifest.has_paths = c.paths;
-    auto writer = store::BlockStore::Create(by_put.path(), manifest);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    for (const auto& [key, block] :
-         apsp::BlockLayout(c.n, c.b, c.directed).Decompose(distances)) {
-      ASSERT_TRUE(
-          (*writer)->Put(store::Plane::kDistance, key.I, key.J, *block).ok());
-    }
-    if (c.paths) {
-      const linalg::DenseBlock next =
-          graph::SuccessorsFromDistances(g, distances);
-      for (const auto& [key, block] :
-           apsp::BlockLayout(c.n, c.b, true).Decompose(next)) {
-        ASSERT_TRUE(
-            (*writer)->Put(store::Plane::kNext, key.I, key.J, *block).ok());
-      }
-    }
-    ASSERT_TRUE((*writer)->Seal().ok());
+    PutWindowByWindow(by_put.path(), distances, c.b, c.directed, c.semiring,
+                      c.paths ? &g : nullptr);
+    ASSERT_FALSE(HasFatalFailure());
 
     auto checksum = [](const std::vector<char>& bytes) {
       return store::Checksum64(
@@ -983,32 +1001,64 @@ TEST(PersistSolve, GoldenStoreBytesMatchBlockByBlockPuts) {
 }
 
 TEST(PersistSolve, FannedOutWriteEqualsInlineWrite) {
-  // At the finest grain every window encodes as its own stealable task and
-  // the successor plane runs beside the distance plane's write; the files
-  // must equal those of an inline (kTiled) persist byte for byte.
-  const graph::Graph g = GoldenGraph(90, false, true, 0xfa17);
-  linalg::DenseBlock distances = g.ToDenseAdjacency();
-  linalg::SemiringClosure<linalg::MinPlusSemiring>(distances);
-  apsp::PersistOptions popts;
-  popts.block_size = 16;
-  auto persist = [&](const std::string& dir, linalg::KernelVariant variant) {
-    linalg::ScopedKernelVariant scope(variant);
-    linalg::KernelTuning tuning = linalg::GetKernelTuning();
-    tuning.parallel_grain_ops = 1;
-    linalg::SetKernelTuning(tuning);
-    ASSERT_TRUE(apsp::PersistSolve(dir, distances, &g, false,
-                                   linalg::SemiringId::kMinPlus, popts)
-                    .ok());
-  };
-  TempStoreDir inline_dir("fanout_inline");
-  TempStoreDir fanned_dir("fanout_pool");
-  persist(inline_dir.path(), linalg::KernelVariant::kTiled);
-  persist(fanned_dir.path(), linalg::KernelVariant::kTiledParallel);
-  for (const char* file : {"BLOCKS.bin", "MANIFEST.bin"}) {
-    EXPECT_EQ(ReadAll(fs::path(fanned_dir.path()) / file),
-              ReadAll(fs::path(inline_dir.path()) / file))
-        << file;
+  // At the finest grain every window encodes as its own stealable task, the
+  // successor plane runs beside the distance plane's write, and each staging
+  // run's write runs beside the next run's encoding. The files of an inline
+  // (kTiled) and of a fanned-out persist must both equal a window-by-window
+  // Put store byte for byte. At n = 1200, b = 64 the successor plane
+  // (11.5 MB) spans three 4 MiB staging runs and the distance plane two.
+  // That case persists a random matrix with positive-weight successors: the
+  // writer's bytes do not depend on the matrix holding distances, and an
+  // all-pairs solve or the zero-weight pass at n = 1200 would dominate the
+  // test under ThreadSanitizer. The small case covers both.
+  for (const auto& [n, b] : {std::pair<std::int64_t, std::int64_t>{90, 16},
+                             std::pair<std::int64_t, std::int64_t>{1200, 64}}) {
+    SCOPED_TRACE(n);
+    const bool small = n < 100;
+    const graph::Graph g = GoldenGraph(n, false, small, 0xfa17);
+    Xoshiro256 rng(0xfa17);
+    const linalg::DenseBlock distances =
+        small ? graph::DijkstraAllPairs(g) : RandomDense(rng, n, n);
+    TempStoreDir by_put("fanout_put");
+    PutWindowByWindow(by_put.path(), distances, b, false,
+                      linalg::SemiringId::kMinPlus, &g);
+    ASSERT_FALSE(HasFatalFailure());
+    apsp::PersistOptions popts;
+    popts.block_size = b;
+    for (const linalg::KernelVariant variant :
+         {linalg::KernelVariant::kTiled,
+          linalg::KernelVariant::kTiledParallel}) {
+      SCOPED_TRACE(linalg::KernelVariantName(variant));
+      TempStoreDir persisted("fanout_persist");
+      {
+        linalg::ScopedKernelVariant scope(variant);
+        linalg::KernelTuning tuning = linalg::GetKernelTuning();
+        tuning.parallel_grain_ops = 1;
+        linalg::SetKernelTuning(tuning);
+        ASSERT_TRUE(apsp::PersistSolve(persisted.path(), distances, &g,
+                                       false, linalg::SemiringId::kMinPlus,
+                                       popts)
+                        .ok());
+      }
+      for (const char* file : {"BLOCKS.bin", "MANIFEST.bin"}) {
+        EXPECT_EQ(ReadAll(fs::path(persisted.path()) / file),
+                  ReadAll(fs::path(by_put.path()) / file))
+            << file;
+      }
+    }
   }
+}
+
+TEST(PersistSolve, PackedDistancesWithPathsAreRejectedBeforeAnyFileIsMade) {
+  // Successors need the dense matrix; a bit-packed one is refused before the
+  // store directory exists, so nothing half-written is left behind.
+  TempStoreDir dir("packed_paths");
+  const graph::Graph g = graph::PathGraph(70);
+  const Status status = apsp::PersistSolve(
+      dir.path(), linalg::DenseBlock(70, 70, 1.0).BitPacked(), &g, false,
+      linalg::SemiringId::kMinPlus);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_FALSE(fs::exists(dir.path()));
 }
 
 TEST(DistanceService, EndToEndSolvePersistQueryMatchesOracle) {

@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "linalg/dense_block.h"
+#include "linalg/kernel_registry.h"
 #include "sparklet/config.h"
 
 /// Prints the case's RNG seed on any assertion failure inside the enclosing
@@ -36,6 +37,19 @@ inline sparklet::ClusterConfig TestCluster() {
   auto cfg = sparklet::ClusterConfig::TinyTest();
   cfg.local_storage_bytes = 16ULL * kGiB;
   return cfg;
+}
+
+/// ISAs executable on this host (kScalar always; SIMD when compiled in and
+/// the CPU supports it). On a non-x86 host a suite over them degrades to
+/// checking scalar-vs-scalar, which keeps it green rather than vacuously
+/// skipped.
+inline std::vector<linalg::SimdIsa> AvailableIsas() {
+  std::vector<linalg::SimdIsa> isas = {linalg::SimdIsa::kScalar};
+  for (const linalg::SimdIsa isa :
+       {linalg::SimdIsa::kAvx2, linalg::SimdIsa::kAvx512}) {
+    if (linalg::SimdIsaAvailable(isa)) isas.push_back(isa);
+  }
+  return isas;
 }
 
 /// Bitwise block comparator: shapes, infinity patterns, and payload bit
