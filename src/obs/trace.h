@@ -12,10 +12,9 @@
 //
 // Virtual lanes are laid out so a stage timeline reads like a cluster
 // gantt chart: lane 0 is the driver (stage-level spans, interstage
-// shuffle/collect/broadcast/shared-FS transfers, rebalance migrations),
-// lanes 1.. are node/slot execution lanes (one per task slot, grouped by
-// node), and `kTenantLaneBase`+j are FairScheduler tenant lanes (stage
-// execution + admission-wait spans).
+// shuffle/collect/broadcast/shared-FS transfers, rebalance migrations)
+// and lanes 1.. are node/slot execution lanes (one per task slot, grouped
+// by node).
 //
 // Cost discipline: tracing is off by default. The *only* work on the
 // disabled path is one relaxed atomic load (`TraceEnabled()`), inlined at
@@ -34,8 +33,6 @@ namespace apspark::obs {
 
 /// Virtual lane ids (tid within the sim-clock process).
 inline constexpr std::int64_t kDriverLane = 0;
-/// FairScheduler tenants get lanes kTenantLaneBase + job index.
-inline constexpr std::int64_t kTenantLaneBase = 1 << 20;
 
 namespace internal {
 extern std::atomic<bool> g_trace_enabled;

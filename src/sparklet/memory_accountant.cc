@@ -25,7 +25,6 @@ void MemoryAccountant::Reset(int nodes) {
   driver_peak_ = 0;
   node_peak_ = 0;
   node_live_.assign(static_cast<std::size_t>(nodes < 0 ? 0 : nodes), 0);
-  window_node_peak_ = 0;
 }
 
 void MemoryAccountant::ResetPeaks() {
@@ -34,7 +33,6 @@ void MemoryAccountant::ResetPeaks() {
   for (const std::uint64_t live : node_live_) {
     node_peak_ = std::max(node_peak_, live);
   }
-  window_node_peak_ = 0;
   if (mirror_ != nullptr) {
     mirror_->driver_peak_bytes = driver_peak_;
     mirror_->node_peak_bytes = node_peak_;
@@ -51,7 +49,6 @@ void MemoryAccountant::NoteDriver(std::uint64_t resident) {
 
 void MemoryAccountant::NoteNode(std::uint64_t resident) {
   node_peak_ = std::max(node_peak_, resident);
-  window_node_peak_ = std::max(window_node_peak_, resident);
   if (mirror_ != nullptr) {
     mirror_->node_peak_bytes = std::max(mirror_->node_peak_bytes, node_peak_);
   }

@@ -17,9 +17,9 @@
 //    spikes (TouchDriver) for data that funnels through the driver NIC —
 //    collect results, broadcast sources. A transient touch raises the peak
 //    without changing the live set.
-//  * Stage windows: RunStage closes a window; the stage trace tags each
-//    traced stage with its window's node peak
-//    (StageRecord::node_peak_bytes).
+//  * Peaks are run-wide: the high water of each holder since the last
+//    Reset/ResetPeaks, mirrored into SimMetrics. There is no per-stage
+//    window — one job owns the cluster, so its run peak is the demand.
 #pragma once
 
 #include <cstdint>
@@ -60,22 +60,12 @@ class MemoryAccountant {
   void ChargeNode(int node, std::uint64_t bytes);
   void ReleaseNode(int node, std::uint64_t bytes);
 
-  // -- stage windows -----------------------------------------------------
-  /// Closes the current stage window (called by RunStage).
-  void EndStage() noexcept { window_node_peak_ = 0; }
-
   // -- accessors ---------------------------------------------------------
   std::uint64_t driver_live_bytes() const noexcept { return driver_live_; }
   std::uint64_t driver_peak_bytes() const noexcept { return driver_peak_; }
   std::uint64_t node_live_bytes(int node) const;
   /// Max over nodes of each node's high water.
   std::uint64_t node_peak_bytes() const noexcept { return node_peak_; }
-  /// The still-open stage window's node peak (EndStage closes and resets
-  /// it). The stage-trace recorder reads this to tag each stage with its
-  /// memory demand for multi-tenant admission control.
-  std::uint64_t window_node_peak_bytes() const noexcept {
-    return window_node_peak_;
-  }
 
  private:
   void NoteDriver(std::uint64_t resident);
@@ -86,8 +76,6 @@ class MemoryAccountant {
   std::uint64_t driver_peak_ = 0;
   std::uint64_t node_peak_ = 0;
   std::vector<std::uint64_t> node_live_;
-  // Current stage window's node peak (reset by EndStage).
-  std::uint64_t window_node_peak_ = 0;
 };
 
 }  // namespace apspark::sparklet

@@ -40,10 +40,6 @@ std::string SimMetrics::Summary() const {
         << " joins=" << node_joins
         << " time=" << FormatDuration(rebalance_seconds) << "]";
   }
-  // Admission waits and spill are part of the paper's cost accounting even
-  // when zero — always printed so log scrapers see a stable schema.
-  out << " tenancy[admission-wait=" << FormatDuration(admission_wait_seconds)
-      << " spilled=" << FormatBytes(spilled_bytes) << "]";
   return out.str();
 }
 
@@ -63,13 +59,11 @@ void SimMetrics::Publish() const {
   gauge("sim_scheduling_seconds", scheduling_seconds);
   gauge("sim_rebalance_seconds", rebalance_seconds);
   gauge("sim_recovery_seconds", recovery_seconds);
-  gauge("sim_admission_wait_seconds", admission_wait_seconds);
   gauge_u("sim_shuffle_bytes", shuffle_bytes);
   gauge_u("sim_collect_bytes", collect_bytes);
   gauge_u("sim_broadcast_bytes", broadcast_bytes);
   gauge_u("sim_shared_fs_written_bytes", shared_fs_written_bytes);
   gauge_u("sim_shared_fs_read_bytes", shared_fs_read_bytes);
-  gauge_u("sim_spilled_bytes", spilled_bytes);
   gauge_u("sim_migration_bytes", migration_bytes);
   gauge_u("sim_stages", stages);
   gauge_u("sim_tasks", tasks);

@@ -62,13 +62,6 @@ struct SimMetrics {
   /// Elastic joins that fired.
   std::uint64_t node_joins = 0;
 
-  // Multi-tenant fair sharing (FairScheduler). Admission waits are virtual
-  // time a job spent queued because running its next stage would have
-  // breached the shared executor memory budget; spilled bytes are the
-  // overflow a stage pushed to local disk when it could never fit.
-  double admission_wait_seconds = 0;
-  std::uint64_t spilled_bytes = 0;
-
   // High-water mark of per-node local storage used for shuffle staging.
   std::uint64_t local_storage_peak_bytes = 0;
 

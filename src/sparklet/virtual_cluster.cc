@@ -47,7 +47,6 @@ void VirtualCluster::Reset() {
   durable_recovery_seconds_ = 0;
   durable_recomputed_tasks_ = 0;
   stage_trace_.clear();
-  trace_last_clock_ = 0;
 }
 
 void VirtualCluster::NoteDurableMark() {
@@ -132,13 +131,6 @@ void VirtualCluster::RunStage(const std::vector<double>& task_seconds,
       }
     }
   }
-  // Inter-stage clock (shuffle transfers, collects, broadcasts) accrued
-  // since the previous stage folds into that stage's trace record: the
-  // multi-tenant replay treats it as slot-independent serial time.
-  if (trace_enabled_ && !stage_trace_.empty()) {
-    stage_trace_.back().interstage_seconds +=
-        std::max(0.0, clock_seconds_ - trace_last_clock_);
-  }
   // Executors run one task per *slot*: with intra-task parallelism enabled
   // (ClusterConfig::intra_task_cores > 1) each task occupies that many cores
   // of its executor, so fewer tasks run concurrently — the per-task charges
@@ -148,16 +140,7 @@ void VirtualCluster::RunStage(const std::vector<double>& task_seconds,
   // membership is unchanged).
   const double launch =
       config_.task_overhead_seconds * static_cast<double>(task_seconds.size());
-  if (trace_enabled_) {
-    StageRecord record;
-    record.name = stage_name;
-    record.kind = kind;
-    record.task_seconds = jittered;
-    record.launch_seconds = launch;
-    record.stage_overhead_seconds = config_.stage_overhead_seconds;
-    record.node_peak_bytes = accountant_.window_node_peak_bytes();
-    stage_trace_.push_back(std::move(record));
-  }
+  if (trace_enabled_) stage_trace_.push_back({stage_name, kind});
   // Span tracing observes the schedule without perturbing it: LptSchedule
   // reproduces the exact LPT assignment for lane drawing, while the
   // makespan that advances the clock still comes from the untouched
@@ -181,8 +164,6 @@ void VirtualCluster::RunStage(const std::vector<double>& task_seconds,
   }
   metrics_.stages += 1;
   metrics_.tasks += task_seconds.size();
-  accountant_.EndStage();
-  trace_last_clock_ = clock_seconds_;
 
   if (span_tracing) EmitStageSpans(stage_name, kind, stage_start, task_spans);
 

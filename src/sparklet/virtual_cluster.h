@@ -34,26 +34,11 @@ enum class StageKind {
   kRecovery,
 };
 
-/// One executed stage, as the multi-tenant replay needs it: the effective
-/// per-task costs (post jitter/straggler/speculation), the driver overheads,
-/// and the stage's node-memory demand. VirtualCluster records these when
-/// stage tracing is enabled; FairScheduler replays N jobs' traces onto
-/// shared task slots.
+/// One executed stage, as the stage trace records it: which stage ran, and
+/// whether it was forward progress or a recovery replay.
 struct StageRecord {
   std::string name;
   StageKind kind = StageKind::kNormal;
-  /// Effective per-task costs (post jitter / straggler / speculation), so a
-  /// replay onto a different slot count re-derives the makespan honestly.
-  std::vector<double> task_seconds;
-  /// Driver dispatch cost of the whole task set (overlaps compute; the
-  /// replay exposes max(0, launch - makespan) like RunStage does).
-  double launch_seconds = 0;
-  double stage_overhead_seconds = 0;
-  /// Non-stage clock the job accrued after this stage and before the next
-  /// one (shuffle transfers, collects, broadcasts, shared-FS I/O): replayed
-  /// as slot-independent serial time.
-  double interstage_seconds = 0;
-  std::uint64_t node_peak_bytes = 0;  // this stage's window node peak
 };
 
 class VirtualCluster {
@@ -99,8 +84,8 @@ class VirtualCluster {
 
   /// Advances the clock by a stage of `task_seconds` (already including any
   /// per-task I/O the tasks performed), scheduled onto all cores, plus
-  /// per-task launch overhead and fixed stage overhead. Records metrics and
-  /// closes the accountant's per-stage memory window under `stage_name`.
+  /// per-task launch overhead and fixed stage overhead. Records metrics
+  /// under `stage_name`.
   /// At the stage boundary, armed node-failure plans (see SetFaultHooks)
   /// fire: the lost node's local spill vanishes and the loss handler drops
   /// its cached partitions and preserved shuffle outputs.
@@ -126,10 +111,9 @@ class VirtualCluster {
     migrate_handler_ = std::move(on_migrate);
   }
 
-  /// Stage tracing for the multi-tenant replay: when enabled, every
-  /// RunStage appends a StageRecord (effective task costs, overheads, node
-  /// memory demand), and inter-stage clock advances are folded into the
-  /// preceding record. Reset() clears the trace.
+  /// Stage tracing: when enabled, every RunStage appends a StageRecord
+  /// (the stage's name and kind), so tests can check which stages a run
+  /// executed and in what order. Reset() clears the trace.
   void EnableStageTrace() { trace_enabled_ = true; }
   const std::vector<StageRecord>& stage_trace() const noexcept {
     return stage_trace_;
@@ -199,7 +183,6 @@ class VirtualCluster {
       migrate_handler_;
   bool trace_enabled_ = false;
   std::vector<StageRecord> stage_trace_;
-  double trace_last_clock_ = 0;
   // Durable-progress mark of the checkpoint-restart recovery attribution
   // (clock/tasks plus the recovery totals already attributed at the mark,
   // so in-window replay stages are not double-counted by a restart).

@@ -1,6 +1,5 @@
 // Elastic cluster membership: the BlockManager placement map, rack-scoped
-// correlated failures, node joins with data migration, and the multi-tenant
-// fair scheduler built on stage traces.
+// correlated failures and node joins with data migration.
 //
 // The load-bearing invariant: placement only decides accounting and modelled
 // time — record processing is real and runs in the driver thread — so NO
@@ -20,7 +19,6 @@
 #include "graph/generators.h"
 #include "linalg/semiring.h"
 #include "sparklet/block_manager.h"
-#include "sparklet/fair_scheduler.h"
 #include "sparklet/rdd.h"
 #include "test_support.h"
 
@@ -36,11 +34,7 @@ using graph::VertexId;
 using linalg::DenseBlock;
 using sparklet::BlockManager;
 using sparklet::ClusterConfig;
-using sparklet::FairScheduler;
 using sparklet::SparkletContext;
-using sparklet::StageKind;
-using sparklet::StageRecord;
-using sparklet::TenantJob;
 using test::ExpectBitwiseEqual;
 using test::TestCluster;
 
@@ -255,91 +249,6 @@ TEST(Membership, LiveTaskSlotsTrackMembership) {
   ctx.fault_injector().AddNode(ctx.metrics().stages);
   ctx.cluster().RunStage({0.0}, "tick");
   EXPECT_EQ(ctx.cluster().live_task_slots(), 6);
-}
-
-// ---------------------------------------------------------------------------
-// FairScheduler: fair sharing + memory admission over stage traces
-// ---------------------------------------------------------------------------
-
-StageRecord MakeStage(const std::string& name, int tasks, double cost,
-                      std::uint64_t peak_bytes) {
-  StageRecord stage;
-  stage.name = name;
-  stage.task_seconds.assign(static_cast<std::size_t>(tasks), cost);
-  stage.node_peak_bytes = peak_bytes;
-  return stage;
-}
-
-TEST(FairSchedulerTest, SplitsSlotsEvenlyAcrossActiveTenants) {
-  auto cfg = TestCluster();  // 2 nodes x 2 cores = 4 slots
-  FairScheduler scheduler(cfg);
-  TenantJob a{"a", {MakeStage("a0", 8, 1.0, 0)}};
-  TenantJob b{"b", {MakeStage("b0", 8, 1.0, 0)}};
-  const auto report = scheduler.Run({a, b});
-  // Both admitted immediately, each on half the slots: 8 tasks x 1s on 2
-  // slots = 4s, concurrently.
-  EXPECT_DOUBLE_EQ(report.makespan_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(report.admission_wait_seconds, 0.0);
-  EXPECT_EQ(report.spilled_bytes, 0u);
-  ASSERT_EQ(report.job_min_slots.size(), 2u);
-  EXPECT_EQ(report.job_min_slots[0], 2);
-  EXPECT_EQ(report.job_min_slots[1], 2);
-  // Work conservation: perfectly divisible identical jobs tie the serial
-  // baseline (8+8 tasks on 4 slots = 4s either way).
-  EXPECT_DOUBLE_EQ(report.serial_seconds, 4.0);
-}
-
-TEST(FairSchedulerTest, MemoryAdmissionMakesTheSecondTenantWait) {
-  auto cfg = TestCluster();
-  cfg.executor_memory_bytes = 100;
-  FairScheduler scheduler(cfg);
-  // Each stage demands 60% of the budget: they cannot overlap.
-  TenantJob a{"a", {MakeStage("a0", 4, 1.0, 60)}};
-  TenantJob b{"b", {MakeStage("b0", 4, 1.0, 60)}};
-  const auto report = scheduler.Run({a, b});
-  // Job a runs alone on all 4 slots (1s), then b does the same.
-  EXPECT_DOUBLE_EQ(report.makespan_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(report.job_admission_wait_seconds[0], 0.0);
-  EXPECT_DOUBLE_EQ(report.job_admission_wait_seconds[1], 1.0);
-  EXPECT_DOUBLE_EQ(report.admission_wait_seconds, 1.0);
-  EXPECT_EQ(report.spilled_bytes, 0u);
-  EXPECT_LT(report.job_finish_seconds[0], report.job_finish_seconds[1]);
-  // Solo each job gets all 4 slots even under admission.
-  EXPECT_EQ(report.job_min_slots[0], 4);
-  EXPECT_EQ(report.job_min_slots[1], 4);
-}
-
-TEST(FairSchedulerTest, OversizedTenantForceAdmittedWithSpill) {
-  auto cfg = TestCluster();
-  cfg.executor_memory_bytes = 100;
-  cfg.local_storage_bandwidth_bytes_per_sec = 50.0;
-  FairScheduler scheduler(cfg);
-  // A lone tenant larger than the whole budget must degrade, not deadlock:
-  // force-admitted, overflow spilled at storage bandwidth.
-  TenantJob big{"big", {MakeStage("b0", 4, 1.0, 250)}};
-  sparklet::SimMetrics metrics;
-  const auto report = scheduler.Run({big}, &metrics);
-  EXPECT_EQ(report.spilled_bytes, 150u);
-  // 4 tasks x 1s on 4 slots = 1s, plus 150 bytes / 50 B/s of spill.
-  EXPECT_DOUBLE_EQ(report.makespan_seconds, 4.0);
-  EXPECT_EQ(metrics.spilled_bytes, 150u);
-  EXPECT_DOUBLE_EQ(metrics.admission_wait_seconds, 0.0);
-}
-
-TEST(FairSchedulerTest, ReplayedSoloTraceMatchesTheSoloRun) {
-  // A single tenant replayed through the scheduler must reproduce the solo
-  // run's stage clock exactly: trace in, same virtual seconds out.
-  auto cfg = TestCluster();
-  sparklet::VirtualCluster cluster(cfg);
-  cluster.EnableStageTrace();
-  cluster.RunStage(std::vector<double>(8, 0.5), "s0");
-  cluster.RunStage(std::vector<double>(4, 1.0), "s1");
-  const double solo_seconds = cluster.now_seconds();
-  TenantJob job{"solo", cluster.stage_trace()};
-  FairScheduler scheduler(cfg);
-  const auto report = scheduler.Run({job});
-  EXPECT_DOUBLE_EQ(report.makespan_seconds, solo_seconds);
-  EXPECT_DOUBLE_EQ(report.serial_seconds, solo_seconds);
 }
 
 // ---------------------------------------------------------------------------

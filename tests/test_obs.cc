@@ -222,13 +222,11 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
   m.scheduling_seconds = 6.5;
   m.rebalance_seconds = 7.5;
   m.recovery_seconds = 8.5;
-  m.admission_wait_seconds = 9.5;
   m.shuffle_bytes = 101;
   m.collect_bytes = 102;
   m.broadcast_bytes = 103;
   m.shared_fs_written_bytes = 104;
   m.shared_fs_read_bytes = 105;
-  m.spilled_bytes = 106;
   m.migration_bytes = 107;
   m.stages = 108;
   m.tasks = 109;
@@ -254,13 +252,11 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
       {"sim_scheduling_seconds", 6.5},
       {"sim_rebalance_seconds", 7.5},
       {"sim_recovery_seconds", 8.5},
-      {"sim_admission_wait_seconds", 9.5},
       {"sim_shuffle_bytes", 101},
       {"sim_collect_bytes", 102},
       {"sim_broadcast_bytes", 103},
       {"sim_shared_fs_written_bytes", 104},
       {"sim_shared_fs_read_bytes", 105},
-      {"sim_spilled_bytes", 106},
       {"sim_migration_bytes", 107},
       {"sim_stages", 108},
       {"sim_tasks", 109},
@@ -276,7 +272,7 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
       {"sim_driver_peak_bytes", 119},
       {"sim_node_peak_bytes", 120},
   };
-  ASSERT_EQ(sim_gauges.size(), 30u);
+  ASSERT_EQ(sim_gauges.size(), 28u);
   EXPECT_DOUBLE_EQ(m.sim_seconds(), 1.5 + 2.5 + 3.5 + 4.5 + 5.5 + 6.5 + 7.5);
   obs::Registry& global = obs::Registry::Global();
   for (const auto& [name, value] : sim_gauges) {

@@ -430,14 +430,14 @@ struct GoldenCase {
 struct GoldenRow {
   const char* name;
   /// The integer SimMetrics fields, in declaration order.
-  std::array<std::uint64_t, 20> counts;
+  std::array<std::uint64_t, 19> counts;
   /// The seconds SimMetrics fields in declaration order, then sim_seconds.
-  std::array<double, 10> seconds;
+  std::array<double, 9> seconds;
   std::uint64_t stages;       // stage_trace().size()
   std::uint64_t stage_names;  // FNV-1a over the '\n'-terminated names
 };
 
-std::array<std::uint64_t, 20> Counts(const sparklet::SimMetrics& m) {
+std::array<std::uint64_t, 19> Counts(const sparklet::SimMetrics& m) {
   return {m.shuffle_bytes,        m.collect_bytes,
           m.broadcast_bytes,      m.shared_fs_written_bytes,
           m.shared_fs_read_bytes, m.stages,
@@ -446,17 +446,17 @@ std::array<std::uint64_t, 20> Counts(const sparklet::SimMetrics& m) {
           m.executor_failures,    m.job_restarts,
           m.speculative_tasks,    m.migrated_partitions,
           m.migration_bytes,      m.node_joins,
-          m.spilled_bytes,        m.local_storage_peak_bytes,
-          m.driver_peak_bytes,    m.node_peak_bytes};
+          m.local_storage_peak_bytes, m.driver_peak_bytes,
+          m.node_peak_bytes};
 }
 
-std::array<double, 10> Seconds(const sparklet::SimMetrics& m,
-                               double sim_seconds) {
+std::array<double, 9> Seconds(const sparklet::SimMetrics& m,
+                              double sim_seconds) {
   return {m.compute_seconds,    m.shuffle_seconds,
           m.collect_seconds,    m.broadcast_seconds,
           m.shared_fs_seconds,  m.scheduling_seconds,
           m.recovery_seconds,   m.rebalance_seconds,
-          m.admission_wait_seconds, sim_seconds};
+          sim_seconds};
 }
 
 std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
@@ -613,200 +613,178 @@ const GoldenRow kGolden[] = {
     {"cb/apsp/undirected",
      {33320, 13328, 0, 17974, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8321, 2499, 26656},
+      0, 0, 8321, 2499, 26656},
      {0.037520076464246321, 0.0096333200000000008, 0.0065466080000000024,
       0, 0.044001123375000013, 0.0079475612176008598,
-      0, 0, 0,
-      0.10560870505684714},
+      0, 0, 0.10560870505684714},
      17, 0xcaa6e721ee0c6dc9ull},
     {"cb/apsp/directed",
      {53312, 23324, 0, 22876, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 13320, 4998, 44149},
+      0, 0, 13320, 4998, 44149},
      {0.061555495533902112, 0.0096533120000000007, 0.006656564000000002,
       0, 0.056001429750000019, 0.0079287863857110744,
-      0, 0, 0,
-      0.14172561566961311},
+      0, 0, 0.14172561566961311},
      17, 0xcaa6e721ee0c6dc9ull},
     {"cb/ks/undirected",
      {33320, 14484, 0, 19002, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8321, 2499, 27186},
+      0, 0, 8321, 2499, 27186},
      {0.066795487212251176, 0.0096333200000000008, 0.011359324000000002,
       0, 0.052001187625000007, 0.012347060120720526,
-      0, 0, 0,
-      0.15209292695797172},
+      0, 0, 0.15209292695797172},
      29, 0x7fdf10741f516b48ull},
     {"cb/ks/directed",
      {53312, 24576, 0, 23904, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 13320, 4998, 44679},
+      0, 0, 13320, 4998, 44679},
      {0.090081959770434525, 0.0096533120000000007, 0.011470336000000003,
       0, 0.064001494000000006, 0.012328484963161225,
-      0, 0, 0,
-      0.1874618587335958},
+      0, 0, 0.1874618587335958},
      29, 0x7fdf10741f516b48ull},
     {"im/apsp/undirected",
      {200504, 0, 0, 0, 0, 40, 384,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 50120, 0, 191694},
+      0, 0, 50120, 0, 191694},
      {0.00060036644335570812, 0.022600504, 0,
       0, 0, 0.041799633556644303,
-      0, 0, 0,
-      0.065000503999999987},
+      0, 0, 0.065000503999999987},
      41, 0xd565199c7275bf94ull},
     {"im/apsp/directed",
      {320864, 0, 0, 0, 0, 40, 384,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 80216, 0, 306768},
+      0, 0, 80216, 0, 306768},
      {0.0009462596223748683, 0.022720863999999993, 0,
       0, 0, 0.041453740377625149,
-      0, 0, 0,
-      0.065120864000000001},
+      0, 0, 0.065120864000000001},
      41, 0xd565199c7275bf94ull},
     {"im/ks/undirected",
      {225904, 96, 0, 0, 0, 72, 624,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 56470, 1060, 219066},
+      0, 0, 56470, 1060, 219066},
      {0.0006904997897899277, 0.033825904000000011, 0.0032010559999999999,
       0, 0, 0.06890950021021007,
-      0, 0, 0,
-      0.10662667199999996},
+      0, 0, 0.10662667199999996},
      73, 0x0406fd518fa30f1aull},
     {"im/ks/directed",
      {346264, 192, 0, 0, 0, 72, 624,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 86566, 1060, 336639},
+      0, 0, 86566, 1060, 336639},
      {0.0010360564312233303, 0.033946263999999997, 0.003202112,
       0, 0, 0.068563943568776653,
-      0, 0, 0,
-      0.10674779999999996},
+      0, 0, 0.10674779999999996},
      73, 0x0406fd518fa30f1aull},
     {"cb/apsp/undirected/model",
      {335545640, 134218256, 0, 184549750, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 83886401, 25165923, 268436512},
+      0, 0, 83886401, 25165923, 268436512},
      {25.223290843996576, 0.34514563999999998, 1.4828008160000001,
       0, 0.055534359374999981, 0.0016000000000000005,
-      0, 0, 0,
-      26.705716891371573},
+      0, 0, 26.705716891371573},
      16, 0xdd2959d27776b653ull},
     {"cb/apsp/directed/model",
      {536873024, 234881948, 0, 234881500, 0, 16, 192,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 134218248, 50331846, 444597973},
+      0, 0, 134218248, 50331846, 444597973},
      {35.415399946117546, 0.54647302400000008, 2.5901014280000005,
       0, 0.070680093749999992, 0.0016000000000000005,
-      0, 0, 0,
-      37.919608647867548},
+      0, 0, 37.919608647867548},
      16, 0xdd2959d27776b653ull},
     {"cb/ks/undirected/model",
      {335545640, 134316756, 0, 184648122, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 83886401, 25165923, 268485714},
+      0, 0, 83886401, 25165923, 268485714},
      {24.505055011385842, 0.34514563999999998, 1.4886843160000001,
       0, 0.063540507624999978, 0.0039346362474228834,
-      0, 0, 0,
-      26.003409843258254},
+      0, 0, 26.003409843258254},
      28, 0x1454be53b5a29c6full},
     {"cb/ks/directed/model",
      {536873024, 234980544, 0, 234979872, 0, 28, 256,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 134218248, 50331846, 444647175},
+      0, 0, 134218248, 50331846, 444647175},
      {34.329426028377412, 0.54647302400000008, 2.5959859839999999,
       0, 0.078686242000000003, 0.0027999999999999991,
-      0, 0, 0,
-      36.848429646377419},
+      0, 0, 36.848429646377419},
      28, 0x1454be53b5a29c6full},
     {"im/apsp/undirected/model",
      {2013274424, 0, 0, 0, 0, 40, 384,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 503318600, 0, 1929387534},
+      0, 0, 503318600, 0, 1929387534},
      {29.186697715704483, 2.0356744239999998, 0,
       0, 0, 0.0039999999999999975,
-      0, 0, 0,
-      31.226372139704484},
+      0, 0, 31.226372139704484},
      40, 0x96fce03736b57f13ull},
     {"im/apsp/directed/model",
      {3221239136, 0, 0, 0, 0, 40, 384,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 805309784, 0, 3087020112},
+      0, 0, 805309784, 0, 3087020112},
      {41.836194460110256, 3.2436391359999992, 0,
       0, 0, 0.0039999999999999975,
-      0, 0, 0,
-      45.083833596110246},
+      0, 0, 45.083833596110246},
      40, 0x96fce03736b57f13ull},
     {"im/ks/undirected/model",
      {2148575536, 96, 0, 0, 0, 72, 624,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 537143878, 24, 2081514906},
+      0, 0, 537143878, 24, 2081514906},
      {36.743947913836806, 2.1821755359999999, 0.0032010559999999999,
       0, 0, 0.0083157688067580539,
-      0, 0, 0,
-      38.937639986643582},
+      0, 0, 38.937639986643582},
      72, 0x3c76d0121bde4853ull},
     {"im/ks/directed/model",
      {3356540248, 192, 0, 0, 0, 72, 624,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 839135062, 48, 3264313407},
+      0, 0, 839135062, 48, 3264313407},
      {49.767548349715142, 3.3901402479999994, 0.003202112,
       0, 0, 0.0072000000000000059,
-      0, 0, 0,
-      53.168090133715168},
+      0, 0, 53.168090133715168},
      72, 0x3c76d0121bde4853ull},
     {"cb/ks/early-exit",
      {33320, 11985, 0, 16551, 0, 27, 240,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8322, 2499, 26353},
+      0, 0, 8322, 2499, 26353},
      {0.055365628027543391, 0.0088333200000000004, 0.010531835000000002,
       0, 0.046001034437500005, 0.013837038086908221,
-      0, 0, 0,
-      0.13453290055195158},
+      0, 0, 0.13453290055195158},
      28, 0x8e9103e05419caedull},
     {"cb/ks/fail-node",
      {33320, 52044, 0, 55958, 0, 40, 332,
       0, 0, 14, 1, 0, 0, 4,
-      0, 0, 0, 16642, 8330, 54372},
+      0, 0, 16642, 8330, 54372},
      {0.10931926758552214, 0.0096000000000000009, 0.016572484000000002,
       0, 0.17200349737499995, 0.020315631905791526,
-      0.0045124371458641474, 0, 0,
-      0.32765474886631396},
+      0.0045124371458641474, 0, 0.32765474886631396},
      41, 0xc36be65ac0290b88ull},
     {"im/ks/early-exit",
      {179688, 96, 0, 0, 0, 60, 520,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 44919, 1060, 171896},
+      0, 0, 44919, 1060, 171896},
      {0.00055041461780210141, 0.028179688000000005, 0.0032010559999999999,
       0, 0, 0.057449585382197903,
-      0, 0, 0,
-      0.089380455999999983},
+      0, 0, 0.089380455999999983},
      61, 0x304bbe7a7236ce87ull},
     {"im/ks/fail-node",
      {226452, 37656, 0, 36956, 0, 84, 700,
       0, 0, 14, 1, 0, 0, 6,
-      0, 0, 0, 112940, 8330, 438132},
+      0, 0, 112940, 8330, 438132},
      {0.0011702028321379692, 0.034801930000000002, 0.0084142160000000021,
       0, 0.12000230974999988, 0.077229797167862033,
-      0.0032000000000000002, 0, 0,
-      0.24150548775000025},
+      0.0032000000000000002, 0, 0.24150548775000025},
      85, 0xc026e89b837a8397ull},
     {"cb/apsp/checkpoint",
      {33320, 46648, 0, 50818, 0, 20, 224,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 8321, 8330, 26656},
+      0, 0, 8321, 8330, 26656},
      {0.038904082750375567, 0.0096333200000000008, 0.010113128000000002,
       0, 0.13200317612499987, 0.011548987298527717,
-      0, 0, 0,
-      0.20206275017390346},
+      0, 0, 0.20206275017390346},
      21, 0x39afe202fd1c9bc5ull},
     {"cb/apsp/fail-node",
      {41650, 49980, 0, 56537, 0, 25, 280,
       0, 0, 56, 1, 1, 0, 12,
-      0, 0, 0, 18722, 8330, 53312},
+      0, 0, 18722, 8330, 53312},
      {0.073171977155965545, 0.012008330000000001, 0.011749780000000005,
       0, 0.14600353356249993, 0.014400535149197391,
-      0.030855908701971781, 0, 0,
-      0.25718421586766321},
+      0.030855908701971781, 0, 0.25718421586766321},
      26, 0x6097dee4bf662a66ull},
 };
 
