@@ -402,14 +402,15 @@ TEST(PivotWork, CollectBroadcastRunsTheKernelsOfInMemory) {
   }
 }
 
-// --- golden: the modelled cluster of the two blocked data planes ----------
+// --- golden: the modelled cluster of every solver -------------------------
 //
 // Pins every modelled number of Blocked-CB and Blocked-IM runs — APSP and
 // k-source, real and phantom, undirected and directed, plus the early-exit,
-// checkpoint and executor-loss paths: every SimMetrics field, the run's
-// sim_seconds and the ordered stage names of VirtualCluster::stage_trace().
-// The modelled cluster is the contract a refactor of the pivot code must
-// keep. (The distances are not pinned: the generated edge weights may differ
+// checkpoint and executor-loss paths — and of 2D FW and Repeated Squaring
+// runs, fault-free and under an executor loss: every SimMetrics field, the
+// run's sim_seconds and the ordered stage names of
+// VirtualCluster::stage_trace(). The modelled cluster is the contract a
+// refactor of the solver code must keep. (The distances are not pinned: the generated edge weights may differ
 // in the last bit between builds with and without FMA contraction; the
 // oracle tests lock them.) A deliberate model change updates
 // the table from the failure output, which prints each run's actual row.
@@ -605,6 +606,15 @@ std::vector<GoldenCase> GoldenCases() {
   lost.checkpoint_every = 1;
   lost.fail_nodes = {{1, 3}};
   cases.push_back(lost);
+  for (const auto& [name, kind] :
+       {std::pair{"fw2d", SolverKind::kFloydWarshall2d},
+        std::pair{"rs", SolverKind::kRepeatedSquaring}}) {
+    cases.push_back({std::string(name) + "/apsp/undirected", kind});
+    GoldenCase failed{std::string(name) + "/apsp/fail-node", kind};
+    failed.checkpoint_every = 1;
+    failed.fail_nodes = {{1, 3}};
+    cases.push_back(failed);
+  }
   return cases;
 }
 
@@ -786,6 +796,38 @@ const GoldenRow kGolden[] = {
       0, 0.14600353356249993, 0.014400535149197391,
       0.030855908701971781, 0, 0.25718421586766321},
      26, 0x6097dee4bf662a66ull},
+    {"fw2d/apsp/undirected",
+     {0, 16800, 12800, 0, 0, 80, 640,
+      0, 0, 0, 0, 0, 0, 0,
+      0, 0, 0, 420, 170765},
+     {5.6790238402273905e-06, 0, 0.032184799999999986,
+      0.0041023999999999965, 0, 0.07199432097615982,
+      0, 0, 0.10823680000000004},
+     81, 0x33c051e980c62d1bull},
+    {"fw2d/apsp/fail-node",
+     {0, 16800, 12800, 0, 0, 83, 664,
+      0, 0, 12, 1, 0, 0, 4,
+      0, 0, 0, 420, 341530},
+     {9.9236280559877607e-06, 0, 0.032184799999999986,
+      0.0041023999999999965, 0, 0.074690076371944011,
+      0.0027000000000000001, 0, 0.11093680000000004},
+     84, 0xf5ed2e5503fda5caull},
+    {"rs/apsp/undirected",
+     {199920, 79968, 0, 78432, 0, 78, 1728,
+      0, 0, 0, 0, 0, 0, 0,
+      0, 0, 49952, 3332, 154105},
+     {0.15208365375580044, 0.067399920000000016, 0.068079647999999993,
+      0, 0.19200490200000009, 0.1164992939978869,
+      0, 0, 0.59582751375368836},
+     79, 0x2b37592d618195d7ull},
+    {"rs/apsp/fail-node",
+     {233240, 134946, 0, 132559, 0, 97, 2000,
+      0, 0, 112, 1, 1, 0, 4,
+      0, 0, 115726, 8330, 308210},
+     {0.33313829525315181, 0.070403332000000013, 0.08788440599999997,
+      0, 0.33400828493750057, 0.1386368852091632,
+      0.093081856267964919, 0, 0.96366636539981587},
+     98, 0x83fd55f157fa98f2ull},
 };
 
 TEST(ModelledBehaviourGolden, BlockedPlanesKeepEveryModelledNumber) {
