@@ -82,17 +82,16 @@ RddPtr<BlockRecord> RunRoundsFloydWarshall2d(
     // partition-at-a-time so one task's independent outer-sum updates are
     // charged through the intra-task schedule and fanned out as stealable
     // tasks on the host pool.
-    current =
-        current
-            ->MapPartitions<BlockRecord>(
-                "fw2d-update",
-                [column, row](std::vector<BlockRecord>&& part,
-                              TaskContext& tc) {
-                  return FloydWarshallUpdateBatch(std::move(part), *column,
-                                                 *row, tc);
-                })
-            ->Persist();
-    current->EnsureMaterialized();
+    Advance(current,
+            current
+                ->MapPartitions<BlockRecord>(
+                    "fw2d-update",
+                    [column, row](std::vector<BlockRecord>&& part,
+                                  TaskContext& tc) {
+                      return FloydWarshallUpdateBatch(std::move(part),
+                                                     *column, *row, tc);
+                    })
+                ->Persist());
   }
   return current;
 }

@@ -159,9 +159,7 @@ RddPtr<BlockRecord> RunRoundsRepeatedSquaring(
     if (!complete) break;  // projection run: stop mid-squaring
     // Line 6: A = sc.union(T) — faithfully *without* repartitioning, so the
     // partition count grows, as discussed in §5.2 / §6.1.
-    current = ctx.Union("rs-union", std::move(products));
-    current->Persist();
-    current->EnsureMaterialized();
+    Advance(current, ctx.Union("rs-union", std::move(products))->Persist());
     // Durability extension: the matrix is consistent here (a completed
     // squaring), so this is where Repeated Squaring can checkpoint — the
     // shared-FS column staging makes it impure, and an executor loss sends

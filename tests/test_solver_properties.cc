@@ -799,23 +799,23 @@ const GoldenRow kGolden[] = {
     {"fw2d/apsp/undirected",
      {0, 16800, 12800, 0, 0, 80, 640,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 0, 420, 170765},
+      0, 0, 0, 420, 8330},
      {5.6790238402273905e-06, 0, 0.032184799999999986,
       0.0041023999999999965, 0, 0.07199432097615982,
       0, 0, 0.10823680000000004},
      81, 0x33c051e980c62d1bull},
     {"fw2d/apsp/fail-node",
-     {0, 16800, 12800, 0, 0, 83, 664,
-      0, 0, 12, 1, 0, 0, 4,
-      0, 0, 0, 420, 341530},
-     {9.9236280559877607e-06, 0, 0.032184799999999986,
-      0.0041023999999999965, 0, 0.074690076371944011,
-      0.0027000000000000001, 0, 0.11093680000000004},
-     84, 0xf5ed2e5503fda5caull},
+     {0, 16800, 12800, 0, 0, 82, 656,
+      0, 0, 8, 1, 0, 0, 4,
+      0, 0, 0, 420, 16660},
+     {9.8897877354769082e-06, 0, 0.032184799999999986,
+      0.0041023999999999965, 0, 0.073790110212264531,
+      0.0018000000000000002, 0, 0.11003680000000003},
+     83, 0xb87e096556b3ca51ull},
     {"rs/apsp/undirected",
      {199920, 79968, 0, 78432, 0, 78, 1728,
       0, 0, 0, 0, 0, 0, 0,
-      0, 0, 49952, 3332, 154105},
+      0, 0, 49952, 3332, 133280},
      {0.15208365375580044, 0.067399920000000016, 0.068079647999999993,
       0, 0.19200490200000009, 0.1164992939978869,
       0, 0, 0.59582751375368836},
@@ -823,7 +823,7 @@ const GoldenRow kGolden[] = {
     {"rs/apsp/fail-node",
      {233240, 134946, 0, 132559, 0, 97, 2000,
       0, 0, 112, 1, 1, 0, 4,
-      0, 0, 115726, 8330, 308210},
+      0, 0, 115726, 8330, 266560},
      {0.33313829525315181, 0.070403332000000013, 0.08788440599999997,
       0, 0.33400828493750057, 0.1386368852091632,
       0.093081856267964919, 0, 0.96366636539981587},
@@ -853,6 +853,26 @@ TEST(ModelledBehaviourGolden, BlockedPlanesKeepEveryModelledNumber) {
                       << FormatRow(actual) << "\nstages:\n"
                       << stage_list;
   }
+}
+
+// 2D FW keeps one round alive: each round's output replaces the round
+// before it, so the node high water is one matrix however many rounds run.
+TEST(FloydWarshall2dMemory, NodePeakIsFlatAcrossRounds) {
+  const graph::Graph g = graph::PaperErdosRenyi(64, 5);
+  std::vector<std::uint64_t> peaks;
+  for (const std::int64_t rounds : {8, 16, 32}) {
+    apsp::SolveRequest request;
+    request.solver = SolverKind::kFloydWarshall2d;
+    request.options.block_size = 16;
+    request.options.max_rounds = rounds;
+    request.cluster = TestCluster();
+    const apsp::SolveReport report = Solve(g, request);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    peaks.push_back(report.metrics().node_peak_bytes);
+  }
+  EXPECT_GT(peaks[0], 0u);
+  EXPECT_EQ(peaks[1], peaks[0]) << "2r rounds vs r";
+  EXPECT_EQ(peaks[2], peaks[0]) << "4r rounds vs r";
 }
 
 }  // namespace
