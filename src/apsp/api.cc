@@ -1,6 +1,7 @@
 #include "apsp/api.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -64,6 +65,42 @@ Status CheckNoNegativeCycle(const linalg::DenseBlock& distances) {
       return AbortedError("negative cycle through vertex " +
                           std::to_string(v) + " (a closed walk through it "
                           "weighs " + weight + ")");
+    }
+  }
+  return Status::Ok();
+}
+
+/// A min-plus k-source panel holds no diagonal to check: the sweep returns
+/// garbage, not an error, when a negative cycle is reachable from a source.
+/// One Bellman-Ford pass over the edges finds it, in the direction the
+/// panel's distances run (from the sources): around a negative cycle that
+/// a source reaches, at least one edge still relaxes. A relaxation within
+/// rounding of its operands is another association of the same path sum,
+/// not a cycle. Graphs without a negative edge have no negative cycle.
+Status CheckPanelHasNoNegativeCycle(const graph::Graph& graph,
+                                    const std::vector<graph::VertexId>& sources,
+                                    const linalg::DenseBlock& panel) {
+  const std::vector<graph::Edge>& edges = graph.edges();
+  if (std::none_of(edges.begin(), edges.end(),
+                   [](const graph::Edge& e) { return e.weight < 0; })) {
+    return Status::Ok();
+  }
+  for (std::int64_t j = 0; j < panel.cols(); ++j) {
+    auto relaxes = [&panel, j](graph::VertexId u, graph::VertexId v,
+                               double w) {
+      const double du = panel.At(u, j);
+      return !std::isinf(du) &&
+             du + w < panel.At(v, j) - 1e-9 * (std::abs(du) + std::abs(w));
+    };
+    for (const graph::Edge& e : edges) {
+      const bool forward = relaxes(e.u, e.v, e.weight);
+      if (forward || (!graph.directed() && relaxes(e.v, e.u, e.weight))) {
+        return AbortedError(
+            "negative cycle reachable from source " +
+            std::to_string(sources[static_cast<std::size_t>(j)]) +
+            " (edge " + std::to_string(forward ? e.u : e.v) + " -> " +
+            std::to_string(forward ? e.v : e.u) + " still relaxes)");
+      }
     }
   }
   return Status::Ok();
@@ -151,9 +188,15 @@ SolveReport Solve(const graph::Graph& graph, const SolveRequest& request) {
   adjacency = linalg::SemiringAdjacency(std::move(adjacency), opts.semiring,
                                         Packed(request));
   sparklet::SparkletContext ctx(request.cluster, request.cost_model);
-  return Report(request.solver,
-                SolveBlocks(ctx, layout, layout.Decompose(adjacency),
-                            request.solver, opts, frontier));
+  ApspRunResult run = SolveBlocks(ctx, layout, layout.Decompose(adjacency),
+                                  request.solver, opts, frontier);
+  if (!request.sources.empty() && run.distances.has_value() &&
+      opts.semiring == linalg::SemiringId::kMinPlus) {
+    run.status =
+        CheckPanelHasNoNegativeCycle(graph, request.sources, *run.distances);
+    if (!run.status.ok()) run.distances.reset();
+  }
+  return Report(request.solver, std::move(run));
 }
 
 SolveReport SolveModel(std::int64_t n, const SolveRequest& request) {

@@ -123,7 +123,8 @@ struct ApspOptions {
 
 struct ApspRunResult {
   /// OK, or why the run stopped (e.g. storage exhausted; kAborted for a
-  /// min-plus APSP graph with a negative cycle).
+  /// min-plus APSP graph with a negative cycle, or, from Solve(), a
+  /// min-plus k-source run whose sources reach one).
   Status status;
 
   /// Full distance matrix, or for a k-source run the n x k panel with

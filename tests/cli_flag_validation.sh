@@ -145,6 +145,18 @@ if [ "$rc" -eq 0 ] || [ "$rc" -ge 128 ] || [ -e "$negative/d.txt" ] ||
 else
   echo "ok: solve of a negative cycle failed and wrote nothing"
 fi
+# So does a k-source solve whose sources reach the cycle, on either plane.
+for plane in staged shuffle; do
+  "$CLI" solve --input "$negative/g.txt" --block 2 --sources 2 \
+      --ksource-variant "$plane" --output "$negative/p.txt" > /dev/null 2>&1
+  rc=$?
+  if [ "$rc" -ne 1 ] || [ -e "$negative/p.txt" ]; then
+    echo "FAIL: $plane k-source solve of a negative cycle exited $rc or wrote output"
+    failures=$((failures + 1))
+  else
+    echo "ok: $plane k-source solve of a negative cycle failed and wrote nothing"
+  fi
+done
 rm -rf "$negative"
 
 exit "$failures"

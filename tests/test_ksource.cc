@@ -10,6 +10,7 @@
 // associate FP sums differently in the last ulp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -533,6 +534,92 @@ TEST(KsourceSolver, RejectsSolversWithoutAKsourcePlane) {
     EXPECT_EQ(apsp::SolveModel(5, request).status().code(),
               StatusCode::kInvalidArgument)
         << apsp::SolverKindName(kind);
+  }
+}
+
+// --- negative edges (min-plus) --------------------------------------------
+
+constexpr SolverKind kPlanes[] = {SolverKind::kBlockedCollectBroadcast,
+                                  SolverKind::kBlockedInMemory};
+
+TEST(KsourceNegativeWeights, NegativeCycleAbortsOnBothPlanes) {
+  // The undirected triangle 0-1-2 weighs 1 - 2 - 2 = -3 around: every
+  // source reaches it, so no panel holds shortest paths.
+  Graph triangle(3);
+  triangle.AddEdge(0, 1, 1.0).CheckOk();
+  triangle.AddEdge(1, 2, -2.0).CheckOk();
+  triangle.AddEdge(2, 0, -2.0).CheckOk();
+  for (const SolverKind plane : kPlanes) {
+    const auto report =
+        apsp::Solve(triangle, KsourceRequest({0, 1}, 2, plane));
+    EXPECT_EQ(report.status().code(), StatusCode::kAborted)
+        << apsp::SolverKindName(plane) << ": " << report.status().ToString();
+    EXPECT_NE(report.status().message().find(
+                  "negative cycle reachable from source "),
+              std::string::npos)
+        << report.status().ToString();
+    EXPECT_FALSE(report.distances().has_value());
+  }
+}
+
+TEST(KsourceNegativeWeights, SourceThatCannotReachTheCycleStillSolves) {
+  // Directed cycle 0 -> 1 -> 2 -> 0 weighs -3; vertex 3 only feeds it.
+  // Source 3 reaches the cycle and aborts; source 4 reaches nothing.
+  Graph g(5, /*directed=*/true);
+  g.AddEdge(0, 1, 1.0).CheckOk();
+  g.AddEdge(1, 2, -2.0).CheckOk();
+  g.AddEdge(2, 0, -2.0).CheckOk();
+  g.AddEdge(3, 0, 4.0).CheckOk();
+  for (const SolverKind plane : kPlanes) {
+    EXPECT_EQ(apsp::Solve(g, KsourceRequest({3}, 2, plane)).status().code(),
+              StatusCode::kAborted)
+        << apsp::SolverKindName(plane);
+    const auto clean = apsp::Solve(g, KsourceRequest({4}, 2, plane));
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(clean.distances()->At(4, 0), 0.0);
+    EXPECT_TRUE(std::isinf(clean.distances()->At(0, 0)));
+  }
+}
+
+TEST(KsourceNegativeWeights, NegativeEdgesWithoutCycleMatchBellmanFord) {
+  // w(u, v) = r + p(v) - p(u) with r >= 0: every cycle weighs the sum of
+  // its r >= 0, yet many edges are negative. Integer weights keep every
+  // path sum exact.
+  Xoshiro256 rng(41);
+  const VertexId n = 37;
+  std::vector<double> potential(static_cast<std::size_t>(n));
+  for (double& p : potential) {
+    p = static_cast<double>(rng.NextBounded(20));
+  }
+  Graph g(n, /*directed=*/true);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (u == v || rng.NextDouble() > 0.15) continue;
+      const double r = static_cast<double>(rng.NextBounded(6));
+      g.AddEdge(u, v,
+                r + potential[static_cast<std::size_t>(v)] -
+                    potential[static_cast<std::size_t>(u)])
+          .CheckOk();
+    }
+  }
+  ASSERT_GT(std::count_if(g.edges().begin(), g.edges().end(),
+                          [](const graph::Edge& e) { return e.weight < 0; }),
+            0);
+  const std::vector<VertexId> sources = {0, 11, 36};
+  for (const SolverKind plane : kPlanes) {
+    const auto report = apsp::Solve(g, KsourceRequest(sources, 8, plane));
+    ASSERT_TRUE(report.ok()) << apsp::SolverKindName(plane) << ": "
+                             << report.status().ToString();
+    for (std::size_t j = 0; j < sources.size(); ++j) {
+      const auto oracle = graph::BellmanFord(g, sources[j]);
+      ASSERT_TRUE(oracle.ok());
+      for (VertexId v = 0; v < n; ++v) {
+        EXPECT_EQ(report.distances()->At(v, static_cast<std::int64_t>(j)),
+                  (*oracle)[static_cast<std::size_t>(v)])
+            << apsp::SolverKindName(plane) << " source " << sources[j]
+            << " vertex " << v;
+      }
+    }
   }
 }
 
