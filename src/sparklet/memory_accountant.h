@@ -18,8 +18,8 @@
 //    collect results, broadcast sources. A transient touch raises the peak
 //    without changing the live set.
 //  * Peaks are run-wide: the high water of each holder since the last
-//    Reset/ResetPeaks, mirrored into SimMetrics. There is no per-stage
-//    window — one job owns the cluster, so its run peak is the demand.
+//    Reset/ResetPeaks, mirrored into SimMetrics. One job owns the cluster,
+//    so its run peak is its memory demand.
 #pragma once
 
 #include <cstdint>
