@@ -15,8 +15,8 @@
 // (solvers/rounds.h, RunRoundsKsource).
 //
 //   SolveRequest — everything one solve needs: which solver, the workload
-//     options (ApspOptions, including the durability/fault/membership
-//     knobs), the k-source sources, the cluster and the cost model.
+//     options (ApspOptions, including the durability/fault knobs), the
+//     k-source sources, the cluster and the cost model.
 //   SolveReport — the run payload (ApspRunResult) plus the identity of the
 //     solver that produced it.
 //
@@ -71,7 +71,7 @@ bool SolverIsPure(SolverKind kind) noexcept;
 std::int64_t TotalRounds(SolverKind kind, const BlockLayout& layout);
 
 /// The decomposition and execution parameters of both workloads, and the
-/// durability/fault/membership schedule every solve arms (ArmRunPlan and
+/// durability/fault schedule every solve arms (ArmRunPlan and
 /// RestartOnDataLoss in apsp/checkpoint.h).
 struct ApspOptions {
   /// Decomposition parameter b; q = ceil(n/b).
@@ -102,7 +102,7 @@ struct ApspOptions {
   /// second-for-second. Ignored by APSP solves.
   bool early_exit_infinite = true;
 
-  // --- durability, faults and membership
+  // --- durability and faults
   /// Durability extension: checkpoint solver state to shared storage every
   /// this many rounds/pivots (0 = off); see apsp/checkpoint.h. Honored by
   /// the impure solvers; pure ones recover through lineage and ignore it.
@@ -110,12 +110,6 @@ struct ApspOptions {
   /// Fault injection: executor losses to arm before the run (fired by the
   /// engine at stage boundaries; see sparklet::FaultInjector::FailNode).
   std::vector<sparklet::NodeFailurePlan> fail_nodes;
-  /// Correlated failures: whole racks lost at a stage boundary (expanded to
-  /// per-node losses by the engine; see sparklet::FaultInjector::FailRack).
-  std::vector<sparklet::RackFailurePlan> fail_racks;
-  /// Elastic membership: replacement nodes joining at these stage
-  /// boundaries (see sparklet::FaultInjector::AddNode).
-  std::vector<std::int64_t> add_nodes;
   /// How many checkpoint restarts an impure solver may attempt after
   /// executor losses before giving up and surfacing DATA_LOSS.
   int max_restarts = 3;
@@ -158,7 +152,7 @@ struct SolveRequest {
   /// INVALID_ARGUMENT.
   SolverKind solver = SolverKind::kBlockedCollectBroadcast;
   /// Workload options, including the checkpoint cadence and the armed
-  /// failure/membership schedule.
+  /// failure schedule.
   ApspOptions options{};
   /// Empty = APSP. Otherwise the batched k-source workload: vertex ids of
   /// the graph (duplicates allowed, so k may exceed n); SolveModel uses

@@ -132,12 +132,6 @@ void ArmRunPlan(sparklet::SparkletContext& ctx, const ApspOptions& opts) {
   for (const auto& node : opts.fail_nodes) {
     ctx.fault_injector().FailNode(node.node, node.at_stage);
   }
-  for (const auto& rack : opts.fail_racks) {
-    ctx.fault_injector().FailRack(rack.rack, rack.at_stage);
-  }
-  for (const std::int64_t at_stage : opts.add_nodes) {
-    ctx.fault_injector().AddNode(at_stage);
-  }
   ctx.cluster().NoteDurableMark();
 }
 
@@ -183,11 +177,6 @@ void FoldRecoveryMetrics(const sparklet::SimMetrics& live,
   reported.job_restarts = live.job_restarts;
   reported.task_failures = live.task_failures;
   reported.task_retries = live.task_retries;
-  reported.speculative_tasks = live.speculative_tasks;
-  reported.rebalance_seconds = live.rebalance_seconds;
-  reported.migrated_partitions = live.migrated_partitions;
-  reported.migration_bytes = live.migration_bytes;
-  reported.node_joins = live.node_joins;
 }
 
 }  // namespace apspark::apsp

@@ -50,7 +50,7 @@ Result<CheckpointInfo> LoadCheckpoint(sparklet::SparkletContext& ctx,
 /// True if a checkpoint exists in this context's shared storage.
 bool HasCheckpoint(sparklet::SparkletContext& ctx);
 
-/// Arms `opts`' injected node and rack losses and elastic joins on `ctx`
+/// Arms `opts`' injected node losses on `ctx`
 /// (stage ordinals count from the caller's preceding cluster Reset) and
 /// marks the job start durable: the input RDDs recompute from stable data,
 /// so a restart without a checkpoint redoes everything from here, and the

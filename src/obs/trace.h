@@ -12,9 +12,8 @@
 //
 // Virtual lanes are laid out so a stage timeline reads like a cluster
 // gantt chart: lane 0 is the driver (stage-level spans, interstage
-// shuffle/collect/broadcast/shared-FS transfers, rebalance migrations)
-// and lanes 1.. are node/slot execution lanes (one per task slot, grouped
-// by node).
+// shuffle/collect/broadcast/shared-FS transfers) and lanes 1.. are
+// node/slot execution lanes (one per task slot, grouped by node).
 //
 // Cost discipline: tracing is off by default. The *only* work on the
 // disabled path is one relaxed atomic load (`TraceEnabled()`), inlined at
@@ -60,7 +59,7 @@ class Tracer {
                    double end_seconds, std::string args_json = {});
 
   /// Records an instant event (`ph:"i"`) in the virtual process — node
-  /// losses, rack failures, membership joins.
+  /// losses.
   void VirtualInstant(const char* name, std::int64_t lane, double at_seconds,
                       std::string args_json = {});
 

@@ -6,36 +6,10 @@
 
 namespace apspark::sparklet {
 
-BlockManager::BlockManager(int nodes, int racks)
-    : racks_(std::max(1, std::min(racks, std::max(1, nodes)))),
-      live_(std::max(1, nodes)),
+BlockManager::BlockManager(int nodes)
+    : live_(std::max(1, nodes)),
       alive_(static_cast<std::size_t>(live_), true),
-      rack_(static_cast<std::size_t>(live_), 0),
-      owned_(static_cast<std::size_t>(live_), 0) {
-  // Contiguous balanced rack blocks: node i of N over R racks sits in rack
-  // floor(i * R / N) — the usual "adjacent hosts share a switch" topology.
-  for (int i = 0; i < live_; ++i) {
-    rack_[static_cast<std::size_t>(i)] =
-        static_cast<int>(static_cast<std::int64_t>(i) * racks_ / live_);
-  }
-}
-
-int BlockManager::rack_of(int node) const {
-  SPARKLET_CHECK(node >= 0 && node < num_nodes(),
-                 "rack_of: unknown node id " + std::to_string(node));
-  return rack_[static_cast<std::size_t>(node)];
-}
-
-std::vector<int> BlockManager::LiveNodesInRack(int rack) const {
-  std::vector<int> out;
-  for (int n = 0; n < num_nodes(); ++n) {
-    if (alive_[static_cast<std::size_t>(n)] &&
-        rack_[static_cast<std::size_t>(n)] == rack) {
-      out.push_back(n);
-    }
-  }
-  return out;
-}
+      owned_(static_cast<std::size_t>(live_), 0) {}
 
 int BlockManager::LeastLoadedLive() const {
   int best = -1;
@@ -68,80 +42,18 @@ int BlockManager::NodeOf(std::int64_t partition) const {
   return placement_[static_cast<std::size_t>(partition)];
 }
 
-std::vector<BlockManager::Move> BlockManager::RemoveNode(int node) {
+void BlockManager::RemoveNode(int node) {
   SPARKLET_CHECK(alive(node), "RemoveNode: node " + std::to_string(node) +
                                   " is not a live node");
   SPARKLET_CHECK(live_ > 1, "RemoveNode would kill the last live node");
   alive_[static_cast<std::size_t>(node)] = false;
   --live_;
   owned_[static_cast<std::size_t>(node)] = 0;
-  std::vector<Move> moves;
-  for (std::size_t p = 0; p < placement_.size(); ++p) {
-    if (placement_[p] != node) continue;
-    const int to = LeastLoadedLive();
-    placement_[p] = to;
-    ++owned_[static_cast<std::size_t>(to)];
-    moves.push_back({static_cast<std::int64_t>(p), node, to});
+  for (int& owner : placement_) {
+    if (owner != node) continue;
+    owner = LeastLoadedLive();
+    ++owned_[static_cast<std::size_t>(owner)];
   }
-  return moves;
-}
-
-BlockManager::JoinResult BlockManager::AddNode() {
-  JoinResult result;
-  result.node = num_nodes();
-  // Join the least-populated rack (ties to the lowest rack id): replacement
-  // capacity fills the hole a rack loss left before growing dense racks.
-  int best_rack = 0;
-  int best_count = -1;
-  for (int r = 0; r < racks_; ++r) {
-    int count = 0;
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (alive_[static_cast<std::size_t>(n)] &&
-          rack_[static_cast<std::size_t>(n)] == r) {
-        ++count;
-      }
-    }
-    if (best_count < 0 || count < best_count) {
-      best_rack = r;
-      best_count = count;
-    }
-  }
-  alive_.push_back(true);
-  rack_.push_back(best_rack);
-  owned_.push_back(0);
-  ++live_;
-
-  // Steal from the most-loaded live node (ties to the lowest id), always
-  // its highest-numbered slot, until within one slot of the donor — the
-  // deterministic greedy rebalance.
-  for (;;) {
-    int donor = -1;
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (!alive_[static_cast<std::size_t>(n)] || n == result.node) continue;
-      if (donor < 0 || owned_[static_cast<std::size_t>(n)] >
-                           owned_[static_cast<std::size_t>(donor)]) {
-        donor = n;
-      }
-    }
-    if (donor < 0 || owned_[static_cast<std::size_t>(donor)] -
-                             owned_[static_cast<std::size_t>(result.node)] <
-                         2) {
-      break;
-    }
-    std::int64_t slot = -1;
-    for (std::size_t p = placement_.size(); p-- > 0;) {
-      if (placement_[p] == donor) {
-        slot = static_cast<std::int64_t>(p);
-        break;
-      }
-    }
-    SPARKLET_CHECK(slot >= 0, "owned-count/placement mismatch");
-    placement_[static_cast<std::size_t>(slot)] = result.node;
-    --owned_[static_cast<std::size_t>(donor)];
-    ++owned_[static_cast<std::size_t>(result.node)];
-    result.moves.push_back({slot, donor, result.node});
-  }
-  return result;
 }
 
 int BlockManager::OwnedSlots(int node) const {

@@ -1,35 +1,16 @@
-// Elastic partition placement (the block-manager map).
+// Partition placement (the block-manager map).
 //
-// PR 5's recovery model kept Spark's weakest placement story: partition p
-// lives on node `p % nodes`, forever, and a "lost" node was immediately
-// replaced by an empty twin with the same id. This class makes membership
-// first-class: the cluster owns a placement map from partition slots to
-// node ids, nodes can leave (executor loss) and join (elastic scale-up /
-// replacement capacity), and every membership change deterministically
-// rebalances ownership:
-//
-//  * node loss     — the dead node's slots are spread across the survivors,
-//                    each slot going to the least-loaded live node (ties to
-//                    the lowest node id). The data on those slots is gone;
-//                    recovery recomputes it on the new owners, so the moves
-//                    carry no bytes.
-//  * node join     — the newcomer steals slots from the most-loaded live
-//                    nodes (ties to the lowest id, always the donor's
-//                    highest-numbered slot) until it is within one slot of
-//                    the balanced share. Stolen slots DO carry their resident
-//                    bytes: the caller charges the migration through the
-//                    network model and moves the MemoryAccountant charge.
+// The cluster owns a placement map from partition slots to node ids. Fresh
+// slots go round-robin over the live nodes. When a node is lost (executor
+// loss), its slots are spread across the survivors, each slot going to the
+// least-loaded live node (ties to the lowest node id). The data on those
+// slots is gone; recovery recomputes it on the new owners, so the moves
+// carry no bytes.
 //
 // Placement only decides accounting and modelled time — record processing is
-// real and runs in the driver thread — so rebalancing can never change a
-// solver's numeric output. That is what keeps every membership schedule
+// real and runs in the driver thread — so rehoming can never change a
+// solver's numeric output. That is what keeps every loss schedule
 // bitwise-locked to the no-failure run.
-//
-// Nodes also carry a rack id (ClusterConfig::racks): initial nodes split
-// into contiguous, balanced rack blocks, and joiners land in the least
-// populated rack. One correlated-failure plan can take out a whole rack
-// (FaultInjector::FailRack), exercising the multi-partition-loss recovery
-// paths a single-node loss never hits.
 #pragma once
 
 #include <cstdint>
@@ -39,31 +20,15 @@ namespace apspark::sparklet {
 
 class BlockManager {
  public:
-  /// One partition slot changing owner. `from` is the previous owner (a
-  /// just-dead node for a loss rebalance, a live donor for a join steal).
-  struct Move {
-    std::int64_t partition = 0;
-    int from = 0;
-    int to = 0;
-  };
+  explicit BlockManager(int nodes);
 
-  struct JoinResult {
-    int node = 0;  // the newcomer's freshly issued node id
-    std::vector<Move> moves;
-  };
-
-  BlockManager(int nodes, int racks);
-
-  /// Node ids ever issued (alive and dead; dead ids are never reused).
+  /// Node ids, alive and dead (a lost node's id stays dead).
   int num_nodes() const noexcept { return static_cast<int>(alive_.size()); }
   int live_nodes() const noexcept { return live_; }
   bool alive(int node) const noexcept {
     return node >= 0 && node < num_nodes() &&
            alive_[static_cast<std::size_t>(node)];
   }
-  int num_racks() const noexcept { return racks_; }
-  int rack_of(int node) const;
-  std::vector<int> LiveNodesInRack(int rack) const;
 
   /// Owner of `partition`. Rejects negative ids (SPARKLET_CHECK — the old
   /// signed modulo returned a negative node index). Slots are created on
@@ -72,16 +37,10 @@ class BlockManager {
   /// round-robin exactly.
   int NodeOf(std::int64_t partition) const;
 
-  /// Marks `node` dead and rebalances its slots onto the survivors. The
-  /// caller must not remove the last live node (checked). Returns the
-  /// reassignments (from == node, data NOT migrated — it died with the
-  /// node).
-  std::vector<Move> RemoveNode(int node);
-
-  /// Issues a fresh node id, assigns it to the least-populated rack, and
-  /// steals slots from the most-loaded live nodes until balanced. The
-  /// returned moves' resident data migrates with them (caller's job).
-  JoinResult AddNode();
+  /// Marks `node` dead and rehomes its slots onto the survivors (their data
+  /// died with the node). The caller must not remove the last live node
+  /// (checked).
+  void RemoveNode(int node);
 
   /// Slots currently owned by `node` (0 for dead nodes).
   int OwnedSlots(int node) const;
@@ -95,10 +54,8 @@ class BlockManager {
   int LeastLoadedLive() const;
   void EnsureSlot(std::int64_t partition) const;
 
-  int racks_ = 1;
   int live_ = 0;
   std::vector<bool> alive_;
-  std::vector<int> rack_;
   // Slot -> owner. Grown lazily by NodeOf (placement is demand-driven: the
   // engine asks only about partitions that exist), hence mutable.
   mutable std::vector<int> placement_;

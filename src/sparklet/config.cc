@@ -26,7 +26,6 @@ ClusterConfig ClusterConfig::TinyTest() {
 std::string ClusterConfig::Summary() const {
   std::ostringstream out;
   out << nodes << " nodes x " << cores_per_node << " cores";
-  if (racks > 1) out << " in " << racks << " racks";
   out << ", " << FormatBytes(executor_memory_bytes) << " RAM/node, "
       << FormatBytes(local_storage_bytes) << " local storage/node, net "
       << FormatRate(network.bandwidth_bytes_per_sec) << ", kernels "
@@ -34,13 +33,6 @@ std::string ClusterConfig::Summary() const {
   if (intra_task_cores > 1) {
     out << ", " << intra_task_cores << " cores/task ("
         << concurrent_task_slots() << " slots)";
-  }
-  if (straggler_factor > 1.0) {
-    out << ", straggler " << straggler_factor << "x every "
-        << straggler_every;
-  }
-  if (speculation) {
-    out << ", speculation @" << speculation_multiplier << "x median";
   }
   return out.str();
 }

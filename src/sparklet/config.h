@@ -33,11 +33,6 @@ struct SharedFsModel {
 struct ClusterConfig {
   int nodes = 32;
   int cores_per_node = 32;
-  /// Failure domains (racks): the initial nodes split into `racks`
-  /// contiguous, balanced blocks, and one FaultInjector::FailRack plan takes
-  /// out a whole block at once — the correlated-failure model. 1 (the
-  /// default) means no correlation structure.
-  int racks = 1;
   std::uint64_t executor_memory_bytes = 180ULL * kGiB;
   /// Local SSD capacity available for shuffle staging, per node.
   std::uint64_t local_storage_bytes = 1ULL * kTiB;
@@ -77,23 +72,6 @@ struct ClusterConfig {
   /// off — with exactly one task per core a single slow task extends the
   /// stage, while B >= 2 lets the scheduler absorb stragglers (§5.3).
   double straggler_spread = 0.35;
-
-  /// Hard straggler model, the fault-injection twin of the jitter above:
-  /// when > 1, every `straggler_every`-th task of a stage (deterministically
-  /// chosen from (stage, task)) runs this many times slower — a failing
-  /// disk, a thermally throttled node, a hot JVM. Distinct from
-  /// straggler_spread, which models ubiquitous small noise.
-  double straggler_factor = 1.0;
-  int straggler_every = 8;
-
-  /// Speculative re-execution (spark.speculation): once a task has run
-  /// longer than `speculation_multiplier` x the stage's median task time,
-  /// the scheduler launches a copy on another executor; the task finishes
-  /// when the first attempt does. Modelled completion of a straggling task
-  /// becomes min(original, detection point + median copy run), and each
-  /// winning copy counts into SimMetrics::speculative_tasks.
-  bool speculation = false;
-  double speculation_multiplier = 1.5;
 
   /// Cores per executor cooperating on ONE task's blocks (intra-task
   /// parallelism). 1 models Spark's classic one-core-per-task executors.

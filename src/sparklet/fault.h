@@ -34,21 +34,6 @@ struct NodeFailurePlan {
   std::int64_t at_stage = 0;
 };
 
-/// One planned correlated failure: every live node of `rack` dies at the
-/// stage boundary (expanded against the live membership at fire time, so a
-/// node that already died — or joined the rack — is handled correctly).
-struct RackFailurePlan {
-  int rack = 0;
-  std::int64_t at_stage = 0;
-};
-
-/// One planned elastic join: a fresh executor node enters the cluster at
-/// the stage boundary and the placement map rebalances onto it (see
-/// BlockManager::AddNode).
-struct NodeJoinPlan {
-  std::int64_t at_stage = 0;
-};
-
 class FaultInjector {
  public:
   /// Arms `times` consecutive failures for tasks computing partition
@@ -98,68 +83,20 @@ class FaultInjector {
     return fired;
   }
 
-  /// Arms the correlated loss of every live node in `rack` at the
-  /// completion of stage ordinal `at_stage`.
-  void FailRack(int rack, std::int64_t at_stage) {
-    rack_plan_.push_back({rack, at_stage});
-  }
-
-  /// Arms an elastic node join at the completion of stage ordinal
-  /// `at_stage`.
-  void AddNode(std::int64_t at_stage) { join_plan_.push_back({at_stage}); }
-
-  /// Consumes every rack plan due at or before `completed_stage`; returns
-  /// the racks lost at this boundary. The cluster expands each rack to its
-  /// live nodes before firing the individual losses.
-  std::vector<int> TakeRackFailuresAt(std::int64_t completed_stage) {
-    std::vector<int> fired;
-    auto it = rack_plan_.begin();
-    while (it != rack_plan_.end()) {
-      if (it->at_stage <= completed_stage) {
-        fired.push_back(it->rack);
-        it = rack_plan_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return fired;
-  }
-
-  /// Consumes every join plan due at or before `completed_stage`; returns
-  /// how many nodes join at this boundary.
-  int TakeNodeJoinsAt(std::int64_t completed_stage) {
-    int fired = 0;
-    auto it = join_plan_.begin();
-    while (it != join_plan_.end()) {
-      if (it->at_stage <= completed_stage) {
-        ++fired;
-        it = join_plan_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return fired;
-  }
-
   std::uint64_t injected_node_count() const noexcept {
     return injected_nodes_;
   }
   bool empty() const noexcept {
-    return plan_.empty() && node_plan_.empty() && rack_plan_.empty() &&
-           join_plan_.empty();
+    return plan_.empty() && node_plan_.empty();
   }
   void Clear() {
     plan_.clear();
     node_plan_.clear();
-    rack_plan_.clear();
-    join_plan_.clear();
   }
 
  private:
   std::map<std::pair<std::string, int>, int> plan_;
   std::vector<NodeFailurePlan> node_plan_;
-  std::vector<RackFailurePlan> rack_plan_;
-  std::vector<NodeJoinPlan> join_plan_;
   std::uint64_t injected_nodes_ = 0;
 };
 

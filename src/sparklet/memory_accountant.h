@@ -43,10 +43,6 @@ class MemoryAccountant {
   /// reset the clock after free RDD population, not the residency).
   void ResetPeaks();
 
-  /// A fresh executor joined (elastic membership): extends the per-node live
-  /// set with an empty entry so the new id is tracked first-class instead of
-  /// wrapping onto an existing node's ledger.
-  void AddNode() { node_live_.push_back(0); }
   int num_nodes() const noexcept { return static_cast<int>(node_live_.size()); }
 
   // -- driver ------------------------------------------------------------

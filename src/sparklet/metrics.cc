@@ -26,19 +26,11 @@ std::string SimMetrics::Summary() const {
       << " spill-peak/node=" << FormatBytes(local_storage_peak_bytes)
       << " mem-peak[driver=" << FormatBytes(driver_peak_bytes)
       << " node=" << FormatBytes(node_peak_bytes) << "]";
-  if (executor_failures > 0 || recomputed_tasks > 0 || job_restarts > 0 ||
-      speculative_tasks > 0) {
+  if (executor_failures > 0 || recomputed_tasks > 0 || job_restarts > 0) {
     out << " recovery[lost-nodes=" << executor_failures
         << " recomputed=" << recomputed_tasks << " retries=" << task_retries
-        << " restarts=" << job_restarts
-        << " speculative=" << speculative_tasks << " redone="
+        << " restarts=" << job_restarts << " redone="
         << FormatDuration(recovery_seconds) << "]";
-  }
-  if (migrated_partitions > 0 || node_joins > 0) {
-    out << " rebalance[moved=" << migrated_partitions
-        << " bytes=" << FormatBytes(migration_bytes)
-        << " joins=" << node_joins
-        << " time=" << FormatDuration(rebalance_seconds) << "]";
   }
   return out.str();
 }
@@ -57,14 +49,12 @@ void SimMetrics::Publish() const {
   gauge("sim_broadcast_seconds", broadcast_seconds);
   gauge("sim_shared_fs_seconds", shared_fs_seconds);
   gauge("sim_scheduling_seconds", scheduling_seconds);
-  gauge("sim_rebalance_seconds", rebalance_seconds);
   gauge("sim_recovery_seconds", recovery_seconds);
   gauge_u("sim_shuffle_bytes", shuffle_bytes);
   gauge_u("sim_collect_bytes", collect_bytes);
   gauge_u("sim_broadcast_bytes", broadcast_bytes);
   gauge_u("sim_shared_fs_written_bytes", shared_fs_written_bytes);
   gauge_u("sim_shared_fs_read_bytes", shared_fs_read_bytes);
-  gauge_u("sim_migration_bytes", migration_bytes);
   gauge_u("sim_stages", stages);
   gauge_u("sim_tasks", tasks);
   gauge_u("sim_task_failures", task_failures);
@@ -72,9 +62,6 @@ void SimMetrics::Publish() const {
   gauge_u("sim_recomputed_tasks", recomputed_tasks);
   gauge_u("sim_executor_failures", executor_failures);
   gauge_u("sim_job_restarts", job_restarts);
-  gauge_u("sim_speculative_tasks", speculative_tasks);
-  gauge_u("sim_migrated_partitions", migrated_partitions);
-  gauge_u("sim_node_joins", node_joins);
   gauge_u("sim_local_storage_peak_bytes", local_storage_peak_bytes);
   gauge_u("sim_driver_peak_bytes", driver_peak_bytes);
   gauge_u("sim_node_peak_bytes", node_peak_bytes);

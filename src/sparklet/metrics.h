@@ -45,22 +45,6 @@ struct SimMetrics {
   std::uint64_t executor_failures = 0;
   /// Job-level restarts from a checkpoint (impure-solver recovery path).
   std::uint64_t job_restarts = 0;
-  /// Speculative task copies that beat their straggling original.
-  std::uint64_t speculative_tasks = 0;
-
-  // Elastic-membership subsystem (BlockManager rebalancing). Loss moves
-  // carry no bytes (the data died with the node); join moves migrate their
-  // resident bytes over the network, and that transfer time is its own
-  // sim_seconds() category below.
-  double rebalance_seconds = 0;
-  /// Partition slots whose owner changed at a membership event (loss spread
-  /// + join steals).
-  std::uint64_t migrated_partitions = 0;
-  /// Resident bytes moved by join rebalances (cache + preserved shuffle
-  /// output handed to the newcomer).
-  std::uint64_t migration_bytes = 0;
-  /// Elastic joins that fired.
-  std::uint64_t node_joins = 0;
 
   // High-water mark of per-node local storage used for shuffle staging.
   std::uint64_t local_storage_peak_bytes = 0;
@@ -73,8 +57,7 @@ struct SimMetrics {
 
   double sim_seconds() const noexcept {
     return compute_seconds + shuffle_seconds + collect_seconds +
-           broadcast_seconds + shared_fs_seconds + scheduling_seconds +
-           rebalance_seconds;
+           broadcast_seconds + shared_fs_seconds + scheduling_seconds;
   }
 
   /// Field-wise exact equality (tests: host-side changes must leave every

@@ -85,11 +85,6 @@ class RddBase {
   /// them lost-by-failure so their recomputation is attributed to recovery).
   /// Returns how many partitions were dropped.
   virtual int DropNodePartitions(int node) = 0;
-  /// Elastic join rebalance: cached partitions whose slot moved travel to
-  /// the new owner (accountant release on the donor, charge on the
-  /// newcomer). Returns the bytes that moved.
-  virtual std::uint64_t MigratePartitions(
-      const std::vector<BlockManager::Move>& moves) = 0;
 };
 
 template <typename T>
@@ -161,10 +156,6 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   /// Executor loss (see RddBase): drops cached partitions hosted on `node`.
   int DropNodePartitions(int node) override;
 
-  /// Join rebalance (see RddBase): moves cached partitions with their slot.
-  std::uint64_t MigratePartitions(
-      const std::vector<BlockManager::Move>& moves) override;
-
   // -- actions -----------------------------------------------------------
   /// Gathers every record on the driver (charges network + driver deserde).
   /// One stage, `<name>-collect`; on a persisted RDD not yet cached it also
@@ -210,8 +201,8 @@ class Rdd final : public RddBase, public std::enable_shared_from_this<Rdd<T>> {
   /// Bytes charged to the accountant per cached partition (0 = uncharged).
   std::vector<std::uint64_t> store_bytes_;
   /// Node each cached partition's bytes were charged to (-1 = uncharged).
-  /// Releases always use this record: with elastic membership the placement
-  /// map can change between charge and release, and recomputing the owner
+  /// Releases always use this record: a node loss rehomes the dead node's
+  /// slots before its partitions are released, and recomputing the owner
   /// at release time would corrupt the accountant's per-node ledger.
   std::vector<int> store_node_;
   /// Partitions whose cached copy an executor failure destroyed: their
@@ -243,15 +234,11 @@ class SparkletContext {
     // stamping it here keeps every ChargeCompute site and the stage slot
     // count (VirtualCluster::RunStage) consistent by construction.
     cost_model_.intra_task_cores = config.intra_task_cores;
-    // Membership plans fire at stage boundaries inside the cluster; the
+    // Node-loss plans fire at stage boundaries inside the cluster; the
     // context owns the state a loss destroys (cached partitions, preserved
-    // shuffle outputs) and the state a join rebalance migrates, so it
-    // handles both sides.
-    cluster_.SetFaultHooks(
-        &fault_injector_, [this](int node) { HandleNodeLost(node); },
-        [this](const std::vector<BlockManager::Move>& moves) {
-          return HandleMembershipMigrate(moves);
-        });
+    // shuffle outputs), so it handles the loss.
+    cluster_.SetFaultHooks(&fault_injector_,
+                           [this](int node) { HandleNodeLost(node); });
   }
 
   VirtualCluster& cluster() noexcept { return cluster_; }
@@ -359,25 +346,6 @@ class SparkletContext {
       shuffles_[keep++] = std::move(weak);
     }
     shuffles_.resize(keep);
-  }
-
-  /// An elastic join stole partition slots from the survivors: resident
-  /// cached partitions and preserved shuffle outputs travel with their slot
-  /// to the newcomer. Returns the bytes that moved; the cluster charges the
-  /// transfer through the network model.
-  std::uint64_t HandleMembershipMigrate(
-      const std::vector<BlockManager::Move>& moves) {
-    std::uint64_t bytes = 0;
-    for (RddBase* rdd : live_rdds_) bytes += rdd->MigratePartitions(moves);
-    std::size_t keep = 0;
-    for (auto& weak : shuffles_) {
-      auto state = weak.lock();
-      if (!state) continue;
-      bytes += state->MigratePartitions(moves);
-      shuffles_[keep++] = std::move(weak);
-    }
-    shuffles_.resize(keep);
-    return bytes;
   }
 
   /// Replays lost map outputs of one shuffle before its preserved buckets
@@ -532,7 +500,7 @@ void Rdd<T>::ChargeCached(int partition) {
   for (const T& record : *store_[p]) bytes += SerializedSizeOf(record);
   store_bytes_[p] = bytes;
   // Record the owner the charge lands on: the release below must hit the
-  // same ledger even if a membership rebalance re-homes the slot meanwhile.
+  // same ledger even if a node loss rehomes the slot meanwhile.
   store_node_[p] = ctx_->cluster().NodeOfPartition(partition);
   ctx_->cluster().accountant().ChargeNode(store_node_[p], bytes);
 }
@@ -766,7 +734,7 @@ int Rdd<T>::DropNodePartitions(int node) {
     const auto idx = static_cast<std::size_t>(p);
     if (idx >= store_.size() || !store_[idx]) continue;
     // Match against the *recorded* host: the placement map has already
-    // rebalanced the dead node's slots to survivors by the time this runs,
+    // rehomed the dead node's slots to survivors by the time this runs,
     // so recomputing placement here would miss everything the node held.
     if (store_node_[idx] != node) continue;
     lost_by_failure_[idx] = true;
@@ -776,30 +744,6 @@ int Rdd<T>::DropNodePartitions(int node) {
     ++dropped;
   }
   return dropped;
-}
-
-template <typename T>
-std::uint64_t Rdd<T>::MigratePartitions(
-    const std::vector<BlockManager::Move>& moves) {
-  if (!cache_) return 0;
-  std::uint64_t moved = 0;
-  for (const auto& move : moves) {
-    if (move.partition < 0 ||
-        move.partition >= static_cast<std::int64_t>(store_.size())) {
-      continue;
-    }
-    const auto idx = static_cast<std::size_t>(move.partition);
-    if (!store_[idx] || store_bytes_[idx] == 0 ||
-        store_node_[idx] != move.from) {
-      continue;
-    }
-    const std::uint64_t bytes = store_bytes_[idx];
-    ctx_->cluster().accountant().ReleaseNode(move.from, bytes);
-    ctx_->cluster().accountant().ChargeNode(move.to, bytes);
-    store_node_[idx] = move.to;
-    moved += bytes;
-  }
-  return moved;
 }
 
 template <typename T>

@@ -16,12 +16,11 @@
 // each map partition's serialized output bytes are charged to its node in
 // the MemoryAccountant when the shuffle runs, released when the node dies or
 // the shuffle is dropped, and re-charged when lost outputs are replayed.
-// With elastic membership the home of a partition can CHANGE between charge
-// and release (a rebalance moved the slot), so the state records the node
-// each partition's bytes live on and always releases from that recorded
-// node — recomputing placement at release time would corrupt the ledger.
-// Replayed outputs re-home to the placement map's current owner; join
-// rebalances migrate resident outputs through MigratePartitions.
+// A node loss rehomes the dead node's slots before their outputs are
+// released, so the state records the node each partition's bytes live on
+// and always releases from that recorded node — recomputing placement at
+// release time would corrupt the ledger. Replayed outputs land on the
+// placement map's current owner.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +70,7 @@ class ShuffleMapState {
     return static_cast<int>(task_costs_.size());
   }
   /// Current home of map partition `p`'s preserved output (recorded at
-  /// write/replay time; a later rebalance of the slot migrates it).
+  /// write/replay time).
   int NodeOfMapPartition(std::int64_t p) const noexcept {
     return node_[static_cast<std::size_t>(p)];
   }
@@ -99,30 +98,6 @@ class ShuffleMapState {
       Release(p);
     }
     return newly_lost;
-  }
-
-  /// A join rebalance handed some slots to the newcomer: resident preserved
-  /// outputs travel with their slot (release on the donor, charge on the
-  /// new owner). Returns the bytes that actually moved — lost/uncharged
-  /// partitions re-home for free.
-  std::uint64_t MigratePartitions(const std::vector<BlockManager::Move>& moves) {
-    std::uint64_t moved = 0;
-    for (const auto& move : moves) {
-      if (move.partition < 0 ||
-          move.partition >= static_cast<std::int64_t>(node_.size())) {
-        continue;
-      }
-      const auto p = static_cast<std::size_t>(move.partition);
-      if (node_[p] != move.from) continue;
-      const bool resident = charged_[p];
-      Release(p);
-      node_[p] = move.to;
-      if (resident) {
-        Charge(p);
-        moved += spill_bytes_[p];
-      }
-    }
-    return moved;
   }
 
   bool any_lost() const noexcept {
@@ -173,7 +148,7 @@ class ShuffleMapState {
   }
 
   /// The replay of `plan` ran: those outputs exist again — on the slots'
-  /// *current* owners per the rebalanced placement map — unless a further
+  /// *current* owners per the rehomed placement map — unless a further
   /// loss fired at the replay stage's own boundary and destroyed them again
   /// (the epoch moved), in which case they stay lost for the next replay
   /// round.

@@ -14,8 +14,8 @@ namespace apspark::sparklet {
 namespace {
 
 /// Emits a [before, after] span on the virtual driver lane for an
-/// interstage clock advance (shuffle, collect, broadcast, shared FS,
-/// rebalance). Call with the clock captured before and after the charge.
+/// interstage clock advance (shuffle, collect, broadcast, shared FS). Call
+/// with the clock captured before and after the charge.
 void TraceInterstage(const char* name, double before, double after,
                      std::uint64_t bytes) {
   if (!obs::TraceEnabled()) return;
@@ -32,7 +32,7 @@ double ListScheduleMakespan(std::vector<double> task_seconds, int machines) {
 VirtualCluster::VirtualCluster(ClusterConfig config)
     : config_(config),
       accountant_(config.nodes, &metrics_),
-      placement_(config.nodes, config.racks),
+      placement_(config.nodes),
       node_storage_used_(static_cast<std::size_t>(config_.nodes), 0) {}
 
 void VirtualCluster::Reset() {
@@ -95,49 +95,12 @@ void VirtualCluster::RunStage(const std::vector<double>& task_seconds,
     const double u =
         static_cast<double>(h >> 11) * 0x1.0p-53;  // uniform [0, 1)
     jittered[i] = task_seconds[i] * (1.0 + config_.straggler_spread * u);
-    // Hard stragglers (failing disk, throttled node): a deterministic
-    // 1-in-straggler_every subset of tasks runs straggler_factor x slower.
-    if (config_.straggler_factor > 1.0 && config_.straggler_every > 0 &&
-        h % static_cast<std::uint64_t>(config_.straggler_every) == 0) {
-      jittered[i] *= config_.straggler_factor;
-    }
-  }
-  // Speculative re-execution: tasks running past speculation_multiplier x
-  // the stage median get a copy launched at the detection point; the copy
-  // runs a median-like time, and the task finishes with whichever attempt
-  // is first. This is what bounds the hard-straggler tail. The median is
-  // taken over the *working* tasks only — stages routinely carry zero-cost
-  // placeholders (surviving partitions of a recovery re-run, non-lost
-  // entries of a replay plan), and including them would drag the median to
-  // zero and mark every real task a straggler.
-  if (config_.speculation) {
-    std::vector<double> working;
-    working.reserve(jittered.size());
-    for (const double t : jittered) {
-      if (t > 0.0) working.push_back(t);
-    }
-    if (working.size() >= 2) {
-      std::sort(working.begin(), working.end());
-      const double median = working[working.size() / 2];
-      const double cutoff =
-          median * std::max(1.0, config_.speculation_multiplier);
-      for (double& t : jittered) {
-        const double speculative_completion =
-            cutoff + median + config_.task_overhead_seconds;
-        if (t > cutoff && speculative_completion < t) {
-          t = speculative_completion;
-          metrics_.speculative_tasks += 1;
-        }
-      }
-    }
   }
   // Executors run one task per *slot*: with intra-task parallelism enabled
   // (ClusterConfig::intra_task_cores > 1) each task occupies that many cores
   // of its executor, so fewer tasks run concurrently — the per-task charges
   // shrink (the cost model's intra-task makespan), the slot count shrinks to
-  // match, and modelled time stays honest. Dead nodes contribute no slots;
-  // joined nodes contribute theirs (identical to the static count while
-  // membership is unchanged).
+  // match, and modelled time stays honest. Dead nodes contribute no slots.
   const double launch =
       config_.task_overhead_seconds * static_cast<double>(task_seconds.size());
   if (trace_enabled_) stage_trace_.push_back({stage_name, kind});
@@ -167,15 +130,12 @@ void VirtualCluster::RunStage(const std::vector<double>& task_seconds,
 
   if (span_tracing) EmitStageSpans(stage_name, kind, stage_start, task_spans);
 
-  // Stage boundary: armed membership plans fire now — rack losses, node
-  // losses, elastic joins. A lost node's local spill vanishes (a
-  // replacement executor starts with empty disks — the §5.2
-  // monotonic-growth argument holds per executor incarnation), its
-  // partition slots rebalance onto the survivors, and the owning context
-  // drops its cached partitions and preserved shuffle map outputs through
-  // the loss handler.
+  // Stage boundary: armed node-loss plans fire now. A lost node's local
+  // spill vanishes, its partition slots are rehomed onto the survivors, and
+  // the owning context drops its cached partitions and preserved shuffle
+  // map outputs through the loss handler.
   if (fault_injector_ != nullptr) {
-    FireMembershipEvents(static_cast<std::int64_t>(metrics_.stages) - 1);
+    FireNodeLosses(static_cast<std::int64_t>(metrics_.stages) - 1);
   }
 }
 
@@ -222,51 +182,16 @@ void VirtualCluster::EmitStageSpans(
   }
 }
 
-void VirtualCluster::FireMembershipEvents(std::int64_t completed_stage) {
-  // Correlated failures first: a rack plan expands to the rack's live
-  // membership at fire time.
-  for (const int rack : fault_injector_->TakeRackFailuresAt(completed_stage)) {
-    for (const int node : placement_.LiveNodesInRack(rack)) LoseNode(node);
-  }
+void VirtualCluster::FireNodeLosses(std::int64_t completed_stage) {
   for (const int node : fault_injector_->TakeNodeFailuresAt(completed_stage)) {
     LoseNode(node);
-  }
-  const int joins = fault_injector_->TakeNodeJoinsAt(completed_stage);
-  for (int j = 0; j < joins; ++j) {
-    const BlockManager::JoinResult join = placement_.AddNode();
-    accountant_.AddNode();
-    node_storage_used_.push_back(0);
-    metrics_.node_joins += 1;
-    metrics_.migrated_partitions += join.moves.size();
-    // Stolen slots carry their resident data to the newcomer: the context
-    // moves the MemoryAccountant charges and reports the bytes that
-    // actually travelled, which we push through the network model (all
-    // transfers head to one fresh node — its single NIC is the bottleneck).
-    const std::uint64_t bytes =
-        migrate_handler_ ? migrate_handler_(join.moves) : 0;
-    if (obs::TraceEnabled()) {
-      obs::Tracer::Get().VirtualInstant(
-          "node-join", obs::kDriverLane, clock_seconds_,
-          "\"moves\":" + std::to_string(join.moves.size()));
-    }
-    if (bytes > 0 || !join.moves.empty()) {
-      const double time =
-          static_cast<double>(bytes) / config_.network.bandwidth_bytes_per_sec +
-          config_.network.latency_seconds *
-              static_cast<double>(join.moves.size());
-      clock_seconds_ += time;
-      metrics_.rebalance_seconds += time;
-      metrics_.migration_bytes += bytes;
-      TraceInterstage("rebalance", clock_seconds_ - time, clock_seconds_,
-                      bytes);
-    }
   }
 }
 
 void VirtualCluster::LoseNode(int node) {
   // Plans aimed at unknown or already-dead nodes are no-ops (a chaos
   // schedule may kill the same node twice); the last live node is never
-  // killed — the engine models an elastic cluster, not a dead one.
+  // killed — the engine models a degraded cluster, not a dead one.
   if (!placement_.alive(node) || placement_.live_nodes() <= 1) return;
   metrics_.executor_failures += 1;
   if (obs::TraceEnabled()) {
@@ -274,13 +199,10 @@ void VirtualCluster::LoseNode(int node) {
                                       clock_seconds_,
                                       "\"node\":" + std::to_string(node));
   }
-  if (static_cast<std::size_t>(node) < node_storage_used_.size()) {
-    node_storage_used_[static_cast<std::size_t>(node)] = 0;
-  }
-  // Rebalance BEFORE the loss handler runs: recovery recomputes the lost
+  node_storage_used_[static_cast<std::size_t>(node)] = 0;
+  // Rehome BEFORE the loss handler runs: recovery recomputes the lost
   // partitions on their new owners, so placement must already point there.
-  // The moves carry no bytes — the data died with the node.
-  metrics_.migrated_partitions += placement_.RemoveNode(node).size();
+  placement_.RemoveNode(node);
   if (node_loss_handler_) node_loss_handler_(node);
 }
 
@@ -302,9 +224,7 @@ Status VirtualCluster::ChargeShuffle(
   // Transfer: on average (nodes-1)/nodes of the data crosses the network
   // in compressed form; all NICs move data concurrently, so effective
   // bandwidth is nodes * per-node bandwidth. Only live nodes have NICs:
-  // after a loss the survivors shoulder the transfer, after a join the
-  // newcomer helps — identical to the static count while membership is
-  // unchanged.
+  // after a loss the survivors shoulder the transfer.
   const double nodes = static_cast<double>(placement_.live_nodes());
   const double cross_fraction = nodes > 1 ? (nodes - 1.0) / nodes : 0.0;
   const double wire_bytes = static_cast<double>(total) * cross_fraction *
@@ -317,8 +237,7 @@ Status VirtualCluster::ChargeShuffle(
   metrics_.shuffle_seconds += time;
   TraceInterstage("shuffle", clock_seconds_ - time, clock_seconds_, total);
 
-  const int known_nodes = static_cast<int>(node_storage_used_.size());
-  for (int node = 0; node < known_nodes; ++node) {
+  for (int node = 0; node < config_.nodes; ++node) {
     if (node_storage_used_[static_cast<std::size_t>(node)] >
         config_.local_storage_bytes) {
       std::ostringstream msg;

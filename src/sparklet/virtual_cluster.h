@@ -51,25 +51,24 @@ class VirtualCluster {
   double now_seconds() const noexcept { return clock_seconds_; }
 
   /// Resets clock, metrics and storage occupancy (not the configuration,
-  /// and not the membership — nodes lost or joined stay lost or joined).
+  /// and not the membership — lost nodes stay lost).
   void Reset();
 
-  /// Node that hosts a given partition, per the elastic placement map. On a
-  /// cluster that never changed membership this is the historical
-  /// round-robin `partition % nodes`; after losses/joins it reflects the
-  /// deterministic rebalance (see BlockManager). Negative partition ids are
+  /// Node that hosts a given partition, per the placement map. On a cluster
+  /// that never lost a node this is the historical round-robin
+  /// `partition % nodes`; after losses it reflects the deterministic
+  /// rehoming (see BlockManager). Negative partition ids are
   /// rejected with a SPARKLET_CHECK.
   int NodeOfPartition(std::int64_t partition) const {
     return placement_.NodeOf(partition);
   }
 
-  /// Elastic membership view (placement map, live/dead nodes, racks).
+  /// Membership view (placement map, live/dead nodes).
   const BlockManager& placement() const noexcept { return placement_; }
   int live_nodes() const noexcept { return placement_.live_nodes(); }
 
-  /// Task slots the scheduler currently fills: dead nodes contribute none,
-  /// joined nodes contribute theirs. Equals config().concurrent_task_slots()
-  /// while membership is unchanged.
+  /// Task slots the scheduler currently fills: dead nodes contribute none.
+  /// Equals config().concurrent_task_slots() until a node is lost.
   int live_task_slots() const noexcept {
     const int per_task =
         config_.intra_task_cores < 1 ? 1 : config_.intra_task_cores;
@@ -94,21 +93,15 @@ class VirtualCluster {
                 StageKind kind = StageKind::kNormal);
 
   /// Wires fault injection into the stage loop. `injector` supplies armed
-  /// membership plans (losses, rack losses, joins); `on_node_lost` is
-  /// invoked (after the cluster wipes the node's local storage and
-  /// rebalances its slots) so the owning context can drop the node's cached
-  /// partitions and preserved shuffle map outputs. `on_migrate` (optional)
-  /// is invoked with a join's slot moves and returns how many resident
-  /// bytes actually travelled — the cluster charges that transfer through
-  /// the network model. All must outlive the cluster; SparkletContext
-  /// installs them at construction.
-  void SetFaultHooks(
-      FaultInjector* injector, std::function<void(int)> on_node_lost,
-      std::function<std::uint64_t(const std::vector<BlockManager::Move>&)>
-          on_migrate = {}) {
+  /// node-loss plans; `on_node_lost` is invoked (after the cluster wipes
+  /// the node's local storage and rehomes its slots) so the owning context
+  /// can drop the node's cached partitions and preserved shuffle map
+  /// outputs. Both must outlive the cluster; SparkletContext installs them
+  /// at construction.
+  void SetFaultHooks(FaultInjector* injector,
+                     std::function<void(int)> on_node_lost) {
     fault_injector_ = injector;
     node_loss_handler_ = std::move(on_node_lost);
-    migrate_handler_ = std::move(on_migrate);
   }
 
   /// Stage tracing: when enabled, every RunStage appends a StageRecord
@@ -156,11 +149,10 @@ class VirtualCluster {
   std::uint64_t MaxLocalStorageUsed() const;
 
  private:
-  /// Fires membership plans due at the just-completed stage boundary:
-  /// rack losses expand to their live nodes, node losses rebalance and
-  /// invoke the loss handler (refusing to kill the last live node or an
-  /// already-dead one), joins issue a node and migrate stolen slots.
-  void FireMembershipEvents(std::int64_t completed_stage);
+  /// Fires the node-loss plans due at the just-completed stage boundary:
+  /// each loss rehomes the node's slots and invokes the loss handler
+  /// (refusing to kill the last live node or an already-dead one).
+  void FireNodeLosses(std::int64_t completed_stage);
   void LoseNode(int node);
 
   /// Emits the just-completed stage onto the virtual trace: one stage-level
@@ -179,8 +171,6 @@ class VirtualCluster {
   std::vector<std::uint64_t> node_storage_used_;
   FaultInjector* fault_injector_ = nullptr;
   std::function<void(int)> node_loss_handler_;
-  std::function<std::uint64_t(const std::vector<BlockManager::Move>&)>
-      migrate_handler_;
   bool trace_enabled_ = false;
   std::vector<StageRecord> stage_trace_;
   // Durable-progress mark of the checkpoint-restart recovery attribution

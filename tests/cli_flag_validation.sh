@@ -32,10 +32,23 @@ expect_usage_error solve --er 40abc
 expect_usage_error solve --er ""
 expect_usage_error solve --er 40 --partitioner bogus
 expect_usage_error solve --er 40 --fail-node 1@x
-expect_usage_error solve --er 40 --straggler-factor 2x
-expect_usage_error solve --er 40 --straggler-factor nan
-expect_usage_error solve --er 64 --block 16 --straggler-factor inf
+expect_usage_error serve --store . --random 10 --zipf 2x
+expect_usage_error serve --store . --random 10 --zipf nan
 expect_usage_error serve --store . --random 10 --zipf inf
+# Executor loss is the only membership event: there are no racks, joins,
+# hard stragglers or speculative copies to ask for.
+expect_usage_error solve --er 64 --block 16 --fail-rack 0@1
+expect_usage_error solve --er 64 --block 16 --add-node @1
+expect_usage_error solve --er 64 --block 16 --racks 2
+expect_usage_error solve --er 64 --block 16 --straggler-factor 2
+expect_usage_error solve --er 64 --block 16 --straggler-every 4
+expect_usage_error solve --er 64 --block 16 --speculate
+# Loss plans that together name every node cannot be honoured (the last
+# live node is never killed), so they are refused, not silently thinned.
+expect_usage_error solve --er 64 --block 16 --cores 4 --fail-node 0@1 \
+    --fail-node 1@9
+expect_usage_error model --n 4096 --block 1024 --cores 64 --fail-node 0@1 \
+    --fail-node 1@2
 # plan and model split --cores into equal nodes (whole 32-core nodes from
 # 64 cores on): a count that does not split is refused, never modelled as
 # fewer cores.
@@ -91,6 +104,7 @@ expect_run() {
 expect_run model --n 1000 --block 250 --rounds 1
 expect_run solve --er 32 --block 8 --cores 1
 expect_run solve --er 32 --block 8 --cores 3
+expect_run solve --er 64 --block 16 --cores 8 --fail-node 0@1 --fail-node 1@9
 expect_run model --n 1000 --intra-task-cores 32
 expect_run solve --er 64 --sources 4 --block 16 --ksource-variant shuffle
 expect_run model --n 16384 --sources 64 --block 1024 --ksource-variant auto

@@ -1,8 +1,8 @@
-// Extended membership chaos harness (ctest label: chaos-extended).
+// Extended node-loss chaos harness (ctest label: chaos-extended).
 //
-// Thirty seeded schedules mixing single-node losses, correlated rack
-// losses, and elastic node joins — fired at random stage boundaries on
-// random topologies — driven through all four APSP solvers and both KSSP
+// Thirty seeded schedules of executor losses — each with at least two
+// nodes lost at one stage boundary, the rest at random boundaries, on
+// random cluster sizes — driven through all four APSP solvers and both KSSP
 // data planes. Every run must stay bitwise-equal to the scalar oracle
 // (integer weights make every path sum exact), pure solvers must never
 // restart, and the final placement must never map a partition to a dead
@@ -54,49 +54,35 @@ DenseBlock Oracle(const Graph& g) {
   return d;
 }
 
-/// One random membership schedule: the cluster shape and 2-4 events (node
-/// loss, rack loss, or join) at random early stage boundaries.
-struct MembershipSchedule {
+/// One random loss schedule: the cluster size and 2-4 node losses at random
+/// early stage boundaries, the first two at the same boundary on distinct
+/// nodes (a correlated loss).
+struct LossSchedule {
   int nodes = 2;
-  int racks = 1;
   std::vector<sparklet::NodeFailurePlan> fail_nodes;
-  std::vector<sparklet::RackFailurePlan> fail_racks;
-  std::vector<std::int64_t> add_nodes;
 };
 
-MembershipSchedule DrawSchedule(Xoshiro256& rng) {
-  MembershipSchedule s;
+LossSchedule DrawSchedule(Xoshiro256& rng) {
+  LossSchedule s;
   s.nodes = 3 + static_cast<int>(rng.NextBounded(3));  // 3..5
-  s.racks = 1 + static_cast<int>(rng.NextBounded(
-                    static_cast<std::uint64_t>(s.nodes / 2 + 1)));
-  const int events = 2 + static_cast<int>(rng.NextBounded(3));  // 2..4
-  for (int i = 0; i < events; ++i) {
-    const auto at_stage = static_cast<std::int64_t>(rng.NextBounded(40));
-    switch (rng.NextBounded(3)) {
-      case 0:
-        s.fail_nodes.push_back(
-            {static_cast<int>(
-                 rng.NextBounded(static_cast<std::uint64_t>(s.nodes))),
-             at_stage});
-        break;
-      case 1:
-        s.fail_racks.push_back(
-            {static_cast<int>(
-                 rng.NextBounded(static_cast<std::uint64_t>(s.racks))),
-             at_stage});
-        break;
-      default:
-        s.add_nodes.push_back(at_stage);
-        break;
-    }
+  const auto nodes = static_cast<std::uint64_t>(s.nodes);
+  const int losses = 2 + static_cast<int>(rng.NextBounded(3));  // 2..4
+  const auto pair_stage = static_cast<std::int64_t>(rng.NextBounded(40));
+  const auto first = static_cast<int>(rng.NextBounded(nodes));
+  const auto second =
+      (first + 1 + static_cast<int>(rng.NextBounded(nodes - 1))) % s.nodes;
+  s.fail_nodes.push_back({first, pair_stage});
+  s.fail_nodes.push_back({second, pair_stage});
+  for (int i = 2; i < losses; ++i) {
+    s.fail_nodes.push_back({static_cast<int>(rng.NextBounded(nodes)),
+                            static_cast<std::int64_t>(rng.NextBounded(40))});
   }
   return s;
 }
 
-ClusterConfig ChaosCluster(const MembershipSchedule& s) {
+ClusterConfig ChaosCluster(const LossSchedule& s) {
   auto cfg = TestCluster();
   cfg.nodes = s.nodes;
-  cfg.racks = s.racks;
   return cfg;
 }
 
@@ -108,7 +94,7 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
     const DenseBlock oracle = Oracle(g);
     const std::int64_t block =
         4 + static_cast<std::int64_t>(rng.NextBounded(13));  // 4..16
-    const MembershipSchedule schedule = DrawSchedule(rng);
+    const LossSchedule schedule = DrawSchedule(rng);
     // One solver per seed keeps the 30-schedule sweep fast while the seeds
     // rotate through all four kinds.
     const auto kinds = apsp::AllSolverKinds();
@@ -122,8 +108,6 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
     opts.directed = g.directed();
     opts.checkpoint_every = pure ? 0 : 1;
     opts.fail_nodes = schedule.fail_nodes;
-    opts.fail_racks = schedule.fail_racks;
-    opts.add_nodes = schedule.add_nodes;
     auto result = apsp::SolveBlocks(
         ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, opts);
     ASSERT_TRUE(result.status.ok())
@@ -137,7 +121,7 @@ TEST(ChaosExtended, SeededMembershipSchedulesAllApspSolversBitwise) {
       EXPECT_EQ(ctx.metrics().job_restarts, 0u)
           << SolverKindName(kind) << " seed " << seed;
     }
-    // The rebalanced placement never points at a corpse, and dead nodes
+    // The rehomed placement never points at a corpse, and dead nodes
     // hold no accounted bytes.
     const auto& placement = ctx.cluster().placement();
     for (std::int64_t p = 0; p < placement.known_partitions(); ++p) {
@@ -173,7 +157,7 @@ TEST(ChaosExtended, SeededMembershipSchedulesBothKsourcePlanesBitwise) {
         oracle.Set(v, static_cast<std::int64_t>(j), full.At(sources[j], v));
       }
     }
-    const MembershipSchedule schedule = DrawSchedule(rng);
+    const LossSchedule schedule = DrawSchedule(rng);
     const SolverKind plane = seed % 2 == 0
                                  ? SolverKind::kBlockedCollectBroadcast
                                  : SolverKind::kBlockedInMemory;
@@ -184,8 +168,6 @@ TEST(ChaosExtended, SeededMembershipSchedulesBothKsourcePlanesBitwise) {
     opts.block_size = 4 + static_cast<std::int64_t>(rng.NextBounded(13));
     opts.directed = g.directed();
     opts.fail_nodes = schedule.fail_nodes;
-    opts.fail_racks = schedule.fail_racks;
-    opts.add_nodes = schedule.add_nodes;
     if (!apsp::SolverIsPure(plane)) opts.checkpoint_every = 1;
     auto result = apsp::Solve(g, request).run;
     ASSERT_TRUE(result.status.ok())

@@ -37,7 +37,6 @@ using sparklet::ClusterConfig;
 using sparklet::FaultInjector;
 using sparklet::SparkletAbort;
 using sparklet::SparkletContext;
-using sparklet::StageKind;
 using test::ExpectBitwiseEqual;
 using test::RandomTestGraph;
 using test::TestCluster;
@@ -128,17 +127,20 @@ TEST(NodeLoss, DropsCachedPartitionsAndRecomputesThroughLineage) {
   const auto before = rdd->Collect();
   // Partitions 1 and 3 live on node 1 of the 2-node test cluster.
   EXPECT_GT(ctx.cluster().accountant().node_live_bytes(1), 0u);
+  EXPECT_EQ(ctx.cluster().NodeOfPartition(1), 1);
+  EXPECT_EQ(ctx.cluster().NodeOfPartition(3), 1);
 
   ctx.fault_injector().FailNode(1, ctx.metrics().stages);
   ctx.cluster().RunStage({0.0}, "tick");  // boundary: the loss fires
   EXPECT_EQ(ctx.metrics().executor_failures, 1u);
   EXPECT_EQ(ctx.cluster().accountant().node_live_bytes(1), 0u);
   EXPECT_EQ(ctx.cluster().LocalStorageUsed(1), 0u);
-  // Elastic membership: the dead node leaves the cluster for good and its
-  // slots rebalance onto the survivor.
+  // The dead node leaves the cluster for good and its slots (1 and 3) are
+  // rehomed onto the survivor.
   EXPECT_FALSE(ctx.cluster().placement().alive(1));
   EXPECT_EQ(ctx.cluster().live_nodes(), 1);
-  EXPECT_EQ(ctx.metrics().migrated_partitions, 2u);  // slots 1 and 3 moved
+  EXPECT_EQ(ctx.cluster().NodeOfPartition(1), 0);
+  EXPECT_EQ(ctx.cluster().NodeOfPartition(3), 0);
 
   const auto after = rdd->Collect();
   EXPECT_EQ(before, after);
@@ -184,11 +186,11 @@ TEST(NodeLoss, LostMapOutputsReplayBeforeReduceRecompute) {
 }
 
 TEST(NodeLoss, LossAtReplayBoundaryForcesSecondReplay) {
-  // Elastic membership makes a dead node stay dead, so the mid-recovery
+  // A dead node stays dead, so the mid-recovery
   // second hit comes from a DIFFERENT node: node 0 dies at the next
   // boundary, node 1 at the boundary right after — which is the replay
   // stage itself. The second loss destroys outputs the first replay just
-  // rebuilt (the slots had rebalanced onto node 1); they must stay lost
+  // rebuilt (the slots had been rehomed onto node 1); they must stay lost
   // (loss epochs) and a second replay round must run before the reduce
   // side reads the files.
   auto cfg = TestCluster();
@@ -216,7 +218,7 @@ TEST(NodeLoss, LossAtReplayBoundaryForcesSecondReplay) {
   EXPECT_EQ(key_sorted(before), key_sorted(after));
   EXPECT_EQ(ctx.metrics().executor_failures, 2u);
   // Node 0 held map partitions 0 and 3; the second loss re-destroys the
-  // rebalanced replays plus node 1's own partition, so at least two replay
+  // rehomed replays plus node 1's own partition, so at least two replay
   // rounds run, and the dropped reduce partitions recompute on top.
   EXPECT_GE(ctx.metrics().recomputed_tasks, 4u);
   // Everything ends on the sole survivor.
@@ -227,9 +229,9 @@ TEST(NodeLoss, LossAtReplayBoundaryForcesSecondReplay) {
 }
 
 TEST(NodeLoss, BackToBackSameNodeLossesSecondIsNoOp) {
-  // Elastic membership: a node dies once. A second plan for the same node
-  // at the very next boundary finds it already dead and must be a no-op —
-  // no double-counted failure, no double rebalance.
+  // A node dies once. A second plan for the same node at the very next
+  // boundary finds it already dead and must be a no-op — no double-counted
+  // failure, no second rehoming.
   auto cfg = TestCluster();
   cfg.nodes = 3;
   SparkletContext ctx(cfg);
@@ -242,10 +244,18 @@ TEST(NodeLoss, BackToBackSameNodeLossesSecondIsNoOp) {
   ctx.fault_injector().FailNode(1, s + 1);
   ctx.cluster().RunStage({0.0}, "tick");
   EXPECT_EQ(ctx.metrics().executor_failures, 1u);
-  const auto moved_once = ctx.metrics().migrated_partitions;
+  std::vector<int> owners_once;
+  for (std::int64_t p = 0; p < 6; ++p) {
+    owners_once.push_back(ctx.cluster().NodeOfPartition(p));
+    EXPECT_NE(owners_once.back(), 1) << "partition " << p;
+  }
   ctx.cluster().RunStage({0.0}, "tick");  // second plan fires into a corpse
   EXPECT_EQ(ctx.metrics().executor_failures, 1u);
-  EXPECT_EQ(ctx.metrics().migrated_partitions, moved_once);
+  for (std::int64_t p = 0; p < 6; ++p) {
+    EXPECT_EQ(ctx.cluster().NodeOfPartition(p),
+              owners_once[static_cast<std::size_t>(p)])
+        << "partition " << p;
+  }
   EXPECT_EQ(ctx.cluster().live_nodes(), 2);
 
   EXPECT_EQ(rdd->Collect(), before);
@@ -387,68 +397,6 @@ TEST(StageKeys, RecoveryRerunsGetDistinctStageKeys) {
   EXPECT_EQ(r2, 1) << "second re-run must be suffixed #r2";
 }
 
-TEST(Stragglers, SpeculationBoundsHardStragglerTail) {
-  auto cfg = ClusterConfig::TinyTest();
-  cfg.straggler_spread = 0.0;
-  cfg.straggler_factor = 20.0;
-  cfg.straggler_every = 4;
-  const std::vector<double> tasks(16, 1.0);
-
-  sparklet::VirtualCluster plain(cfg);
-  plain.RunStage(tasks, "stage");
-
-  cfg.speculation = true;
-  cfg.speculation_multiplier = 1.5;
-  sparklet::VirtualCluster speculating(cfg);
-  speculating.RunStage(tasks, "stage");
-
-  EXPECT_GT(speculating.metrics().speculative_tasks, 0u);
-  EXPECT_LT(speculating.now_seconds(), plain.now_seconds());
-  // Deterministic: the same configuration reproduces the same stage time.
-  sparklet::VirtualCluster again(cfg);
-  again.RunStage(tasks, "stage");
-  EXPECT_DOUBLE_EQ(again.now_seconds(), speculating.now_seconds());
-}
-
-TEST(Stragglers, SpeculationAppliesToRecoveryStages) {
-  // Speculative re-execution is not reserved for normal stages: a lineage
-  // replay is a stage like any other, and a hard straggler in it stretches
-  // exactly the window where the job is already degraded. The same
-  // configuration must bound the recovery stage's tail too.
-  auto cfg = ClusterConfig::TinyTest();
-  cfg.straggler_spread = 0.0;
-  cfg.straggler_factor = 20.0;
-  cfg.straggler_every = 4;
-  const std::vector<double> replay(16, 1.0);
-
-  sparklet::VirtualCluster plain(cfg);
-  plain.RunStage(replay, "recover", StageKind::kRecovery);
-
-  cfg.speculation = true;
-  cfg.speculation_multiplier = 1.5;
-  sparklet::VirtualCluster speculating(cfg);
-  speculating.RunStage(replay, "recover", StageKind::kRecovery);
-
-  EXPECT_GT(speculating.metrics().speculative_tasks, 0u);
-  EXPECT_LT(speculating.now_seconds(), plain.now_seconds());
-}
-
-TEST(Stragglers, PlaceholderTasksDoNotTriggerSpeculation) {
-  // Stages routinely carry zero-cost placeholders (surviving partitions of
-  // a recovery re-run, non-lost entries of a replay plan). The speculation
-  // median must ignore them — otherwise every real task looks like a
-  // straggler and collapses to ~zero modelled time.
-  auto cfg = ClusterConfig::TinyTest();
-  cfg.straggler_spread = 0.0;
-  cfg.speculation = true;
-  sparklet::VirtualCluster cluster(cfg);
-  std::vector<double> tasks(16, 0.0);
-  tasks[3] = 1.0;  // the one partition actually recomputed
-  cluster.RunStage(tasks, "recovery-like");
-  EXPECT_EQ(cluster.metrics().speculative_tasks, 0u);
-  EXPECT_GE(cluster.now_seconds(), 1.0);  // the real task runs in full
-}
-
 TEST(Checkpoint, RoundTripsFrontierPanels) {
   const Graph g = graph::PaperErdosRenyi(24, 7);
   const BlockLayout layout(24, 8);
@@ -509,8 +457,8 @@ TEST(EndToEnd, PureSolversRecoverInPlaceBitwise) {
   const DenseBlock oracle = Oracle(gi);
   for (SolverKind kind : {SolverKind::kFloydWarshall2d,
                           SolverKind::kBlockedInMemory}) {
-    // 4 nodes: both planned losses fire with survivors to rebalance onto
-    // (the elastic cluster refuses to kill its last live node).
+    // 4 nodes: both planned losses fire with survivors to rehome onto
+    // (the cluster refuses to kill its last live node).
     auto clean = RunApsp(kind, gi, 10, {}, 0, /*nodes=*/4);
     ASSERT_TRUE(clean.result.status.ok()) << SolverKindName(kind);
     auto faulty = RunApsp(kind, gi, 10, {{1, 12}, {0, 25}}, 0, /*nodes=*/4);
@@ -532,7 +480,7 @@ TEST(EndToEnd, PureSolversRecoverInPlaceBitwise) {
 TEST(EndToEnd, LossAtStageZeroBeforeAnyCache) {
   // The loss fires at the very first stage boundary, before any partition
   // was ever cached or shuffled: recovery has next to nothing to recompute,
-  // the placement just rebalances, and the run proceeds bitwise-normally.
+  // the placement just rehomes, and the run proceeds bitwise-normally.
   const Graph g = graph::PaperErdosRenyi(32, 29);
   Graph gi(g.num_vertices(), g.directed());
   for (const auto& e : g.edges()) {

@@ -1,13 +1,13 @@
-// Elastic cluster membership: the BlockManager placement map, rack-scoped
-// correlated failures and node joins with data migration.
+// Cluster membership under executor loss: the BlockManager placement map
+// and correlated losses (several nodes at one stage boundary).
 //
 // The load-bearing invariant: placement only decides accounting and modelled
 // time — record processing is real and runs in the driver thread — so NO
-// membership schedule may change a solver's numeric output. The acceptance
-// tests at the bottom drive a rack loss plus a replacement join through all
-// four APSP solvers and both KSSP data planes and require bitwise equality
-// with the scalar oracle and the no-failure run, a placement map with no
-// partition on a dead node, and a consistent memory ledger.
+// loss schedule may change a solver's numeric output. The acceptance tests
+// at the bottom drive two losses at one boundary through all four APSP
+// solvers and both KSSP data planes and require bitwise equality with the
+// scalar oracle and the no-failure run, a placement map with no partition
+// on a dead node, and a consistent memory ledger.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -51,8 +51,8 @@ std::vector<std::int64_t> Iota(std::int64_t n) {
 TEST(BlockManagerTest, UnchangedClusterReproducesRoundRobin) {
   // Least-loaded with lowest-id tie-break must hand out fresh slots exactly
   // like the historical `p % nodes` — that equivalence is what keeps every
-  // no-failure run bitwise- and metrics-identical to the pre-elastic engine.
-  const BlockManager bm(4, 1);
+  // no-failure run bitwise- and metrics-identical to the static `p % nodes` map.
+  const BlockManager bm(4);
   for (std::int64_t p = 0; p < 40; ++p) {
     EXPECT_EQ(bm.NodeOf(p), static_cast<int>(p % 4)) << "partition " << p;
   }
@@ -63,7 +63,7 @@ TEST(BlockManagerTest, NegativePartitionIdIsRejected) {
   // Regression: the old signed modulo silently returned a negative node
   // index for a negative partition id, poisoning every downstream ledger
   // lookup. The placement map refuses instead.
-  const BlockManager bm(2, 1);
+  const BlockManager bm(2);
   EXPECT_THROW(bm.NodeOf(-1), std::logic_error);
   EXPECT_THROW(bm.NodeOf(-1000), std::logic_error);
 
@@ -72,94 +72,47 @@ TEST(BlockManagerTest, NegativePartitionIdIsRejected) {
 }
 
 TEST(BlockManagerTest, RemoveNodeSpreadsSlotsAcrossSurvivors) {
-  BlockManager bm(3, 1);
+  BlockManager bm(3);
   for (std::int64_t p = 0; p < 9; ++p) bm.NodeOf(p);  // 3 slots each
-  const auto moves = bm.RemoveNode(1);
-  ASSERT_EQ(moves.size(), 3u);
-  for (const auto& move : moves) EXPECT_EQ(move.from, 1);
+  bm.RemoveNode(1);
   EXPECT_FALSE(bm.alive(1));
   EXPECT_EQ(bm.live_nodes(), 2);
   EXPECT_EQ(bm.OwnedSlots(1), 0);
   // Deterministic spread: 1 -> 0, 4 -> 2, 7 -> 0 (least-loaded, lowest id),
   // leaving a 5/4 split.
-  EXPECT_EQ(bm.OwnedSlots(0) + bm.OwnedSlots(2), 9);
-  EXPECT_LE(std::abs(bm.OwnedSlots(0) - bm.OwnedSlots(2)), 1);
+  EXPECT_EQ(bm.NodeOf(1), 0);
+  EXPECT_EQ(bm.NodeOf(4), 2);
+  EXPECT_EQ(bm.NodeOf(7), 0);
+  EXPECT_EQ(bm.OwnedSlots(0), 5);
+  EXPECT_EQ(bm.OwnedSlots(2), 4);
   for (std::int64_t p = 0; p < 9; ++p) {
     EXPECT_NE(bm.NodeOf(p), 1) << "partition " << p << " on the dead node";
   }
 }
 
 TEST(BlockManagerTest, RemoveNodeRefusesCorpsesAndLastSurvivor) {
-  BlockManager bm(2, 1);
+  BlockManager bm(2);
   bm.RemoveNode(0);
   EXPECT_THROW(bm.RemoveNode(0), std::logic_error);  // already dead
   EXPECT_THROW(bm.RemoveNode(1), std::logic_error);  // last live node
   EXPECT_EQ(bm.live_nodes(), 1);
 }
 
-TEST(BlockManagerTest, AddNodeStealsFromMostLoadedUntilBalanced) {
-  BlockManager bm(2, 1);
-  for (std::int64_t p = 0; p < 8; ++p) bm.NodeOf(p);  // 4 slots each
-  const auto join = bm.AddNode();
-  EXPECT_EQ(join.node, 2);
-  EXPECT_EQ(bm.live_nodes(), 3);
-  // Greedy steal of the donors' highest-numbered slots until within one
-  // slot: 8 slots over 3 nodes settles at 3/3/2.
-  ASSERT_EQ(join.moves.size(), 2u);
-  EXPECT_EQ(bm.OwnedSlots(2), 2);
-  EXPECT_EQ(bm.OwnedSlots(0), 3);
-  EXPECT_EQ(bm.OwnedSlots(1), 3);
-  for (const auto& move : join.moves) {
-    EXPECT_EQ(move.to, 2);
-    EXPECT_EQ(bm.NodeOf(move.partition), 2);
-  }
-  // Determinism: the same history replays to the same placement.
-  BlockManager replay(2, 1);
-  for (std::int64_t p = 0; p < 8; ++p) replay.NodeOf(p);
-  const auto join2 = replay.AddNode();
-  ASSERT_EQ(join2.moves.size(), join.moves.size());
-  for (std::size_t i = 0; i < join.moves.size(); ++i) {
-    EXPECT_EQ(join2.moves[i].partition, join.moves[i].partition);
-    EXPECT_EQ(join2.moves[i].from, join.moves[i].from);
-  }
-}
-
-TEST(BlockManagerTest, RacksAreContiguousBalancedBlocks) {
-  const BlockManager bm(8, 3);
-  EXPECT_EQ(bm.num_racks(), 3);
-  const std::vector<int> expected = {0, 0, 0, 1, 1, 1, 2, 2};
-  for (int n = 0; n < 8; ++n) {
-    EXPECT_EQ(bm.rack_of(n), expected[static_cast<std::size_t>(n)])
-        << "node " << n;
-  }
-  EXPECT_EQ(bm.LiveNodesInRack(0), (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(bm.LiveNodesInRack(2), (std::vector<int>{6, 7}));
-  EXPECT_THROW(bm.rack_of(8), std::logic_error);
-}
-
-TEST(BlockManagerTest, JoinerLandsInLeastPopulatedRack) {
-  BlockManager bm(8, 3);  // racks 0/1 have 3 nodes, rack 2 has 2
-  const auto join = bm.AddNode();
-  EXPECT_EQ(bm.rack_of(join.node), 2);
-  // Rack count clamps to the node count; a degenerate config stays sane.
-  const BlockManager tiny(2, 5);
-  EXPECT_EQ(tiny.num_racks(), 2);
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level membership events
 // ---------------------------------------------------------------------------
 
-TEST(Membership, RackLossKillsEveryLiveNodeOfTheRack) {
+TEST(Membership, TwoLossesAtOneBoundaryKillBothNodes) {
   auto cfg = TestCluster();
   cfg.nodes = 4;
-  cfg.racks = 2;  // nodes {0,1} in rack 0, {2,3} in rack 1
   SparkletContext ctx(cfg);
   auto rdd = ctx.Parallelize("data", Iota(40), 8)->Persist();
   rdd->EnsureMaterialized();
   const auto before = rdd->Collect();
 
-  ctx.fault_injector().FailRack(0, ctx.metrics().stages);
+  const auto s = static_cast<std::int64_t>(ctx.metrics().stages);
+  ctx.fault_injector().FailNode(0, s);
+  ctx.fault_injector().FailNode(1, s);
   ctx.cluster().RunStage({0.0}, "tick");
   EXPECT_EQ(ctx.metrics().executor_failures, 2u);
   EXPECT_FALSE(ctx.cluster().placement().alive(0));
@@ -168,42 +121,12 @@ TEST(Membership, RackLossKillsEveryLiveNodeOfTheRack) {
   EXPECT_EQ(ctx.cluster().accountant().node_live_bytes(0), 0u);
   EXPECT_EQ(ctx.cluster().accountant().node_live_bytes(1), 0u);
 
-  // Lineage rebuilds the rack's partitions on the surviving rack, bitwise.
+  // Lineage rebuilds both nodes' partitions on the survivors, bitwise.
   EXPECT_EQ(rdd->Collect(), before);
   EXPECT_GE(ctx.metrics().recomputed_tasks, 4u);
   for (std::int64_t p = 0; p < 8; ++p) {
     EXPECT_GE(ctx.cluster().NodeOfPartition(p), 2) << "partition " << p;
   }
-}
-
-TEST(Membership, JoinMigratesResidentBytesAndConservesTheLedger) {
-  SparkletContext ctx(TestCluster());  // 2 nodes
-  auto rdd = ctx.Parallelize("data", Iota(40), 8)->Persist();
-  rdd->EnsureMaterialized();
-  const auto& acct = ctx.cluster().accountant();
-  const auto bytes0 = acct.node_live_bytes(0);
-  const auto bytes1 = acct.node_live_bytes(1);
-  ASSERT_GT(bytes0, 0u);
-  const double clock_before = ctx.now_seconds();
-
-  ctx.fault_injector().AddNode(ctx.metrics().stages);
-  ctx.cluster().RunStage({0.0}, "tick");
-  EXPECT_EQ(ctx.cluster().live_nodes(), 3);
-  EXPECT_EQ(ctx.metrics().node_joins, 1u);
-  EXPECT_GT(ctx.metrics().migrated_partitions, 0u);
-  // Stolen slots carried their cached partitions: the newcomer holds real
-  // bytes, the migration was charged through the network model, and the
-  // cluster-wide ledger total is conserved (migration moves, never mints).
-  EXPECT_GT(acct.node_live_bytes(2), 0u);
-  EXPECT_GT(ctx.metrics().migration_bytes, 0u);
-  EXPECT_GT(ctx.metrics().rebalance_seconds, 0.0);
-  EXPECT_GT(ctx.now_seconds(), clock_before);
-  EXPECT_EQ(acct.node_live_bytes(0) + acct.node_live_bytes(1) +
-                acct.node_live_bytes(2),
-            bytes0 + bytes1);
-
-  // The data is still the data.
-  EXPECT_EQ(rdd->Collect(), Iota(40));
 }
 
 TEST(Membership, KillingTheLastLiveNodeIsRefused) {
@@ -224,8 +147,8 @@ TEST(Membership, KillingTheLastLiveNodeIsRefused) {
 
 TEST(Membership, MembershipSurvivesReset) {
   // Reset() rewinds the clock, metrics and storage for a fresh job on the
-  // SAME cluster — nodes lost or joined stay lost or joined, exactly like a
-  // long-lived Spark cluster running job after job.
+  // SAME cluster — lost nodes stay lost, exactly like a long-lived Spark
+  // cluster running job after job.
   auto cfg = TestCluster();
   cfg.nodes = 3;
   SparkletContext ctx(cfg);
@@ -246,13 +169,10 @@ TEST(Membership, LiveTaskSlotsTrackMembership) {
   ctx.fault_injector().FailNode(2, 0);
   ctx.cluster().RunStage({0.0}, "tick");
   EXPECT_EQ(ctx.cluster().live_task_slots(), 4);
-  ctx.fault_injector().AddNode(ctx.metrics().stages);
-  ctx.cluster().RunStage({0.0}, "tick");
-  EXPECT_EQ(ctx.cluster().live_task_slots(), 6);
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: a rack loss plus a replacement join is bitwise-invisible
+// Acceptance: two losses at one stage boundary are bitwise-invisible
 // ---------------------------------------------------------------------------
 
 Graph IntegerGraph(std::uint64_t seed) {
@@ -277,21 +197,19 @@ struct MembershipRun {
   bool dead_ledgers_empty = true;  // dead nodes hold zero accounted bytes
 };
 
-MembershipRun RunApspWithMembership(
+MembershipRun RunApspWithLosses(
     SolverKind kind, const Graph& g, std::int64_t block,
-    const std::vector<sparklet::RackFailurePlan>& fail_racks,
-    const std::vector<std::int64_t>& add_nodes, std::int64_t checkpoint_every) {
+    const std::vector<sparklet::NodeFailurePlan>& fail_nodes,
+    std::int64_t checkpoint_every) {
   const BlockLayout layout(g.num_vertices(), block, g.directed());
   auto cfg = TestCluster();
   cfg.nodes = 4;
-  cfg.racks = 2;
   SparkletContext ctx(cfg);
   ApspOptions opts;
   opts.block_size = block;
   opts.directed = g.directed();
   opts.checkpoint_every = checkpoint_every;
-  opts.fail_racks = fail_racks;
-  opts.add_nodes = add_nodes;
+  opts.fail_nodes = fail_nodes;
   MembershipRun run;
   run.result = apsp::SolveBlocks(
       ctx, layout, layout.Decompose(g.ToDenseAdjacency()), kind, opts);
@@ -309,17 +227,16 @@ MembershipRun RunApspWithMembership(
   return run;
 }
 
-TEST(MembershipEndToEnd, RackLossAndJoinAllApspSolversBitwise) {
+TEST(MembershipEndToEnd, TwoLossesAtOneBoundaryAllApspSolversBitwise) {
   const Graph gi = IntegerGraph(31);
   const DenseBlock oracle = Oracle(gi);
-  const std::vector<sparklet::RackFailurePlan> rack_loss = {{0, 10}};
-  const std::vector<std::int64_t> joins = {14};
+  const std::vector<sparklet::NodeFailurePlan> losses = {{0, 10}, {1, 10}};
   for (SolverKind kind : apsp::AllSolverKinds()) {
     const bool pure = apsp::SolverIsPure(kind);
-    auto clean = RunApspWithMembership(kind, gi, 10, {}, {}, 0);
+    auto clean = RunApspWithLosses(kind, gi, 10, {}, 0);
     ASSERT_TRUE(clean.result.status.ok()) << SolverKindName(kind);
-    auto faulty = RunApspWithMembership(kind, gi, 10, rack_loss, joins,
-                                        /*checkpoint_every=*/pure ? 0 : 1);
+    auto faulty = RunApspWithLosses(kind, gi, 10, losses,
+                                    /*checkpoint_every=*/pure ? 0 : 1);
     ASSERT_TRUE(faulty.result.status.ok())
         << SolverKindName(kind) << ": " << faulty.result.status.ToString();
     ASSERT_TRUE(faulty.result.distances.has_value());
@@ -328,8 +245,6 @@ TEST(MembershipEndToEnd, RackLossAndJoinAllApspSolversBitwise) {
     ExpectBitwiseEqual(*faulty.result.distances, *clean.result.distances,
                        std::string(SolverKindName(kind)) + " vs clean run");
     EXPECT_EQ(faulty.metrics.executor_failures, 2u) << SolverKindName(kind);
-    EXPECT_EQ(faulty.metrics.node_joins, 1u) << SolverKindName(kind);
-    EXPECT_GT(faulty.metrics.migrated_partitions, 0u) << SolverKindName(kind);
     EXPECT_TRUE(faulty.placement_live)
         << SolverKindName(kind) << ": partition mapped to a dead node";
     EXPECT_TRUE(faulty.dead_ledgers_empty)
@@ -352,21 +267,19 @@ DenseBlock KsourceOracle(const Graph& g, const std::vector<VertexId>& sources) {
   return out;
 }
 
-TEST(MembershipEndToEnd, RackLossAndJoinBothKsourcePlanesBitwise) {
+TEST(MembershipEndToEnd, TwoLossesAtOneBoundaryBothKsourcePlanesBitwise) {
   const Graph gi = IntegerGraph(37);
   const std::vector<VertexId> sources = {0, 9, 21, 33};
   const DenseBlock oracle = KsourceOracle(gi, sources);
   auto cfg = TestCluster();
   cfg.nodes = 4;
-  cfg.racks = 2;
   for (const SolverKind plane : {SolverKind::kBlockedCollectBroadcast,
                                  SolverKind::kBlockedInMemory}) {
     apsp::SolveRequest request{
         .solver = plane, .sources = sources, .cluster = cfg};
     auto& opts = request.options;
     opts.block_size = 10;
-    opts.fail_racks = {{1, 16}};
-    opts.add_nodes = {20};
+    opts.fail_nodes = {{2, 16}, {3, 16}};
     if (!apsp::SolverIsPure(plane)) opts.checkpoint_every = 2;
     auto result = apsp::Solve(gi, request).run;
     ASSERT_TRUE(result.status.ok())
@@ -374,7 +287,6 @@ TEST(MembershipEndToEnd, RackLossAndJoinBothKsourcePlanesBitwise) {
     ASSERT_TRUE(result.distances.has_value());
     ExpectBitwiseEqual(*result.distances, oracle, SolverKindName(plane));
     EXPECT_EQ(result.metrics.executor_failures, 2u);
-    EXPECT_EQ(result.metrics.node_joins, 1u);
     if (apsp::SolverIsPure(plane)) {
       EXPECT_EQ(result.metrics.job_restarts, 0u);
     }

@@ -220,14 +220,12 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
   m.broadcast_seconds = 4.5;
   m.shared_fs_seconds = 5.5;
   m.scheduling_seconds = 6.5;
-  m.rebalance_seconds = 7.5;
   m.recovery_seconds = 8.5;
   m.shuffle_bytes = 101;
   m.collect_bytes = 102;
   m.broadcast_bytes = 103;
   m.shared_fs_written_bytes = 104;
   m.shared_fs_read_bytes = 105;
-  m.migration_bytes = 107;
   m.stages = 108;
   m.tasks = 109;
   m.task_failures = 110;
@@ -235,9 +233,6 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
   m.recomputed_tasks = 112;
   m.executor_failures = 113;
   m.job_restarts = 114;
-  m.speculative_tasks = 115;
-  m.migrated_partitions = 116;
-  m.node_joins = 117;
   m.local_storage_peak_bytes = 118;
   m.driver_peak_bytes = 119;
   m.node_peak_bytes = 120;
@@ -250,14 +245,12 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
       {"sim_broadcast_seconds", 4.5},
       {"sim_shared_fs_seconds", 5.5},
       {"sim_scheduling_seconds", 6.5},
-      {"sim_rebalance_seconds", 7.5},
       {"sim_recovery_seconds", 8.5},
       {"sim_shuffle_bytes", 101},
       {"sim_collect_bytes", 102},
       {"sim_broadcast_bytes", 103},
       {"sim_shared_fs_written_bytes", 104},
       {"sim_shared_fs_read_bytes", 105},
-      {"sim_migration_bytes", 107},
       {"sim_stages", 108},
       {"sim_tasks", 109},
       {"sim_task_failures", 110},
@@ -265,15 +258,12 @@ TEST(ObsRegistry, PublishedSimAndStoreGaugesKeepTheirNames) {
       {"sim_recomputed_tasks", 112},
       {"sim_executor_failures", 113},
       {"sim_job_restarts", 114},
-      {"sim_speculative_tasks", 115},
-      {"sim_migrated_partitions", 116},
-      {"sim_node_joins", 117},
       {"sim_local_storage_peak_bytes", 118},
       {"sim_driver_peak_bytes", 119},
       {"sim_node_peak_bytes", 120},
   };
-  ASSERT_EQ(sim_gauges.size(), 28u);
-  EXPECT_DOUBLE_EQ(m.sim_seconds(), 1.5 + 2.5 + 3.5 + 4.5 + 5.5 + 6.5 + 7.5);
+  ASSERT_EQ(sim_gauges.size(), 23u);
+  EXPECT_DOUBLE_EQ(m.sim_seconds(), 1.5 + 2.5 + 3.5 + 4.5 + 5.5 + 6.5);
   obs::Registry& global = obs::Registry::Global();
   for (const auto& [name, value] : sim_gauges) {
     EXPECT_EQ(global.GetGauge(name).value(), value) << name;

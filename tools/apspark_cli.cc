@@ -87,12 +87,6 @@ constexpr FlagSpec kFlags[] = {
     {"--ksource-variant", true, kSolve | kModel},
     {"--no-early-exit", false, kSolve | kModel},
     {"--fail-node", true, kSolve | kModel},
-    {"--fail-rack", true, kSolve | kModel},
-    {"--add-node", true, kSolve | kModel},
-    {"--racks", true, kSolve | kModel},
-    {"--straggler-factor", true, kSolve | kModel},
-    {"--straggler-every", true, kSolve | kModel},
-    {"--speculate", false, kSolve | kModel},
     {"--directed", false, kSolve | kModel},
     {"--fault-tolerant", false, kSolve | kPlan | kModel},
     {"--persist", true, kSolve},
@@ -138,15 +132,6 @@ struct Args {
   bool no_early_exit = false;
   /// Injected executor losses: --fail-node N@S (repeatable).
   std::vector<sparklet::NodeFailurePlan> fail_nodes;
-  /// Correlated failures: --fail-rack R@S kills every node of rack R.
-  std::vector<sparklet::RackFailurePlan> fail_racks;
-  /// Elastic membership: --add-node @S joins a replacement node.
-  std::vector<std::int64_t> add_nodes;
-  /// Rack count for failure-domain mapping (--racks R).
-  int racks = 1;
-  double straggler_factor = 1.0;
-  int straggler_every = 8;
-  bool speculate = false;
   // solve: persistence
   std::string persist;
   bool no_paths = false;
@@ -194,9 +179,7 @@ void UsageSolve() {
       "          algebra the solve evaluates: shortest path,\n"
       "          reachability, bottleneck capacity, or widest path\n"
       "  [--intra-task-cores C]  modelled cores per task\n"
-      "  [--fail-node N@S] [--fail-rack R@S] [--add-node @S] [--racks R]\n"
-      "          injected failures / elastic membership (repeatable)\n"
-      "  [--straggler-factor F] [--straggler-every K] [--speculate]\n"
+      "  [--fail-node N@S]  lose executor N after stage S (repeatable)\n"
       "  [--trace FILE]  capture a dual-clock Chrome trace-event JSON\n"
       "          (load in Perfetto / chrome://tracing)\n"
       "  [--metrics-out FILE]  dump the metrics registry after the run\n"
@@ -218,9 +201,7 @@ void UsageModel() {
       "  [--block B] [--rounds R] [--sources K] [--ksource-variant V]\n"
       "  [--semiring S] [--intra-task-cores C]\n"
       "  [--isa scalar|avx2|avx512|auto]\n"
-      "  [--fail-node N@S] [--fail-rack R@S] [--add-node @S] [--racks R]\n"
-      "  [--checkpoint-every K] [--straggler-factor F]\n"
-      "  [--straggler-every K] [--speculate] [--directed]\n"
+      "  [--fail-node N@S] [--checkpoint-every K] [--directed]\n"
       "  [--trace FILE] [--metrics-out FILE]\n"
       "  --sources K runs k-source on the --ksource-variant plane\n"
       "  (not with --solver); auto picks the cheaper modelled plane\n");
@@ -492,26 +473,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       sparklet::NodeFailurePlan plan;
       ok = ParsePair(flag, v, '@', plan.node, plan.at_stage);
       args.fail_nodes.push_back(plan);
-    } else if (flag == "--fail-rack") {
-      sparklet::RackFailurePlan plan;
-      ok = ParsePair(flag, v, '@', plan.rack, plan.at_stage);
-      args.fail_racks.push_back(plan);
-    } else if (flag == "--add-node") {
-      std::int64_t at_stage = 0;
-      if (v[0] != '@') {
-        std::fprintf(stderr, "--add-node expects @STAGE, got '%s'\n", v);
-        return false;
-      }
-      ok = ParseNumber<std::int64_t>(flag, v + 1, 0, at_stage);
-      args.add_nodes.push_back(at_stage);
-    } else if (flag == "--racks") {
-      ok = ParseNumber(flag, v, 1, args.racks);
-    } else if (flag == "--straggler-factor") {
-      ok = ParseNumber(flag, v, 1.0, args.straggler_factor);
-    } else if (flag == "--straggler-every") {
-      ok = ParseNumber(flag, v, 1, args.straggler_every);
-    } else if (flag == "--speculate") {
-      args.speculate = true;
     } else if (flag == "--directed") {
       args.directed = true;
     } else if (flag == "--fault-tolerant") {
@@ -598,12 +559,10 @@ Result<apsp::PartitionerKind> ParsePartitioner(const std::string& name) {
   return InvalidArgumentError("unknown partitioner '" + name + "'");
 }
 
-/// Sets the durability/fault/membership schedule all workloads share.
+/// Sets the durability/fault schedule all workloads share.
 void BuildRunPlan(const Args& args, apsp::ApspOptions& options) {
   options.checkpoint_every = args.checkpoint_every;
   options.fail_nodes = args.fail_nodes;
-  options.fail_racks = args.fail_racks;
-  options.add_nodes = args.add_nodes;
 }
 
 /// --intra-task-cores spends an executor's own cores on one task; it cannot
@@ -642,12 +601,15 @@ std::optional<sparklet::ClusterConfig> PaperCluster(const Args& args,
   return cfg;
 }
 
-/// Membership plans that parse fine can still be nonsense for the actual
-/// cluster: a node or rack id past the config, or the same plan armed twice
-/// at one stage boundary (it would silently be a no-op — the second loss
-/// finds the node already dead). Rejected here with a clear error instead.
-bool ValidateMembershipPlans(const Args& args,
-                             const sparklet::ClusterConfig& cluster) {
+/// Failure plans that parse fine can still be nonsense for the actual
+/// cluster: a node id past the config, the same plan armed twice at one
+/// stage boundary (it would silently be a no-op — the second loss finds the
+/// node already dead), or plans that together name every node (the engine
+/// never kills the last live node, so one of them would silently be
+/// dropped). Rejected here with a clear error instead.
+bool ValidateFailurePlans(const Args& args,
+                          const sparklet::ClusterConfig& cluster) {
+  std::vector<bool> named(static_cast<std::size_t>(cluster.nodes), false);
   for (std::size_t i = 0; i < args.fail_nodes.size(); ++i) {
     const auto& plan = args.fail_nodes[i];
     if (plan.node >= cluster.nodes) {
@@ -658,6 +620,7 @@ bool ValidateMembershipPlans(const Args& args,
                    cluster.nodes, cluster.nodes - 1);
       return false;
     }
+    named[static_cast<std::size_t>(plan.node)] = true;
     for (std::size_t j = i + 1; j < args.fail_nodes.size(); ++j) {
       if (args.fail_nodes[j].node == plan.node &&
           args.fail_nodes[j].at_stage == plan.at_stage) {
@@ -669,58 +632,32 @@ bool ValidateMembershipPlans(const Args& args,
       }
     }
   }
-  for (std::size_t i = 0; i < args.fail_racks.size(); ++i) {
-    const auto& plan = args.fail_racks[i];
-    if (plan.rack >= args.racks) {
-      std::fprintf(stderr,
-                   "--fail-rack %d@%lld: rack out of range for --racks %d "
-                   "(valid: 0..%d)\n",
-                   plan.rack, static_cast<long long>(plan.at_stage),
-                   args.racks, args.racks - 1);
-      return false;
-    }
-    for (std::size_t j = i + 1; j < args.fail_racks.size(); ++j) {
-      if (args.fail_racks[j].rack == plan.rack &&
-          args.fail_racks[j].at_stage == plan.at_stage) {
-        std::fprintf(stderr,
-                     "--fail-rack %d@%lld given twice: a rack dies once per "
-                     "stage boundary\n",
-                     plan.rack, static_cast<long long>(plan.at_stage));
-        return false;
-      }
-    }
+  if (!named.empty() &&
+      std::all_of(named.begin(), named.end(), [](bool b) { return b; })) {
+    std::fprintf(stderr,
+                 "--fail-node plans name all %d nodes of the cluster: at "
+                 "least one node must survive\n",
+                 cluster.nodes);
+    return false;
   }
   return true;
 }
 
-/// Fault-tolerance report: printed whenever the run saw failures, replays,
-/// restarts, speculation, or membership churn.
+/// Fault-tolerance report: printed whenever the run saw failures, replays
+/// or restarts.
 void PrintRecovery(const sparklet::SimMetrics& m) {
   if (m.executor_failures == 0 && m.recomputed_tasks == 0 &&
-      m.task_retries == 0 && m.job_restarts == 0 &&
-      m.speculative_tasks == 0 && m.migrated_partitions == 0 &&
-      m.node_joins == 0) {
+      m.task_retries == 0 && m.job_restarts == 0) {
     return;
   }
   std::printf(
       "recovery: %llu executor losses, %llu recomputed tasks, "
-      "%llu task retries, %llu checkpoint restarts, %llu speculative "
-      "copies, %s of redone work\n",
+      "%llu task retries, %llu checkpoint restarts, %s of redone work\n",
       static_cast<unsigned long long>(m.executor_failures),
       static_cast<unsigned long long>(m.recomputed_tasks),
       static_cast<unsigned long long>(m.task_retries),
       static_cast<unsigned long long>(m.job_restarts),
-      static_cast<unsigned long long>(m.speculative_tasks),
       FormatDuration(m.recovery_seconds).c_str());
-  if (m.migrated_partitions > 0 || m.node_joins > 0) {
-    std::printf(
-        "rebalance: %llu node joins, %llu partitions rehomed, %s migrated "
-        "in %s\n",
-        static_cast<unsigned long long>(m.node_joins),
-        static_cast<unsigned long long>(m.migrated_partitions),
-        FormatBytes(m.migration_bytes).c_str(),
-        FormatDuration(m.rebalance_seconds).c_str());
-  }
 }
 
 /// The k-source data plane a solver kind runs (--ksource-variant spelling).
@@ -864,12 +801,8 @@ int RunSolve(const Args& args) {
   // the same selection.
   linalg::SetKernelVariant(*kernel);
   cluster.intra_task_cores = args.intra_task_cores;
-  cluster.straggler_factor = args.straggler_factor;
-  cluster.straggler_every = args.straggler_every;
-  cluster.speculation = args.speculate;
-  cluster.racks = args.racks;
   if (!ValidateIntraTaskCores(cluster) ||
-      !ValidateMembershipPlans(args, cluster)) {
+      !ValidateFailurePlans(args, cluster)) {
     return 2;
   }
 
@@ -978,12 +911,8 @@ int RunModel(const Args& args) {
   request.cluster = *paper_cluster;
   auto& cluster = request.cluster;
   cluster.intra_task_cores = args.intra_task_cores;
-  cluster.straggler_factor = args.straggler_factor;
-  cluster.straggler_every = args.straggler_every;
-  cluster.speculation = args.speculate;
-  cluster.racks = args.racks;
   if (!ValidateIntraTaskCores(cluster) ||
-      !ValidateMembershipPlans(args, cluster)) {
+      !ValidateFailurePlans(args, cluster)) {
     return 2;
   }
   auto kind = ResolveSolver(args, args.n, options.block_size, cluster);
